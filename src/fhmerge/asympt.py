@@ -209,9 +209,6 @@ def transition_log(
         raise ValidationError("transition form needs t in (0, pi)")
     _require_seminorm(p)
     x = 2.0 * n * t
-    for lo, hi in traj.branch_gaps:
-        if lo <= x <= hi:
-            raise ValidationError(f"x = 2nt = {x:.4g} falls in a recorded pole gap")
     wh = wiener_hopf(p)
     merged = fh1_log(p.merged(), n)
     z1, z2 = cmath.exp(1j * t), cmath.exp(-1j * t)

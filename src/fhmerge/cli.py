@@ -144,7 +144,7 @@ def _cmd_det(args):
 
 def _cmd_sigma(args):
     p = _params_from_args(args)
-    if (p.alpha1, p.alpha2, p.beta1, p.beta2) == (0.5 + 0j, 0.5 + 0j, 0.5 + 0j, 0.5 + 0j):
+    if painleve.is_degenerate(p):
         traj = painleve.degenerate_sigma(x0=args.x0, x_max=args.x_max)
     else:
         traj = painleve.integrate_sigma(p, x0=args.x0, x_max=args.x_max, tol=args.tol)

@@ -28,7 +28,13 @@ from .asympt import (
     transition_log,
 )
 from .errors import ValidationError
-from .painleve import SigmaTrajectory, degenerate_sigma, integrate_sigma, r_trajectory
+from .painleve import (
+    SigmaTrajectory,
+    degenerate_sigma,
+    integrate_sigma,
+    is_degenerate,
+    r_trajectory,
+)
 from .symbol import FHParams, fourier_coeffs
 from .toeplitz import det_path, log_det, orth_poly
 
@@ -343,12 +349,16 @@ def fk_moment_scan(alpha: float, n_list, t1: float) -> ExperimentReport:
     if alpha <= -0.25:
         raise ValidationError("needs alpha > -1/4")
     two_a2 = 2.0 * alpha * alpha
+    critical = abs(two_a2 - 1.0) < 1e-12
+    if two_a2 > 1.0 and not critical:
+        # sigma does not depend on the tables: a failing solve fails first
+        traj = integrate_sigma(FHParams(alpha, alpha, t=0.1), x_max=80.0)
     rows = []
     for n in n_list:
         m = _integrate_det(lambda t: FHParams(alpha, alpha, t=t), n, t1)
         rows.append({"n": n, "moment": m})
     lns = np.log(np.array([r["n"] for r in rows], dtype=float))
-    if abs(two_a2 - 1.0) < 1e-12:
+    if critical:
         vals = np.log([r["moment"] / (r["n"] * math.log(r["n"])) for r in rows])
         slope = float(np.polyfit(lns, vals, 1)[0])
         expected = 0.0
@@ -362,7 +372,6 @@ def fk_moment_scan(alpha: float, n_list, t1: float) -> ExperimentReport:
         if two_a2 < 1.0:
             reference = fk_constants(alpha).c1(t1)
         else:
-            traj = integrate_sigma(FHParams(alpha, alpha, t=0.1), x_max=80.0)
             reference = fk_constants(alpha).c3(traj)
     for row in rows:
         row["err"] = abs(slope - expected)
@@ -408,10 +417,6 @@ def diff_identity_scan(
     )
 
 
-def _is_degenerate(p: FHParams) -> bool:
-    return p.alpha1 == 0.5 and p.alpha2 == 0.5 and p.beta1 == 0.5 and p.beta2 == 0.5
-
-
 def beta_one_check(
     p: FHParams, n_list, nt_list, c0: float = DEFAULT_C0, identity_n: int = 8
 ) -> ExperimentReport:
@@ -424,7 +429,7 @@ def beta_one_check(
     start = time.time()
     if (p.beta1 - p.beta2).real != 0.0:
         raise ValidationError("needs Re beta1 = Re beta2")
-    if _is_degenerate(p):
+    if is_degenerate(p):
         traj = degenerate_sigma(x_max=max(25.0, 1.1 * max(nt_list) * 2.0))
     else:
         traj = integrate_sigma(p, x_max=max(25.0, 2.2 * max(nt_list)))

@@ -8,10 +8,9 @@ sigma solves the quartic second-order equation
 on the ray s = -i x, x > 0.  We integrate the once-differentiated
 explicit third-order form (no square roots, hence no branch flips); the
 quartic relation itself is a first integral of that form, so it is
-enforced by checking the residual at every output node and retrying at a
-tighter solver tolerance on failure.  Everything downstream (the
-transition formula, the integral identity, the r-function of the
-shifted-beta determinant ratio) reads from the resulting trajectory.
+enforced by checking the residual at every output node.  Everything
+downstream (the transition formula, the integral identity, the r-function
+of the shifted-beta determinant ratio) reads from the resulting trajectory.
 """
 
 from __future__ import annotations
@@ -45,14 +44,17 @@ __all__ = [
     "integrate_sigma",
     "degenerate_sigma",
     "degenerate_r",
+    "is_degenerate",
     "r_trajectory",
-    "omega_integral",
     "integral_identity_check",
 ]
 
 _POLE_CAP = 1e6
 _X_SERIES_MAX = 1e-2
 _X_ASYM_MIN = 10.0
+# right-hand-side evaluations allowed per sigma solve; passing runs use a
+# few thousand, a run heading for a blow-up millions
+_RHS_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -97,12 +99,18 @@ def check_nondegeneracy(p: FHParams, merged: bool = True) -> None:
             raise NondegeneracyError(f"parameter combination {c} hits a negative integer")
 
 
+def _is_resonant(p: FHParams) -> bool:
+    """2(alpha1+alpha2) in N u {0}: the series has no tau0 term."""
+    two_a = 2.0 * (p.alpha1 + p.alpha2)
+    return two_a.imag == 0.0 and two_a.real >= 0.0 and two_a.real == round(two_a.real)
+
+
 def tau0(p: FHParams) -> complex:
     """Coefficient of |s|^(1+2(alpha1+alpha2)) in the small-argument expansion."""
     a = p.alpha1 + p.alpha2
     b = p.beta_sum
     two_a = 2.0 * a
-    if two_a.imag == 0.0 and two_a.real >= 0.0 and two_a.real == round(two_a.real):
+    if _is_resonant(p):
         raise NondegeneracyError("2(alpha1+alpha2) in N u {0}: no tau0 term (half-integer case)")
     check_nondegeneracy(p)
     sin2a = cmath.sin(2.0 * cmath.pi * a)
@@ -233,27 +241,11 @@ def sigma_residual(p: FHParams, s, sigma, dsig, d2sig):
 
 
 @dataclass
-class _Segment:
-    s_a: complex
-    s_b: complex
-    sol: object  # solve_ivp result with dense output over tau in [0, L]
-
-    @property
-    def length(self) -> float:
-        return abs(self.s_b - self.s_a)
-
-    def on_ray(self) -> bool:
-        return abs(self.s_a.real) < 1e-12 and abs(self.s_b.real) < 1e-12
-
-
-@dataclass
 class SigmaTrajectory:
     """sigma and derivatives on a grid of x = |s| along the ray s = -ix.
 
-    mode is one of 'series-init', 'data-init', 'degenerate'.  branch_gaps
-    lists x-intervals bridged by a detour around a detected pole; inside
-    them sigma values are not available and omega follows the detour
-    path (a branch choice of the determinant logarithm).
+    mode is one of 'series-init', 'data-init', 'degenerate'.  eval and
+    omega_at read the dense solver output, whose variable tau is x - x0.
     """
 
     params: FHParams
@@ -261,32 +253,20 @@ class SigmaTrajectory:
     sigma: np.ndarray
     sigma_x: np.ndarray
     sigma_xx: np.ndarray
-    omega: np.ndarray
     residual: np.ndarray
     sigma0: complex
     mode: str
     x0: float
+    x_max: float
     omega_head: complex
-    init_bias: float
-    branch_gaps: list = field(default_factory=list)
-    omega_offset: complex = 0.0
-    _segments: list = field(default_factory=list, repr=False)
+    _dense: object = field(default=None, repr=False)  # OdeSolution over [0, x_max - x0]
 
-    def _locate(self, x: float):
-        x_top = max(max(abs(seg.s_a.imag), abs(seg.s_b.imag)) for seg in self._segments)
-        if not (self.x0 <= x <= x_top + 1e-12):
-            raise ValidationError(f"x = {x} outside trajectory range [{self.x0}, {x_top}]")
-        for lo, hi in self.branch_gaps:
-            if lo < x < hi:
-                raise PoleDetectedError(x)
-        for seg in self._segments:
-            if not seg.on_ray():
-                continue
-            xa, xb = abs(seg.s_a.imag), abs(seg.s_b.imag)
-            if min(xa, xb) - 1e-12 <= x <= max(xa, xb) + 1e-12:
-                # tau measures arclength from s_a regardless of direction
-                return seg, min(max(abs(x - xa), 0.0), seg.length)
-        raise ValidationError(f"x = {x} not covered by any ray segment")
+    def _tau(self, x: float) -> float:
+        if not (self.x0 <= x <= self.x_max + 1e-12):
+            raise ValidationError(
+                f"x = {x} outside trajectory range [{self.x0}, {self.x_max}]"
+            )
+        return min(x - self.x0, self._dense.t_max)
 
     def eval(self, x: float):
         """(sigma, sigma_x, sigma_xx) at x, from dense solver output."""
@@ -294,8 +274,7 @@ class SigmaTrajectory:
             return 0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j
         if x < self.x0:
             return sigma_series_small(self.params, x)
-        seg, tau = self._locate(x)
-        sig, dsig, d2sig, _ = seg.sol.sol(tau)
+        sig, dsig, d2sig, _ = self._dense(self._tau(x))
         # convert s-derivatives to x-derivatives on the ray (ds/dx = -i)
         return sig, -1j * dsig, -d2sig
 
@@ -310,79 +289,57 @@ class SigmaTrajectory:
         return (2.0 / x) * (u - 1j * x * (p.beta1 - p.beta2) / 2.0 + const)
 
     def omega_at(self, x: float) -> complex:
-        """int_0^{-ix} (sigma(s) - sigma(0)) ds/s along the trajectory path."""
+        """int_0^{-ix} (sigma(s) - sigma(0)) ds/s along the ray."""
         if self.mode == "degenerate":
             return 0.0 + 0.0j
         if x <= self.x0:
-            return self._omega_head_at(x)
-        seg, tau = self._locate(x)
-        # the integral state is carried across segments, so the dense
-        # output of the containing segment is already cumulative; for
-        # backward (connection-initialized) runs omega_offset rebases the
-        # accumulated value to the x0 end of the ray
-        return self.omega_head + seg.sol.sol(tau)[3] - self.omega_offset
-
-    def _omega_head_at(self, x: float) -> complex:
-        return _omega_series_head(self.params, x)
-
-    @property
-    def q(self) -> np.ndarray:
-        return np.array([self.q_at(x) for x in self.x_grid])
-
-    def to_csv(self, path, r_traj=None):
-        """Dump x, sigma, sigma_x, r, residual rows."""
-        with open(path, "w") as fh:
-            fh.write("x,re_sigma,im_sigma,re_sigma_x,im_sigma_x,re_r,im_r,residual\n")
-            for i, x in enumerate(self.x_grid):
-                r = r_traj.r_at(x) if r_traj is not None else 0.0 + 0.0j
-                fh.write(
-                    f"{x:.12g},{self.sigma[i].real:.12g},{self.sigma[i].imag:.12g},"
-                    f"{self.sigma_x[i].real:.12g},{self.sigma_x[i].imag:.12g},"
-                    f"{r.real:.12g},{r.imag:.12g},{self.residual[i]:.3e}\n"
-                )
+            return _omega_series_head(self.params, x)
+        return self.omega_head + self._dense(self._tau(x))[3]
 
 
-def _integrate_path(p, waypoints, y0, rtol, atol):
-    """Integrate (sigma, sigma_s, sigma_ss, omega) along straight segments."""
+def _integrate_ray(p, x0, x_max, y0, rtol):
+    """Dense solution of (sigma, sigma_s, sigma_ss, omega) from s = -i x0 to -i x_max."""
     rhs3 = _sigma_rhs_factory(theta_params(p).as_tuple())
     s0c = sigma_zero(p)
-    segments = []
-    y = np.asarray(y0, dtype=complex)
-    for s_a, s_b in zip(waypoints[:-1], waypoints[1:]):
-        length = abs(s_b - s_a)
-        if length == 0.0:
-            continue
-        direction = (s_b - s_a) / length
+    s_a, s_b = -1j * x0, -1j * x_max
+    length = abs(s_b - s_a)
+    direction = (s_b - s_a) / length
+    nfev = 0
 
-        def f(tau, yv, s_a=s_a, direction=direction):
-            s = s_a + tau * direction
-            sig, dsig, d2sig = yv[0], yv[1], yv[2]
-            return direction * np.array(
-                [dsig, d2sig, rhs3(s, sig, dsig, d2sig), (sig - s0c) / s], dtype=complex
+    def f(tau, yv):
+        nonlocal nfev
+        nfev += 1
+        if nfev > _RHS_BUDGET:
+            raise NumericalError(
+                f"sigma solve stalled at x = {x0 + tau:.6g} after "
+                f"{_RHS_BUDGET} right-hand-side evaluations"
             )
-
-        def blowup(tau, yv):
-            return abs(yv[0]) - _POLE_CAP
-
-        blowup.terminal = True
-        sol = solve_ivp(
-            f,
-            (0.0, length),
-            y,
-            method="DOP853",
-            rtol=rtol,
-            atol=atol,
-            dense_output=True,
-            events=blowup,
+        s = s_a + tau * direction
+        sig, dsig, d2sig = yv[0], yv[1], yv[2]
+        return direction * np.array(
+            [dsig, d2sig, rhs3(s, sig, dsig, d2sig), (sig - s0c) / s], dtype=complex
         )
-        if not sol.success and sol.status != 1:
-            raise NumericalError(f"sigma integration failed: {sol.message}")
-        if sol.status == 1:  # blow-up event fired
-            s_pole = s_a + sol.t_events[0][0] * direction
-            raise PoleDetectedError(abs(s_pole.imag))
-        segments.append(_Segment(s_a=s_a, s_b=s_b, sol=sol))
-        y = sol.y[:, -1]
-    return segments
+
+    def blowup(tau, yv):
+        return abs(yv[0]) - _POLE_CAP
+
+    blowup.terminal = True
+    sol = solve_ivp(
+        f,
+        (0.0, length),
+        np.asarray(y0, dtype=complex),
+        method="DOP853",
+        rtol=rtol,
+        atol=rtol,
+        dense_output=True,
+        events=blowup,
+    )
+    if not sol.success and sol.status != 1:
+        raise NumericalError(f"sigma integration failed: {sol.message}")
+    if sol.status == 1:  # blow-up event fired
+        s_pole = s_a + sol.t_events[0][0] * direction
+        raise PoleDetectedError(abs(s_pole.imag))
+    return sol.sol
 
 
 def _default_grid(x0: float, x_max: float) -> np.ndarray:
@@ -393,13 +350,6 @@ def _default_grid(x0: float, x_max: float) -> np.ndarray:
         return head
     tail = np.arange(1.0, x_max + 1e-9, 0.2)
     return np.unique(np.concatenate([head, tail, [x_max]]))
-
-
-def _asym_init_data(p: FHParams, x: float):
-    """(sigma, sigma_x, sigma_xx) at x from the connection asymptotics."""
-    h = 1e-4 * x
-    vals = [sigma_large_asym(p, x + k * h) for k in (-1, 0, 1)]
-    return vals[1], (vals[2] - vals[0]) / (2.0 * h), (vals[2] - 2.0 * vals[1] + vals[0]) / h**2
 
 
 def _is_pole_free_class(p: FHParams) -> bool:
@@ -418,149 +368,83 @@ def integrate_sigma(
     tol: float = 1e-8,
     init: str = "series",
     init_data=None,
-    detour: bool = False,
-    x_grid=None,
-    _rtol: float | None = None,
 ) -> SigmaTrajectory:
-    """Integrate the sigma-equation along s = -ix between x0 and x_max.
+    """Integrate the sigma-equation forward along s = -ix from x0 to x_max.
 
     init='series' starts from the small-argument expansion (requires
     2(alpha1+alpha2) not in N u {0}); init='data' takes (sigma, sigma_x,
-    sigma_xx) at x0 from init_data, e.g. the determinant-derived oracle;
-    init='asym' integrates backward from x_max starting at the connection
-    asymptotics, which is the stable direction when the connecting
-    solution repels its neighbours under forward integration (strong
-    exponents).  For the pole-free class (real alphas, imaginary betas)
-    a failed forward pass falls back to 'asym' automatically.  With
-    detour=True a detected blow-up is instead bypassed by a rectangular
-    excursion into Re s > 0 and recorded in branch_gaps.
+    sigma_xx) at x0 from init_data, e.g. the determinant-derived oracle.
+    The trajectory is one solver pass, and the call raises:
+
+    - PoleDetectedError when |sigma| reaches the blow-up cap (a pole, or a
+      runaway off the solution the initial data select);
+    - NumericalError when the pass stalls (more than _RHS_BUDGET
+      right-hand-side evaluations), or when it left the connecting
+      solution: for the pole-free class (real alphas, imaginary betas)
+      from the series with x_max >= 10, sigma(x_max) misses the connection
+      asymptotics by O(1);
+    - NumericalError when the quartic-relation residual at a grid node
+      exceeds 10*tol.
     """
     if x0 <= 0.0 or x0 >= x_max:
         raise ValidationError("need 0 < x0 < x_max")
-    backward = False
     if init == "series":
-        u0, du0, d2u0 = sigma_series_small(p, x0)
-        a2 = 2.0 * (p.alpha1 + p.alpha2)
-        if a2.imag == 0.0 and a2.real >= 0.0 and a2.real == round(a2.real):
+        if _is_resonant(p):
             raise NondegeneracyError(
                 "series init unavailable for 2(alpha1+alpha2) in N u {0}; use data init"
             )
+        u0, du0, d2u0 = sigma_series_small(p, x0)
         mode = "series-init"
-        # truncation of the expansion enters as an O(x0^2) bias
-        init_bias = x0**2
     elif init == "data":
         if init_data is None:
             raise ValidationError("init='data' requires init_data=(sigma, sigma_x, sigma_xx)")
         u0, du0, d2u0 = (complex(v) for v in init_data)
         mode = "data-init"
-        init_bias = float("nan")
-    elif init == "asym":
-        u0, du0, d2u0 = _asym_init_data(p, x_max)
-        mode = "asym-init"
-        init_bias = 1.0 / x_max
-        backward = True
     else:
         raise ValidationError(f"unknown init {init!r}")
 
     # state in s-variables: sigma_s = i u', sigma_ss = -u''
     y0 = [u0, 1j * du0, -d2u0, 0.0]
-    rtol = min(1e-10, tol * 1e-2) if _rtol is None else _rtol
-    atol = rtol
+    dense = _integrate_ray(p, x0, x_max, y0, rtol=min(1e-10, tol * 1e-2))
 
-    if backward:
-        waypoints = [-1j * x_max, -1j * x0]
-    else:
-        waypoints = [-1j * x0, -1j * x_max]
-    gaps = []
-    for _attempt in range(8):
-        try:
-            segments = _integrate_path(p, waypoints, y0, rtol, atol)
-            break
-        except PoleDetectedError as exc:
-            if init == "series" and not detour and _is_pole_free_class(p):
-                # runaway off the connecting solution, not a true pole:
-                # switch to the backward (contracting) direction
-                return integrate_sigma(
-                    p, x0=x0, x_max=x_max, tol=tol, init="asym",
-                    detour=False, x_grid=x_grid, _rtol=_rtol,
-                )
-            if not detour:
-                raise
-            xp = exc.x_location
-            rho = max(0.5, 0.05 * xp)
-            lo, hi = xp - rho, xp + rho
-            gaps.append((lo, hi))
-            idx = waypoints.index(-1j * x_max)
-            waypoints[idx:idx] = [-1j * lo, -1j * lo + rho, -1j * hi + rho, -1j * hi]
-            # drop duplicate ray points while keeping order
-            seen = []
-            for w in waypoints:
-                if not seen or abs(w - seen[-1]) > 1e-15:
-                    seen.append(w)
-            waypoints = seen
-    else:
-        raise NumericalError("too many pole detours")
-
-    omega_head = _omega_series_head(p, x0)
-    omega_offset = complex(segments[-1].sol.sol(segments[-1].length)[3]) if backward else 0.0
+    grid = _default_grid(x0, x_max)
     traj = SigmaTrajectory(
         params=p,
-        x_grid=np.array([]),
-        sigma=np.array([]),
-        sigma_x=np.array([]),
-        sigma_xx=np.array([]),
-        omega=np.array([]),
-        residual=np.array([]),
+        x_grid=grid,
+        sigma=np.empty(len(grid), dtype=complex),
+        sigma_x=np.empty(len(grid), dtype=complex),
+        sigma_xx=np.empty(len(grid), dtype=complex),
+        residual=np.empty(len(grid)),
         sigma0=sigma_zero(p),
         mode=mode,
         x0=x0,
-        omega_head=omega_head,
-        init_bias=init_bias,
-        branch_gaps=gaps,
-        omega_offset=omega_offset,
-        _segments=segments,
+        x_max=x_max,
+        omega_head=_omega_series_head(p, x0),
+        _dense=dense,
     )
-    grid = _default_grid(x0, x_max) if x_grid is None else np.asarray(x_grid, dtype=float)
-    grid = np.array([x for x in grid if not any(lo < x < hi for lo, hi in gaps)])
-    sig = np.empty(len(grid), dtype=complex)
-    sig_x = np.empty_like(sig)
-    sig_xx = np.empty_like(sig)
-    om = np.empty_like(sig)
-    res = np.empty(len(grid))
+    sig, sig_x, sig_xx, res = traj.sigma, traj.sigma_x, traj.sigma_xx, traj.residual
     for i, x in enumerate(grid):
         sig[i], sig_x[i], sig_xx[i] = traj.eval(x)
-        om[i] = traj.omega_at(x)
         res[i] = sigma_residual(p, -1j * x, sig[i], 1j * sig_x[i], -sig_xx[i])
-    traj.x_grid = grid
-    traj.sigma = sig
-    traj.sigma_x = sig_x
-    traj.sigma_xx = sig_xx
-    traj.omega = om
-    traj.residual = res
 
     if (
         init == "series"
-        and not gaps
         and _is_pole_free_class(p)
         and p.seminorm < 1.0
         and x_max >= _X_ASYM_MIN
     ):
-        # connection check: a forward pass that quietly left the
-        # connecting solution shows up as an O(1) mismatch at the far end
+        # a forward pass that quietly left the connecting solution shows
+        # up as an O(1) mismatch at the far end
         asym = sigma_large_asym(p, x_max)
-        if abs(traj.sigma_at(x_max) - asym) > 0.5 * (1.0 + abs(asym)):
-            return integrate_sigma(
-                p, x0=x0, x_max=x_max, tol=tol, init="asym",
-                detour=False, x_grid=x_grid, _rtol=_rtol,
+        end = traj.sigma_at(x_max)
+        if abs(end - asym) > 0.5 * (1.0 + abs(asym)):
+            raise NumericalError(
+                f"forward pass left the connecting solution: sigma({x_max:g}) = "
+                f"{complex(end):.4g}, connection asymptotics {asym:.4g}"
             )
 
     worst = float(np.max(res)) if len(res) else 0.0
     if worst > 10.0 * tol:
-        if rtol > 1e-12:
-            return integrate_sigma(
-                p, x0=x0, x_max=x_max, tol=tol, init=init,
-                init_data=init_data, detour=detour, x_grid=x_grid, _rtol=1e-12,
-            )
         raise NumericalError(f"quartic-relation residual {worst:.2e} exceeds 10*tol")
     return traj
 
@@ -585,7 +469,8 @@ def _omega_series_head(p: FHParams, x0: float) -> complex:
 _DEGENERATE = FHParams(0.5, 0.5, 0.5, 0.5, 0.1)  # t is irrelevant here
 
 
-def _is_degenerate_params(p: FHParams) -> bool:
+def is_degenerate(p: FHParams) -> bool:
+    """alpha1 = alpha2 = beta1 = beta2 = 1/2, where sigma == 0 exactly."""
     return (
         p.alpha1 == 0.5 and p.alpha2 == 0.5 and p.beta1 == 0.5 and p.beta2 == 0.5
     )
@@ -601,13 +486,12 @@ def degenerate_sigma(x0: float = 1e-3, x_max: float = 40.0) -> SigmaTrajectory:
         sigma=zeros.copy(),
         sigma_x=zeros.copy(),
         sigma_xx=zeros.copy(),
-        omega=zeros.copy(),
         residual=np.zeros(len(grid)),
         sigma0=0.0,
         mode="degenerate",
         x0=x0,
+        x_max=x_max,
         omega_head=0.0,
-        init_bias=0.0,
     )
 
 
@@ -702,15 +586,20 @@ def _lax_point(p: FHParams, traj: SigmaTrajectory, x: float, u_prev=None):
     return u_sel, v, v_s, s
 
 
-def _r_log_derivative_at(p: FHParams, u_lax, v, v_s, s):
-    """(d ln r / dx, numf) from the compatibility system at one point."""
-    a_minus = p.alpha1 - p.alpha2 - p.beta_sum
-    su_s = (
+def _su_s(p: FHParams, u_lax, v, s):
+    """s dU/ds from the U-equation of the compatibility system."""
+    return (
         s * u_lax
         - 2.0 * v * (u_lax - 1.0) ** 2
         + (u_lax - 1.0)
         * (u_lax * (-p.alpha1 - p.alpha2 + p.beta_sum) + 3.0 * p.alpha1 - p.alpha2 - p.beta_sum)
     )
+
+
+def _r_log_derivative_at(p: FHParams, u_lax, v, v_s, s):
+    """(d ln r / dx, numf) from the compatibility system at one point."""
+    a_minus = p.alpha1 - p.alpha2 - p.beta_sum
+    su_s = _su_s(p, u_lax, v, s)
     sy_y = (
         (v + 2.0 * p.alpha1) / u_lax
         - 2.0 * v
@@ -763,7 +652,7 @@ def r_trajectory(
     small-argument form at the trajectory start.  Nodes where the
     numerator is below 1e-6 (r indistinguishable from 0) are flagged.
     """
-    if _is_degenerate_params(p):
+    if is_degenerate(p):
         grid = traj.x_grid
         return RTrajectory(
             x_grid=grid,
@@ -787,13 +676,7 @@ def r_trajectory(
             u_lax, v, v_s, s = _lax_point(p, traj, x, u_pred)
         else:
             _, v, v_s, s = _lax_point(p, traj, x, u_lax)
-        su_s = (
-            s * u_lax
-            - 2.0 * v * (u_lax - 1.0) ** 2
-            + (u_lax - 1.0)
-            * (u_lax * (-p.alpha1 - p.alpha2 + p.beta_sum) + 3.0 * p.alpha1 - p.alpha2 - p.beta_sum)
-        )
-        du_dx = -1j * su_s / s
+        du_dx = -1j * _su_s(p, u_lax, v, s) / s
         y_part[i], numf[i], _ = _r_log_derivative_at(p, u_lax, v, v_s, s)
 
     # continuous branch of ln(numf): unwrap the argument along the grid
@@ -817,11 +700,6 @@ def r_trajectory(
     return RTrajectory(x_grid=traj.x_grid, r=r_grid, matched_at=x0, flagged=flag_grid)
 
 
-def omega_integral(traj: SigmaTrajectory, x: float) -> complex:
-    """int_0^{-ix} (sigma(s) - sigma(0)) ds/s along the axis (and detours)."""
-    return traj.omega_at(x)
-
-
 def integral_identity_check(p: FHParams, traj: SigmaTrajectory, T: float):
     """Both sides of the global integral identity, evaluated at cutoff T.
 
@@ -838,7 +716,7 @@ def integral_identity_check(p: FHParams, traj: SigmaTrajectory, T: float):
         + 1j * T * (p.beta2 - p.beta1) / 2.0
         + 2.0 * (p.alpha1 * p.alpha2 - p.beta1 * p.beta2) * math.log(T)
     )
-    if not _is_degenerate_params(p):
+    if not is_degenerate(p):
         sign = 1.0 if (p.beta1 - p.beta2).real >= 0.0 else -1.0
         ys = np.arange(T, max(10.0 * T, 2000.0), math.pi / 40.0)
         gs = np.array([_gamma_connection(p, y) for y in ys])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularAngleError, ValidationError
+from .errors import QuadratureError, SingularAngleError, ValidationError
 from .quadrature import arc_rule
 
 __all__ = [
@@ -295,6 +295,10 @@ def _fourier_coeffs_impl(p: FHParams, n_max: int, tol: float) -> FourierTable:
         err = float(np.max(np.abs(fine - coarse)))
         if err <= tol:
             break
+    else:
+        raise QuadratureError(
+            f"Fourier table error estimate {err:.2e} exceeds tol {tol:.2e} at refine 3"
+        )
     coeffs = np.zeros(2 * n_max + 1, dtype=complex)
     coeffs[n_max + j_values] = fine
     if hermitian:

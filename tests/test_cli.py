@@ -107,6 +107,13 @@ def test_validation_exit_code(capsys):
     assert code == 2
 
 
+def test_quadrature_failure_exit_code(capsys):
+    code = main(["fourier", "--alpha1", "0.3", "--alpha2", "0.3", "--t", "0.3", "--n-max", "8",
+                 "--tol", "1e-30"])
+    capsys.readouterr()
+    assert code == 3
+
+
 def test_verify_identity_suite(tmp_path, capsys):
     out = tmp_path / "identity.csv"
     code = main(["verify", "--suite", "identity", "-o", str(out)])

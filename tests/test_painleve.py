@@ -1,16 +1,16 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
 
-from fhmerge.errors import NondegeneracyError, ValidationError
+from fhmerge.errors import NondegeneracyError, NumericalError, ValidationError
 from fhmerge.painleve import (
     degenerate_r,
     degenerate_sigma,
     integral_identity_check,
     integrate_sigma,
-    omega_integral,
     r_large_s,
     r_small_s,
     r_trajectory,
@@ -160,20 +160,20 @@ def test_omega_additivity(traj03):
     xs = np.linspace(10.0, 30.0, 8001)
     vals = np.array([(traj03.sigma_at(x) - traj03.sigma0) / x for x in xs])
     quad = simpson(vals, x=xs)
-    diff = omega_integral(traj03, 30.0) - omega_integral(traj03, 10.0)
+    diff = traj03.omega_at(30.0) - traj03.omega_at(10.0)
     assert abs(diff - quad) < 1e-9
 
 
 def test_omega_tail_converges(traj03):
     # omega(x) + 2 a1 a2 ln x approaches a constant
-    vals = [omega_integral(traj03, x).real + 2.0 * 0.09 * math.log(x) for x in (20, 30, 40)]
+    vals = [traj03.omega_at(x).real + 2.0 * 0.09 * math.log(x) for x in (20, 30, 40)]
     assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0]) + 5e-3
     assert abs(vals[2] - vals[1]) < 2e-3
 
 
 def test_omega_degenerate_zero():
     traj = degenerate_sigma()
-    assert omega_integral(traj, 15.0) == 0.0
+    assert traj.omega_at(15.0) == 0.0
 
 
 def test_integral_identity(p03, traj03):
@@ -254,6 +254,16 @@ def test_pole_detection_complex_beta():
         assert np.max(traj.residual) <= 1e-5
     except PoleDetectedError as exc:
         assert 0.0 < exc.x_location <= 12.0
+
+
+@pytest.mark.parametrize("alpha", [0.65, 0.8])
+def test_strong_exponents_fail_fast(alpha):
+    # the forward pass leaves the connecting solution (0.65) or heads for
+    # a blow-up (0.8); either way the solve raises within seconds
+    start = time.perf_counter()
+    with pytest.raises(NumericalError):
+        integrate_sigma(FHParams(alpha, alpha, t=0.1), x_max=80.0)
+    assert time.perf_counter() - start < 10.0
 
 
 def test_q_recovery(traj03, p03):

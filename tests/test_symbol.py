@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fhmerge.errors import SingularAngleError, ValidationError
+from fhmerge.errors import QuadratureError, SingularAngleError, ValidationError
 from fhmerge.quadrature import arc_rule, integrate_arc
 from fhmerge.symbol import (
     FHParams,
@@ -111,6 +111,11 @@ def test_fourier_two_cos():
     assert abs(tab[1]) < 1e-11
     assert abs(tab[2] - 4.0 / (3.0 * PI)) < 1e-11
     assert abs(tab[-2] - 4.0 / (3.0 * PI)) < 1e-11
+
+
+def test_fourier_nonconvergence_raises():
+    with pytest.raises(QuadratureError):
+        fourier_coeffs(FHParams(0.3, 0.3, t=0.3), 8, tol=1e-30)
 
 
 def test_hermitian_symmetry():
