@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NondegeneracyError, ValidationError
-from .painleve import SigmaTrajectory, check_nondegeneracy
+from .painleve import (
+    SigmaTrajectory,
+    _is_negative_integer,
+    barnes_g_merged_sum,
+    barnes_g_pair_sum,
+    check_nondegeneracy,
+)
 from .quadrature import integrate_arc
 from .specfun import constants, log_barnes_g, log_gamma
 from .symbol import FHParams, wiener_hopf
@@ -78,14 +84,7 @@ def e_constant(p: FHParams) -> complex:
     out += 1j * (math.pi - 2.0 * p.t) * (p.alpha1 * p.beta2 - p.alpha2 * p.beta1)
     out += -p.alpha1 * (p.v_at(z1) - v0) + p.beta1 * (wh.log_b_plus(z1) - wh.log_b_minus(z1))
     out += -p.alpha2 * (p.v_at(z2) - v0) + p.beta2 * (wh.log_b_plus(z2) - wh.log_b_minus(z2))
-    out += (
-        log_barnes_g(1.0 + p.alpha1 + p.beta1)
-        + log_barnes_g(1.0 + p.alpha1 - p.beta1)
-        + log_barnes_g(1.0 + p.alpha2 + p.beta2)
-        + log_barnes_g(1.0 + p.alpha2 - p.beta2)
-        - log_barnes_g(1.0 + 2.0 * p.alpha1)
-        - log_barnes_g(1.0 + 2.0 * p.alpha2)
-    )
+    out += barnes_g_pair_sum(p)
     return out
 
 
@@ -121,14 +120,12 @@ def fh1_log(p: FHParams, n: int) -> AsymptoticPrediction:
     if a.real <= -0.5:
         raise ValidationError("needs Re(alpha1+alpha2) > -1/2")
     for c in (a + b, a - b):
-        if c.imag == 0.0 and c.real < -0.5 and c.real == round(c.real):
+        if _is_negative_integer(c):
             raise NondegeneracyError(f"merged combination {c} degenerate")
     wh = wiener_hopf(p)
     constant = wh.szego_sum - a * (p.v_at(1.0) - wh.v0)
     constant += b * (wh.log_b_plus(1.0) - wh.log_b_minus(1.0))
-    constant += (
-        log_barnes_g(1.0 + a + b) + log_barnes_g(1.0 + a - b) - log_barnes_g(1.0 + 2.0 * a)
-    )
+    constant += barnes_g_merged_sum(a, b)
     terms = {
         "n_linear": n * wh.v0,
         "log_n": (a**2 - b**2) * math.log(n),

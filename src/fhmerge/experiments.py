@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,27 +46,6 @@ __all__ = [
     "diff_identity_scan",
     "beta_one_check",
 ]
-
-
-def _worker_count(n_tasks: int) -> int:
-    cap = os.environ.get("FHMERGE_THREADS")
-    limit = os.cpu_count() or 1
-    if cap is not None:
-        try:
-            limit = max(1, int(cap))
-        except ValueError:
-            pass
-    return max(1, min(limit, n_tasks))
-
-
-def _parallel_map(fn, items):
-    """Order-preserving map, threaded when FHMERGE_THREADS allows."""
-    items = list(items)
-    workers = _worker_count(len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -183,8 +160,8 @@ def regime_sweep(cfg: SweepConfig, traj: SigmaTrajectory | None = None) -> Exper
         else:
             traj = integrate_sigma(cfg.params, x_max=max(20.0, 1.05 * x_needed))
 
-    def one(pair):
-        n, t = pair
+    rows = []
+    for n, t in grid:
         pt = cfg.params.with_t(t)
         exact = _exact_logdet(pt, n)
         row = {"n": n, "t": t, "x": 2.0 * n * t, "exact": exact}
@@ -197,9 +174,7 @@ def regime_sweep(cfg: SweepConfig, traj: SigmaTrajectory | None = None) -> Exper
             row[f"log_{name}"] = val
             row[f"err_{name}"] = _mod_2pi_err(val, exact)
         row["err"] = row["err_transition"]
-        return row
-
-    rows = _parallel_map(one, grid)
+        rows.append(row)
     rows.sort(key=lambda r: (r["n"], r["t"]))
     dominance = all(
         r["err_transition"]
@@ -288,20 +263,13 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 def _integrate_det(p_of_t, n: int, t_max: float) -> float:
     """int_0^{t_max} D_n(f_t) dt with geometric refinement near zero."""
     edges = _panel_edges(n, t_max)
-
-    tasks = []
+    terms = []
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
-            tasks.append((mid + half * xi, half * wi))
-
-    def one(task):
-        t, w = task
-        p = p_of_t(t)
-        table = fourier_coeffs(p, n - 1)
-        return w * math.exp(log_det(table, n).log_abs)
-
-    return float(np.sum(_parallel_map(one, tasks)))
+            table = fourier_coeffs(p_of_t(mid + half * xi), n - 1)
+            terms.append(half * wi * math.exp(log_det(table, n).log_abs))
+    return float(np.sum(terms))
 
 
 def dyson_check(n_list) -> ExperimentReport:
@@ -399,14 +367,13 @@ def diff_identity_scan(
     if traj is None:
         traj = integrate_sigma(p, x_max=max(20.0, 2.2 * n * max(t_grid)))
 
-    def one(t):
+    rows = []
+    for t in t_grid:
         h = max(1e-4, 1e-3 * t)
         ls = _logdet_stencil(p.with_t(t), n, t, h)
         lhs = _stencil_derivs(ls, h)[0] / 1j
         rhs = diff_identity_rhs(p, n, t, traj)
-        return {"n": n, "t": t, "lhs": lhs, "rhs": rhs, "err": abs(lhs - rhs)}
-
-    rows = _parallel_map(one, t_grid)
+        rows.append({"n": n, "t": t, "lhs": lhs, "rhs": rhs, "err": abs(lhs - rhs)})
     max_err = max(r["err"] for r in rows)
     return ExperimentReport(
         suite="diffid",

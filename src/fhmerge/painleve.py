@@ -88,6 +88,23 @@ def _is_negative_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real < -0.5 and z.real == round(z.real)
 
 
+def barnes_g_pair_sum(p: FHParams) -> complex:
+    """ln G(1+alpha_j+beta_j) + ln G(1+alpha_j-beta_j) - ln G(1+2 alpha_j), summed over j."""
+    return (
+        log_barnes_g(1.0 + p.alpha1 + p.beta1)
+        + log_barnes_g(1.0 + p.alpha1 - p.beta1)
+        + log_barnes_g(1.0 + p.alpha2 + p.beta2)
+        + log_barnes_g(1.0 + p.alpha2 - p.beta2)
+        - log_barnes_g(1.0 + 2.0 * p.alpha1)
+        - log_barnes_g(1.0 + 2.0 * p.alpha2)
+    )
+
+
+def barnes_g_merged_sum(a: complex, b: complex) -> complex:
+    """ln G(1+a+b) + ln G(1+a-b) - ln G(1+2a) for merged exponents a, b."""
+    return log_barnes_g(1.0 + a + b) + log_barnes_g(1.0 + a - b) - log_barnes_g(1.0 + 2.0 * a)
+
+
 def check_nondegeneracy(p: FHParams, merged: bool = True) -> None:
     """Reject alpha_j +/- beta_j in {-1,-2,...} (and merged combinations)."""
     combos = [p.alpha1 + p.beta1, p.alpha1 - p.beta1, p.alpha2 + p.beta2, p.alpha2 - p.beta2]
@@ -184,16 +201,17 @@ def sigma_series_small(p: FHParams, x: float):
     return u, du, d2u
 
 
-def _gamma_connection(p: FHParams, x: float) -> complex:
-    """The oscillatory gamma(s) entering the large-argument expansion."""
+def _gamma_connection(p: FHParams, x):
+    """The oscillatory gamma(s) entering the large-argument expansion, at
+    x = |s| given as a float or an array of floats."""
     if (p.beta1 - p.beta2).real >= 0.0:
         expo = 2.0 * (-1.0 + p.beta1 - p.beta2)
-        phase = cmath.exp(-1j * x) * cmath.exp(1j * cmath.pi * (p.alpha1 + p.alpha2))
+        phase = np.exp(-1j * x) * cmath.exp(1j * cmath.pi * (p.alpha1 + p.alpha2))
         ratio = cmath.exp(log_gamma(1.0 + p.alpha1 - p.beta1) + log_gamma(1.0 + p.alpha2 + p.beta2))
         ratio *= complex(rgamma(p.alpha1 + p.beta1)) * complex(rgamma(p.alpha2 - p.beta2))
     else:
         expo = 2.0 * (-1.0 + p.beta2 - p.beta1)
-        phase = cmath.exp(1j * x) * cmath.exp(-1j * cmath.pi * (p.alpha1 + p.alpha2))
+        phase = np.exp(1j * x) * cmath.exp(-1j * cmath.pi * (p.alpha1 + p.alpha2))
         ratio = cmath.exp(log_gamma(1.0 + p.alpha2 - p.beta2) + log_gamma(1.0 + p.alpha1 + p.beta1))
         ratio *= complex(rgamma(p.alpha2 + p.beta2)) * complex(rgamma(p.alpha1 - p.beta1))
     return 0.25 * (x / 2.0) ** expo * phase * ratio
@@ -719,24 +737,13 @@ def integral_identity_check(p: FHParams, traj: SigmaTrajectory, T: float):
     if not is_degenerate(p):
         sign = 1.0 if (p.beta1 - p.beta2).real >= 0.0 else -1.0
         ys = np.arange(T, max(10.0 * T, 2000.0), math.pi / 40.0)
-        gs = np.array([_gamma_connection(p, y) for y in ys])
+        gs = _gamma_connection(p, ys)
         integrand = -sign * 1j * gs / (1.0 + gs)
         lhs += np.trapezoid(integrand, ys)
 
     a = p.alpha1 + p.alpha2
     b = p.beta_sum
     rhs = 1j * math.pi * (p.alpha1 * p.beta2 - p.alpha2 * p.beta1)
-    rhs -= (
-        log_barnes_g(1.0 + a + b)
-        + log_barnes_g(1.0 + a - b)
-        - log_barnes_g(1.0 + 2.0 * a)
-    )
-    rhs += (
-        log_barnes_g(1.0 + p.alpha1 + p.beta1)
-        + log_barnes_g(1.0 + p.alpha1 - p.beta1)
-        + log_barnes_g(1.0 + p.alpha2 + p.beta2)
-        + log_barnes_g(1.0 + p.alpha2 - p.beta2)
-        - log_barnes_g(1.0 + 2.0 * p.alpha1)
-        - log_barnes_g(1.0 + 2.0 * p.alpha2)
-    )
+    rhs -= barnes_g_merged_sum(a, b)
+    rhs += barnes_g_pair_sum(p)
     return lhs, rhs, abs(lhs - rhs)

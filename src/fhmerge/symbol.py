@@ -5,7 +5,11 @@ with exponents beta_j at the conjugate pair z_1 = e^{it}, z_2 = e^{-it},
 times a smooth factor e^{V(z)} given by finitely many Laurent
 coefficients.  Fourier coefficients are computed by splitting the circle
 at the singular angles and applying tanh-sinh quadrature on each arc,
-with the node density tied to the largest requested mode number.
+with the node density tied to the largest requested mode number.  The
+phase e^{-ij theta} of the M requested modes is factored into a coarse
+step e^{-i(j0 + B q) theta} and a fine offset e^{-i m theta},
+B = ceil(sqrt(M)), so a table costs O(sqrt(M)) exponentials per node
+plus one matrix product per arc.
 """
 
 from __future__ import annotations
@@ -269,19 +273,31 @@ class FourierTable:
 
 
 def _fourier_sums(p: FHParams, n_max: int, j_values: np.ndarray, refine: int):
-    """Fine and coarse (half-rate) quadrature sums of f e^{-ij theta}/(2 pi)."""
-    fine = np.zeros(len(j_values), dtype=complex)
-    coarse = np.zeros(len(j_values), dtype=complex)
+    """Fine and coarse (half-rate) quadrature sums of f e^{-ij theta}/(2 pi).
+
+    The M contiguous modes are written j = j0 + B q + m with 0 <= m < B and
+    B = ceil(sqrt(M)), so the phase factors as e^{-i(j0 + B q) theta} times
+    e^{-i m theta}.  Each arc then costs about 2 sqrt(M) N exponentials for
+    its N nodes instead of M N, and one product of the (B x N) inner phases
+    with the weighted outer phases returns both sums.
+    """
+    n_modes = len(j_values)
+    block = math.isqrt(n_modes - 1) + 1
+    n_outer = -(-n_modes // block)
+    outer_j = j_values[0] + block * np.arange(n_outer)
+    fine = np.zeros(n_modes, dtype=complex)
+    coarse = np.zeros(n_modes, dtype=complex)
     for (a, b), roles in _arcs(p):
         rule = arc_rule(a, b, max_freq=float(n_max), refine=refine)
         vals = _symbol_on_rule(p, rule, roles)
         wf = rule.w * vals / TWO_PI
         wf_c = np.where(rule.coarse, 2.0 * wf, 0.0)
-        for start in range(0, len(j_values), 128):
-            jb = j_values[start : start + 128]
-            phases = np.exp(-1j * np.outer(jb, rule.x))
-            fine[start : start + 128] += phases @ wf
-            coarse[start : start + 128] += phases @ wf_c
+        inner = np.exp(-1j * np.outer(np.arange(block), rule.x))
+        outer = np.exp(-1j * np.outer(rule.x, outer_j))
+        sums = inner @ np.hstack([wf[:, None] * outer, wf_c[:, None] * outer])
+        # sums[m, q] belongs to mode j0 + B q + m; the padding beyond M is dropped
+        fine += sums[:, :n_outer].T.ravel()[:n_modes]
+        coarse += sums[:, n_outer:].T.ravel()[:n_modes]
     return fine, coarse
 
 

@@ -1,11 +1,19 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
+import fhmerge
 from fhmerge.cli import main
 
 PI = math.pi
+# the child interpreter must import the same fhmerge as this process
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(fhmerge.__file__)))
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])),
+}
 
 
 def run_cli(args, capsys):
@@ -134,6 +142,7 @@ def test_deterministic_output(tmp_path):
             capture_output=True,
             text=True,
             check=True,
+            env=CHILD_ENV,
         )
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
@@ -141,6 +150,9 @@ def test_deterministic_output(tmp_path):
 
 def test_entry_point_module():
     proc = subprocess.run(
-        [sys.executable, "-m", "fhmerge.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "fhmerge.cli", "--help"],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0 and "fourier" in proc.stdout

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import loggamma
 
 from fhmerge.errors import ValidationError
 from fhmerge.symbol import FHParams, fourier_coeffs
@@ -36,7 +37,7 @@ def test_d1_d2_abs_z_minus_one():
 def test_beta_shift_scaling():
     # shifting (beta1, beta2) -> (beta1+k, beta2-k) scales D_n by e^{-2iknt}
     p = FHParams(0.3, 0.3, beta1=0.1 + 0.2j, beta2=-0.1j, t=0.7)
-    for n in (4, 16):
+    for n in (4, 16, 256):
         for k in (1, -1):
             base = log_det(fourier_coeffs(p, n - 1), n).log
             shifted = log_det(
@@ -44,6 +45,27 @@ def test_beta_shift_scaling():
             ).log
             expect = base - 2j * k * n * p.t
             assert abs(np.exp(shifted) - np.exp(expect)) < 1e-9 * abs(np.exp(base))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        FHParams(0.25, 0.25),  # Hermitian: 256 modes, a square block
+        FHParams(0.15, 0.2, beta1=0.1 + 0.2j, beta2=-0.05j),  # 511 modes, padded
+    ],
+)
+def test_merged_gamma_product_suite_size(p):
+    # t = 0, V = 0, a = alpha1 + alpha2, b = beta1 + beta2:
+    # D_n = prod_{k<n} Gamma(k+1) Gamma(k+1+2a) / (Gamma(k+1+a+b) Gamma(k+1+a-b))
+    n = 256
+    a, b = p.alpha1 + p.alpha2, p.beta_sum
+    k = np.arange(n) + 1.0
+    want = np.sum(
+        loggamma(k + 0j) + loggamma(k + 2.0 * a) - loggamma(k + a + b) - loggamma(k + a - b)
+    )
+    got = log_det(fourier_coeffs(p, n - 1), n).log
+    d = got - want
+    assert abs(complex(d.real, math.remainder(d.imag, 2.0 * PI))) < 1e-9
 
 
 def test_heine_trivial():
