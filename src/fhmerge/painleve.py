@@ -707,15 +707,11 @@ def r_trajectory(
         lnr[i] = lnr[i - 1] + 0.5 * (y_part[i] + y_part[i - 1]) * (xs[i] - xs[i - 1])
     lnr += ln_numf - np.log(xs)
 
-    r_dense = np.exp(lnr)
-    r_grid = np.array(
-        [r_dense[np.argmin(np.abs(xs - x))] for x in traj.x_grid], dtype=complex
-    )
+    # nearest dense node of each grid point, the first one on a tie
+    near = np.argmin(np.abs(xs[None, :] - traj.x_grid[:, None]), axis=1)
     floor = 1e-6 * (1.0 + np.max(np.abs(numf)))
-    flag_grid = np.array(
-        [bool(np.abs(numf[np.argmin(np.abs(xs - x))]) < floor) for x in traj.x_grid]
-    )
-    return RTrajectory(x_grid=traj.x_grid, r=r_grid, matched_at=x0, flagged=flag_grid)
+    flagged = np.abs(numf[near]) < floor
+    return RTrajectory(x_grid=traj.x_grid, r=np.exp(lnr)[near], matched_at=x0, flagged=flagged)
 
 
 def integral_identity_check(p: FHParams, traj: SigmaTrajectory, T: float):

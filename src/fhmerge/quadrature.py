@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import QuadratureError, ValidationError
 
 __all__ = ["ArcRule", "arc_rule", "integrate_arc"]
 
@@ -97,6 +97,8 @@ def integrate_arc(func, a, b, tol=1e-12, max_refine=6, max_freq=0.0):
     (it can use rule.dist_a / rule.dist_b for endpoint-singular factors).
     Returns (value, error_estimate).
     """
+    if max_refine < 1:
+        raise ValidationError(f"the nested estimate needs max_refine >= 1, got {max_refine}")
     prev = None
     for refine in range(max_refine + 1):
         rule = arc_rule(a, b, max_freq=max_freq, refine=refine)

@@ -8,8 +8,9 @@ at the singular angles and applying tanh-sinh quadrature on each arc,
 with the node density tied to the largest requested mode number.  The
 phase e^{-ij theta} of the M requested modes is factored into a coarse
 step e^{-i(j0 + B q) theta} and a fine offset e^{-i m theta},
-B = ceil(sqrt(M)), so a table costs O(sqrt(M)) exponentials per node
-plus one matrix product per arc.
+B = ceil(sqrt(M)), both filled by repeated multiplication, so a table
+costs one exponential and O(sqrt(M)) multiplications per node plus one
+matrix product per nested half-rule.
 """
 
 from __future__ import annotations
@@ -277,28 +278,39 @@ def _fourier_sums(p: FHParams, n_max: int, j_values: np.ndarray, refine: int):
 
     The M contiguous modes are written j = j0 + B q + m with 0 <= m < B and
     B = ceil(sqrt(M)), so the phase factors as e^{-i(j0 + B q) theta} times
-    e^{-i m theta}.  Each arc then costs about 2 sqrt(M) N exponentials for
-    its N nodes instead of M N, and one product of the (B x N) inner phases
-    with the weighted outer phases returns both sums.
+    e^{-i m theta}.  On each nested half-rule (coarse nodes, the rest) both
+    factors are filled by repeated multiplication with e^{-i theta} and
+    e^{-i B theta}: a node costs one exponential and O(sqrt(M)) products,
+    and one matrix product per half returns its sums.
     """
     n_modes = len(j_values)
     block = math.isqrt(n_modes - 1) + 1
     n_outer = -(-n_modes // block)
-    outer_j = j_values[0] + block * np.arange(n_outer)
-    fine = np.zeros(n_modes, dtype=complex)
-    coarse = np.zeros(n_modes, dtype=complex)
+    fine, coarse = np.zeros((2, n_modes), dtype=complex)
     for (a, b), roles in _arcs(p):
         rule = arc_rule(a, b, max_freq=float(n_max), refine=refine)
-        vals = _symbol_on_rule(p, rule, roles)
-        wf = rule.w * vals / TWO_PI
-        wf_c = np.where(rule.coarse, 2.0 * wf, 0.0)
-        inner = np.exp(-1j * np.outer(np.arange(block), rule.x))
-        outer = np.exp(-1j * np.outer(rule.x, outer_j))
-        sums = inner @ np.hstack([wf[:, None] * outer, wf_c[:, None] * outer])
-        # sums[m, q] belongs to mode j0 + B q + m; the padding beyond M is dropped
-        fine += sums[:, :n_outer].T.ravel()[:n_modes]
-        coarse += sums[:, n_outer:].T.ravel()[:n_modes]
+        wf = rule.w * _symbol_on_rule(p, rule, roles) / TWO_PI
+        sums = []
+        for half in (rule.coarse, ~rule.coarse):
+            x = rule.x[half]
+            step = np.exp(-1j * x)
+            inner = _powers(1.0, step, block)
+            outer = _powers(wf[half] * np.exp(-1j * j_values[0] * x), inner[-1] * step, n_outer)
+            # entry [q, m] belongs to mode j0 + B q + m; the padding beyond M is dropped
+            sums.append((outer @ inner.T).ravel()[:n_modes])
+        even, odd = sums
+        fine += even + odd
+        coarse += 2.0 * even
     return fine, coarse
+
+
+def _powers(seed, step, count):
+    """Rows seed * step**k for k < count, filled by repeated multiplication."""
+    rows = np.empty((count, len(step)), dtype=complex)
+    rows[0] = seed
+    for k in range(1, count):
+        np.multiply(rows[k - 1], step, out=rows[k])
+    return rows
 
 
 def _fourier_coeffs_impl(p: FHParams, n_max: int, tol: float) -> FourierTable:

@@ -7,6 +7,9 @@ from fhmerge.errors import QuadratureError, SingularAngleError, ValidationError
 from fhmerge.quadrature import arc_rule, integrate_arc
 from fhmerge.symbol import (
     FHParams,
+    _arcs,
+    _fourier_sums,
+    _symbol_on_rule,
     eval_symbol,
     fourier_coeffs,
     params_from_json_dict,
@@ -20,6 +23,12 @@ def test_tanh_sinh_endpoint_singularity():
     # int_0^1 x^(-0.4) dx = 1/0.6, the hardest exponent in the battery
     val, err = integrate_arc(lambda rule: rule.dist_a ** (-0.4), 0.0, 1.0)
     assert abs(val - 1.0 / 0.6) < 1e-12
+
+
+def test_integrate_arc_needs_two_levels():
+    # the nested error estimate compares two refinement levels
+    with pytest.raises(ValidationError):
+        integrate_arc(lambda rule: rule.x, 0.0, 1.0, max_refine=0)
 
 
 def test_tanh_sinh_oscillatory():
@@ -116,6 +125,51 @@ def test_fourier_two_cos():
 def test_fourier_nonconvergence_raises():
     with pytest.raises(QuadratureError):
         fourier_coeffs(FHParams(0.3, 0.3, t=0.3), 8, tol=1e-30)
+
+
+def _direct_sums(p, n_max, j_values, refine):
+    """Fine and coarse sums of f e^{-ij theta}/(2 pi), one exponential per term."""
+    fine = np.zeros(len(j_values), dtype=complex)
+    coarse = np.zeros(len(j_values), dtype=complex)
+    for (a, b), roles in _arcs(p):
+        rule = arc_rule(a, b, max_freq=float(n_max), refine=refine)
+        wf = rule.w * _symbol_on_rule(p, rule, roles) / (2.0 * PI)
+        for i, j in enumerate(j_values):
+            terms = wf * np.exp(-1j * j * rule.x)
+            fine[i] += np.sum(terms)
+            coarse[i] += 2.0 * np.sum(terms[rule.coarse])
+    return fine, coarse
+
+
+@pytest.mark.parametrize("t", [0.0, 0.05, 0.7])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 15, 16, 17, 255, 1023])
+@pytest.mark.parametrize("beta1", [0.4j, 0.1 + 0.2j], ids=["real", "complex"])
+def test_fourier_sums_match_direct_sum(beta1, n_max, t):
+    p = FHParams(0.3, 0.2, beta1=beta1, beta2=-0.05j, t=t)
+    lo = 0 if p.is_real_symbol() else -n_max
+    j_values = np.arange(lo, n_max + 1)
+    fine, coarse = _fourier_sums(p, n_max, j_values, refine=1)
+    # all modes of the small tables; of the large ones the first and last 64
+    # (the padded outer block is the last) and every 29th in between
+    pick = np.unique(np.r_[0:64, -64:0, 64 : len(j_values) - 64 : 29] % len(j_values))
+    ref_fine, ref_coarse = _direct_sums(p, n_max, j_values[pick], refine=1)
+    assert np.max(np.abs(fine[pick] - ref_fine)) < 1e-13
+    assert np.max(np.abs(coarse[pick] - ref_coarse)) < 1e-13
+
+
+def test_fourier_sums_parity_split():
+    # modes far beyond the node density alias differently on the two nested
+    # half-rules, so the coarse sums fix which nodes form the coarse half;
+    # the middle arc starts on an odd (non-coarse) node, the others on an even
+    p = FHParams(0.3, 0.2, beta1=0.1 + 0.2j, beta2=-0.05j, t=0.7)
+    starts = [bool(arc_rule(a, b, max_freq=17.0).coarse[0]) for (a, b), _ in _arcs(p)]
+    assert starts == [True, False, True]
+    j_values = np.arange(-200, 201)
+    fine, coarse = _fourier_sums(p, 17, j_values, refine=0)
+    ref_fine, ref_coarse = _direct_sums(p, 17, j_values, refine=0)
+    assert np.max(np.abs(fine - coarse)) > 0.1
+    assert np.max(np.abs(fine - ref_fine)) < 1e-13
+    assert np.max(np.abs(coarse - ref_coarse)) < 1e-13
 
 
 def test_hermitian_symmetry():

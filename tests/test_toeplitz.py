@@ -68,6 +68,15 @@ def test_merged_gamma_product_suite_size(p):
     assert abs(complex(d.real, math.remainder(d.imag, 2.0 * PI))) < 1e-9
 
 
+@pytest.mark.parametrize("t", [0.0, 0.05, 0.7, 2.0])
+def test_degenerate_pair_suite_size(t):
+    # alpha_j = beta_j = 1/2 makes f the polynomial (z - z1)(z - z2), so the
+    # matrix is triangular with diagonal f_0 = z1 z2 = 1 and D_n = 1
+    n = 256
+    p = FHParams(0.5, 0.5, beta1=0.5, beta2=0.5, t=t)
+    assert abs(log_det(fourier_coeffs(p, n - 1), n).log) < 1e-9
+
+
 def test_heine_trivial():
     assert abs(heine_det(FHParams(0.0, 0.0), 1) - 1.0) < 1e-12
 
