@@ -378,10 +378,11 @@ class FKConstants:
         x_top = float(traj.x_grid[-1])
         u_max = x_top / 2.0 if u_max is None else u_max
         us = np.linspace(1e-4, 1.0, 201)
-        first = np.trapezoid([math.exp(traj.omega_at(2.0 * u).real) for u in us], us)
-        omega2 = traj.omega_at(2.0).real
-        us2 = np.geomspace(1.0, u_max, 400)
-        theta = np.array([traj.omega_at(2.0 * u).real - omega2 for u in us2])
+        first = np.trapezoid(np.exp(traj.omega_at(2.0 * us).real), us)
+        us2 = np.geomspace(1.0, u_max, 400)  # us2[0] == 1.0 exactly
+        omega = traj.omega_at(2.0 * us2).real
+        omega2 = omega[0]
+        theta = omega - omega2
         vals = np.exp(theta) * us2 ** (-2.0 * a * a)
         second = np.trapezoid(vals, us2)
         # tail beyond the trajectory: theta has converged, pure power law

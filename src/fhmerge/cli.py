@@ -144,17 +144,11 @@ def _cmd_det(args):
 
 def _cmd_sigma(args):
     p = _params_from_args(args)
-    if painleve.is_degenerate(p):
-        traj = painleve.degenerate_sigma(x0=args.x0, x_max=args.x_max)
-    else:
-        traj = painleve.integrate_sigma(p, x0=args.x0, x_max=args.x_max, tol=args.tol)
-    try:
-        rt = painleve.r_trajectory(p, traj)
-    except (NumericalError, ValidationError):
-        rt = None
+    traj = painleve.integrate_sigma(p, x0=args.x0, x_max=args.x_max, tol=args.tol)
+    rt = painleve.r_trajectory(p, traj)
     rows = []
     for i, x in enumerate(traj.x_grid):
-        r = rt.r_at(x) if rt is not None else 0.0 + 0.0j
+        r = rt.r_at(x)
         rows.append(
             (
                 x,

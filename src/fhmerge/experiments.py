@@ -30,7 +30,6 @@ from .painleve import (
     SigmaTrajectory,
     degenerate_sigma,
     integrate_sigma,
-    is_degenerate,
     r_trajectory,
 )
 from .symbol import FHParams, fourier_coeffs
@@ -396,10 +395,7 @@ def beta_one_check(
     start = time.time()
     if (p.beta1 - p.beta2).real != 0.0:
         raise ValidationError("needs Re beta1 = Re beta2")
-    if is_degenerate(p):
-        traj = degenerate_sigma(x_max=max(25.0, 1.1 * max(nt_list) * 2.0))
-    else:
-        traj = integrate_sigma(p, x_max=max(25.0, 2.2 * max(nt_list)))
+    traj = integrate_sigma(p, x_max=max(25.0, 2.2 * max(nt_list)))
     rt = r_trajectory(p, traj)
     rows = []
     for n in n_list:

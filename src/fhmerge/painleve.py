@@ -250,7 +250,7 @@ def _sigma_rhs_factory(thetas):
 
 
 def sigma_residual(p: FHParams, s, sigma, dsig, d2sig):
-    """Scaled residual of the quartic relation at one point."""
+    """Scaled residual of the quartic relation, at one point or elementwise."""
     th1, th2, th3, th4 = theta_params(p).as_tuple()
     aa = sigma - s * dsig + 2.0 * dsig * dsig
     quart = 4.0 * (dsig - th1) * (dsig - th2) * (dsig - th3) * (dsig - th4)
@@ -262,41 +262,56 @@ def sigma_residual(p: FHParams, s, sigma, dsig, d2sig):
 class SigmaTrajectory:
     """sigma and derivatives on a grid of x = |s| along the ray s = -ix.
 
-    mode is one of 'series-init', 'data-init', 'degenerate'.  eval and
-    omega_at read the dense solver output, whose variable tau is x - x0.
+    mode is one of 'series-init', 'data-init', 'degenerate'.  eval,
+    sigma_at and omega_at take a float or an array of x and read the dense
+    solver output, whose variable tau is x - x0, in one call; below x0
+    they use the series expansion.  The grid fields are filled from one
+    eval on x_grid and the quartic-relation residual there.
     """
 
     params: FHParams
     x_grid: np.ndarray
-    sigma: np.ndarray
-    sigma_x: np.ndarray
-    sigma_xx: np.ndarray
-    residual: np.ndarray
     sigma0: complex
     mode: str
     x0: float
     x_max: float
     omega_head: complex
     _dense: object = field(default=None, repr=False)  # OdeSolution over [0, x_max - x0]
+    sigma: np.ndarray = field(init=False)
+    sigma_x: np.ndarray = field(init=False)
+    sigma_xx: np.ndarray = field(init=False)
+    residual: np.ndarray = field(init=False)
 
-    def _tau(self, x: float) -> float:
-        if not (self.x0 <= x <= self.x_max + 1e-12):
+    def __post_init__(self):
+        self.sigma, self.sigma_x, self.sigma_xx = self.eval(self.x_grid)
+        s = -1j * self.x_grid
+        self.residual = sigma_residual(self.params, s, self.sigma, 1j * self.sigma_x, -self.sigma_xx)
+
+    def _dense_at(self, xs: np.ndarray) -> np.ndarray:
+        """Rows (sigma, sigma_s, sigma_ss, omega - omega_head) at the points xs."""
+        outside = ~((self.x0 <= xs) & (xs <= self.x_max + 1e-12))
+        if outside.any():
             raise ValidationError(
-                f"x = {x} outside trajectory range [{self.x0}, {self.x_max}]"
+                f"x = {xs[outside][0]} outside trajectory range [{self.x0}, {self.x_max}]"
             )
-        return min(x - self.x0, self._dense.t_max)
+        return self._dense(np.minimum(xs - self.x0, self._dense.t_max))
 
-    def eval(self, x: float):
-        """(sigma, sigma_x, sigma_xx) at x, from dense solver output."""
-        if self.mode == "degenerate":
-            return 0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j
-        if x < self.x0:
-            return sigma_series_small(self.params, x)
-        sig, dsig, d2sig, _ = self._dense(self._tau(x))
-        # convert s-derivatives to x-derivatives on the ray (ds/dx = -i)
-        return sig, -1j * dsig, -d2sig
+    def eval(self, x):
+        """(sigma, sigma_x, sigma_xx) at x, each of the shape of x."""
+        xs = np.asarray(x, dtype=float)
+        out = np.zeros((3, xs.size), dtype=complex)
+        if self.mode != "degenerate":
+            flat = xs.ravel()
+            head = flat < self.x0
+            for i in np.flatnonzero(head):
+                out[:, i] = sigma_series_small(self.params, flat[i])
+            if not head.all():
+                sig, dsig, d2sig, _ = self._dense_at(flat[~head])
+                # convert s-derivatives to x-derivatives on the ray (ds/dx = -i)
+                out[:, ~head] = sig, -1j * dsig, -d2sig
+        return tuple(o.reshape(xs.shape)[()] for o in out)
 
-    def sigma_at(self, x: float) -> complex:
+    def sigma_at(self, x):
         return self.eval(x)[0]
 
     def q_at(self, x: float) -> complex:
@@ -306,13 +321,18 @@ class SigmaTrajectory:
         const = p.alpha1**2 + p.alpha2**2 - p.beta_sum**2 / 2.0
         return (2.0 / x) * (u - 1j * x * (p.beta1 - p.beta2) / 2.0 + const)
 
-    def omega_at(self, x: float) -> complex:
-        """int_0^{-ix} (sigma(s) - sigma(0)) ds/s along the ray."""
-        if self.mode == "degenerate":
-            return 0.0 + 0.0j
-        if x <= self.x0:
-            return _omega_series_head(self.params, x)
-        return self.omega_head + self._dense(self._tau(x))[3]
+    def omega_at(self, x):
+        """int_0^{-ix} (sigma(s) - sigma(0)) ds/s along the ray, of the shape of x."""
+        xs = np.asarray(x, dtype=float)
+        out = np.zeros(xs.size, dtype=complex)
+        if self.mode != "degenerate":
+            flat = xs.ravel()
+            head = flat <= self.x0
+            for i in np.flatnonzero(head):
+                out[i] = _omega_series_head(self.params, flat[i])
+            if not head.all():
+                out[~head] = self.omega_head + self._dense_at(flat[~head])[3]
+        return out.reshape(xs.shape)[()]
 
 
 def _integrate_ray(p, x0, x_max, y0, rtol):
@@ -392,7 +412,12 @@ def integrate_sigma(
     init='series' starts from the small-argument expansion (requires
     2(alpha1+alpha2) not in N u {0}); init='data' takes (sigma, sigma_x,
     sigma_xx) at x0 from init_data, e.g. the determinant-derived oracle.
-    The trajectory is one solver pass, and the call raises:
+    For the degenerate pair alpha = beta = 1/2 the series init returns
+    degenerate_sigma(x0, x_max).  The trajectory is one solver pass, and
+    the call raises:
+
+    - NondegeneracyError up front for the series init when 2(alpha1+alpha2)
+      is in N u {0} or a parameter combination hits a negative integer;
 
     - PoleDetectedError when |sigma| reaches the blow-up cap (a pole, or a
       runaway off the solution the initial data select);
@@ -407,10 +432,13 @@ def integrate_sigma(
     if x0 <= 0.0 or x0 >= x_max:
         raise ValidationError("need 0 < x0 < x_max")
     if init == "series":
+        if is_degenerate(p):
+            return degenerate_sigma(x0, x_max)
         if _is_resonant(p):
             raise NondegeneracyError(
                 "series init unavailable for 2(alpha1+alpha2) in N u {0}; use data init"
             )
+        check_nondegeneracy(p)
         u0, du0, d2u0 = sigma_series_small(p, x0)
         mode = "series-init"
     elif init == "data":
@@ -425,14 +453,9 @@ def integrate_sigma(
     y0 = [u0, 1j * du0, -d2u0, 0.0]
     dense = _integrate_ray(p, x0, x_max, y0, rtol=min(1e-10, tol * 1e-2))
 
-    grid = _default_grid(x0, x_max)
     traj = SigmaTrajectory(
         params=p,
-        x_grid=grid,
-        sigma=np.empty(len(grid), dtype=complex),
-        sigma_x=np.empty(len(grid), dtype=complex),
-        sigma_xx=np.empty(len(grid), dtype=complex),
-        residual=np.empty(len(grid)),
+        x_grid=_default_grid(x0, x_max),
         sigma0=sigma_zero(p),
         mode=mode,
         x0=x0,
@@ -440,10 +463,6 @@ def integrate_sigma(
         omega_head=_omega_series_head(p, x0),
         _dense=dense,
     )
-    sig, sig_x, sig_xx, res = traj.sigma, traj.sigma_x, traj.sigma_xx, traj.residual
-    for i, x in enumerate(grid):
-        sig[i], sig_x[i], sig_xx[i] = traj.eval(x)
-        res[i] = sigma_residual(p, -1j * x, sig[i], 1j * sig_x[i], -sig_xx[i])
 
     if (
         init == "series"
@@ -461,7 +480,7 @@ def integrate_sigma(
                 f"{complex(end):.4g}, connection asymptotics {asym:.4g}"
             )
 
-    worst = float(np.max(res)) if len(res) else 0.0
+    worst = float(np.max(traj.residual))
     if worst > 10.0 * tol:
         raise NumericalError(f"quartic-relation residual {worst:.2e} exceeds 10*tol")
     return traj
@@ -496,15 +515,9 @@ def is_degenerate(p: FHParams) -> bool:
 
 def degenerate_sigma(x0: float = 1e-3, x_max: float = 40.0) -> SigmaTrajectory:
     """The explicit solution sigma == 0 at alpha1=alpha2=beta1=beta2=1/2."""
-    grid = _default_grid(x0, x_max)
-    zeros = np.zeros(len(grid), dtype=complex)
     return SigmaTrajectory(
         params=_DEGENERATE,
-        x_grid=grid,
-        sigma=zeros.copy(),
-        sigma_x=zeros.copy(),
-        sigma_xx=zeros.copy(),
-        residual=np.zeros(len(grid)),
+        x_grid=_default_grid(x0, x_max),
         sigma0=0.0,
         mode="degenerate",
         x0=x0,
@@ -526,7 +539,6 @@ class RTrajectory:
 
     x_grid: np.ndarray
     r: np.ndarray
-    matched_at: float
     flagged: np.ndarray  # nodes where the identity denominator was floored
 
     def r_at(self, x: float) -> complex:
@@ -570,14 +582,26 @@ def r_large_s(p: FHParams, x: float) -> complex:
     return term1 + term2
 
 
-def _lax_point(p: FHParams, traj: SigmaTrajectory, x: float, u_prev=None):
-    """Auxiliary Lax variables (U, v, v_s, W) at x, with U branch-tracked.
+def _su_s(p: FHParams, u_lax, v, s):
+    """s dU/ds from the U-equation of the compatibility system."""
+    return (
+        s * u_lax
+        - 2.0 * v * (u_lax - 1.0) ** 2
+        + (u_lax - 1.0)
+        * (u_lax * (-p.alpha1 - p.alpha2 + p.beta_sum) + 3.0 * p.alpha1 - p.alpha2 - p.beta_sum)
+    )
+
+
+def _lax_branches(p: FHParams, traj: SigmaTrajectory, x):
+    """The Lax variable U on both roots of its quadratic at x (a float or
+    an array), with dU/dx and the pieces of d ln r/dx on each.
 
     v is fixed by sigma_s; U solves the quadratic the sigma-equation
-    forces on the residue variables.  Of the two roots the one continuing
-    u_prev is taken (nearest-neighbour tracking); with u_prev=None both
-    roots are returned for the caller to select.
+    forces on the residue variables.  Returns (u, du_dx, y_part, numf,
+    dnumf), each stacked over the two roots along the first axis; where
+    the leading coefficient vanishes both rows hold the linear root.
     """
+    x = np.asarray(x, dtype=float)
     sig, du, d2u = traj.eval(x)
     s = -1j * x
     sig_s = 1j * du
@@ -589,78 +613,43 @@ def _lax_point(p: FHParams, traj: SigmaTrajectory, x: float, u_prev=None):
     qa = v * (v + a_plus)
     qb = -(w_cap + (v + a_minus) * (v + a_plus) + v * (v + 2.0 * p.alpha1))
     qc = (v + a_minus) * (v + 2.0 * p.alpha1)
-    if abs(qa) < 1e-14 * (1.0 + abs(qb) + abs(qc)):
-        if abs(qb) < 1e-14 * (1.0 + abs(qc)):
-            raise DegenerateDenominatorError(
-                "Lax quadratic degenerates; use degenerate_r"
-            )
-        roots = (-qc / qb,)
-    else:
-        disc = cmath.sqrt(qb * qb - 4.0 * qa * qc)
-        roots = ((-qb + disc) / (2.0 * qa), (-qb - disc) / (2.0 * qa))
-    if u_prev is None:
-        return roots, v, v_s, s
-    u_sel = min(roots, key=lambda r_: abs(r_ - u_prev))
-    return u_sel, v, v_s, s
-
-
-def _su_s(p: FHParams, u_lax, v, s):
-    """s dU/ds from the U-equation of the compatibility system."""
-    return (
-        s * u_lax
-        - 2.0 * v * (u_lax - 1.0) ** 2
-        + (u_lax - 1.0)
-        * (u_lax * (-p.alpha1 - p.alpha2 + p.beta_sum) + 3.0 * p.alpha1 - p.alpha2 - p.beta_sum)
+    linear = np.abs(qa) < 1e-14 * (1.0 + np.abs(qb) + np.abs(qc))
+    if np.any(linear & (np.abs(qb) < 1e-14 * (1.0 + np.abs(qc)))):
+        raise DegenerateDenominatorError("Lax quadratic degenerates; use degenerate_r")
+    disc = np.sqrt(qb * qb - 4.0 * qa * qc)
+    two_qa = np.where(linear, 1.0, 2.0 * qa)
+    lin = -qc / np.where(linear, qb, 1.0)
+    u = np.stack(
+        [np.where(linear, lin, (-qb + disc) / two_qa), np.where(linear, lin, (-qb - disc) / two_qa)]
     )
-
-
-def _r_log_derivative_at(p: FHParams, u_lax, v, v_s, s):
-    """(d ln r / dx, numf) from the compatibility system at one point."""
-    a_minus = p.alpha1 - p.alpha2 - p.beta_sum
-    su_s = _su_s(p, u_lax, v, s)
-    sy_y = (
-        (v + 2.0 * p.alpha1) / u_lax
-        - 2.0 * v
-        - 2.0 * p.alpha1
-        - s / 2.0
-        + u_lax * v
-    )
-    numf = v * (1.0 - u_lax) + a_minus
-    dnumf = v_s * (1.0 - u_lax) - v * su_s / s
+    su_s = _su_s(p, u, v, s)
+    sy_y = (v + 2.0 * p.alpha1) / u - 2.0 * v - 2.0 * p.alpha1 - s / 2.0 + u * v
+    numf = v * (1.0 - u) + a_minus
+    dnumf = v_s * (1.0 - u) - v * su_s / s
     # d ln r/dx = -i [ y_s/y - 1/s + numf_s/numf ] = y_part - 1/x + ...;
     # the -1/x and numf pieces integrate in closed form, so the bounded
     # y_part is returned separately for quadrature
-    y_part = -1j * sy_y / s
-    return y_part, numf, -1j * dnumf
+    return u, -1j * su_s / s, -1j * sy_y / s, numf, -1j * dnumf
 
 
-def r_log_derivative(p: FHParams, traj: SigmaTrajectory, x: float, u_prev=None):
+def r_log_derivative(p: FHParams, traj: SigmaTrajectory, x: float):
     """d ln r / dx at x from sigma via the compatibility system.
 
-    u_prev selects the branch of the auxiliary variable (nearest root);
-    without it the small-argument branch is chosen.  Returns (value,
-    u_lax) so callers can continue the branch.
+    Takes the root of the Lax quadratic whose value is nearest the
+    log-derivative of the small-argument form (the first root on a tie).
+    Returns (value, u_lax) so callers can continue the branch.
     """
-    if u_prev is None:
-        roots, v, v_s, s = _lax_point(p, traj, x)
-        best = None
-        target = -1.0 / x - 0.5j  # log-derivative of the small-x closed form
-        for root in roots:
-            y_part, numf, dnumf = _r_log_derivative_at(p, root, v, v_s, s)
-            val = y_part - 1.0 / x + dnumf / numf
-            if best is None or abs(val - target) < abs(best[0] - target):
-                best = (val, root)
-        return best
-    u_lax, v, v_s, s = _lax_point(p, traj, x, u_prev)
-    y_part, numf, dnumf = _r_log_derivative_at(p, u_lax, v, v_s, s)
-    return y_part - 1.0 / x + dnumf / numf, u_lax
+    u, _, y_part, numf, dnumf = _lax_branches(p, traj, x)
+    vals = y_part - 1.0 / x + dnumf / numf
+    target = -1.0 / x - 0.5j  # log-derivative of the small-x closed form
+    k = int(abs(vals[1] - target) < abs(vals[0] - target))
+    return vals[k], u[k]
 
 
-def r_trajectory(
-    p: FHParams,
-    traj: SigmaTrajectory,
-    step: float = 0.01,
-) -> RTrajectory:
+_R_STEP = 0.01  # spacing in x of the nodes r is integrated on
+
+
+def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
     """r(s) on the trajectory by integrating its logarithmic derivative.
 
     The derivative comes from the compatibility system of the associated
@@ -675,43 +664,41 @@ def r_trajectory(
         return RTrajectory(
             x_grid=grid,
             r=np.array([degenerate_r(x) for x in grid], dtype=complex),
-            matched_at=traj.x0,
             flagged=np.zeros(len(grid), dtype=bool),
         )
     x0, x_max = traj.x0, float(traj.x_grid[-1])
-    n_steps = max(int(math.ceil((x_max - x0) / step)), 8)
+    n_steps = max(int(math.ceil((x_max - x0) / _R_STEP)), 8)
     xs = np.linspace(x0, x_max, n_steps + 1)
+    h = np.diff(xs)
 
-    (_, u_lax) = r_log_derivative(p, traj, x0)
-    y_part = np.empty(len(xs), dtype=complex)
-    numf = np.empty(len(xs), dtype=complex)
-    du_dx = 0.0 + 0.0j
-    for i, x in enumerate(xs):
-        if i > 0:
-            # predictor from the U-equation disambiguates the two quadratic
-            # roots near their collision points
-            u_pred = u_lax + du_dx * (x - xs[i - 1])
-            u_lax, v, v_s, s = _lax_point(p, traj, x, u_pred)
-        else:
-            _, v, v_s, s = _lax_point(p, traj, x, u_lax)
-        du_dx = -1j * _su_s(p, u_lax, v, s) / s
-        y_part[i], numf[i], _ = _r_log_derivative_at(p, u_lax, v, v_s, s)
+    u, du_dx, y_part, numf, _ = _lax_branches(p, traj, xs)
+    # start on r_log_derivative's root at x0, then take at each node the
+    # root nearest the U-equation predictor, which disambiguates the two
+    # near their collision points; the first root wins a tie
+    u_prev, slope = r_log_derivative(p, traj, x0)[1], 0.0
+    u_rows, du_rows = u.tolist(), du_dx.tolist()
+    pick = []
+    for i, step in enumerate([0.0, *h.tolist()]):
+        pred = u_prev + slope * step
+        k = int(abs(u_rows[1][i] - pred) < abs(u_rows[0][i] - pred))
+        u_prev, slope = u_rows[k][i], du_rows[k][i]
+        pick.append(k)
+    root = np.array(pick), np.arange(len(xs))
+    y_part, numf = y_part[root], numf[root]
 
     # continuous branch of ln(numf): unwrap the argument along the grid
     ln_numf = np.log(np.abs(numf)) + 1j * np.unwrap(np.angle(numf))
 
-    # quadrature of the bounded part; -1/x and d ln numf are exact
-    lnr = np.empty(len(xs), dtype=complex)
-    lnr[0] = cmath.log(r_small_s(p, x0)) - ln_numf[0] + math.log(x0)
-    for i in range(1, len(xs)):
-        lnr[i] = lnr[i - 1] + 0.5 * (y_part[i] + y_part[i - 1]) * (xs[i] - xs[i - 1])
+    # trapezoid sum of the bounded part; -1/x and d ln numf are exact
+    lnr0 = cmath.log(r_small_s(p, x0)) - ln_numf[0] + math.log(x0)
+    lnr = np.cumsum(np.concatenate([[lnr0], 0.5 * (y_part[1:] + y_part[:-1]) * h]))
     lnr += ln_numf - np.log(xs)
 
     # nearest dense node of each grid point, the first one on a tie
     near = np.argmin(np.abs(xs[None, :] - traj.x_grid[:, None]), axis=1)
     floor = 1e-6 * (1.0 + np.max(np.abs(numf)))
     flagged = np.abs(numf[near]) < floor
-    return RTrajectory(x_grid=traj.x_grid, r=np.exp(lnr)[near], matched_at=x0, flagged=flagged)
+    return RTrajectory(x_grid=traj.x_grid, r=np.exp(lnr)[near], flagged=flagged)
 
 
 def integral_identity_check(p: FHParams, traj: SigmaTrajectory, T: float):

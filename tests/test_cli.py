@@ -5,7 +5,9 @@ import subprocess
 import sys
 
 import fhmerge
+from fhmerge import painleve
 from fhmerge.cli import main
+from fhmerge.errors import DegenerateDenominatorError
 
 PI = math.pi
 # the child interpreter must import the same fhmerge as this process
@@ -130,6 +132,25 @@ def test_verify_identity_suite(tmp_path, capsys):
     assert out.exists() and (tmp_path / "identity.json").exists()
     payload = json.loads((tmp_path / "identity.json").read_text())
     assert payload["suite"] == "identity" and payload["verdict"] is True
+
+
+def test_verify_identity_suite_degenerate_pair(capsys):
+    # sigma == 0 at alpha = beta = 1/2: the closed form passes the identity
+    code = main(["verify", "--suite", "identity", "--alpha1", "0.5", "--alpha2", "0.5",
+                 "--beta1", "0.5", "--beta2", "0.5", "--t", "0.2"])
+    capsys.readouterr()
+    assert code == 0
+
+
+def test_sigma_r_failure_exit_code(monkeypatch, capsys):
+    # a failing r-trajectory is reported, not written as r = 0 columns
+    def fail(p, traj):
+        raise DegenerateDenominatorError("Lax quadratic degenerates")
+
+    monkeypatch.setattr(painleve, "r_trajectory", fail)
+    code = main(["sigma", "--alpha1", "0.3", "--alpha2", "0.3", "--x-max", "12"])
+    assert code == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_deterministic_output(tmp_path):

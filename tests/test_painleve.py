@@ -145,6 +145,41 @@ def test_degenerate_sigma_and_r():
     assert abs(degenerate_r(2.0 * PI)) < 1e-15
 
 
+def test_array_accessors_match_scalar_calls(traj03):
+    # one array call equals the scalar calls bit for bit, across x0
+    xs = np.concatenate([[2e-4, 5e-4, 1e-3], np.linspace(1e-3, 41.0, 157)])
+    arr = traj03.eval(xs)
+    omega = traj03.omega_at(xs)
+    for i, x in enumerate(xs):
+        assert all(a[i] == b for a, b in zip(arr, traj03.eval(x)))
+        assert omega[i] == traj03.omega_at(x)
+    assert np.array_equal(traj03.sigma_at(xs), arr[0])
+    grid = traj03.x_grid.reshape(-1, 1)
+    assert np.array_equal(traj03.eval(grid)[0][:, 0], traj03.sigma)
+
+
+def test_degenerate_accessors_take_arrays():
+    traj = degenerate_sigma()
+    xs = np.linspace(0.5, 30.0, 12).reshape(3, 4)
+    for values in (*traj.eval(xs), traj.omega_at(xs)):
+        assert values.shape == (3, 4) and not values.any()
+    assert traj.eval(2.0) == (0.0, 0.0, 0.0)
+
+
+def test_integrate_sigma_degenerate_pair():
+    traj = integrate_sigma(FHParams(0.5, 0.5, 0.5, 0.5, 0.2), x0=2e-3, x_max=30.0)
+    assert traj.mode == "degenerate" and traj.x0 == 2e-3 and traj.x_max == 30.0
+    assert not traj.sigma.any()
+
+
+def test_nondegeneracy_violation_rejected_fast():
+    # alpha1 - beta1 = -1: rejected up front, not after the solve stalls
+    start = time.perf_counter()
+    with pytest.raises(NondegeneracyError):
+        integrate_sigma(FHParams(0.3, 0.3, beta1=1.3, t=0.1))
+    assert time.perf_counter() - start < 0.5
+
+
 def test_degenerate_solves_equation():
     # sigma == 0 satisfies the quartic identically for the degenerate thetas
     from fhmerge.painleve import sigma_residual
@@ -235,6 +270,33 @@ def test_r_log_derivative_identity(p03, traj03):
     h = 0.02
     fd = (np.log(rt.r_at(2.0 + h)) - np.log(rt.r_at(2.0 - h))) / (2.0 * h)
     assert abs(val - fd) < 5e-3
+
+
+def test_r_trajectory_matches_stepwise_reference(p03, traj03):
+    # the array pass against a node-by-node walk with the same root rule
+    from fhmerge.painleve import _R_STEP, _lax_branches, r_log_derivative
+
+    x0, x_max = traj03.x0, float(traj03.x_grid[-1])
+    xs = np.linspace(x0, x_max, math.ceil((x_max - x0) / _R_STEP) + 1)
+    u_prev, slope = r_log_derivative(p03, traj03, x0)[1], 0.0
+    ln_numf, lnr, arg = [], [], None
+    for i, x in enumerate(xs):
+        u, du_dx, y_part, numf, _ = _lax_branches(p03, traj03, x)
+        h = x - xs[i - 1] if i else 0.0
+        pred = u_prev + slope * h
+        k = int(abs(u[1] - pred) < abs(u[0] - pred))
+        u_prev, slope = u[k], du_dx[k]
+        phase = cmath.phase(numf[k])
+        arg = phase if arg is None else arg + math.remainder(phase - arg, 2.0 * PI)
+        ln_numf.append(math.log(abs(numf[k])) + 1j * arg)
+        if i == 0:
+            lnr.append(cmath.log(r_small_s(p03, x0)) - ln_numf[0] + math.log(x0))
+        else:
+            lnr.append(lnr[-1] + 0.5 * (y_part[k] + y_prev) * h)
+        y_prev = y_part[k]
+    r = np.exp(np.array(lnr) + np.array(ln_numf) - np.log(xs))
+    near = [int(np.argmin(np.abs(xs - x))) for x in traj03.x_grid]
+    np.testing.assert_allclose(r_trajectory(p03, traj03).r, r[near], rtol=1e-10)
 
 
 def test_r_degenerate_delegates():
