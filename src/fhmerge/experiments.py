@@ -259,16 +259,30 @@ def _panel_edges(n: int, t_max: float):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _integrate_det(p_of_t, n: int, t_max: float) -> float:
-    """int_0^{t_max} D_n(f_t) dt with geometric refinement near zero."""
-    edges = _panel_edges(n, t_max)
-    terms = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
-            table = fourier_coeffs(p_of_t(mid + half * xi), n - 1)
-            terms.append(half * wi * math.exp(log_det(table, n).log_abs))
-    return float(np.sum(terms))
+def _t_nodes(n: int, t_max: float):
+    """16-point Gauss-Legendre nodes and weights on each panel of _panel_edges."""
+    edges = np.array(_panel_edges(n, t_max))
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+
+
+def _integrate_det(p_of_t, n_list, t_max: float):
+    """int_0^{t_max} D_n(f_t) dt for each n in n_list, one table per t-node.
+
+    The t-nodes are those of the largest n, whose panels are the finest
+    near t = 0; the table at max(n) - 1 built at each node serves every
+    D_n.  Returns the integrals in the order of n_list and a record of
+    the t-quadrature: the panel n, the number of t-nodes and of tables.
+    """
+    n_top = max(n_list)
+    ts, ws = _t_nodes(n_top, t_max)
+    dets = np.empty((len(ts), len(n_list)))
+    for i, t in enumerate(ts):
+        table = fourier_coeffs(p_of_t(t), n_top - 1)
+        dets[i] = [math.exp(log_det(table, n).log_abs) for n in n_list]
+    t_quad = {"panel_n": n_top, "t_nodes": len(ts), "tables": len(ts)}
+    return ws @ dets, t_quad
 
 
 def dyson_check(n_list) -> ExperimentReport:
@@ -280,11 +294,12 @@ def dyson_check(n_list) -> ExperimentReport:
     """
     start = time.time()
     cd = dyson_constant()
+    integrals, t_quad = _integrate_det(
+        lambda t: FHParams(0.5, 0.5, t=t), [n - 1 for n in n_list], math.pi / 2.0
+    )
     rows = []
-    for n in n_list:
-        rho0 = (2.0 / math.pi) * _integrate_det(
-            lambda t: FHParams(0.5, 0.5, t=t), n - 1, math.pi / 2.0
-        )
+    for n, integral in zip(n_list, integrals):
+        rho0 = (2.0 / math.pi) * float(integral)
         ratio = rho0 / math.sqrt(n)
         rows.append(
             {
@@ -300,7 +315,7 @@ def dyson_check(n_list) -> ExperimentReport:
         suite="dyson",
         rows=rows,
         verdict=verdict,
-        summary={"constant": cd, "deviations": devs},
+        summary={"constant": cd, "deviations": devs, "t_quadrature": t_quad},
         runtime_s=time.time() - start,
     )
 
@@ -320,10 +335,8 @@ def fk_moment_scan(alpha: float, n_list, t1: float) -> ExperimentReport:
     if two_a2 > 1.0 and not critical:
         # sigma does not depend on the tables: a failing solve fails first
         traj = integrate_sigma(FHParams(alpha, alpha, t=0.1), x_max=80.0)
-    rows = []
-    for n in n_list:
-        m = _integrate_det(lambda t: FHParams(alpha, alpha, t=t), n, t1)
-        rows.append({"n": n, "moment": m})
+    moments, t_quad = _integrate_det(lambda t: FHParams(alpha, alpha, t=t), n_list, t1)
+    rows = [{"n": n, "moment": float(m)} for n, m in zip(n_list, moments)]
     lns = np.log(np.array([r["n"] for r in rows], dtype=float))
     if critical:
         vals = np.log([r["moment"] / (r["n"] * math.log(r["n"])) for r in rows])
@@ -352,6 +365,7 @@ def fk_moment_scan(alpha: float, n_list, t1: float) -> ExperimentReport:
             "expected": expected,
             "prefactor": prefactor,
             "reference_constant": reference,
+            "t_quadrature": t_quad,
         },
         runtime_s=time.time() - start,
     )

@@ -656,7 +656,8 @@ def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
     linear problem; its log-singular part (vanishing of the r-numerator,
     i.e. zeros of r) is integrated in closed form so sign changes of r
     are crossed exactly.  The multiplicative constant is matched to the
-    small-argument form at the trajectory start.  Nodes where the
+    small-argument form at the trajectory start, so a data-init trajectory,
+    which may start anywhere, raises ValidationError.  Nodes where the
     numerator is below 1e-6 (r indistinguishable from 0) are flagged.
     """
     if is_degenerate(p):
@@ -665,6 +666,11 @@ def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
             x_grid=grid,
             r=np.array([degenerate_r(x) for x in grid], dtype=complex),
             flagged=np.zeros(len(grid), dtype=bool),
+        )
+    if traj.mode == "data-init":
+        raise ValidationError(
+            "r_trajectory matches r to its small-argument form at x0 and needs a "
+            f"series-init trajectory, got a data-init one from x0 = {traj.x0}"
         )
     x0, x_max = traj.x0, float(traj.x_grid[-1])
     n_steps = max(int(math.ceil((x_max - x0) / _R_STEP)), 8)

@@ -23,6 +23,8 @@ __all__ = ["ArcRule", "arc_rule", "integrate_arc"]
 # enough for exponents down to (and slightly below) -1/2.
 _T_MAX = 4.0
 _BASE_H = 1.0 / 64.0
+# bulk nodes per period of the fastest oscillation at refine 0
+_NODES_PER_OSC = 8.0
 
 
 @dataclass(frozen=True)
@@ -43,15 +45,15 @@ class ArcRule:
     coarse: np.ndarray
 
 
-def _choose_h(length: float, max_freq: float, nodes_per_osc: float = 8.0) -> float:
+def _choose_h(length: float, max_freq: float) -> float:
     """Step so the bulk node spacing resolves exp(i*max_freq*x).
 
     The spacing at the arc center is (length/2)(pi/2)h; requiring at least
-    nodes_per_osc nodes per period 2*pi/max_freq gives the bound below.
+    _NODES_PER_OSC nodes per period 2*pi/max_freq gives the bound below.
     """
     h = _BASE_H
     if max_freq > 0.0 and length > 0.0:
-        h_osc = 4.0 * math.pi / (nodes_per_osc * max_freq * length * (math.pi / 2.0))
+        h_osc = 4.0 * math.pi / (_NODES_PER_OSC * max_freq * length * (math.pi / 2.0))
         h = min(h, h_osc)
     return h
 

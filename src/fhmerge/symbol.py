@@ -6,6 +6,9 @@ times a smooth factor e^{V(z)} given by finitely many Laurent
 coefficients.  Fourier coefficients are computed by splitting the circle
 at the singular angles and applying tanh-sinh quadrature on each arc,
 with the node density tied to the largest requested mode number.  The
+first rule tried has 8 bulk nodes per period of the top mode (refine 0);
+its nested estimate, the change when the every-other-node half is
+dropped, decides whether to escalate to refine 1, 2 or 3.  The
 phase e^{-ij theta} of the M requested modes is factored into a coarse
 step e^{-i(j0 + B q) theta} and a fine offset e^{-i m theta},
 B = ceil(sqrt(M)), both filled by repeated multiplication, so a table
@@ -316,9 +319,9 @@ def _powers(seed, step, count):
 def _fourier_coeffs_impl(p: FHParams, n_max: int, tol: float) -> FourierTable:
     hermitian = p.is_real_symbol()
     j_values = np.arange(0, n_max + 1) if hermitian else np.arange(-n_max, n_max + 1)
-    # start one level above the 8-nodes-per-oscillation baseline so the
-    # coarse half of the first nested estimate already resolves every mode
-    for refine in (1, 2, 3):
+    # refine 0 runs first (8 nodes per oscillation of the top mode, 4 on
+    # its coarse half); the nested estimate decides whether to escalate
+    for refine in (0, 1, 2, 3):
         fine, coarse = _fourier_sums(p, n_max, j_values, refine)
         err = float(np.max(np.abs(fine - coarse)))
         if err <= tol:

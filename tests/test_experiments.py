@@ -7,6 +7,8 @@ import pytest
 from fhmerge.errors import ValidationError
 from fhmerge.experiments import (
     SweepConfig,
+    _integrate_det,
+    _t_nodes,
     beta_one_check,
     diff_identity_scan,
     dyson_check,
@@ -14,7 +16,8 @@ from fhmerge.experiments import (
     regime_sweep,
     sigma_from_determinants,
 )
-from fhmerge.symbol import FHParams
+from fhmerge.symbol import FHParams, fourier_coeffs
+from fhmerge.toeplitz import log_det
 
 PI = math.pi
 
@@ -97,6 +100,8 @@ def test_dyson_check_small_sizes():
     report = dyson_check((8, 16, 32))
     devs = [r["err"] for r in report.rows]
     assert devs[2] < devs[1] < devs[0]
+    # D_7, D_15 and D_31 read from one table per node on the panels of 31
+    assert report.summary["t_quadrature"] == {"panel_n": 31, "t_nodes": 64, "tables": 64}
 
 
 def test_dyson_two_particle_value():
@@ -147,8 +152,26 @@ def test_beta_one_check_degenerate():
             assert row["err"] < 0.05
 
 
+def test_integrate_det_shared_tables():
+    # one table at max(n) - 1 per t-node against each n's own table at the
+    # same nodes: the two differ only by the tables' quadrature error
+    n_list, t1 = (8, 16, 32), PI / 3.0
+
+    def p_of_t(t):
+        return FHParams(0.4, 0.4, t=t)
+
+    got, t_quad = _integrate_det(p_of_t, n_list, t1)
+    ts, ws = _t_nodes(32, t1)
+    assert t_quad == {"panel_n": 32, "t_nodes": len(ts), "tables": len(ts)}
+    for n, value in zip(n_list, got):
+        dets = [math.exp(log_det(fourier_coeffs(p_of_t(t), n - 1), n).log_abs) for t in ts]
+        own = float(np.dot(ws, dets))
+        assert abs(value - own) <= 1e-12 * abs(own)
+
+
 def test_fk_moment_scan_quick():
     report = fk_moment_scan(0.4, (16, 32, 64), PI / 3.0)
     # slope approaches 2 alpha^2 = 0.32 from desk-scale sizes
     assert abs(report.summary["slope"] - 0.32) < 0.15
     assert report.summary["reference_constant"] > 0.0
+    assert report.summary["t_quadrature"]["panel_n"] == 64

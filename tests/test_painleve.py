@@ -299,6 +299,14 @@ def test_r_trajectory_matches_stepwise_reference(p03, traj03):
     np.testing.assert_allclose(r_trajectory(p03, traj03).r, r[near], rtol=1e-10)
 
 
+def test_r_trajectory_rejects_data_init(p03, traj03):
+    # the constant is matched to the small-argument form at x0: from x0 = 5
+    # it would come out ~56 times too large
+    traj = integrate_sigma(p03, x0=5.0, x_max=15.0, init="data", init_data=traj03.eval(5.0))
+    with pytest.raises(ValidationError, match="data-init"):
+        r_trajectory(p03, traj)
+
+
 def test_r_degenerate_delegates():
     p = FHParams(0.5, 0.5, 0.5, 0.5, 0.2)
     traj = degenerate_sigma()

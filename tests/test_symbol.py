@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import i0
 
 from fhmerge.errors import QuadratureError, SingularAngleError, ValidationError
 from fhmerge.quadrature import arc_rule, integrate_arc
@@ -170,6 +171,46 @@ def test_fourier_sums_parity_split():
     assert np.max(np.abs(fine - coarse)) > 0.1
     assert np.max(np.abs(fine - ref_fine)) < 1e-13
     assert np.max(np.abs(coarse - ref_coarse)) < 1e-13
+
+
+# (alpha1, alpha2, beta1, beta2, V) of seven symbol classes: Dyson's pair, a strong merged exponent a = 1.4, complex beta,
+# complex alpha, the beta2 - 1 shift, a smooth factor and a negative alpha
+_TABLE_CLASSES = {
+    "dyson": (0.5, 0.5, 0.0, 0.0, {}),
+    "a1.4": (0.7, 0.7, 0.0, 0.0, {}),
+    "cbeta": (0.3, 0.2, 0.1 + 0.2j, -0.05j, {}),
+    "calpha": (0.3 + 0.1j, 0.2 - 0.05j, 0.0, 0.0, {}),
+    "shifted": (0.3, 0.3, 0.0, -1.0, {}),
+    "V": (0.3, 0.25, 0.1j, 0.0, {1: 0.3 + 0.1j, -1: 0.3 - 0.1j, 2: 0.1}),
+    "negalpha": (-0.2, 0.3, 0.0, 0.0, {}),
+}
+
+
+@pytest.mark.parametrize("n_max", [16, 255])
+@pytest.mark.parametrize("t", [0.0, 0.01, 0.3, 1.5, 3.0])
+@pytest.mark.parametrize("name", list(_TABLE_CLASSES))
+def test_fourier_table_matches_next_refinement(name, t, n_max):
+    a1, a2, b1, b2, v = _TABLE_CLASSES[name]
+    p = FHParams(a1, a2, b1, b2, t, v)
+    tab = fourier_coeffs(p, n_max)
+    lo = 0 if p.is_real_symbol() else -n_max
+    j_values = np.arange(lo, n_max + 1)
+    fine, _ = _fourier_sums(p, n_max, j_values, refine=1)
+    assert tab.quad_error_estimate <= 1e-13
+    assert np.max(np.abs(tab.coeffs[n_max + j_values] - fine)) <= 5e-14
+
+
+def test_fourier_table_escalates():
+    # f = exp(cos 32 theta) = sum_k I_k(1) z^{32k}: the rule tied to n_max = 16
+    # cannot resolve the z^{+-32k} terms at refine 0, so the table escalates
+    p = FHParams(0.0, 0.0, t=0.3, v_coeffs={32: 0.5, -32: 0.5})
+    n_max, tol = 16, 1e-11
+    fine, coarse = _fourier_sums(p, n_max, np.arange(0, n_max + 1), refine=0)
+    assert np.max(np.abs(fine - coarse)) > tol
+    tab = fourier_coeffs(p, n_max, tol=tol)
+    assert tab.quad_error_estimate <= tol
+    assert abs(tab[0] - i0(1.0)) <= tol
+    assert max(abs(tab[j]) for j in range(1, n_max + 1)) <= tol
 
 
 def test_hermitian_symmetry():
