@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import single_thread
 from .errors import QuadratureError, SingularAngleError, ValidationError
 from .quadrature import arc_rule
 
@@ -316,6 +317,7 @@ def _powers(seed, step, count):
     return rows
 
 
+@single_thread
 def _fourier_coeffs_impl(p: FHParams, n_max: int, tol: float) -> FourierTable:
     hermitian = p.is_real_symbol()
     j_values = np.arange(0, n_max + 1) if hermitian else np.arange(-n_max, n_max + 1)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from ._blas import single_thread
 from .errors import BranchAmbiguityError, SingularMatrixError, ValidationError
 from .quadrature import arc_rule
 from .symbol import TWO_PI, FHParams, FourierTable, _arcs, _symbol_on_rule, fourier_coeffs
@@ -40,6 +41,7 @@ class LogDeterminant:
         return complex(self.log_abs, self.arg)
 
 
+@single_thread
 def _lu_logdet(matrix: np.ndarray) -> tuple[float, float]:
     lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
     diag = np.diag(lu)
@@ -67,6 +69,7 @@ def log_det(table: FourierTable, n: int) -> LogDeterminant:
     return LogDeterminant(n=n, log_abs=log_abs, arg=arg)
 
 
+@single_thread
 def heine_det(p: FHParams, n: int, refine: int | None = None) -> complex:
     """D_n by direct quadrature of the n-fold Heine integral (n <= 3).
 
@@ -120,6 +123,7 @@ class OrthoPolyData:
         return complex(self.hat_phi_at_0 * self.chi)
 
 
+@single_thread
 def orth_poly(table: FourierTable, n: int) -> OrthoPolyData:
     """Polynomials of degree n orthogonal w.r.t. the symbol on the circle.
 

@@ -189,3 +189,72 @@ def test_log_det_requires_table_size():
     tab = fourier_coeffs(FHParams(0.25, 0.25), 3)
     with pytest.raises(ValidationError):
         log_det(tab, 5)
+
+
+def test_dense_algebra_runs_on_one_blas_thread(monkeypatch):
+    # log_det and orth_poly factor with every OpenBLAS at one thread and
+    # hand the previous counts back, also when the wrapped call raises
+    import scipy.linalg
+
+    from fhmerge import _blas
+
+    controls = _blas._controls()
+    if not controls:
+        pytest.skip("no OpenBLAS found in this process")
+    before = [get() for get, _ in controls]
+    seen = []
+    factor = scipy.linalg.lu_factor
+
+    def spy(*args, **kwargs):
+        seen.append([get() for get, _ in controls])
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
+    tab = fourier_coeffs(FHParams(0.3, 0.3, beta1=0.2j, t=0.3), 40)
+    log_det(tab, 40)
+    orth_poly(tab, 30)
+    assert seen == [[1] * len(controls)] * 2
+    assert [get() for get, _ in controls] == before
+
+    @_blas.single_thread
+    def fails():
+        raise ValueError
+
+    with pytest.raises(ValueError):
+        fails()
+    assert [get() for get, _ in controls] == before
+
+
+def test_blas_counts_restored_after_concurrent_calls():
+    # overlapping decorated calls in two threads: the counts come back
+    # when the last one returns, not when the first does
+    import threading
+
+    from fhmerge import _blas
+
+    controls = _blas._controls()
+    if not controls:
+        pytest.skip("no OpenBLAS found in this process")
+    before = [get() for get, _ in controls]
+    inside = threading.Event()
+    release = threading.Event()
+    seen = []
+
+    @_blas.single_thread
+    def hold():
+        inside.set()
+        release.wait(10.0)
+
+    @_blas.single_thread
+    def quick():
+        seen.append([get() for get, _ in controls])
+
+    worker = threading.Thread(target=hold)
+    worker.start()
+    inside.wait(10.0)
+    quick()
+    seen.append([get() for get, _ in controls])  # hold() still running
+    release.set()
+    worker.join()
+    assert seen == [[1] * len(controls)] * 2
+    assert [get() for get, _ in controls] == before
