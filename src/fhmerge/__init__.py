@@ -35,7 +35,6 @@ from .errors import (
 from .painleve import (
     RTrajectory,
     SigmaTrajectory,
-    ThetaParams,
     degenerate_r,
     degenerate_sigma,
     integral_identity_check,
@@ -46,8 +45,8 @@ from .painleve import (
     tau0,
     theta_params,
 )
-from .specfun import SpecialConstants, constants, log_barnes_g, log_gamma
-from .symbol import FHParams, FourierTable, eval_symbol, fourier_coeffs, wiener_hopf
+from .specfun import log_barnes_g, log_gamma
+from .symbol import FHParams, FourierTable, eval_symbol, fourier_coeffs
 from .toeplitz import LogDeterminant, OrthoPolyData, det_path, heine_det, log_det, orth_poly
 
 __all__ = [
@@ -58,10 +57,7 @@ __all__ = [
     "OrthoPolyData",
     "RTrajectory",
     "SigmaTrajectory",
-    "SpecialConstants",
-    "ThetaParams",
     "beta_one_ratio",
-    "constants",
     "degenerate_r",
     "degenerate_sigma",
     "det_path",
@@ -88,7 +84,6 @@ __all__ = [
     "tau0",
     "theta_params",
     "transition_log",
-    "wiener_hopf",
     "FhmergeError",
     "ValidationError",
     "NumericalError",

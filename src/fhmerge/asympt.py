@@ -24,8 +24,8 @@ from .painleve import (
     check_nondegeneracy,
 )
 from .quadrature import integrate_arc
-from .specfun import constants, log_barnes_g, log_gamma
-from .symbol import FHParams, wiener_hopf
+from .specfun import DYSON_CD, log_barnes_g, log_gamma
+from .symbol import FHParams
 
 __all__ = [
     "AsymptoticPrediction",
@@ -40,11 +40,9 @@ __all__ = [
     "diff_identity_rhs",
     "fk_constants",
     "dyson_constant",
-    "DEFAULT_T0",
     "DEFAULT_C0",
 ]
 
-DEFAULT_T0 = 0.5  # upper edge of the transition window in t
 DEFAULT_C0 = 20.0  # branch boundary nt = C0 of the shifted-beta ratio
 
 
@@ -76,33 +74,30 @@ def e_constant(p: FHParams) -> complex:
     if not (0.0 < p.t < math.pi):
         raise ValidationError("constant term needs t in (0, pi)")
     check_nondegeneracy(p, merged=False)
-    wh = wiener_hopf(p)
     z1, z2 = p.z1, p.z2
-    v0 = wh.v0
-    out = wh.szego_sum
+    v0 = p.v0
+    out = p.szego_sum
     out += 2.0 * (p.beta1 * p.beta2 - p.alpha1 * p.alpha2) * math.log(abs(2.0 * math.sin(p.t)))
     out += 1j * (math.pi - 2.0 * p.t) * (p.alpha1 * p.beta2 - p.alpha2 * p.beta1)
-    out += -p.alpha1 * (p.v_at(z1) - v0) + p.beta1 * (wh.log_b_plus(z1) - wh.log_b_minus(z1))
-    out += -p.alpha2 * (p.v_at(z2) - v0) + p.beta2 * (wh.log_b_plus(z2) - wh.log_b_minus(z2))
+    out += -p.alpha1 * (p.v_at(z1) - v0) + p.beta1 * (p.log_b_plus(z1) - p.log_b_minus(z1))
+    out += -p.alpha2 * (p.v_at(z2) - v0) + p.beta2 * (p.log_b_plus(z2) - p.log_b_minus(z2))
     out += barnes_g_pair_sum(p)
     return out
 
 
-def fh2_log(p: FHParams, n: int, omega_exponent: float = 0.5) -> AsymptoticPrediction:
+def fh2_log(p: FHParams, n: int) -> AsymptoticPrediction:
     """Fixed-t two-singularity expansion of ln D_n.
 
     Valid (with error O(n^(seminorm-1))) for t down to omega(n)/n with
-    omega(n) = n^omega_exponent; the threshold actually used is recorded
-    in the notes.
+    omega(n) = n^(1/2); the threshold is recorded in the notes.
     """
     _require_seminorm(p)
-    wh = wiener_hopf(p)
     terms = {
-        "n_linear": n * wh.v0,
+        "n_linear": n * p.v0,
         "log_n": (p.alpha1**2 + p.alpha2**2 - p.beta1**2 - p.beta2**2) * math.log(n),
         "constant": e_constant(p),
     }
-    t_min = n ** (omega_exponent - 1.0)
+    t_min = n**-0.5
     return AsymptoticPrediction(
         regime="FH2",
         terms=terms,
@@ -122,12 +117,11 @@ def fh1_log(p: FHParams, n: int) -> AsymptoticPrediction:
     for c in (a + b, a - b):
         if _is_negative_integer(c):
             raise NondegeneracyError(f"merged combination {c} degenerate")
-    wh = wiener_hopf(p)
-    constant = wh.szego_sum - a * (p.v_at(1.0) - wh.v0)
-    constant += b * (wh.log_b_plus(1.0) - wh.log_b_minus(1.0))
+    constant = p.szego_sum - a * (p.v_at(1.0) - p.v0)
+    constant += b * (p.log_b_plus(1.0) - p.log_b_minus(1.0))
     constant += barnes_g_merged_sum(a, b)
     terms = {
-        "n_linear": n * wh.v0,
+        "n_linear": n * p.v0,
         "log_n": (a**2 - b**2) * math.log(n),
         "constant": constant,
     }
@@ -175,13 +169,12 @@ def fh2_odd_log(p: FHParams, n: int) -> AsymptoticPrediction:
     pa, pb = nb.params, nb.params_pair
     check_nondegeneracy(pa, merged=False)
     check_nondegeneracy(pb, merged=False)
-    wh = wiener_hopf(p)
     exp_a = p.alpha1**2 + p.alpha2**2 - pa.beta1**2 - pa.beta2**2
     exp_b = p.alpha1**2 + p.alpha2**2 - pb.beta1**2 - pb.beta2**2
     branch_a = exp_a * math.log(n) + e_constant(pa)
     branch_b = 2j * n * nb.ell * p.t + exp_b * math.log(n) + e_constant(pb)
     terms = {
-        "n_linear": n * (wh.v0 + 2j * nb.k * p.t),
+        "n_linear": n * (p.v0 + 2j * nb.k * p.t),
         "interference": cmath.log(cmath.exp(branch_a) + cmath.exp(branch_b)),
     }
     return AsymptoticPrediction(
@@ -206,7 +199,6 @@ def transition_log(
         raise ValidationError("transition form needs t in (0, pi)")
     _require_seminorm(p)
     x = 2.0 * n * t
-    wh = wiener_hopf(p)
     merged = fh1_log(p.merged(), n)
     z1, z2 = cmath.exp(1j * t), cmath.exp(-1j * t)
     terms = dict(merged.terms)
@@ -220,9 +212,9 @@ def transition_log(
         p.v_at(z2) - p.v_at(1.0)
     )
     terms["b_shift"] = p.beta1 * (
-        wh.log_b_plus(z1) + wh.log_b_minus(1.0) - wh.log_b_minus(z1) - wh.log_b_plus(1.0)
+        p.log_b_plus(z1) + p.log_b_minus(1.0) - p.log_b_minus(z1) - p.log_b_plus(1.0)
     ) + p.beta2 * (
-        wh.log_b_plus(z2) + wh.log_b_minus(1.0) - wh.log_b_minus(z2) - wh.log_b_plus(1.0)
+        p.log_b_plus(z2) + p.log_b_minus(1.0) - p.log_b_minus(z2) - p.log_b_plus(1.0)
     )
     return AsymptoticPrediction(
         regime="transition",
@@ -252,7 +244,6 @@ def beta_one_ratio(
     if not (0.0 < t < math.pi):
         raise ValidationError("needs t in (0, pi)")
     nt = n * t
-    wh = wiener_hopf(p)
     b = p.beta_sum
 
     def small_branch() -> complex:
@@ -260,7 +251,7 @@ def beta_one_ratio(
             raise ValidationError("small-nt branch needs r_value")
         factor = (
             -r_value
-            * cmath.exp(wh.log_b_minus(1.0) - wh.log_b_plus(1.0))
+            * cmath.exp(p.log_b_minus(1.0) - p.log_b_plus(1.0))
             * t
             * (nt / math.sin(t)) ** (2.0 * b)
             * cmath.exp(1j * math.pi * (-p.alpha1 + 3.0 * p.beta1 + p.alpha2 + p.beta2))
@@ -272,7 +263,7 @@ def beta_one_ratio(
         term1 = (
             cmath.exp((2.0 * p.beta1 - 1.0) * math.log(n))
             * z1 ** (-n + 1)
-            * cmath.exp(wh.log_b_minus(z1) - wh.log_b_plus(z1))
+            * cmath.exp(p.log_b_minus(z1) - p.log_b_plus(z1))
             * cmath.exp(log_gamma(1.0 + p.alpha1 - p.beta1) - log_gamma(p.alpha1 + p.beta1))
             * cmath.exp(1j * (math.pi - 2.0 * t) * p.alpha2)
             * (2.0 * math.sin(t)) ** (-2.0 * p.beta2)
@@ -280,7 +271,7 @@ def beta_one_ratio(
         term2 = (
             cmath.exp((2.0 * p.beta2 - 1.0) * math.log(n))
             * z2 ** (-n + 1)
-            * cmath.exp(wh.log_b_minus(z2) - wh.log_b_plus(z2))
+            * cmath.exp(p.log_b_minus(z2) - p.log_b_plus(z2))
             * cmath.exp(log_gamma(1.0 + p.alpha2 - p.beta2) - log_gamma(p.alpha2 + p.beta2))
             * cmath.exp(1j * (-math.pi + 2.0 * t) * p.alpha1)
             * (2.0 * math.sin(t)) ** (-2.0 * p.beta1)
@@ -298,7 +289,7 @@ def beta_one_ratio(
             pass
     branch = small_branch() if use_small else large_branch()
     terms = {
-        "prefactor": -1j * (n - 1) * t - wh.v0,
+        "prefactor": -1j * (n - 1) * t - p.v0,
         "log_dn": log_dn,
         "branch": branch,
     }
@@ -397,4 +388,4 @@ def fk_constants(alpha: float) -> FKConstants:
 
 def dyson_constant() -> float:
     """The boson zero-momentum occupation constant."""
-    return constants().dyson_CD
+    return DYSON_CD

@@ -86,7 +86,7 @@ def _emit(args, header, rows, meta):
     if args.format == "csv":
         text = ",".join(header) + "\n"
         for row in rows:
-            text += ",".join(_cell(v) for v in row) + "\n"
+            text += ",".join(experiments._fmt(v) for v in row) + "\n"
     else:
         data = [dict(zip(header, [_jsonable(v) for v in row])) for row in rows]
         text = json.dumps({"meta": meta, "data": data}, indent=2) + "\n"
@@ -95,14 +95,6 @@ def _emit(args, header, rows, meta):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _cell(v) -> str:
-    if isinstance(v, complex):
-        return f"{v.real:.12g}{v.imag:+.12g}j"
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
 
 
 def _jsonable(v):
@@ -132,7 +124,7 @@ def _cmd_det(args):
     if args.t_grid:
         start, stop, count = args.t_grid.split(":")
         grid = np.linspace(float(start), float(stop), int(count))
-        path = toeplitz.det_path(p, args.n, grid)
+        path = toeplitz.det_path(p, args.n, grid, tol=args.tol)
         rows = [(args.n, t, ld.log_abs, ld.arg) for t, ld in zip(grid, path)]
     else:
         table = fourier_coeffs(p, args.n - 1, tol=args.tol)
@@ -255,10 +247,7 @@ def _write_report(args, report):
         report.to_csv(out if out.endswith(".csv") else out + ".csv")
         report.to_json(out[:-4] + ".json" if out.endswith(".csv") else out + ".json")
     else:
-        cols = list(report.rows[0].keys())
-        sys.stdout.write(",".join(cols) + "\n")
-        for row in report.rows:
-            sys.stdout.write(",".join(_cell(row.get(c, "")) for c in cols) + "\n")
+        sys.stdout.write(report.to_csv())
         sys.stdout.write(f"# verdict: {'PASS' if report.verdict else 'FAIL'}\n")
 
 

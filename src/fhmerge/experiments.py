@@ -100,14 +100,18 @@ class ExperimentReport:
             return None
         return max(keyed, key=lambda r: r["err"])
 
-    def to_csv(self, path):
+    def to_csv(self, path=None) -> str:
+        """The rows as CSV text, also written to path when one is given."""
         if not self.rows:
             raise ValidationError("no rows to write")
         cols = list(self.rows[0].keys())
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in self.rows:
-                fh.write(",".join(_fmt(row.get(c, "")) for c in cols) + "\n")
+        text = ",".join(cols) + "\n"
+        for row in self.rows:
+            text += ",".join(_fmt(row.get(c, "")) for c in cols) + "\n"
+        if path is not None:
+            with open(path, "w") as fh:
+                fh.write(text)
+        return text
 
     def to_json(self, path):
         payload = {

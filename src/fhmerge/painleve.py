@@ -34,7 +34,6 @@ from .specfun import log_barnes_g, log_gamma
 from .symbol import FHParams
 
 __all__ = [
-    "ThetaParams",
     "SigmaTrajectory",
     "RTrajectory",
     "theta_params",
@@ -57,26 +56,10 @@ _X_ASYM_MIN = 10.0
 _RHS_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class ThetaParams:
-    theta1: complex
-    theta2: complex
-    theta3: complex
-    theta4: complex
-
-    def as_tuple(self):
-        return (self.theta1, self.theta2, self.theta3, self.theta4)
-
-
-def theta_params(p: FHParams) -> ThetaParams:
-    """The four parameters of the quartic sigma-equation."""
+def theta_params(p: FHParams):
+    """The four parameters (theta1, ..., theta4) of the quartic sigma-equation."""
     half = p.beta_sum / 2.0
-    return ThetaParams(
-        theta1=-p.alpha1 + half,
-        theta2=p.alpha1 + half,
-        theta3=p.alpha2 - half,
-        theta4=-p.alpha2 - half,
-    )
+    return (-p.alpha1 + half, p.alpha1 + half, p.alpha2 - half, -p.alpha2 - half)
 
 
 def sigma_zero(p: FHParams) -> complex:
@@ -116,18 +99,12 @@ def check_nondegeneracy(p: FHParams, merged: bool = True) -> None:
             raise NondegeneracyError(f"parameter combination {c} hits a negative integer")
 
 
-def _is_resonant(p: FHParams) -> bool:
-    """2(alpha1+alpha2) in N u {0}: the series has no tau0 term."""
-    two_a = 2.0 * (p.alpha1 + p.alpha2)
-    return two_a.imag == 0.0 and two_a.real >= 0.0 and two_a.real == round(two_a.real)
-
-
 def tau0(p: FHParams) -> complex:
     """Coefficient of |s|^(1+2(alpha1+alpha2)) in the small-argument expansion."""
     a = p.alpha1 + p.alpha2
     b = p.beta_sum
     two_a = 2.0 * a
-    if _is_resonant(p):
+    if two_a.imag == 0.0 and two_a.real >= 0.0 and two_a.real == round(two_a.real):
         raise NondegeneracyError("2(alpha1+alpha2) in N u {0}: no tau0 term (half-integer case)")
     check_nondegeneracy(p)
     sin2a = cmath.sin(2.0 * cmath.pi * a)
@@ -180,18 +157,16 @@ def sigma_series_small(p: FHParams, x: float):
 
     Carries the fractional tau0 |s|^(1+2a) term plus the integer s^2, s^3
     coefficients the equation forces, so the second derivative is accurate
-    at the initialization point.  Valid for x below ~1e-2; raises outside.
-    In the half-integer case 2(alpha1+alpha2) in N u {0} only the constant
-    sigma(0) is available.
+    at the initialization point.  Valid for x below ~1e-2; raises
+    ValidationError outside, and NondegeneracyError where tau0 does (the
+    resonant case 2(alpha1+alpha2) in N u {0} and the degenerate
+    combinations).
     """
     if x > _X_SERIES_MAX:
         raise ValidationError(f"series radius exceeded: x = {x} > {_X_SERIES_MAX}")
     a = p.alpha1 + p.alpha2
     s0 = sigma_zero(p)
-    try:
-        t0 = tau0(p)
-    except NondegeneracyError:
-        return s0, 0.0 + 0.0j, 0.0 + 0.0j
+    t0 = tau0(p)
     lin = _series_linear_coeff(p)
     a2, a3 = _series_integer_coeffs(p)
     xp = x ** (2.0 * a)  # complex exponent allowed; x > 0
@@ -251,7 +226,7 @@ def _sigma_rhs_factory(thetas):
 
 def sigma_residual(p: FHParams, s, sigma, dsig, d2sig):
     """Scaled residual of the quartic relation, at one point or elementwise."""
-    th1, th2, th3, th4 = theta_params(p).as_tuple()
+    th1, th2, th3, th4 = theta_params(p)
     aa = sigma - s * dsig + 2.0 * dsig * dsig
     quart = 4.0 * (dsig - th1) * (dsig - th2) * (dsig - th3) * (dsig - th4)
     res = s * s * d2sig * d2sig - aa * aa + quart
@@ -262,11 +237,11 @@ def sigma_residual(p: FHParams, s, sigma, dsig, d2sig):
 class SigmaTrajectory:
     """sigma and derivatives on a grid of x = |s| along the ray s = -ix.
 
-    mode is one of 'series-init', 'data-init', 'degenerate'.  eval,
-    sigma_at and omega_at take a float or an array of x and read the dense
-    solver output, whose variable tau is x - x0, in one call; below x0
-    they use the series expansion.  The grid fields are filled from one
-    eval on x_grid and the quartic-relation residual there.
+    mode is 'series-init' or 'degenerate'.  eval, sigma_at and omega_at
+    take a float or an array of x and read the dense solver output, whose
+    variable tau is x - x0, in one call; below x0 they use the series
+    expansion.  The grid fields are filled from one eval on x_grid and the
+    quartic-relation residual there.
     """
 
     params: FHParams
@@ -337,7 +312,7 @@ class SigmaTrajectory:
 
 def _integrate_ray(p, x0, x_max, y0, rtol):
     """Dense solution of (sigma, sigma_s, sigma_ss, omega) from s = -i x0 to -i x_max."""
-    rhs3 = _sigma_rhs_factory(theta_params(p).as_tuple())
+    rhs3 = _sigma_rhs_factory(theta_params(p))
     s0c = sigma_zero(p)
     s_a, s_b = -1j * x0, -1j * x_max
     length = abs(s_b - s_a)
@@ -400,54 +375,31 @@ def _is_pole_free_class(p: FHParams) -> bool:
 
 
 def integrate_sigma(
-    p: FHParams,
-    x0: float = 1e-3,
-    x_max: float = 40.0,
-    tol: float = 1e-8,
-    init: str = "series",
-    init_data=None,
+    p: FHParams, x0: float = 1e-3, x_max: float = 40.0, tol: float = 1e-8
 ) -> SigmaTrajectory:
     """Integrate the sigma-equation forward along s = -ix from x0 to x_max.
 
-    init='series' starts from the small-argument expansion (requires
-    2(alpha1+alpha2) not in N u {0}); init='data' takes (sigma, sigma_x,
-    sigma_xx) at x0 from init_data, e.g. the determinant-derived oracle.
-    For the degenerate pair alpha = beta = 1/2 the series init returns
-    degenerate_sigma(x0, x_max).  The trajectory is one solver pass, and
-    the call raises:
+    The pass starts from the small-argument expansion at x0.  For the
+    degenerate pair alpha = beta = 1/2 it returns degenerate_sigma(x0,
+    x_max).  The trajectory is one solver pass, and the call raises:
 
-    - NondegeneracyError up front for the series init when 2(alpha1+alpha2)
+    - NondegeneracyError up front, from the series, when 2(alpha1+alpha2)
       is in N u {0} or a parameter combination hits a negative integer;
-
     - PoleDetectedError when |sigma| reaches the blow-up cap (a pole, or a
       runaway off the solution the initial data select);
     - NumericalError when the pass stalls (more than _RHS_BUDGET
       right-hand-side evaluations), or when it left the connecting
       solution: for the pole-free class (real alphas, imaginary betas)
-      from the series with x_max >= 10, sigma(x_max) misses the connection
-      asymptotics by O(1);
+      with x_max >= 10, sigma(x_max) misses the connection asymptotics
+      by O(1);
     - NumericalError when the quartic-relation residual at a grid node
       exceeds 10*tol.
     """
     if x0 <= 0.0 or x0 >= x_max:
         raise ValidationError("need 0 < x0 < x_max")
-    if init == "series":
-        if is_degenerate(p):
-            return degenerate_sigma(x0, x_max)
-        if _is_resonant(p):
-            raise NondegeneracyError(
-                "series init unavailable for 2(alpha1+alpha2) in N u {0}; use data init"
-            )
-        check_nondegeneracy(p)
-        u0, du0, d2u0 = sigma_series_small(p, x0)
-        mode = "series-init"
-    elif init == "data":
-        if init_data is None:
-            raise ValidationError("init='data' requires init_data=(sigma, sigma_x, sigma_xx)")
-        u0, du0, d2u0 = (complex(v) for v in init_data)
-        mode = "data-init"
-    else:
-        raise ValidationError(f"unknown init {init!r}")
+    if is_degenerate(p):
+        return degenerate_sigma(x0, x_max)
+    u0, du0, d2u0 = sigma_series_small(p, x0)
 
     # state in s-variables: sigma_s = i u', sigma_ss = -u''
     y0 = [u0, 1j * du0, -d2u0, 0.0]
@@ -457,19 +409,14 @@ def integrate_sigma(
         params=p,
         x_grid=_default_grid(x0, x_max),
         sigma0=sigma_zero(p),
-        mode=mode,
+        mode="series-init",
         x0=x0,
         x_max=x_max,
         omega_head=_omega_series_head(p, x0),
         _dense=dense,
     )
 
-    if (
-        init == "series"
-        and _is_pole_free_class(p)
-        and p.seminorm < 1.0
-        and x_max >= _X_ASYM_MIN
-    ):
+    if _is_pole_free_class(p) and p.seminorm < 1.0 and x_max >= _X_ASYM_MIN:
         # a forward pass that quietly left the connecting solution shows
         # up as an O(1) mismatch at the far end
         asym = sigma_large_asym(p, x_max)
@@ -488,10 +435,7 @@ def integrate_sigma(
 
 def _omega_series_head(p: FHParams, x0: float) -> complex:
     """int_0^{x0} (sigma - sigma(0)) dy/y from the series expansion."""
-    try:
-        t0 = tau0(p)
-    except NondegeneracyError:
-        return 0.0 + 0.0j
+    t0 = tau0(p)
     a = p.alpha1 + p.alpha2
     lin = _series_linear_coeff(p)
     a2, a3 = _series_integer_coeffs(p)
@@ -656,8 +600,7 @@ def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
     linear problem; its log-singular part (vanishing of the r-numerator,
     i.e. zeros of r) is integrated in closed form so sign changes of r
     are crossed exactly.  The multiplicative constant is matched to the
-    small-argument form at the trajectory start, so a data-init trajectory,
-    which may start anywhere, raises ValidationError.  Nodes where the
+    small-argument form at the trajectory start.  Nodes where the
     numerator is below 1e-6 (r indistinguishable from 0) are flagged.
     """
     if is_degenerate(p):
@@ -666,11 +609,6 @@ def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
             x_grid=grid,
             r=np.array([degenerate_r(x) for x in grid], dtype=complex),
             flagged=np.zeros(len(grid), dtype=bool),
-        )
-    if traj.mode == "data-init":
-        raise ValidationError(
-            "r_trajectory matches r to its small-argument form at x0 and needs a "
-            f"series-init trajectory, got a data-init one from x0 = {traj.x0}"
         )
     x0, x_max = traj.x0, float(traj.x_grid[-1])
     n_steps = max(int(math.ceil((x_max - x0) / _R_STEP)), 8)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import loggamma as _sp_loggamma
@@ -20,49 +19,27 @@ from scipy.special import zeta as _sp_zeta
 from .errors import BarnesGZeroError, GammaPoleError
 
 __all__ = [
-    "SpecialConstants",
-    "constants",
     "log_gamma",
     "log_barnes_g",
     "GLAISHER_A",
     "ZETA_PRIME_MINUS1",
+    "DYSON_CD",
 ]
 
 # zeta'(-1), validated in the tests against an independent high-precision
 # evaluation; Glaisher's A = exp(1/12 - zeta'(-1)).
 ZETA_PRIME_MINUS1 = -0.16542114370045092921391966024278064276
 GLAISHER_A = 1.2824271291006226368753425688697917278
+# the boson occupation constant (e/pi)^(1/2) 2^(-5/6) A^(-6) Gamma(1/4)^2
+DYSON_CD = (
+    math.sqrt(math.e / math.pi)
+    * 2.0 ** (-5.0 / 6.0)
+    * GLAISHER_A ** (-6.0)
+    * math.exp(_sp_loggamma(0.25).real) ** 2
+)
 
 _LN_2PI = math.log(2.0 * math.pi)
 _EULER_GAMMA = 0.5772156649015328606065120900824024310
-
-
-@dataclass(frozen=True)
-class SpecialConstants:
-    """Named constants used by the closed-form determinant asymptotics."""
-
-    glaisher_A: float
-    zeta_prime_minus1: float
-    dyson_CD: float
-
-
-def constants() -> SpecialConstants:
-    """Return Glaisher's constant, zeta'(-1) and the boson occupation constant.
-
-    The last one is (e/pi)^(1/2) 2^(-5/6) A^(-6) Gamma(1/4)^2.
-    """
-    gamma_quarter = math.exp(_sp_loggamma(0.25).real)
-    dyson_cd = (
-        math.sqrt(math.e / math.pi)
-        * 2.0 ** (-5.0 / 6.0)
-        * GLAISHER_A ** (-6.0)
-        * gamma_quarter**2
-    )
-    return SpecialConstants(
-        glaisher_A=GLAISHER_A,
-        zeta_prime_minus1=ZETA_PRIME_MINUS1,
-        dyson_CD=dyson_cd,
-    )
 
 
 def _is_nonpositive_integer(z: complex) -> bool:

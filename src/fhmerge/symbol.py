@@ -31,9 +31,7 @@ from .quadrature import arc_rule
 __all__ = [
     "FHParams",
     "FourierTable",
-    "WienerHopf",
     "eval_symbol",
-    "wiener_hopf",
     "fourier_coeffs",
     "params_from_json_dict",
 ]
@@ -148,50 +146,37 @@ class FHParams:
         """V(z) from the Laurent data."""
         return sum(c * z**k for k, c in self.v_coeffs)
 
-
-@dataclass(frozen=True)
-class WienerHopf:
-    """Factorization data of e^V = b_+ b_0 b_- over the Laurent coefficients."""
-
-    params: FHParams
+    # Wiener-Hopf split e^V = b_+ e^{V_0} b_- over the Laurent coefficients
 
     @property
     def v0(self) -> complex:
-        return dict(self.params.v_coeffs).get(0, 0.0 + 0.0j)
-
-    @property
-    def b0(self) -> complex:
-        return np.exp(self.v0)
+        return self.v.get(0, 0.0 + 0.0j)
 
     def log_b_plus(self, z: complex) -> complex:
-        return sum(c * z**k for k, c in self.params.v_coeffs if k >= 1)
+        return sum(c * z**k for k, c in self.v_coeffs if k >= 1)
 
     def log_b_minus(self, z: complex) -> complex:
-        return sum(c * z**k for k, c in self.params.v_coeffs if k <= -1)
-
-    def b_plus(self, z: complex) -> complex:
-        return np.exp(self.log_b_plus(z))
-
-    def b_minus(self, z: complex) -> complex:
-        return np.exp(self.log_b_minus(z))
+        return sum(c * z**k for k, c in self.v_coeffs if k <= -1)
 
     @property
     def szego_sum(self) -> complex:
         """sum_{k>=1} k V_k V_{-k}, the smooth-symbol constant term."""
-        v = dict(self.params.v_coeffs)
+        v = self.v
         return sum(k * c * v.get(-k, 0.0 + 0.0j) for k, c in v.items() if k >= 1)
 
 
-def wiener_hopf(p: FHParams) -> WienerHopf:
-    return WienerHopf(p)
+def _jump_factors(p: FHParams, d1, d2):
+    """g_{z1,beta1} * g_{z2,beta2}: e^{i pi beta_j} before z_j, e^{-i pi beta_j} after.
 
-
-def _jump_factors(p: FHParams, theta):
-    """g_{z1,beta1} * g_{z2,beta2} at angles theta (array or scalar)."""
-    theta = np.asarray(theta, dtype=float)
-    a1, a2 = p.singular_angles() if p.t > 0.0 else (0.0, 0.0)
-    g1 = np.where(theta < a1, np.exp(1j * math.pi * p.beta1), np.exp(-1j * math.pi * p.beta1))
-    g2 = np.where(theta < a2, np.exp(1j * math.pi * p.beta2), np.exp(-1j * math.pi * p.beta2))
+    The side comes from the sign of the stable offset d_j (d_j < 0 before
+    z_j): a node within rounding of z_j has an angle that may round onto
+    the other side, its offset does not.  At t = 0 every node counts as
+    after the merged singularity.
+    """
+    before1 = (p.t > 0.0) & (d1 < 0.0)
+    before2 = (p.t > 0.0) & (d2 < 0.0)
+    g1 = np.where(before1, np.exp(1j * math.pi * p.beta1), np.exp(-1j * math.pi * p.beta1))
+    g2 = np.where(before2, np.exp(1j * math.pi * p.beta2), np.exp(-1j * math.pi * p.beta2))
     return g1 * g2
 
 
@@ -204,7 +189,7 @@ def _symbol_core(p: FHParams, theta, d1, d2):
     # |z - z_j|^{2 alpha_j} = (2|sin(d_j/2)|)^{2 alpha_j}
     vals = vals * np.exp(2.0 * p.alpha1 * np.log(2.0 * np.abs(np.sin(d1 / 2.0))))
     vals = vals * np.exp(2.0 * p.alpha2 * np.log(2.0 * np.abs(np.sin(d2 / 2.0))))
-    vals = vals * _jump_factors(p, theta)
+    vals = vals * _jump_factors(p, d1, d2)
     t1, t2 = (p.t, TWO_PI - p.t) if p.t > 0.0 else (0.0, 0.0)
     vals = vals * np.exp(-1j * (t1 * p.beta1 + t2 * p.beta2))
     return vals

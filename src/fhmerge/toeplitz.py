@@ -158,7 +158,7 @@ def orth_poly(table: FourierTable, n: int) -> OrthoPolyData:
     )
 
 
-def det_path(p: FHParams, n: int, t_grid, n_max: int | None = None, tol: float = 1e-11):
+def det_path(p: FHParams, n: int, t_grid, tol: float = 1e-11):
     """ln D_n(f_t) along an ascending t grid with continuous argument.
 
     The arg of the first point is taken in (-pi, pi]; subsequent points
@@ -168,11 +168,10 @@ def det_path(p: FHParams, n: int, t_grid, n_max: int | None = None, tol: float =
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0.0):
         raise ValidationError("t_grid must be strictly ascending")
-    n_max = n - 1 if n_max is None else n_max
     out = []
     prev_arg = None
     for t in t_grid:
-        table = fourier_coeffs(p.with_t(float(t)), n_max, tol=tol)
+        table = fourier_coeffs(p.with_t(float(t)), n - 1, tol=tol)
         ld = log_det(table, n)
         arg = ld.arg
         if prev_arg is not None:

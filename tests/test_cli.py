@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import fhmerge
 from fhmerge import painleve
 from fhmerge.cli import main
@@ -124,6 +126,14 @@ def test_quadrature_failure_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("where", [["--t", "0.3"], ["--t-grid", "0.1:0.5:3"]])
+def test_det_tol_reaches_quadrature(where, capsys):
+    # an unreachable tol fails the table on the single point and the t grid alike
+    code = main(["det", "--alpha1", "0.3", "--alpha2", "0.3", "--n", "8", "--tol", "1e-30", *where])
+    capsys.readouterr()
+    assert code == 3
+
+
 def test_verify_identity_suite(tmp_path, capsys):
     out = tmp_path / "identity.csv"
     code = main(["verify", "--suite", "identity", "-o", str(out)])
@@ -132,6 +142,16 @@ def test_verify_identity_suite(tmp_path, capsys):
     assert out.exists() and (tmp_path / "identity.json").exists()
     payload = json.loads((tmp_path / "identity.json").read_text())
     assert payload["suite"] == "identity" and payload["verdict"] is True
+
+
+def test_verify_stdout_matches_csv_file(tmp_path, capsys):
+    # stdout carries the -o file's CSV rows plus the verdict line
+    out = tmp_path / "identity.csv"
+    assert main(["verify", "--suite", "identity", "-o", str(out)]) == 0
+    capsys.readouterr()
+    code, text = run_cli(["verify", "--suite", "identity"], capsys)
+    assert code == 0
+    assert text == out.read_text() + "# verdict: PASS\n"
 
 
 def test_verify_identity_suite_degenerate_pair(capsys):

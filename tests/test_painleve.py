@@ -7,6 +7,7 @@ import pytest
 
 from fhmerge.errors import NondegeneracyError, NumericalError, ValidationError
 from fhmerge.painleve import (
+    _omega_series_head,
     degenerate_r,
     degenerate_sigma,
     integral_identity_check,
@@ -27,17 +28,15 @@ PI = math.pi
 
 
 def test_theta_params_degenerate_case():
-    th = theta_params(FHParams(0.5, 0.5, 0.5, 0.5, 0.3))
-    assert th.as_tuple() == (0.0, 1.0, 0.0, -1.0)
+    assert theta_params(FHParams(0.5, 0.5, 0.5, 0.5, 0.3)) == (0.0, 1.0, 0.0, -1.0)
 
 
 def test_theta_params_zero():
-    assert theta_params(FHParams(0.0, 0.0)).as_tuple() == (0, 0, 0, 0)
+    assert theta_params(FHParams(0.0, 0.0)) == (0, 0, 0, 0)
 
 
 def test_theta_params_symmetric_alphas():
-    th = theta_params(FHParams(0.3, 0.3))
-    assert th.as_tuple() == (-0.3, 0.3, 0.3, -0.3)
+    assert theta_params(FHParams(0.3, 0.3)) == (-0.3, 0.3, 0.3, -0.3)
 
 
 def test_tau0_value(p03):
@@ -68,7 +67,7 @@ def test_tau0_half_integer_error():
 
 
 def test_series_leading_term():
-    p = FHParams(0.5, 0.5, beta1=0.1j, beta2=-0.3j, t=0.2)
+    p = FHParams(0.3, 0.3, beta1=0.1j, beta2=-0.3j, t=0.2)
     u, _, _ = sigma_series_small(p, 1e-8)
     assert abs(u - sigma_zero(p)) < 1e-8
     assert abs(sigma_zero(FHParams(0.5, 0.5)) - 0.5) < 1e-15
@@ -79,6 +78,32 @@ def test_series_value(p03):
     t0 = tau0(p03)
     # linear term vanishes (equal alphas); equation-forced x^2 piece present
     assert abs(u - (0.18 + t0 * 1e-3**2.2) + 0.20454545454545456 * 1e-6) < 1e-12
+
+
+# 2(alpha1 + alpha2) in N u {0}: the series has no tau0 term
+RESONANT = [
+    FHParams(0.25, 0.25, t=0.3),
+    FHParams(0.5, 0.5, t=0.3),
+    FHParams(0.3, 0.2, beta2=0.25j, t=0.3),
+    FHParams(0.75, 0.75, t=0.3),
+]
+
+
+@pytest.mark.parametrize("p", RESONANT)
+def test_resonant_rejected_before_solve(p):
+    start = time.perf_counter()
+    with pytest.raises(NondegeneracyError):
+        integrate_sigma(p)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("p", RESONANT)
+def test_resonant_series_raises(p):
+    # no silent sigma(0)-only value or zero omega head
+    with pytest.raises(NondegeneracyError):
+        sigma_series_small(p, 1e-3)
+    with pytest.raises(NondegeneracyError):
+        _omega_series_head(p, 1e-3)
 
 
 def test_series_radius_error(p03):
@@ -128,13 +153,6 @@ def test_derivative_consistency(traj03):
         h = 1e-4
         fd = (traj03.sigma_at(x + h) - traj03.sigma_at(x - h)) / (2.0 * h)
         assert abs(fd - traj03.eval(x)[1]) < 1e-6
-
-
-def test_data_init_round_trip(traj03, p03):
-    mid = traj03.eval(5.0)
-    cont = integrate_sigma(p03, x0=5.0, x_max=10.0, init="data", init_data=mid)
-    assert abs(cont.sigma_at(10.0) - traj03.sigma_at(10.0)) < 1e-7
-    assert cont.mode == "data-init"
 
 
 def test_degenerate_sigma_and_r():
@@ -297,14 +315,6 @@ def test_r_trajectory_matches_stepwise_reference(p03, traj03):
     r = np.exp(np.array(lnr) + np.array(ln_numf) - np.log(xs))
     near = [int(np.argmin(np.abs(xs - x))) for x in traj03.x_grid]
     np.testing.assert_allclose(r_trajectory(p03, traj03).r, r[near], rtol=1e-10)
-
-
-def test_r_trajectory_rejects_data_init(p03, traj03):
-    # the constant is matched to the small-argument form at x0: from x0 = 5
-    # it would come out ~56 times too large
-    traj = integrate_sigma(p03, x0=5.0, x_max=15.0, init="data", init_data=traj03.eval(5.0))
-    with pytest.raises(ValidationError, match="data-init"):
-        r_trajectory(p03, traj)
 
 
 def test_r_degenerate_delegates():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fhmerge.errors import BarnesGZeroError, GammaPoleError
-from fhmerge.specfun import constants, log_barnes_g, log_gamma
+from fhmerge.specfun import DYSON_CD, GLAISHER_A, ZETA_PRIME_MINUS1, log_barnes_g, log_gamma
 
 mp.mp.dps = 30
 
@@ -85,19 +85,18 @@ def test_barnes_zero_error():
 
 
 def test_constants_invariants():
-    c = constants()
-    assert abs(c.glaisher_A - math.exp(1.0 / 12.0 - c.zeta_prime_minus1)) < 1e-12
+    assert abs(GLAISHER_A - math.exp(1.0 / 12.0 - ZETA_PRIME_MINUS1)) < 1e-12
     gamma_quarter = math.exp(log_gamma(0.25).real)
-    want = math.sqrt(math.e / math.pi) * 2.0 ** (-5.0 / 6.0) * c.glaisher_A**-6 * gamma_quarter**2
-    assert abs(c.dyson_CD - want) < 1e-10
-    assert abs(c.dyson_CD - 1.54269454774741592518709246) < 1e-9
+    want = math.sqrt(math.e / math.pi) * 2.0 ** (-5.0 / 6.0) * GLAISHER_A**-6 * gamma_quarter**2
+    assert abs(DYSON_CD - want) < 1e-10
+    assert abs(DYSON_CD - 1.54269454774741592518709246) < 1e-9
 
 
 def test_zeta_prime_reference():
     # independent high-precision evaluation of the stored literal
     ref = float(mp.zeta(-1, derivative=1))
-    assert abs(constants().zeta_prime_minus1 - ref) < 1e-14
+    assert abs(ZETA_PRIME_MINUS1 - ref) < 1e-14
 
 
 def test_glaisher_reference():
-    assert abs(constants().glaisher_A - float(mp.glaisher)) < 1e-13
+    assert abs(GLAISHER_A - float(mp.glaisher)) < 1e-13

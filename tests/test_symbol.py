@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import i0
@@ -14,7 +15,6 @@ from fhmerge.symbol import (
     eval_symbol,
     fourier_coeffs,
     params_from_json_dict,
-    wiener_hopf,
 )
 
 PI = math.pi
@@ -84,20 +84,20 @@ def test_eval_singular_angle_error():
 
 
 def test_wiener_hopf_trivial():
-    wh = wiener_hopf(FHParams(0.0, 0.0))
-    assert wh.b0 == 1.0 and wh.b_plus(0.5) == 1.0 and wh.szego_sum == 0
+    p = FHParams(0.0, 0.0)
+    assert np.exp(p.v0) == 1.0 and np.exp(p.log_b_plus(0.5)) == 1.0 and p.szego_sum == 0
 
 
 def test_wiener_hopf_split():
-    wh = wiener_hopf(FHParams(0.0, 0.0, v_coeffs={1: 1.0}))
+    p = FHParams(0.0, 0.0, v_coeffs={1: 1.0})
     z = 0.3 + 0.1j
-    assert abs(wh.b_plus(z) - np.exp(z)) < 1e-15
-    assert wh.b_minus(z) == 1.0 and wh.b0 == 1.0
+    assert abs(np.exp(p.log_b_plus(z)) - np.exp(z)) < 1e-15
+    assert np.exp(p.log_b_minus(z)) == 1.0 and np.exp(p.v0) == 1.0
 
 
 def test_szego_sum_single_pair():
-    wh = wiener_hopf(FHParams(0.0, 0.0, v_coeffs={1: 0.5, -1: 0.5}))
-    assert abs(wh.szego_sum - 0.25) < 1e-15
+    p = FHParams(0.0, 0.0, v_coeffs={1: 0.5, -1: 0.5})
+    assert abs(p.szego_sum - 0.25) < 1e-15
 
 
 def test_fourier_identity():
@@ -121,6 +121,29 @@ def test_fourier_two_cos():
     assert abs(tab[1]) < 1e-11
     assert abs(tab[2] - 4.0 / (3.0 * PI)) < 1e-11
     assert abs(tab[-2] - 4.0 / (3.0 * PI)) < 1e-11
+
+
+@pytest.mark.parametrize("t", [0.3, 3.0])
+def test_jump_side_from_offset(t):
+    # with a negative exponent the nodes within rounding of a jump carry
+    # weight; taking their side from the angle left estimates of 4.9e-12
+    # (t = 0.3) and 2.5e-11 (t = 3.0) at refine 0, and f_0 off by 2.9e-11
+    # and 1.3e-10
+    p = FHParams(-0.2, -0.15, 0.1j, 0.0, t)
+    fine, coarse = _fourier_sums(p, 16, np.arange(-16, 17), refine=0)
+    assert np.max(np.abs(fine - coarse)) <= 1e-14
+
+    with mp.workdps(20):
+        t2 = 2 * mp.pi - t
+
+        def f(th):
+            jump = mp.exp(1j * mp.pi * p.beta1 * (1 if th < t else -1))
+            power = (2 * abs(mp.sin((th - t) / 2))) ** (2 * p.alpha1.real)
+            power *= (2 * abs(mp.sin((th - t2) / 2))) ** (2 * p.alpha2.real)
+            return mp.exp(1j * p.beta1 * (th - t)) * jump * power / (2 * mp.pi)
+
+        ref = complex(mp.quad(f, [0, t, t2, 2 * mp.pi]))
+    assert abs(fourier_coeffs(p, 16)[0] - ref) <= 1e-13
 
 
 def test_fourier_nonconvergence_raises():
