@@ -47,7 +47,7 @@ def _v_flag(text: str):
         raise argparse.ArgumentTypeError(f"expected 'k=re,im', got {text!r}") from exc
 
 
-def _add_symbol_flags(sub):
+def _add_symbol_flags(sub, table_output=True):
     sub.add_argument("--config", help="JSON symbol-config path; flags override it")
     sub.add_argument("--alpha1", type=_complex_flag, default=None)
     sub.add_argument("--alpha2", type=_complex_flag, default=None)
@@ -59,7 +59,8 @@ def _add_symbol_flags(sub):
         help="Laurent coefficient of the smooth factor (repeatable)",
     )
     sub.add_argument("--output", "-o", help="output file (default stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    if table_output:
+        sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _params_from_args(args) -> FHParams:
@@ -154,7 +155,7 @@ def _cmd_sigma(args):
             )
         )
     header = ["x", "re_sigma", "im_sigma", "re_sigma_x", "im_sigma_x", "re_r", "im_r", "residual"]
-    _emit(args, header, rows, _meta(args, mode=traj.mode))
+    _emit(args, header, rows, _meta(args))
     return EXIT_OK
 
 
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_predict)
 
     s = sub.add_parser("verify", help="run a named verification suite")
-    _add_symbol_flags(s)
+    _add_symbol_flags(s, table_output=False)
     s.add_argument(
         "--suite",
         choices=("regimes", "dyson", "fk", "diffid", "betaone", "identity"),
@@ -304,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="run a sweep described by a JSON config")
     s.add_argument("--config", required=True)
     s.add_argument("--output", "-o")
-    s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.set_defaults(func=_cmd_sweep)
     return ap
 

@@ -26,12 +26,7 @@ from .asympt import (
     transition_log,
 )
 from .errors import ValidationError
-from .painleve import (
-    SigmaTrajectory,
-    degenerate_sigma,
-    integrate_sigma,
-    r_trajectory,
-)
+from .painleve import SigmaTrajectory, integrate_sigma, r_trajectory
 from .symbol import FHParams, fourier_coeffs
 from .toeplitz import det_path, log_det, orth_poly
 
@@ -47,6 +42,11 @@ __all__ = [
 ]
 
 
+# slack for regime-dominance ties: deep in a single regime the better
+# specialised formula can reach its error floor first
+_TIE_SLACK = 0.10
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid specification for the regime comparison sweep."""
@@ -56,10 +56,6 @@ class SweepConfig:
     t_rule: str = "fixed-nt"  # fixed-t | fixed-nt | log-grid
     t_value: float | None = None
     nt_values: tuple = (0.2, 1.0, 5.0, 20.0)
-    tol_rel: float = 0.05
-    # slack for regime-dominance ties: deep in a single regime the better
-    # specialised formula can reach its error floor first
-    tie_slack: float = 0.10
 
     def __post_init__(self):
         if not self.n_list or list(self.n_list) != sorted(self.n_list):
@@ -156,12 +152,7 @@ def regime_sweep(cfg: SweepConfig, traj: SigmaTrajectory | None = None) -> Exper
     grid = list(cfg.grid())
     x_needed = max(2.0 * n * t for n, t in grid)
     if traj is None:
-        p = cfg.params
-        if (p.alpha1, p.alpha2, p.beta1, p.beta2) == (0.0, 0.0, 0.0, 0.0):
-            # smooth symbol: the transition correction vanishes identically
-            traj = degenerate_sigma(x_max=max(20.0, 1.05 * x_needed))
-        else:
-            traj = integrate_sigma(cfg.params, x_max=max(20.0, 1.05 * x_needed))
+        traj = integrate_sigma(cfg.params, x_max=max(20.0, 1.05 * x_needed))
 
     rows = []
     for n, t in grid:
@@ -181,7 +172,7 @@ def regime_sweep(cfg: SweepConfig, traj: SigmaTrajectory | None = None) -> Exper
     rows.sort(key=lambda r: (r["n"], r["t"]))
     dominance = all(
         r["err_transition"]
-        <= min(r["err_fh1"], r["err_fh2"]) * (1.0 + cfg.tie_slack) + 1e-5
+        <= min(r["err_fh1"], r["err_fh2"]) * (1.0 + _TIE_SLACK) + 1e-5
         for r in rows
     )
     max_err = {

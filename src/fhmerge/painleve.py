@@ -124,56 +124,62 @@ def tau0(p: FHParams) -> complex:
     return -cmath.exp(lg) / (2.0 * cmath.pi) * bracket
 
 
-def _series_linear_coeff(p: FHParams) -> complex:
-    a = p.alpha1 + p.alpha2
-    return (p.alpha1 - p.alpha2) * p.beta_sum / (2.0 * a) if a != 0.0 else 0.0
+def _series_terms(p: FHParams):
+    """The small-argument table (c, e): sigma(-ix) = sum_k c_k x^(e_k).
 
-
-def _series_integer_coeffs(p: FHParams):
-    """(a2, a3): the s^2 and s^3 coefficients forced by the equation.
-
+    The terms are sigma(0), the linear term, the fractional tau0
+    |s|^(1+2a) term and the s^2, s^3 coefficients the equation forces.
     Substituting the expansion into the quartic relation determines every
     integer power beyond the stated ones; the s^2 order has a two-fold
     root and the trajectory matching the determinants takes the nonzero
-    branch.  Both blow up at the half-integer resonances 2(a1+a2) in N.
+    branch.  The degenerate pair and the smooth symbol, where sigma == 0
+    exactly, have the empty table.  Raises NondegeneracyError where tau0
+    does (the resonant case 2(alpha1+alpha2) in N u {0}, at which the s^2
+    and s^3 coefficients blow up, and the degenerate combinations).
     """
+    if is_degenerate(p) or (p.alpha1, p.alpha2, p.beta1, p.beta2) == (0.0,) * 4:
+        return np.zeros((2, 0), dtype=complex)
+    t0 = tau0(p)
     a = p.alpha1 + p.alpha2
     b = p.beta_sum
-    prod = p.alpha1 * p.alpha2
-    a2 = prod * (a - b) * (a + b) / (a**2 * (2.0 * a - 1.0) * (2.0 * a + 1.0))
-    a3 = (
-        -prod
-        * (p.alpha1 - p.alpha2)
-        * b
-        * (a - b)
-        * (a + b)
-        / (2.0 * a**3 * (a - 1.0) * (a + 1.0) * (2.0 * a - 1.0) * (2.0 * a + 1.0))
-    )
-    return a2, a3
+    lin = (p.alpha1 - p.alpha2) * b / (2.0 * a)
+    a2 = p.alpha1 * p.alpha2 * (a - b) * (a + b) / (a**2 * (2.0 * a - 1.0) * (2.0 * a + 1.0))
+    a3 = -a2 * lin / ((a - 1.0) * (a + 1.0))
+    c = np.array([sigma_zero(p), 1j * lin, t0, -a2, 1j * a3], dtype=complex)
+    return c, np.array([0.0, 1.0, 1.0 + 2.0 * a, 2.0, 3.0], dtype=complex)
 
 
-def sigma_series_small(p: FHParams, x: float):
+def _series_powers(p: FHParams, x, shifts):
+    """The table (c, e) of p and x^(e - m) for each m in shifts, one row
+    per point of x.  A power is a real power times a unit phase, so a real
+    exponent keeps the accuracy of the real power."""
+    xs = np.asarray(x, dtype=float)[..., None]
+    if not np.all((0.0 < xs) & (xs <= _X_SERIES_MAX)):
+        raise ValidationError(f"series needs 0 < x <= {_X_SERIES_MAX}")
+    c, e = _series_terms(p)
+    phase = np.exp(1j * e.imag * np.log(xs))
+    return c, e, [xs ** (e.real - m) * phase for m in shifts]
+
+
+def sigma_series_small(p: FHParams, x):
     """(sigma, d sigma/dx, d^2 sigma/dx^2) at s = -ix from the x -> 0 expansion.
 
-    Carries the fractional tau0 |s|^(1+2a) term plus the integer s^2, s^3
-    coefficients the equation forces, so the second derivative is accurate
-    at the initialization point.  Valid for x below ~1e-2; raises
-    ValidationError outside, and NondegeneracyError where tau0 does (the
-    resonant case 2(alpha1+alpha2) in N u {0} and the degenerate
-    combinations).
+    Reads the table of _series_terms; x is a float or an array and each
+    result has its shape.  Valid for 0 < x <= 1e-2; raises
+    ValidationError outside, and NondegeneracyError where tau0 does.
     """
-    if x > _X_SERIES_MAX:
-        raise ValidationError(f"series radius exceeded: x = {x} > {_X_SERIES_MAX}")
-    a = p.alpha1 + p.alpha2
-    s0 = sigma_zero(p)
-    t0 = tau0(p)
-    lin = _series_linear_coeff(p)
-    a2, a3 = _series_integer_coeffs(p)
-    xp = x ** (2.0 * a)  # complex exponent allowed; x > 0
-    u = s0 + 1j * lin * x + t0 * xp * x - a2 * x * x + 1j * a3 * x**3
-    du = 1j * lin + t0 * (1.0 + 2.0 * a) * xp - 2.0 * a2 * x + 3j * a3 * x * x
-    d2u = t0 * (1.0 + 2.0 * a) * (2.0 * a) * xp / x - 2.0 * a2 + 6j * a3 * x
-    return u, du, d2u
+    c, e, (xe, xe1, xe2) = _series_powers(p, x, (0.0, 1.0, 2.0))
+    return (xe * c).sum(-1), (xe1 * (c * e)).sum(-1), (xe2 * (c * e * (e - 1.0))).sum(-1)
+
+
+def _omega_series_head(p: FHParams, x):
+    """int_0^x (sigma - sigma(0)) dy/y from the table, of the shape of x.
+
+    The table's first term is sigma(0); each later one integrates to
+    c_k x^(e_k) / e_k.
+    """
+    c, e, (xe,) = _series_powers(p, x, (0.0,))
+    return (xe[..., 1:] * (c[1:] / e[1:])).sum(-1)
 
 
 def _gamma_connection(p: FHParams, x):
@@ -237,27 +243,30 @@ def sigma_residual(p: FHParams, s, sigma, dsig, d2sig):
 class SigmaTrajectory:
     """sigma and derivatives on a grid of x = |s| along the ray s = -ix.
 
-    mode is 'series-init' or 'degenerate'.  eval, sigma_at and omega_at
-    take a float or an array of x and read the dense solver output, whose
-    variable tau is x - x0, in one call; below x0 they use the series
-    expansion.  The grid fields are filled from one eval on x_grid and the
+    Built from the parameters, the range [x0, x_max] and the dense solver
+    output, whose variable tau is x - x0 and whose rows are (sigma,
+    sigma_s, sigma_ss, omega - omega_head).  eval, sigma_at and omega_at
+    take a float or an array of x and read the dense output in one call;
+    below x0 they read the series table in one call.  x_grid is
+    _default_grid(x0, x_max) and omega_head the series omega at x0; the
+    grid fields are filled from one eval on x_grid and the
     quartic-relation residual there.
     """
 
     params: FHParams
-    x_grid: np.ndarray
-    sigma0: complex
-    mode: str
     x0: float
     x_max: float
-    omega_head: complex
-    _dense: object = field(default=None, repr=False)  # OdeSolution over [0, x_max - x0]
+    _dense: object = field(repr=False)  # OdeSolution over [0, x_max - x0]
+    x_grid: np.ndarray = field(init=False)
+    omega_head: complex = field(init=False)
     sigma: np.ndarray = field(init=False)
     sigma_x: np.ndarray = field(init=False)
     sigma_xx: np.ndarray = field(init=False)
     residual: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        self.x_grid = _default_grid(self.x0, self.x_max)
+        self.omega_head = _omega_series_head(self.params, self.x0)
         self.sigma, self.sigma_x, self.sigma_xx = self.eval(self.x_grid)
         s = -1j * self.x_grid
         self.residual = sigma_residual(self.params, s, self.sigma, 1j * self.sigma_x, -self.sigma_xx)
@@ -274,16 +283,15 @@ class SigmaTrajectory:
     def eval(self, x):
         """(sigma, sigma_x, sigma_xx) at x, each of the shape of x."""
         xs = np.asarray(x, dtype=float)
-        out = np.zeros((3, xs.size), dtype=complex)
-        if self.mode != "degenerate":
-            flat = xs.ravel()
-            head = flat < self.x0
-            for i in np.flatnonzero(head):
-                out[:, i] = sigma_series_small(self.params, flat[i])
-            if not head.all():
-                sig, dsig, d2sig, _ = self._dense_at(flat[~head])
-                # convert s-derivatives to x-derivatives on the ray (ds/dx = -i)
-                out[:, ~head] = sig, -1j * dsig, -d2sig
+        flat = xs.ravel()
+        head = flat < self.x0
+        out = np.empty((3, flat.size), dtype=complex)
+        if head.any():
+            out[:, head] = sigma_series_small(self.params, flat[head])
+        if not head.all():
+            sig, dsig, d2sig, _ = self._dense_at(flat[~head])
+            # convert s-derivatives to x-derivatives on the ray (ds/dx = -i)
+            out[:, ~head] = sig, -1j * dsig, -d2sig
         return tuple(o.reshape(xs.shape)[()] for o in out)
 
     def sigma_at(self, x):
@@ -299,14 +307,13 @@ class SigmaTrajectory:
     def omega_at(self, x):
         """int_0^{-ix} (sigma(s) - sigma(0)) ds/s along the ray, of the shape of x."""
         xs = np.asarray(x, dtype=float)
-        out = np.zeros(xs.size, dtype=complex)
-        if self.mode != "degenerate":
-            flat = xs.ravel()
-            head = flat <= self.x0
-            for i in np.flatnonzero(head):
-                out[i] = _omega_series_head(self.params, flat[i])
-            if not head.all():
-                out[~head] = self.omega_head + self._dense_at(flat[~head])[3]
+        flat = xs.ravel()
+        head = flat <= self.x0
+        out = np.empty(flat.size, dtype=complex)
+        if head.any():
+            out[head] = _omega_series_head(self.params, flat[head])
+        if not head.all():
+            out[~head] = self.omega_head + self._dense_at(flat[~head])[3]
         return out.reshape(xs.shape)[()]
 
 
@@ -379,9 +386,11 @@ def integrate_sigma(
 ) -> SigmaTrajectory:
     """Integrate the sigma-equation forward along s = -ix from x0 to x_max.
 
-    The pass starts from the small-argument expansion at x0.  For the
-    degenerate pair alpha = beta = 1/2 it returns degenerate_sigma(x0,
-    x_max).  The trajectory is one solver pass, and the call raises:
+    The pass starts from the small-argument series table at x0.  The sets
+    where sigma == 0 exactly (the degenerate pair alpha = beta = 1/2 and
+    the smooth symbol) have the empty table, start from zero data and
+    stay at zero through the same pass.  The trajectory is one solver
+    pass, and the call raises:
 
     - NondegeneracyError up front, from the series, when 2(alpha1+alpha2)
       is in N u {0} or a parameter combination hits a negative integer;
@@ -397,24 +406,12 @@ def integrate_sigma(
     """
     if x0 <= 0.0 or x0 >= x_max:
         raise ValidationError("need 0 < x0 < x_max")
-    if is_degenerate(p):
-        return degenerate_sigma(x0, x_max)
     u0, du0, d2u0 = sigma_series_small(p, x0)
 
     # state in s-variables: sigma_s = i u', sigma_ss = -u''
     y0 = [u0, 1j * du0, -d2u0, 0.0]
     dense = _integrate_ray(p, x0, x_max, y0, rtol=min(1e-10, tol * 1e-2))
-
-    traj = SigmaTrajectory(
-        params=p,
-        x_grid=_default_grid(x0, x_max),
-        sigma0=sigma_zero(p),
-        mode="series-init",
-        x0=x0,
-        x_max=x_max,
-        omega_head=_omega_series_head(p, x0),
-        _dense=dense,
-    )
+    traj = SigmaTrajectory(p, x0, x_max, dense)
 
     if _is_pole_free_class(p) and p.seminorm < 1.0 and x_max >= _X_ASYM_MIN:
         # a forward pass that quietly left the connecting solution shows
@@ -433,41 +430,17 @@ def integrate_sigma(
     return traj
 
 
-def _omega_series_head(p: FHParams, x0: float) -> complex:
-    """int_0^{x0} (sigma - sigma(0)) dy/y from the series expansion."""
-    t0 = tau0(p)
-    a = p.alpha1 + p.alpha2
-    lin = _series_linear_coeff(p)
-    a2, a3 = _series_integer_coeffs(p)
-    return (
-        1j * lin * x0
-        + t0 * x0 ** (1.0 + 2.0 * a) / (1.0 + 2.0 * a)
-        - a2 * x0**2 / 2.0
-        + 1j * a3 * x0**3 / 3.0
-    )
-
-
 _DEGENERATE = FHParams(0.5, 0.5, 0.5, 0.5, 0.1)  # t is irrelevant here
 
 
 def is_degenerate(p: FHParams) -> bool:
     """alpha1 = alpha2 = beta1 = beta2 = 1/2, where sigma == 0 exactly."""
-    return (
-        p.alpha1 == 0.5 and p.alpha2 == 0.5 and p.beta1 == 0.5 and p.beta2 == 0.5
-    )
+    return (p.alpha1, p.alpha2, p.beta1, p.beta2) == (0.5,) * 4
 
 
 def degenerate_sigma(x0: float = 1e-3, x_max: float = 40.0) -> SigmaTrajectory:
     """The explicit solution sigma == 0 at alpha1=alpha2=beta1=beta2=1/2."""
-    return SigmaTrajectory(
-        params=_DEGENERATE,
-        x_grid=_default_grid(x0, x_max),
-        sigma0=0.0,
-        mode="degenerate",
-        x0=x0,
-        x_max=x_max,
-        omega_head=0.0,
-    )
+    return integrate_sigma(_DEGENERATE, x0, x_max)
 
 
 def degenerate_r(x: float) -> float:
@@ -590,7 +563,7 @@ def r_log_derivative(p: FHParams, traj: SigmaTrajectory, x: float):
     return vals[k], u[k]
 
 
-_R_STEP = 0.01  # spacing in x of the nodes r is integrated on
+_R_STEP = 0.01  # largest spacing in x of the nodes r is integrated on
 
 
 def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
@@ -612,7 +585,8 @@ def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
         )
     x0, x_max = traj.x0, float(traj.x_grid[-1])
     n_steps = max(int(math.ceil((x_max - x0) / _R_STEP)), 8)
-    xs = np.linspace(x0, x_max, n_steps + 1)
+    # the grid points are nodes too, so r is read where it is reported
+    xs = np.union1d(np.linspace(x0, x_max, n_steps + 1), traj.x_grid)
     h = np.diff(xs)
 
     u, du_dx, y_part, numf, _ = _lax_branches(p, traj, xs)
@@ -638,11 +612,10 @@ def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
     lnr = np.cumsum(np.concatenate([[lnr0], 0.5 * (y_part[1:] + y_part[:-1]) * h]))
     lnr += ln_numf - np.log(xs)
 
-    # nearest dense node of each grid point, the first one on a tie
-    near = np.argmin(np.abs(xs[None, :] - traj.x_grid[:, None]), axis=1)
+    at = np.searchsorted(xs, traj.x_grid)
     floor = 1e-6 * (1.0 + np.max(np.abs(numf)))
-    flagged = np.abs(numf[near]) < floor
-    return RTrajectory(x_grid=traj.x_grid, r=np.exp(lnr)[near], flagged=flagged)
+    flagged = np.abs(numf[at]) < floor
+    return RTrajectory(x_grid=traj.x_grid, r=np.exp(lnr)[at], flagged=flagged)
 
 
 def integral_identity_check(p: FHParams, traj: SigmaTrajectory, T: float):
@@ -661,12 +634,12 @@ def integral_identity_check(p: FHParams, traj: SigmaTrajectory, T: float):
         + 1j * T * (p.beta2 - p.beta1) / 2.0
         + 2.0 * (p.alpha1 * p.alpha2 - p.beta1 * p.beta2) * math.log(T)
     )
-    if not is_degenerate(p):
-        sign = 1.0 if (p.beta1 - p.beta2).real >= 0.0 else -1.0
-        ys = np.arange(T, max(10.0 * T, 2000.0), math.pi / 40.0)
-        gs = _gamma_connection(p, ys)
-        integrand = -sign * 1j * gs / (1.0 + gs)
-        lhs += np.trapezoid(integrand, ys)
+    # the tail vanishes for the degenerate pair, where rgamma(alpha2 - beta2) = 0
+    sign = 1.0 if (p.beta1 - p.beta2).real >= 0.0 else -1.0
+    ys = np.arange(T, max(10.0 * T, 2000.0), math.pi / 40.0)
+    gs = _gamma_connection(p, ys)
+    integrand = -sign * 1j * gs / (1.0 + gs)
+    lhs += np.trapezoid(integrand, ys)
 
     a = p.alpha1 + p.alpha2
     b = p.beta_sum

@@ -18,7 +18,6 @@ matrix product per nested half-rule.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -303,7 +302,15 @@ def _powers(seed, step, count):
 
 
 @single_thread
-def _fourier_coeffs_impl(p: FHParams, n_max: int, tol: float) -> FourierTable:
+def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
+    """Fourier coefficients f_j, |j| <= n_max, of the symbol.
+
+    Each call builds its table; the returned quad_error_estimate is a
+    nested tanh-sinh comparison, uniform in j.
+    """
+    if n_max < 0:
+        raise ValidationError("n_max must be nonnegative")
+    n_max = int(n_max)
     hermitian = p.is_real_symbol()
     j_values = np.arange(0, n_max + 1) if hermitian else np.arange(-n_max, n_max + 1)
     # refine 0 runs first (8 nodes per oscillation of the top mode, 4 on
@@ -322,22 +329,6 @@ def _fourier_coeffs_impl(p: FHParams, n_max: int, tol: float) -> FourierTable:
     if hermitian:
         coeffs[:n_max] = np.conj(coeffs[:n_max:-1])
     return FourierTable(params=p, n_max=n_max, coeffs=coeffs, quad_error_estimate=err)
-
-
-@functools.lru_cache(maxsize=128)
-def _fourier_cached(p: FHParams, n_max: int, tol: float) -> FourierTable:
-    return _fourier_coeffs_impl(p, n_max, tol)
-
-
-def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
-    """Fourier coefficients f_j, |j| <= n_max, of the symbol.
-
-    Tables are cached per (params, n_max, tol); the returned
-    quad_error_estimate is a nested tanh-sinh comparison, uniform in j.
-    """
-    if n_max < 0:
-        raise ValidationError("n_max must be nonnegative")
-    return _fourier_cached(p, int(n_max), float(tol))
 
 
 def params_from_json_dict(cfg: dict) -> FHParams:

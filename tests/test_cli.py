@@ -197,3 +197,18 @@ def test_entry_point_module():
         env=CHILD_ENV,
     )
     assert proc.returncode == 0 and "fourier" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "identity", "--format", "json"],
+        ["sweep", "--config", "sweep.json", "--format", "json"],
+    ],
+)
+def test_report_commands_reject_format(argv, capsys):
+    # the suites write CSV rows plus a JSON summary; no --format to ignore
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
