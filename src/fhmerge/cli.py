@@ -139,21 +139,12 @@ def _cmd_sigma(args):
     p = _params_from_args(args)
     traj = painleve.integrate_sigma(p, x0=args.x0, x_max=args.x_max, tol=args.tol)
     rt = painleve.r_trajectory(p, traj)
-    rows = []
-    for i, x in enumerate(traj.x_grid):
-        r = rt.r_at(x)
-        rows.append(
-            (
-                x,
-                traj.sigma[i].real,
-                traj.sigma[i].imag,
-                traj.sigma_x[i].real,
-                traj.sigma_x[i].imag,
-                r.real,
-                r.imag,
-                traj.residual[i],
-            )
+    rows = [
+        (x, sig.real, sig.imag, sig_x.real, sig_x.imag, r.real, r.imag, res)
+        for x, sig, sig_x, r, res in zip(
+            traj.x_grid, traj.sigma, traj.sigma_x, rt.r, traj.residual
         )
+    ]
     header = ["x", "re_sigma", "im_sigma", "re_sigma_x", "im_sigma_x", "re_r", "im_r", "residual"]
     _emit(args, header, rows, _meta(args))
     return EXIT_OK
@@ -174,10 +165,8 @@ def _cmd_predict(args):
     else:  # beta-one
         traj = painleve.integrate_sigma(p, x_max=max(25.0, 2.2 * n * p.t))
         rt = painleve.r_trajectory(p, traj)
-        x = 2.0 * n * p.t
-        r_val = rt.r_at(x) if x <= rt.x_grid[-1] else None
         log_dn = asympt.transition_log(p, n, traj).log_value
-        pred = asympt.beta_one_ratio(p, n, r_val, log_dn)
+        pred = asympt.beta_one_ratio(p, n, rt.r_at(2.0 * n * p.t), log_dn)
     row = (pred.regime, n, p.t, pred.log_value.real, pred.log_value.imag, pred.residual_order)
     _emit(
         args,

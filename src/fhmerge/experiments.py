@@ -53,14 +53,14 @@ class SweepConfig:
 
     params: FHParams
     n_list: tuple
-    t_rule: str = "fixed-nt"  # fixed-t | fixed-nt | log-grid
+    t_rule: str = "fixed-nt"  # fixed-t | fixed-nt
     t_value: float | None = None
     nt_values: tuple = (0.2, 1.0, 5.0, 20.0)
 
     def __post_init__(self):
         if not self.n_list or list(self.n_list) != sorted(self.n_list):
             raise ValidationError("n_list must be nonempty ascending")
-        if self.t_rule not in ("fixed-t", "fixed-nt", "log-grid"):
+        if self.t_rule not in ("fixed-t", "fixed-nt"):
             raise ValidationError(f"unknown t_rule {self.t_rule!r}")
         if self.t_rule == "fixed-t" and self.t_value is None:
             raise ValidationError("fixed-t rule needs t_value")
@@ -72,12 +72,7 @@ class SweepConfig:
             if self.t_rule == "fixed-t":
                 yield n, float(self.t_value)
             else:
-                nts = (
-                    np.geomspace(self.nt_values[0], self.nt_values[-1], len(self.nt_values))
-                    if self.t_rule == "log-grid"
-                    else self.nt_values
-                )
-                for nt in nts:
+                for nt in self.nt_values:
                     yield n, float(nt) / n
 
 
@@ -414,9 +409,7 @@ def beta_one_check(
             pm = pt.with_betas(pt.beta1, pt.beta2 - 1.0)
             exact_n = _exact_logdet(pt, n)
             exact_m = _exact_logdet(pm, n - 1)
-            x = 2.0 * n * t
-            r_val = rt.r_at(x) if x <= rt.x_grid[-1] else None
-            pred = beta_one_ratio(pt, n, r_val, exact_n, c0=c0)
+            pred = beta_one_ratio(pt, n, rt.r_at(2.0 * n * t), exact_n, c0=c0)
             err = abs(np.exp(pred.log_value) - np.exp(exact_m)) / abs(np.exp(exact_m))
             rows.append(
                 {

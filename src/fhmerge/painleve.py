@@ -8,15 +8,20 @@ sigma solves the quartic second-order equation
 on the ray s = -i x, x > 0.  We integrate the once-differentiated
 explicit third-order form (no square roots, hence no branch flips); the
 quartic relation itself is a first integral of that form, so it is
-enforced by checking the residual at every output node.  Everything
-downstream (the transition formula, the integral identity, the r-function
-of the shifted-beta determinant ratio) reads from the resulting trajectory.
+enforced by checking the residual at every output node.  The same pass
+carries omega, ln U for the Lax variable U of the associated linear
+problem, and W = int (s y_s/y) ds/s, so the r-function of the
+shifted-beta determinant ratio, r = C e^W numf(U, sigma_s)/s, is read
+from the same dense output as sigma, at any x.  Everything downstream
+(the transition formula, the integral identity, the ratio) reads from
+the resulting trajectory.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,6 +129,11 @@ def tau0(p: FHParams) -> complex:
     return -cmath.exp(lg) / (2.0 * cmath.pi) * bracket
 
 
+def _sigma_vanishes(p: FHParams) -> bool:
+    """The degenerate pair and the smooth symbol, where sigma == 0 exactly."""
+    return is_degenerate(p) or (p.alpha1, p.alpha2, p.beta1, p.beta2) == (0.0,) * 4
+
+
 def _series_terms(p: FHParams):
     """The small-argument table (c, e): sigma(-ix) = sum_k c_k x^(e_k).
 
@@ -137,7 +147,7 @@ def _series_terms(p: FHParams):
     does (the resonant case 2(alpha1+alpha2) in N u {0}, at which the s^2
     and s^3 coefficients blow up, and the degenerate combinations).
     """
-    if is_degenerate(p) or (p.alpha1, p.alpha2, p.beta1, p.beta2) == (0.0,) * 4:
+    if _sigma_vanishes(p):
         return np.zeros((2, 0), dtype=complex)
     t0 = tau0(p)
     a = p.alpha1 + p.alpha2
@@ -245,7 +255,7 @@ class SigmaTrajectory:
 
     Built from the parameters, the range [x0, x_max] and the dense solver
     output, whose variable tau is x - x0 and whose rows are (sigma,
-    sigma_s, sigma_ss, omega - omega_head).  eval, sigma_at and omega_at
+    sigma_s, sigma_ss, omega - omega_head, ln U, W).  eval, sigma_at and omega_at
     take a float or an array of x and read the dense output in one call;
     below x0 they read the series table in one call.  x_grid is
     _default_grid(x0, x_max) and omega_head the series omega at x0; the
@@ -272,7 +282,7 @@ class SigmaTrajectory:
         self.residual = sigma_residual(self.params, s, self.sigma, 1j * self.sigma_x, -self.sigma_xx)
 
     def _dense_at(self, xs: np.ndarray) -> np.ndarray:
-        """Rows (sigma, sigma_s, sigma_ss, omega - omega_head) at the points xs."""
+        """Rows (sigma, sigma_s, sigma_ss, omega - omega_head, ln U, W) at the points xs."""
         outside = ~((self.x0 <= xs) & (xs <= self.x_max + 1e-12))
         if outside.any():
             raise ValidationError(
@@ -289,20 +299,13 @@ class SigmaTrajectory:
         if head.any():
             out[:, head] = sigma_series_small(self.params, flat[head])
         if not head.all():
-            sig, dsig, d2sig, _ = self._dense_at(flat[~head])
+            sig, dsig, d2sig = self._dense_at(flat[~head])[:3]
             # convert s-derivatives to x-derivatives on the ray (ds/dx = -i)
             out[:, ~head] = sig, -1j * dsig, -d2sig
         return tuple(o.reshape(xs.shape)[()] for o in out)
 
     def sigma_at(self, x):
         return self.eval(x)[0]
-
-    def q_at(self, x: float) -> complex:
-        """The (1,1) monodromy coefficient recovered from sigma."""
-        p = self.params
-        u = self.sigma_at(x)
-        const = p.alpha1**2 + p.alpha2**2 - p.beta_sum**2 / 2.0
-        return (2.0 / x) * (u - 1j * x * (p.beta1 - p.beta2) / 2.0 + const)
 
     def omega_at(self, x):
         """int_0^{-ix} (sigma(s) - sigma(0)) ds/s along the ray, of the shape of x."""
@@ -318,8 +321,13 @@ class SigmaTrajectory:
 
 
 def _integrate_ray(p, x0, x_max, y0, rtol):
-    """Dense solution of (sigma, sigma_s, sigma_ss, omega) from s = -i x0 to -i x_max."""
+    """Dense solution of (sigma, sigma_s, sigma_ss, omega, ln U, W) from s = -i x0 to -i x_max.
+
+    U oscillates like e^s with O(1) amplitude at large x, which would set
+    the step; ln U ~ s plus a slowly varying part does not.
+    """
     rhs3 = _sigma_rhs_factory(theta_params(p))
+    lax_v, su_s, sy_y, _ = _lax_system(p)
     s0c = sigma_zero(p)
     s_a, s_b = -1j * x0, -1j * x_max
     length = abs(s_b - s_a)
@@ -335,9 +343,11 @@ def _integrate_ray(p, x0, x_max, y0, rtol):
                 f"{_RHS_BUDGET} right-hand-side evaluations"
             )
         s = s_a + tau * direction
-        sig, dsig, d2sig = yv[0], yv[1], yv[2]
+        sig, dsig, d2sig, _, ln_u, _ = yv.tolist()
+        u_lax, v = cmath.exp(ln_u), lax_v(dsig)
+        d_ln_u, d_w = su_s(u_lax, v, s) / (s * u_lax), sy_y(u_lax, v, s) / s
         return direction * np.array(
-            [dsig, d2sig, rhs3(s, sig, dsig, d2sig), (sig - s0c) / s], dtype=complex
+            [dsig, d2sig, rhs3(s, sig, dsig, d2sig), (sig - s0c) / s, d_ln_u, d_w], dtype=complex
         )
 
     def blowup(tau, yv):
@@ -363,11 +373,7 @@ def _integrate_ray(p, x0, x_max, y0, rtol):
 
 
 def _default_grid(x0: float, x_max: float) -> np.ndarray:
-    if x0 >= 1.0:
-        return np.unique(np.concatenate([np.arange(x0, x_max + 1e-9, 0.2), [x_max]]))
     head = np.geomspace(x0, min(1.0, x_max), 25)
-    if x_max <= 1.0:
-        return head
     tail = np.arange(1.0, x_max + 1e-9, 0.2)
     return np.unique(np.concatenate([head, tail, [x_max]]))
 
@@ -386,11 +392,13 @@ def integrate_sigma(
 ) -> SigmaTrajectory:
     """Integrate the sigma-equation forward along s = -ix from x0 to x_max.
 
-    The pass starts from the small-argument series table at x0.  The sets
+    The pass starts from the small-argument series table at x0, with the
+    Lax variable U on r_log_derivative's root there and W = 0.  The sets
     where sigma == 0 exactly (the degenerate pair alpha = beta = 1/2 and
     the smooth symbol) have the empty table, start from zero data and
-    stay at zero through the same pass.  The trajectory is one solver
-    pass, and the call raises:
+    stay at zero through the same pass; they have no Lax root and carry
+    U = 1, which keeps the right-hand side finite.  The trajectory is one
+    solver pass, and the call raises:
 
     - NondegeneracyError up front, from the series, when 2(alpha1+alpha2)
       is in N u {0} or a parameter combination hits a negative integer;
@@ -407,9 +415,10 @@ def integrate_sigma(
     if x0 <= 0.0 or x0 >= x_max:
         raise ValidationError("need 0 < x0 < x_max")
     u0, du0, d2u0 = sigma_series_small(p, x0)
+    lax0 = 1.0 if _sigma_vanishes(p) else _lax_root(p, x0, u0, du0, d2u0)[1]
 
     # state in s-variables: sigma_s = i u', sigma_ss = -u''
-    y0 = [u0, 1j * du0, -d2u0, 0.0]
+    y0 = [u0, 1j * du0, -d2u0, 0.0, cmath.log(lax0), 0.0]
     dense = _integrate_ray(p, x0, x_max, y0, rtol=min(1e-10, tol * 1e-2))
     traj = SigmaTrajectory(p, x0, x_max, dense)
 
@@ -452,28 +461,28 @@ def degenerate_r(x: float) -> float:
 
 @dataclass
 class RTrajectory:
-    """The (1,2) monodromy coefficient r on the trajectory grid."""
+    """The (1,2) monodromy coefficient r on the trajectory grid, flagged
+    where the r-numerator is below 1e-6 (r indistinguishable from 0).
+    r is one call of _r_of on x_grid; r_at calls it at any x in range."""
 
     x_grid: np.ndarray
     r: np.ndarray
-    flagged: np.ndarray  # nodes where the identity denominator was floored
+    flagged: np.ndarray
+    _r_of: Callable = field(repr=False)
 
     def r_at(self, x: float) -> complex:
         if not (self.x_grid[0] <= x <= self.x_grid[-1]):
             raise ValidationError(f"x = {x} outside r trajectory range")
-        re = np.interp(x, self.x_grid, self.r.real)
-        im = np.interp(x, self.x_grid, self.r.imag)
-        return complex(re, im)
+        return complex(self._r_of(np.array([x], dtype=float))[0])
 
 
 def r_small_s(p: FHParams, x: float) -> complex:
     """Leading small-argument form of r at s = -ix."""
     a = p.alpha1 + p.alpha2
     b = p.beta_sum
-    lg = log_gamma(1.0 + a - b) if not _is_negative_integer(1.0 + a - b) else None
-    if lg is None:
+    if _is_negative_integer(1.0 + a - b):
         raise NondegeneracyError("r small-argument form degenerate")
-    val = cmath.exp(lg) * complex(rgamma(a + b))
+    val = cmath.exp(log_gamma(1.0 + a - b)) * complex(rgamma(a + b))
     phase = cmath.exp(1j * cmath.pi * (p.alpha1 - p.alpha2 - 3.0 * p.beta1 - p.beta2))
     return -2.0 / x * cmath.exp(-1j * x / 2.0) * phase * val
 
@@ -499,30 +508,39 @@ def r_large_s(p: FHParams, x: float) -> complex:
     return term1 + term2
 
 
-def _su_s(p: FHParams, u_lax, v, s):
-    """s dU/ds from the U-equation of the compatibility system."""
-    return (
-        s * u_lax
-        - 2.0 * v * (u_lax - 1.0) ** 2
-        + (u_lax - 1.0)
-        * (u_lax * (-p.alpha1 - p.alpha2 + p.beta_sum) + 3.0 * p.alpha1 - p.alpha2 - p.beta_sum)
-    )
+def _lax_system(p: FHParams):
+    """The compatibility-system forms with the constants of p bound, each
+    on floats or arrays: v from sigma_s; s dU/ds (the U-equation) and
+    s y_s/y on (U, v, s); the r-numerator on (U, v), whose zeros are the
+    zeros of r."""
+    a1, b = p.alpha1, p.beta_sum
+    v_shift, a_minus = b / 2.0 - a1, a1 - p.alpha2 - b
+    c_u, d_u = b - a1 - p.alpha2, 3.0 * a1 - p.alpha2 - b
+
+    def su_s(u, v, s):
+        return s * u + (u - 1.0) * (u * c_u + d_u - 2.0 * v * (u - 1.0))
+
+    def sy_y(u, v, s):
+        return (v + 2.0 * a1) / u - 2.0 * (v + a1) - s / 2.0 + u * v
+
+    return (lambda sig_s: v_shift - sig_s), su_s, sy_y, (lambda u, v: v * (1.0 - u) + a_minus)
 
 
-def _lax_branches(p: FHParams, traj: SigmaTrajectory, x):
-    """The Lax variable U on both roots of its quadratic at x (a float or
-    an array), with dU/dx and the pieces of d ln r/dx on each.
+def _lax_branches(p: FHParams, x, sig, du, d2u):
+    """The Lax variable U on both roots of its quadratic at x, from sigma
+    and its x-derivatives there (floats, or arrays of one shape), with
+    the pieces of d ln r/dx on each.
 
     v is fixed by sigma_s; U solves the quadratic the sigma-equation
-    forces on the residue variables.  Returns (u, du_dx, y_part, numf,
-    dnumf), each stacked over the two roots along the first axis; where
-    the leading coefficient vanishes both rows hold the linear root.
+    forces on the residue variables.  Returns (u, y_part, numf, dnumf),
+    each stacked over the two roots along the first axis; where the
+    leading coefficient vanishes both rows hold the linear root.
     """
     x = np.asarray(x, dtype=float)
-    sig, du, d2u = traj.eval(x)
     s = -1j * x
     sig_s = 1j * du
-    v = -sig_s + p.beta_sum / 2.0 - p.alpha1
+    lax_v, su_s, sy_y, numf_of = _lax_system(p)
+    v = lax_v(sig_s)
     v_s = d2u  # v_s = -sigma_ss and sigma_ss = -d2u on the ray
     w_cap = sig - s * sig_s + p.alpha1**2 + p.alpha2**2 - p.beta_sum**2 / 2.0
     a_minus = p.alpha1 - p.alpha2 - p.beta_sum
@@ -539,83 +557,55 @@ def _lax_branches(p: FHParams, traj: SigmaTrajectory, x):
     u = np.stack(
         [np.where(linear, lin, (-qb + disc) / two_qa), np.where(linear, lin, (-qb - disc) / two_qa)]
     )
-    su_s = _su_s(p, u, v, s)
-    sy_y = (v + 2.0 * p.alpha1) / u - 2.0 * v - 2.0 * p.alpha1 - s / 2.0 + u * v
-    numf = v * (1.0 - u) + a_minus
-    dnumf = v_s * (1.0 - u) - v * su_s / s
-    # d ln r/dx = -i [ y_s/y - 1/s + numf_s/numf ] = y_part - 1/x + ...;
-    # the -1/x and numf pieces integrate in closed form, so the bounded
-    # y_part is returned separately for quadrature
-    return u, -1j * su_s / s, -1j * sy_y / s, numf, -1j * dnumf
+    numf = numf_of(u, v)
+    dnumf = v_s * (1.0 - u) - v * su_s(u, v, s) / s
+    # d ln r/dx = -i [ y_s/y - 1/s + numf_s/numf ] = y_part - 1/x + ...
+    return u, -1j * sy_y(u, v, s) / s, numf, -1j * dnumf
 
 
-def r_log_derivative(p: FHParams, traj: SigmaTrajectory, x: float):
-    """d ln r / dx at x from sigma via the compatibility system.
-
-    Takes the root of the Lax quadratic whose value is nearest the
-    log-derivative of the small-argument form (the first root on a tie).
-    Returns (value, u_lax) so callers can continue the branch.
-    """
-    u, _, y_part, numf, dnumf = _lax_branches(p, traj, x)
+def _lax_root(p: FHParams, x: float, sig, du, d2u):
+    """(d ln r/dx, U) at x on the root of the Lax quadratic whose value is
+    nearest the log-derivative of the small-argument form (the first
+    root on a tie)."""
+    u, y_part, numf, dnumf = _lax_branches(p, x, sig, du, d2u)
     vals = y_part - 1.0 / x + dnumf / numf
     target = -1.0 / x - 0.5j  # log-derivative of the small-x closed form
     k = int(abs(vals[1] - target) < abs(vals[0] - target))
     return vals[k], u[k]
 
 
-_R_STEP = 0.01  # largest spacing in x of the nodes r is integrated on
+def r_log_derivative(p: FHParams, traj: SigmaTrajectory, x: float):
+    """(d ln r/dx, U) at x from sigma, on the root integrate_sigma starts U on."""
+    return _lax_root(p, x, *traj.eval(x))
 
 
 def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
-    """r(s) on the trajectory by integrating its logarithmic derivative.
+    """r(s) on the trajectory, read from the sigma pass.
 
-    The derivative comes from the compatibility system of the associated
-    linear problem; its log-singular part (vanishing of the r-numerator,
-    i.e. zeros of r) is integrated in closed form so sign changes of r
-    are crossed exactly.  The multiplicative constant is matched to the
-    small-argument form at the trajectory start.  Nodes where the
-    numerator is below 1e-6 (r indistinguishable from 0) are flagged.
+    The pass carries ln U and W = int_{x0} (s y_s/y) ds/s, so
+    r = C e^W numf(U, sigma_s)/s at any x: the zeros of r are zeros of
+    numf, crossed exactly.  The constant C is matched to the
+    small-argument form at x0.  The degenerate pair has the closed form
+    degenerate_r; the smooth symbol, which has no Lax root, raises
+    DegenerateDenominatorError.
     """
     if is_degenerate(p):
-        grid = traj.x_grid
-        return RTrajectory(
-            x_grid=grid,
-            r=np.array([degenerate_r(x) for x in grid], dtype=complex),
-            flagged=np.zeros(len(grid), dtype=bool),
-        )
-    x0, x_max = traj.x0, float(traj.x_grid[-1])
-    n_steps = max(int(math.ceil((x_max - x0) / _R_STEP)), 8)
-    # the grid points are nodes too, so r is read where it is reported
-    xs = np.union1d(np.linspace(x0, x_max, n_steps + 1), traj.x_grid)
-    h = np.diff(xs)
+        r_of = np.vectorize(degenerate_r, otypes=[complex])
+        return RTrajectory(traj.x_grid, r_of(traj.x_grid), np.zeros(len(traj.x_grid), bool), r_of)
+    if _sigma_vanishes(p):
+        raise DegenerateDenominatorError("Lax quadratic degenerates where sigma == 0")
 
-    u, du_dx, y_part, numf, _ = _lax_branches(p, traj, xs)
-    # start on r_log_derivative's root at x0, then take at each node the
-    # root nearest the U-equation predictor, which disambiguates the two
-    # near their collision points; the first root wins a tie
-    u_prev, slope = r_log_derivative(p, traj, x0)[1], 0.0
-    u_rows, du_rows = u.tolist(), du_dx.tolist()
-    pick = []
-    for i, step in enumerate([0.0, *h.tolist()]):
-        pred = u_prev + slope * step
-        k = int(abs(u_rows[1][i] - pred) < abs(u_rows[0][i] - pred))
-        u_prev, slope = u_rows[k][i], du_rows[k][i]
-        pick.append(k)
-    root = np.array(pick), np.arange(len(xs))
-    y_part, numf = y_part[root], numf[root]
+    lax_v, _, _, numf_of = _lax_system(p)
 
-    # continuous branch of ln(numf): unwrap the argument along the grid
-    ln_numf = np.log(np.abs(numf)) + 1j * np.unwrap(np.angle(numf))
+    def shape(xs):  # (r / C, numf) at the points xs
+        _, dsig, _, _, ln_u, w = traj._dense_at(xs)
+        numf = numf_of(np.exp(ln_u), lax_v(dsig))
+        return np.exp(w) * numf / xs, numf
 
-    # trapezoid sum of the bounded part; -1/x and d ln numf are exact
-    lnr0 = cmath.log(r_small_s(p, x0)) - ln_numf[0] + math.log(x0)
-    lnr = np.cumsum(np.concatenate([[lnr0], 0.5 * (y_part[1:] + y_part[:-1]) * h]))
-    lnr += ln_numf - np.log(xs)
-
-    at = np.searchsorted(xs, traj.x_grid)
-    floor = 1e-6 * (1.0 + np.max(np.abs(numf)))
-    flagged = np.abs(numf[at]) < floor
-    return RTrajectory(x_grid=traj.x_grid, r=np.exp(lnr)[at], flagged=flagged)
+    unit, numf = shape(traj.x_grid)
+    c = r_small_s(p, traj.x0) / unit[0]  # the grid starts at x0
+    flagged = np.abs(numf) < 1e-6 * (1.0 + np.max(np.abs(numf)))
+    return RTrajectory(traj.x_grid, c * unit, flagged, lambda xs: c * shape(xs)[0])
 
 
 def integral_identity_check(p: FHParams, traj: SigmaTrajectory, T: float):

@@ -1,0 +1,46 @@
+"""The benchmark's workloads run on the library and pass the benchmark's oracles.
+
+Runs bench/child.py in a fresh interpreter, as bench/run.py does, so a
+field the benchmark reads that the library stops providing fails here.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+import fhmerge
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+# the child interpreter must import the same fhmerge as this process
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(fhmerge.__file__)))
+
+
+@pytest.mark.parametrize(
+    "workload, failing",
+    [
+        # the strong exponents leave the connecting solution from the default start
+        ("sigma-family", {"strong0.65", "strong0.7"}),
+        ("shifted-ratio", set()),
+    ],
+)
+def test_bench_workload_passes_its_oracles(workload, failing, monkeypatch):
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), workload, "0", "0", repr(time.time())],
+        env={**os.environ, "PYTHONPATH": _SRC},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    rep = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert {op["name"] for op in rep["ops"] if "error" in op} == failing
+    monkeypatch.syspath_prepend(str(BENCH))
+    import oracles
+
+    outs = {op["name"]: op["out"] for op in rep["ops"] if "out" in op}
+    fails, _ = oracles.check(workload, 0, outs, rep["extra"])
+    assert fails == []

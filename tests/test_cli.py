@@ -212,3 +212,11 @@ def test_report_commands_reject_format(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "--format" in capsys.readouterr().err
+
+
+def test_sweep_rejects_log_grid_rule(tmp_path, capsys):
+    # the sweep takes t fixed or nt fixed; any other rule is a validation error
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"n_list": [32], "t_rule": "log-grid"}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "t_rule" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 
 from fhmerge.errors import NondegeneracyError, NumericalError, ValidationError
 from fhmerge.painleve import (
+    SigmaTrajectory,
     _omega_series_head,
     degenerate_r,
     degenerate_sigma,
@@ -291,31 +292,73 @@ def test_r_log_derivative_identity(p03, traj03):
 
 
 def test_r_trajectory_matches_stepwise_reference(p03, traj03):
-    # the array pass against a node-by-node walk with the same root rule
-    from fhmerge.painleve import _R_STEP, _lax_branches, r_log_derivative
+    # reference: a node walk 1e-3 apart that tracks the root of the Lax
+    # quadratic nearest the U-equation predictor and sums d ln r/dx by
+    # the trapezoid rule; r_trajectory reads the one sigma pass instead
+    from fhmerge.painleve import _lax_branches, _lax_system, r_log_derivative
 
     x0, x_max = traj03.x0, float(traj03.x_grid[-1])
-    xs = np.linspace(x0, x_max, math.ceil((x_max - x0) / _R_STEP) + 1)
-    xs = np.union1d(xs, traj03.x_grid)
-    u_prev, slope = r_log_derivative(p03, traj03, x0)[1], 0.0
-    ln_numf, lnr, arg = [], [], None
-    for i, x in enumerate(xs):
-        u, du_dx, y_part, numf, _ = _lax_branches(p03, traj03, x)
-        h = x - xs[i - 1] if i else 0.0
+    xs = np.union1d(np.arange(x0, x_max, 1e-3), traj03.x_grid)
+    sig, du, d2u = traj03.eval(xs)
+    u, y_part, numf, _ = _lax_branches(p03, xs, sig, du, d2u)
+    lax_v, su_s, _, _ = _lax_system(p03)
+    du_dx = su_s(u, lax_v(1j * du), -1j * xs) / xs  # dU/dx = -i dU/ds on the ray
+    u_prev, slope, pick = r_log_derivative(p03, traj03, x0)[1], 0.0, []
+    for i, h in enumerate(np.diff(xs, prepend=x0)):
         pred = u_prev + slope * h
-        k = int(abs(u[1] - pred) < abs(u[0] - pred))
-        u_prev, slope = u[k], du_dx[k]
-        phase = cmath.phase(numf[k])
-        arg = phase if arg is None else arg + math.remainder(phase - arg, 2.0 * PI)
-        ln_numf.append(math.log(abs(numf[k])) + 1j * arg)
-        if i == 0:
-            lnr.append(cmath.log(r_small_s(p03, x0)) - ln_numf[0] + math.log(x0))
-        else:
-            lnr.append(lnr[-1] + 0.5 * (y_part[k] + y_prev) * h)
-        y_prev = y_part[k]
-    r = np.exp(np.array(lnr) + np.array(ln_numf) - np.log(xs))
-    at = [xs.tolist().index(x) for x in traj03.x_grid]
-    np.testing.assert_allclose(r_trajectory(p03, traj03).r, r[at], rtol=1e-10)
+        k = int(abs(u[1, i] - pred) < abs(u[0, i] - pred))
+        u_prev, slope = u[k, i], du_dx[k, i]
+        pick.append(k)
+    root = np.array(pick), np.arange(len(xs))
+    y_part, numf = y_part[root], numf[root]
+    integral = np.concatenate([[0.0], np.cumsum(0.5 * (y_part[1:] + y_part[:-1]) * np.diff(xs))])
+    ref = r_small_s(p03, x0) * (x0 / xs) * (numf / numf[0]) * np.exp(integral)
+
+    rt = r_trajectory(p03, traj03)
+    at = np.searchsorted(xs, traj03.x_grid)
+    ok = ~rt.flagged
+    assert ok.sum() > 200
+    np.testing.assert_allclose(rt.r[ok], ref[at][ok], rtol=1e-4)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        # two seeded pole-free sets on which a root tracker started at x0
+        # leaves the right root of the Lax quadratic before x = 0.0024
+        FHParams(0.3451902446298373, 0.42803886233166144, 0.18063630574562334j,
+                 0.0009928508970218353j, 0.3),
+        FHParams(0.33780111399199153, 0.44533696796027705, 0.13483646830044527j,
+                 -0.0013173121654587727j, 0.3),
+    ],
+)
+def test_r_trajectory_matches_shifted_determinant_ratio(p):
+    # independent oracle: r(-2int) from D_(n-1) of the beta2 -> beta2 - 1
+    # symbol over D_n, less the beta-one prefactor, at n = 256
+    rt = r_trajectory(p, integrate_sigma(p, x_max=5.0))
+    n = 256
+    b = p.beta_sum
+    for x in (0.5, 2.0, 4.0):
+        t = x / (2.0 * n)
+        pt = p.with_t(t)
+        pm = pt.with_betas(pt.beta1, pt.beta2 - 1.0)
+        dm = log_det(fourier_coeffs(pm, n - 2), n - 1).log
+        df = log_det(fourier_coeffs(pt, n - 1), n).log
+        phase = cmath.exp(1j * PI * (-p.alpha1 + 3.0 * p.beta1 + p.alpha2 + p.beta2))
+        prefactor = t * (n * t / math.sin(t)) ** (2.0 * b) * phase
+        oracle = -cmath.exp(dm + 1j * (n - 1) * t - df) / prefactor
+        assert abs(rt.r_at(x) - oracle) / abs(oracle) < 5e-2
+
+
+def test_r_at_reads_the_sigma_pass(p03, traj03):
+    # off the grid, r_at equals the r reported for a trajectory of the
+    # same solve whose grid ends at that x: no interpolation between nodes
+    rt = r_trajectory(p03, traj03)
+    for x in (0.0123, 2.1234, 17.77):
+        short = SigmaTrajectory(p03, traj03.x0, x, traj03._dense)
+        assert x not in traj03.x_grid and short.x_grid[-1] == x
+        r_end = r_trajectory(p03, short).r[-1]
+        assert abs(rt.r_at(x) - r_end) <= 1e-12 * abs(r_end)
 
 
 @pytest.mark.parametrize(
@@ -327,9 +370,8 @@ def test_r_trajectory_matches_stepwise_reference(p03, traj03):
     ],
 )
 def test_r_trajectory_head_points_at_their_x(p):
-    # the grid points below x0 + _R_STEP/2 are read at their own x, not
-    # at the nearest step node x0, where r ~ 1/x is up to five times larger;
-    # the leading form itself is off by O(x) relative
+    # each grid point of the head is read at its own x, where r ~ 1/x
+    # varies fivefold; the leading form itself is off by O(x) relative
     traj = integrate_sigma(p, x_max=12.0)
     rt = r_trajectory(p, traj)
     head = traj.x_grid <= 0.01
@@ -342,7 +384,8 @@ def test_r_degenerate_delegates():
     p = FHParams(0.5, 0.5, 0.5, 0.5, 0.2)
     traj = degenerate_sigma()
     rt = r_trajectory(p, traj)
-    assert abs(rt.r_at(2.0 * PI)) < 2e-3  # grid interpolation near the exact zero
+    for x in (2.0 * PI, 3.3, 17.1):
+        assert abs(rt.r_at(x) - degenerate_r(x)) < 1e-12
 
 
 def test_pole_detection_complex_beta():
@@ -365,12 +408,3 @@ def test_strong_exponents_fail_fast(alpha):
     with pytest.raises(NumericalError):
         integrate_sigma(FHParams(alpha, alpha, t=0.1), x_max=80.0)
     assert time.perf_counter() - start < 10.0
-
-
-def test_q_recovery(traj03, p03):
-    # q is an algebraic readout of sigma; check the inversion at one point
-    x = 3.0
-    q = traj03.q_at(x)
-    s = -1j * x
-    sig = 1j / 2.0 * s * q - (p03.beta1 - p03.beta2) / 2.0 * s - 0.09 - 0.09
-    assert abs(sig - traj03.sigma_at(x)) < 1e-12
