@@ -185,25 +185,17 @@ def fh2_odd_log(p: FHParams, n: int) -> AsymptoticPrediction:
     )
 
 
-def transition_log(
-    p: FHParams, n: int, traj: SigmaTrajectory, t: float | None = None
-) -> AsymptoticPrediction:
-    """Uniform small-t expansion of ln D_n through the merging transition.
-
-    Needs a sigma trajectory covering x = 2 n t.  The t = 0 part is the
-    merged single-singularity expansion; everything else is the explicit
-    transition correction.
-    """
-    t = p.t if t is None else t
+def _transition_terms(p: FHParams, n: int) -> dict:
+    """transition_log's terms at t = p.t, with omega's slot "painleve_integral" at 0.0."""
+    t = p.t
     if not (0.0 < t < math.pi):
         raise ValidationError("transition form needs t in (0, pi)")
     _require_seminorm(p)
-    x = 2.0 * n * t
     merged = fh1_log(p.merged(), n)
     z1, z2 = cmath.exp(1j * t), cmath.exp(-1j * t)
     terms = dict(merged.terms)
     terms["nt_linear"] = 1j * n * t * (p.beta2 - p.beta1)
-    terms["painleve_integral"] = traj.omega_at(x)
+    terms["painleve_integral"] = 0.0
     terms["sin_ratio"] = (
         2.0 * (p.beta1 * p.beta2 - p.alpha1 * p.alpha2) * math.log(math.sin(t) / t)
     )
@@ -216,27 +208,36 @@ def transition_log(
     ) + p.beta2 * (
         p.log_b_plus(z2) + p.log_b_minus(1.0) - p.log_b_minus(z2) - p.log_b_plus(1.0)
     )
+    return terms
+
+
+def transition_log(p: FHParams, n: int, traj: SigmaTrajectory) -> AsymptoticPrediction:
+    """Uniform small-t expansion of ln D_n through the merging transition.
+
+    The t = 0 part is the merged single-singularity expansion; the rest of
+    _transition_terms is the explicit transition correction.  omega(2 n t),
+    the "painleve_integral" term, is read from a trajectory covering x = 2 n t.
+    """
+    terms = _transition_terms(p, n)
+    x = 2.0 * n * p.t
+    terms["painleve_integral"] = traj.omega_at(x)
     return AsymptoticPrediction(
         regime="transition",
         terms=terms,
         residual_order="o(1) uniform in t < t0",
-        notes={"x": x, "t": t},
+        notes={"x": x, "t": p.t},
     )
 
 
 def beta_one_ratio(
-    p: FHParams,
-    n: int,
-    r_value: complex | None,
-    log_dn: complex,
-    c0: float = DEFAULT_C0,
+    p: FHParams, n: int, r_value: complex | None, log_dn: complex
 ) -> AsymptoticPrediction:
     """Predicted ln D_{n-1} for the beta2 -> beta2 - 1 shifted symbol.
 
     log_dn is ln D_n(f_t) (exact or itself predicted); r_value supplies
     the Painleve r(-2int) for the small-nt branch and may be None when
-    nt > c0.  Within a +-25% window around nt = c0 both branches are
-    evaluated and their mismatch recorded in the notes.
+    nt > DEFAULT_C0.  Within a +-25% window around nt = DEFAULT_C0 both
+    branches are evaluated and their mismatch recorded in the notes.
     """
     if (p.beta1 - p.beta2).real != 0.0:
         raise ValidationError("ratio form needs Re(beta1) = Re(beta2)")
@@ -278,9 +279,9 @@ def beta_one_ratio(
         )
         return cmath.log(term1 + term2)
 
-    use_small = nt <= c0
+    use_small = nt <= DEFAULT_C0
     notes = {"nt": nt, "branch": "small" if use_small else "large"}
-    if 0.75 * c0 <= nt <= 1.25 * c0 and r_value is not None:
+    if 0.75 * DEFAULT_C0 <= nt <= 1.25 * DEFAULT_C0 and r_value is not None:
         try:
             notes["branch_mismatch"] = abs(
                 cmath.exp(small_branch()) - cmath.exp(large_branch())
@@ -362,24 +363,20 @@ class FKConstants:
             (4.0 * log_barnes_g(1.0 + iv) - 2.0 * log_barnes_g(1.0 + 2.0 * iv)).real
         ) / 2.0
 
-    def c3(self, traj: SigmaTrajectory, u_max: float | None = None) -> float:
+    def c3(self, traj: SigmaTrajectory) -> float:
+        """gfac int_0^inf e^{Re omega(2u)} du, e^omega continued past the
+        trajectory as the power law x^(-2 alpha^2) it decays like."""
         a = self.alpha
         if 2.0 * a * a <= 1.0:
             raise ValidationError("third-regime constant needs 2 alpha^2 > 1")
-        x_top = float(traj.x_grid[-1])
-        u_max = x_top / 2.0 if u_max is None else u_max
-        us = np.linspace(1e-4, 1.0, 201)
-        first = np.trapezoid(np.exp(traj.omega_at(2.0 * us).real), us)
-        us2 = np.geomspace(1.0, u_max, 400)  # us2[0] == 1.0 exactly
-        omega = traj.omega_at(2.0 * us2).real
-        omega2 = omega[0]
-        theta = omega - omega2
-        vals = np.exp(theta) * us2 ** (-2.0 * a * a)
-        second = np.trapezoid(vals, us2)
-        # tail beyond the trajectory: theta has converged, pure power law
-        second += math.exp(theta[-1]) * u_max ** (1.0 - 2.0 * a * a) / (2.0 * a * a - 1.0)
+        u_max = float(traj.x_grid[-1]) / 2.0
+        # trapezoid rule in ln u; the piece below u = 1e-8 is negligible
+        us = np.geomspace(1e-8, u_max, 800)
+        vals = np.exp(traj.omega_at(2.0 * us).real)
+        body = np.trapezoid(vals * us, np.log(us))
+        tail = vals[-1] * u_max / (2.0 * a * a - 1.0)
         gfac = math.exp((2.0 * log_barnes_g(1.0 + 2.0 * a) - log_barnes_g(1.0 + 4.0 * a)).real)
-        return gfac * (first + math.exp(omega2) * second)
+        return gfac * (body + tail)
 
 
 def fk_constants(alpha: float) -> FKConstants:

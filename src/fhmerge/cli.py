@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -63,12 +64,20 @@ def _add_symbol_flags(sub, table_output=True):
         sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _params_from_args(args) -> FHParams:
-    cfg = {}
-    if args.config:
-        with open(args.config) as fh:
+def _read_config(path) -> dict:
+    """The JSON object in the file at path, or a ValidationError."""
+    try:
+        with open(path) as fh:
             cfg = json.load(fh)
-    base = params_from_json_dict(cfg) if cfg else FHParams(0.0, 0.0)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"config {path} is not a JSON object")
+    return cfg
+
+
+def _params_from_args(args) -> FHParams:
+    base = params_from_json_dict(_read_config(args.config) if args.config else {})
     v = dict(base.v_coeffs)
     if args.v is not None:
         v = dict(args.v)
@@ -85,9 +94,7 @@ def _params_from_args(args) -> FHParams:
 def _emit(args, header, rows, meta):
     """Write rows as CSV or {meta, data} JSON to the output target."""
     if args.format == "csv":
-        text = ",".join(header) + "\n"
-        for row in rows:
-            text += ",".join(experiments._fmt(v) for v in row) + "\n"
+        text = experiments._csv_text(header, rows)
     else:
         data = [dict(zip(header, [_jsonable(v) for v in row])) for row in rows]
         text = json.dumps({"meta": meta, "data": data}, indent=2) + "\n"
@@ -216,16 +223,18 @@ def _cmd_verify(args):
 
 
 def _cmd_sweep(args):
-    with open(args.config) as fh:
-        cfg_dict = json.load(fh)
-    p = params_from_json_dict(cfg_dict.get("symbol", {}))
-    cfg = experiments.SweepConfig(
-        params=p,
-        n_list=tuple(cfg_dict.get("n_list", [64, 128])),
-        t_rule=cfg_dict.get("t_rule", "fixed-nt"),
-        t_value=cfg_dict.get("t_value"),
-        nt_values=tuple(cfg_dict.get("nt_values", [0.2, 1.0, 5.0, 20.0])),
-    )
+    get = _read_config(args.config).get
+    p = params_from_json_dict(get("symbol", {}))
+    try:  # ill-typed fields fail here, not mid-sweep
+        cfg = experiments.SweepConfig(
+            params=p,
+            n_list=tuple(map(operator.index, get("n_list", [64, 128]))),
+            t_rule=get("t_rule", "fixed-nt"),
+            t_value=None if get("t_value") is None else float(get("t_value")),
+            nt_values=tuple(map(float, get("nt_values", [0.2, 1.0, 5.0, 20.0]))),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed sweep config: {exc}") from exc
     report = experiments.regime_sweep(cfg)
     _write_report(args, report)
     return EXIT_OK if report.verdict else EXIT_VERDICT

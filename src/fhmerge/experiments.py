@@ -17,6 +17,7 @@ import numpy as np
 
 from .asympt import (
     DEFAULT_C0,
+    _transition_terms,
     beta_one_ratio,
     diff_identity_rhs,
     dyson_constant,
@@ -26,7 +27,7 @@ from .asympt import (
     transition_log,
 )
 from .errors import ValidationError
-from .painleve import SigmaTrajectory, integrate_sigma, r_trajectory
+from .painleve import SigmaTrajectory, integrate_sigma, r_trajectory, sigma_zero
 from .symbol import FHParams, fourier_coeffs
 from .toeplitz import det_path, log_det, orth_poly
 
@@ -45,6 +46,7 @@ __all__ = [
 # slack for regime-dominance ties: deep in a single regime the better
 # specialised formula can reach its error floor first
 _TIE_SLACK = 0.10
+_IDENTITY_N = 8  # size of beta_one_check's exact identity row
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,8 @@ class SweepConfig:
     nt_values: tuple = (0.2, 1.0, 5.0, 20.0)
 
     def __post_init__(self):
-        if not self.n_list or list(self.n_list) != sorted(self.n_list):
-            raise ValidationError("n_list must be nonempty ascending")
+        if not self.n_list or list(self.n_list) != sorted(self.n_list) or self.n_list[0] < 1:
+            raise ValidationError("n_list must be nonempty ascending positive")
         if self.t_rule not in ("fixed-t", "fixed-nt"):
             raise ValidationError(f"unknown t_rule {self.t_rule!r}")
         if self.t_rule == "fixed-t" and self.t_value is None:
@@ -96,9 +98,7 @@ class ExperimentReport:
         if not self.rows:
             raise ValidationError("no rows to write")
         cols = list(self.rows[0].keys())
-        text = ",".join(cols) + "\n"
-        for row in self.rows:
-            text += ",".join(_fmt(row.get(c, "")) for c in cols) + "\n"
+        text = _csv_text(cols, ([row.get(c, "") for c in cols] for row in self.rows))
         if path is not None:
             with open(path, "w") as fh:
                 fh.write(text)
@@ -123,6 +123,12 @@ def _fmt(v) -> str:
     if isinstance(v, complex):
         return f"{v.real:.12g}{v.imag:+.12g}j"
     return str(v)
+
+
+def _csv_text(header, rows) -> str:
+    """A header line, then each row's values through _fmt, comma-joined."""
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _exact_logdet(p: FHParams, n: int) -> complex:
@@ -186,12 +192,12 @@ def regime_sweep(cfg: SweepConfig, traj: SigmaTrajectory | None = None) -> Exper
 
 
 def _logdet_stencil(p: FHParams, n: int, t: float, h: float):
-    """ln D_n at the five-point stencil around t (continuous branch)."""
+    """The five-point stencil around t and ln D_n on it (continuous branch)."""
     ts = [t + k * h for k in (-2, -1, 0, 1, 2)]
     if ts[0] <= 0.0:
         raise ValidationError("stencil crosses t = 0; increase t or shrink h")
     path = det_path(p, n, ts)
-    return np.array([ld.log for ld in path])
+    return ts, np.array([ld.log for ld in path])
 
 
 def _stencil_derivs(ls: np.ndarray, h: float):
@@ -201,37 +207,30 @@ def _stencil_derivs(ls: np.ndarray, h: float):
     return d1, d2, d3
 
 
-def sigma_from_determinants(p: FHParams, n: int, x_grid, h: float | None = None):
+def sigma_from_determinants(p: FHParams, n: int, x_grid):
     """Estimate (sigma, sigma_x, sigma_xx) at each x from exact determinants.
 
-    Inverts the symmetric-parameter transition expansion: requires
-    beta1 = beta2 = 0 and real alpha1 = alpha2.  Returns a list of
-    (x, sigma, sigma_x, sigma_xx, noise) tuples; noise is a Richardson
-    comparison of the leading finite difference.
+    Inverts transition_log, so covers every set it covers (seminorm < 1):
+    w(t) = ln D_n(f_t) - (its explicit terms) is omega(2nt) + o(1), and
+    w's t-derivatives on a five-point stencil at t = x / 2n give sigma =
+    sigma(0) + t w', sigma_x = (w' + t w'') / 2n, sigma_xx = (2 w'' + t w''') / (2n)^2.
+    Returns (x, sigma, sigma_x, sigma_xx, noise) tuples; noise is the
+    change of sigma when the stencil step is halved.
     """
-    if p.beta1 != 0.0 or p.beta2 != 0.0 or p.alpha1 != p.alpha2 or p.alpha1.imag != 0.0:
-        raise ValidationError("determinant inversion needs beta = 0, alpha1 = alpha2 real")
-    alpha = p.alpha1.real
+    sig0 = sigma_zero(p)
     out = []
     for x in x_grid:
         t = x / (2.0 * n)
-        hh = min(max(1e-4, 1e-3 * t), t / 3.0) if h is None else h
+        h = min(max(1e-4, 1e-3 * t), t / 3.0)
 
         def estimate(step):
-            ls = _logdet_stencil(p, n, t, step).real
-            l1, l2, l3 = _stencil_derivs(ls, step)
-            ct = 1.0 / math.tan(t)
-            s2 = 1.0 / math.sin(t) ** 2
-            g = t * l1 + 2.0 * alpha**2 * (t * ct - 1.0)
-            g1 = l1 + t * l2 + 2.0 * alpha**2 * (ct - t * s2)
-            g2 = 2.0 * l2 + t * l3 + 2.0 * alpha**2 * (
-                -2.0 * s2 + 2.0 * t * math.cos(t) / math.sin(t) ** 3
-            )
-            return 2.0 * alpha**2 + g, g1 / (2.0 * n), g2 / (2.0 * n) ** 2
+            ts, ls = _logdet_stencil(p, n, t, step)
+            w = ls - [sum(_transition_terms(p.with_t(tk), n).values()) for tk in ts]
+            w1, w2, w3 = _stencil_derivs(w, step)
+            return sig0 + t * w1, (w1 + t * w2) / (2.0 * n), (2.0 * w2 + t * w3) / (2.0 * n) ** 2
 
-        sig, sig_x, sig_xx = estimate(hh)
-        sig_check = estimate(hh / 2.0)[0]
-        out.append((x, sig, sig_x, sig_xx, abs(sig - sig_check)))
+        sig, sig_x, sig_xx = estimate(h)
+        out.append((x, sig, sig_x, sig_xx, abs(sig - estimate(h / 2.0)[0])))
     return out
 
 
@@ -373,7 +372,7 @@ def diff_identity_scan(
     rows = []
     for t in t_grid:
         h = max(1e-4, 1e-3 * t)
-        ls = _logdet_stencil(p.with_t(t), n, t, h)
+        _, ls = _logdet_stencil(p.with_t(t), n, t, h)
         lhs = _stencil_derivs(ls, h)[0] / 1j
         rhs = diff_identity_rhs(p, n, t, traj)
         rows.append({"n": n, "t": t, "lhs": lhs, "rhs": rhs, "err": abs(lhs - rhs)})
@@ -387,14 +386,12 @@ def diff_identity_scan(
     )
 
 
-def beta_one_check(
-    p: FHParams, n_list, nt_list, c0: float = DEFAULT_C0, identity_n: int = 8
-) -> ExperimentReport:
+def beta_one_check(p: FHParams, n_list, nt_list) -> ExperimentReport:
     """Shifted-symbol determinant ratio: exact vs the two-branch prediction.
 
     Also verifies the exact finite-n identity connecting D_{n-1} of the
     shifted symbol to the orthogonal-polynomial data of the original one
-    (at n = identity_n, tolerance 1e-8).
+    (at n = _IDENTITY_N, tolerance 1e-8).
     """
     start = time.time()
     if (p.beta1 - p.beta2).real != 0.0:
@@ -409,7 +406,7 @@ def beta_one_check(
             pm = pt.with_betas(pt.beta1, pt.beta2 - 1.0)
             exact_n = _exact_logdet(pt, n)
             exact_m = _exact_logdet(pm, n - 1)
-            pred = beta_one_ratio(pt, n, rt.r_at(2.0 * n * t), exact_n, c0=c0)
+            pred = beta_one_ratio(pt, n, rt.r_at(2.0 * n * t), exact_n)
             err = abs(np.exp(pred.log_value) - np.exp(exact_m)) / abs(np.exp(exact_m))
             rows.append(
                 {
@@ -425,21 +422,21 @@ def beta_one_check(
 
     # exact identity row: vanishing-order-free product from the moment solve
     pid = p.with_t(0.05 if p.t == 0.0 else p.t)
-    table = fourier_coeffs(pid, identity_n)
-    op = orth_poly(table, identity_n - 1)
+    table = fourier_coeffs(pid, _IDENTITY_N)
+    op = orth_poly(table, _IDENTITY_N - 1)
     lhs = (
-        pid.z2 ** (identity_n - 1)
+        pid.z2 ** (_IDENTITY_N - 1)
         * op.hat_phi0_chi
-        * np.exp(log_det(table, identity_n).log)
+        * np.exp(log_det(table, _IDENTITY_N).log)
     )
     pm = pid.with_betas(pid.beta1, pid.beta2 - 1.0)
-    rhs = np.exp(_exact_logdet(pm, identity_n - 1))
+    rhs = np.exp(_exact_logdet(pm, _IDENTITY_N - 1))
     id_err = abs(lhs - rhs) / abs(rhs)
     rows.append(
         {
-            "n": identity_n,
+            "n": _IDENTITY_N,
             "t": pid.t,
-            "nt": identity_n * pid.t,
+            "nt": _IDENTITY_N * pid.t,
             "branch": "identity",
             "exact": complex(rhs),
             "pred": complex(lhs),
@@ -451,6 +448,6 @@ def beta_one_check(
         suite="betaone",
         rows=rows,
         verdict=verdict,
-        summary={"identity_err": id_err, "c0": c0},
+        summary={"identity_err": id_err, "c0": DEFAULT_C0},
         runtime_s=time.time() - start,
     )

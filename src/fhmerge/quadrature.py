@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError, ValidationError
+from .errors import QuadratureError
 
 __all__ = ["ArcRule", "arc_rule", "integrate_arc"]
 
@@ -25,6 +25,7 @@ _T_MAX = 4.0
 _BASE_H = 1.0 / 64.0
 # bulk nodes per period of the fastest oscillation at refine 0
 _NODES_PER_OSC = 8.0
+_MAX_REFINE = 6  # step halvings integrate_arc tries after refine 0
 
 
 @dataclass(frozen=True)
@@ -92,18 +93,16 @@ def arc_rule(a: float, b: float, max_freq: float = 0.0, refine: int = 0) -> ArcR
     )
 
 
-def integrate_arc(func, a, b, tol=1e-12, max_refine=6, max_freq=0.0):
+def integrate_arc(func, a, b, tol=1e-12):
     """Adaptively integrate func over [a, b] with tanh-sinh refinement.
 
     func receives an ArcRule and must return integrand values at rule.x
     (it can use rule.dist_a / rule.dist_b for endpoint-singular factors).
     Returns (value, error_estimate).
     """
-    if max_refine < 1:
-        raise ValidationError(f"the nested estimate needs max_refine >= 1, got {max_refine}")
     prev = None
-    for refine in range(max_refine + 1):
-        rule = arc_rule(a, b, max_freq=max_freq, refine=refine)
+    for refine in range(_MAX_REFINE + 1):
+        rule = arc_rule(a, b, refine=refine)
         vals = func(rule)
         total = np.sum(vals * rule.w)
         if prev is not None:
@@ -114,5 +113,5 @@ def integrate_arc(func, a, b, tol=1e-12, max_refine=6, max_freq=0.0):
         prev = total
     raise QuadratureError(
         f"tanh-sinh failed to reach tol={tol} on [{a}, {b}] "
-        f"after {max_refine} refinements (last delta {err:.3e})"
+        f"after {_MAX_REFINE} refinements (last delta {err:.3e})"
     )

@@ -339,13 +339,8 @@ def params_from_json_dict(cfg: dict) -> FHParams:
     """
     try:
         v = {int(k): _as_complex(c) for k, c in cfg.get("V", {}).items()}
-        return FHParams(
-            alpha1=_as_complex(cfg.get("alpha1", 0.0)),
-            alpha2=_as_complex(cfg.get("alpha2", 0.0)),
-            beta1=_as_complex(cfg.get("beta1", 0.0)),
-            beta2=_as_complex(cfg.get("beta2", 0.0)),
-            t=float(cfg.get("t", 0.0)),
-            v_coeffs=v,
-        )
-    except (TypeError, KeyError) as exc:
+        exps = {k: _as_complex(cfg.get(k, 0.0)) for k in ("alpha1", "alpha2", "beta1", "beta2")}
+        t = float(cfg.get("t", 0.0))
+    except (AttributeError, TypeError, KeyError, ValueError) as exc:
         raise ValidationError(f"malformed symbol config: {exc}") from exc
+    return FHParams(**exps, t=t, v_coeffs=v)

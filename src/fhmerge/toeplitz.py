@@ -69,22 +69,23 @@ def log_det(table: FourierTable, n: int) -> LogDeterminant:
     return LogDeterminant(n=n, log_abs=log_abs, arg=arg)
 
 
+_HEINE_REFINE = {1: 3, 2: 1, 3: 0}  # tanh-sinh step halvings per n
+
+
 @single_thread
-def heine_det(p: FHParams, n: int, refine: int | None = None) -> complex:
+def heine_det(p: FHParams, n: int) -> complex:
     """D_n by direct quadrature of the n-fold Heine integral (n <= 3).
 
     Cost grows exponentially with n; this exists purely as an oracle for
     log_det.  The one-dimensional rules are doubly-exponentially accurate,
-    so the defaults (coarser for larger n) still land far below 1e-6.
+    so _HEINE_REFINE (coarser for larger n) still lands far below 1e-6.
     """
-    if n not in (1, 2, 3):
+    if n not in _HEINE_REFINE:
         raise ValidationError("heine_det supports n in {1, 2, 3} only")
-    if refine is None:
-        refine = {1: 3, 2: 1, 3: 0}[n]
     nodes = []
     weights = []
     for (a, b), roles in _arcs(p):
-        rule = arc_rule(a, b, max_freq=4.0, refine=refine)
+        rule = arc_rule(a, b, max_freq=4.0, refine=_HEINE_REFINE[n])
         nodes.append(rule.x)
         weights.append(rule.w * _symbol_on_rule(p, rule, roles) / TWO_PI)
     theta = np.concatenate(nodes)

@@ -238,6 +238,29 @@ def test_fk_constants_c2():
     assert abs(c2 - want) < 1e-14
 
 
+class _PowerLawOmega:
+    """A trajectory stub with omega(x) = -2 alpha^2 ln(1 + x) on [0, x_max]."""
+
+    def __init__(self, alpha, x_max):
+        self.alpha = alpha
+        self.x_grid = np.array([0.0, x_max])
+
+    def omega_at(self, x):
+        return -2.0 * self.alpha**2 * np.log1p(x) + 0j
+
+
+@pytest.mark.parametrize("alpha", [0.8, 0.9])
+def test_fk_constants_c3_power_law_omega(alpha):
+    # gfac int_0^inf (1 + 2u)^(-2 alpha^2) du = gfac / (2 (2 alpha^2 - 1));
+    # the tail beyond x_max carries a relative error O(1 / x_max)
+    gfac = math.exp(
+        (2.0 * log_barnes_g(1.0 + 2.0 * alpha) - log_barnes_g(1.0 + 4.0 * alpha)).real
+    )
+    want = gfac / (2.0 * (2.0 * alpha**2 - 1.0))
+    got = fk_constants(alpha).c3(_PowerLawOmega(alpha, 1e4))
+    assert abs(got - want) < 1e-3 * want
+
+
 def test_fk_c1_diverges():
     with pytest.raises(ValidationError):
         fk_constants(0.9).c1(0.5)

@@ -220,3 +220,29 @@ def test_sweep_rejects_log_grid_rule(tmp_path, capsys):
     cfg.write_text(json.dumps({"n_list": [32], "t_rule": "log-grid"}))
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert "t_rule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("det", '{"t": "abc"}'),
+        ("det", '{"alpha1": "x"}'),
+        ("det", '{"V": {"k": 1}}'),
+        ("det", '{"alpha1": [1, 2, 3]}'),
+        ("det", '{"alpha1": '),
+        ("det", None),
+        ("sweep", '{"n_list": ["a"]}'),
+        ("sweep", '{"n_list": [0]}'),
+    ],
+    ids=["t-text", "alpha-text", "v-key", "alpha-triple", "bad-json", "missing", "n-list-text",
+         "n-list-zero"],
+)
+def test_malformed_config_exit_code(tmp_path, capsys, command, content):
+    # an unreadable or ill-typed config is invalid input, not a failed verdict
+    cfg = tmp_path / "f.json"
+    if content is not None:
+        cfg.write_text(content)
+    argv = ["det", "--config", str(cfg), "--n", "4"] if command == "det" else [
+        "sweep", "--config", str(cfg)]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err

@@ -8,6 +8,8 @@ from fhmerge.errors import ValidationError
 from fhmerge.experiments import (
     SweepConfig,
     _integrate_det,
+    _logdet_stencil,
+    _stencil_derivs,
     _t_nodes,
     beta_one_check,
     diff_identity_scan,
@@ -16,6 +18,7 @@ from fhmerge.experiments import (
     regime_sweep,
     sigma_from_determinants,
 )
+from fhmerge.painleve import integrate_sigma
 from fhmerge.symbol import FHParams, fourier_coeffs
 from fhmerge.toeplitz import log_det
 
@@ -91,9 +94,55 @@ def test_sigma_from_determinants_small_x_limit(p03):
     assert abs(sig - 0.18) < 5e-3  # 2 alpha^2 at alpha = 0.3
 
 
+def _symmetric_sigma_reference(p, n, x_grid):
+    # the hand-derived inversion for beta = 0 and real alpha1 = alpha2:
+    # the explicit terms there reduce to -2 alpha^2 ln(sin t / t)
+    alpha = p.alpha1.real
+    out = []
+    for x in x_grid:
+        t = x / (2.0 * n)
+        h = min(max(1e-4, 1e-3 * t), t / 3.0)
+        _, ls = _logdet_stencil(p, n, t, h)
+        l1, l2, l3 = _stencil_derivs(ls.real, h)
+        ct = 1.0 / math.tan(t)
+        s2 = 1.0 / math.sin(t) ** 2
+        g = t * l1 + 2.0 * alpha**2 * (t * ct - 1.0)
+        g1 = l1 + t * l2 + 2.0 * alpha**2 * (ct - t * s2)
+        g2 = 2.0 * l2 + t * l3 + 2.0 * alpha**2 * (
+            -2.0 * s2 + 2.0 * t * math.cos(t) / math.sin(t) ** 3
+        )
+        out.append((2.0 * alpha**2 + g, g1 / (2.0 * n), g2 / (2.0 * n) ** 2))
+    return out
+
+
+def test_sigma_from_determinants_matches_symmetric_reference(p03):
+    xs = [0.05, 1.0, 2.0, 5.0]
+    got = sigma_from_determinants(p03, 128, xs)
+    for (_, sig, sig_x, sig_xx, _), (ref, ref_x, ref_xx) in zip(
+        got, _symmetric_sigma_reference(p03, 128, xs)
+    ):
+        assert abs(sig - ref) < 1e-12
+        assert abs(sig_x - ref_x) < 1e-10
+        assert abs(sig_xx - ref_xx) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "p",
+    [FHParams(0.2, 0.25, 0.1j, -0.15j), FHParams(0.3, 0.3, 0.1 + 0.2j, -0.1j)],
+    ids=["imag-beta", "complex-beta"],
+)
+def test_sigma_from_determinants_general_params(p):
+    # away from beta = 0 and alpha1 = alpha2 the inversion still tracks the solve
+    traj = integrate_sigma(p, x_max=10.0)
+    for x, *est, _ in sigma_from_determinants(p, 128, [1.0, 2.0, 5.0]):
+        for got, want in zip(est, traj.eval(x)):
+            assert abs(got - want) < 2e-3
+
+
 def test_sigma_from_determinants_rejects_bad_params():
+    # transition_log needs seminorm |Re(beta1 - beta2)| < 1
     with pytest.raises(ValidationError):
-        sigma_from_determinants(FHParams(0.3, 0.2), 64, [1.0])
+        sigma_from_determinants(FHParams(0.3, 0.3, 1.0, 0.0), 64, [1.0])
 
 
 def test_dyson_check_small_sizes():
@@ -139,7 +188,7 @@ def test_diff_identity_imaginary_beta(p03):
 
 
 def test_beta_one_check_identity_row(p03):
-    report = beta_one_check(p03, (16,), (2.0,), identity_n=8)
+    report = beta_one_check(p03, (16,), (2.0,))
     assert report.summary["identity_err"] < 1e-8
     assert report.verdict
 

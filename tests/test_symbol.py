@@ -26,12 +26,6 @@ def test_tanh_sinh_endpoint_singularity():
     assert abs(val - 1.0 / 0.6) < 1e-12
 
 
-def test_integrate_arc_needs_two_levels():
-    # the nested error estimate compares two refinement levels
-    with pytest.raises(ValidationError):
-        integrate_arc(lambda rule: rule.x, 0.0, 1.0, max_refine=0)
-
-
 def test_tanh_sinh_oscillatory():
     rule = arc_rule(0.0, 2.0 * PI, max_freq=40.0)
     val = np.sum(np.cos(40.0 * rule.x) * rule.x * rule.w)
