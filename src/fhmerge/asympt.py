@@ -14,17 +14,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import beta as _sp_beta
+from scipy.special import betainc
 
-from .errors import NondegeneracyError, ValidationError
-from .painleve import (
-    SigmaTrajectory,
-    _is_negative_integer,
-    barnes_g_merged_sum,
-    barnes_g_pair_sum,
-    check_nondegeneracy,
-)
-from .quadrature import integrate_arc
-from .specfun import DYSON_CD, log_barnes_g, log_gamma
+from .errors import ValidationError
+from .painleve import SigmaTrajectory, check_nondegeneracy
+from .specfun import DYSON_CD, log_barnes_g_ratio, log_gamma
 from .symbol import FHParams
 
 __all__ = [
@@ -69,19 +64,23 @@ def _require_seminorm(p: FHParams):
         raise ValidationError(f"seminorm {p.seminorm} out of range; reduce betas first")
 
 
+def _wiener_hopf_log(p: FHParams, z: complex, alpha: complex, beta: complex) -> complex:
+    """ln of b_+(z)^(beta-alpha) b_-(z)^(-alpha-beta), the smooth factor's
+    share of the constant of one singularity (alpha, beta) at z; it equals
+    -alpha (V(z) - V_0) + beta (ln b_+ - ln b_-)(z)."""
+    return (beta - alpha) * p.log_b_plus(z) - (alpha + beta) * p.log_b_minus(z)
+
+
 def e_constant(p: FHParams) -> complex:
     """The n-independent constant of the fixed-t two-singularity expansion."""
     if not (0.0 < p.t < math.pi):
         raise ValidationError("constant term needs t in (0, pi)")
     check_nondegeneracy(p, merged=False)
-    z1, z2 = p.z1, p.z2
-    v0 = p.v0
     out = p.szego_sum
     out += 2.0 * (p.beta1 * p.beta2 - p.alpha1 * p.alpha2) * math.log(abs(2.0 * math.sin(p.t)))
     out += 1j * (math.pi - 2.0 * p.t) * (p.alpha1 * p.beta2 - p.alpha2 * p.beta1)
-    out += -p.alpha1 * (p.v_at(z1) - v0) + p.beta1 * (p.log_b_plus(z1) - p.log_b_minus(z1))
-    out += -p.alpha2 * (p.v_at(z2) - v0) + p.beta2 * (p.log_b_plus(z2) - p.log_b_minus(z2))
-    out += barnes_g_pair_sum(p)
+    for z, alpha, beta in ((p.z1, p.alpha1, p.beta1), (p.z2, p.alpha2, p.beta2)):
+        out += _wiener_hopf_log(p, z, alpha, beta) + log_barnes_g_ratio(alpha, beta)
     return out
 
 
@@ -114,12 +113,8 @@ def fh1_log(p: FHParams, n: int) -> AsymptoticPrediction:
     b = p.beta_sum
     if a.real <= -0.5:
         raise ValidationError("needs Re(alpha1+alpha2) > -1/2")
-    for c in (a + b, a - b):
-        if _is_negative_integer(c):
-            raise NondegeneracyError(f"merged combination {c} degenerate")
-    constant = p.szego_sum - a * (p.v_at(1.0) - p.v0)
-    constant += b * (p.log_b_plus(1.0) - p.log_b_minus(1.0))
-    constant += barnes_g_merged_sum(a, b)
+    check_nondegeneracy(p.merged(), merged=False)
+    constant = p.szego_sum + _wiener_hopf_log(p, 1.0, a, b) + log_barnes_g_ratio(a, b)
     terms = {
         "n_linear": n * p.v0,
         "log_n": (a**2 - b**2) * math.log(n),
@@ -192,7 +187,12 @@ def _transition_terms(p: FHParams, n: int) -> dict:
         raise ValidationError("transition form needs t in (0, pi)")
     _require_seminorm(p)
     merged = fh1_log(p.merged(), n)
-    z1, z2 = cmath.exp(1j * t), cmath.exp(-1j * t)
+    # each singularity's Wiener-Hopf factor at z_j = e^{+-it} less its value at 1
+    pairs = ((cmath.exp(1j * t), p.alpha1, p.beta1), (cmath.exp(-1j * t), p.alpha2, p.beta2))
+
+    def shift(z, alpha, beta):
+        return _wiener_hopf_log(p, z, alpha, beta) - _wiener_hopf_log(p, 1.0, alpha, beta)
+
     terms = dict(merged.terms)
     terms["nt_linear"] = 1j * n * t * (p.beta2 - p.beta1)
     terms["painleve_integral"] = 0.0
@@ -200,14 +200,8 @@ def _transition_terms(p: FHParams, n: int) -> dict:
         2.0 * (p.beta1 * p.beta2 - p.alpha1 * p.alpha2) * math.log(math.sin(t) / t)
     )
     terms["t_linear"] = 2j * t * (p.alpha2 * p.beta1 - p.alpha1 * p.beta2)
-    terms["v_shift"] = -p.alpha1 * (p.v_at(z1) - p.v_at(1.0)) - p.alpha2 * (
-        p.v_at(z2) - p.v_at(1.0)
-    )
-    terms["b_shift"] = p.beta1 * (
-        p.log_b_plus(z1) + p.log_b_minus(1.0) - p.log_b_minus(z1) - p.log_b_plus(1.0)
-    ) + p.beta2 * (
-        p.log_b_plus(z2) + p.log_b_minus(1.0) - p.log_b_minus(z2) - p.log_b_plus(1.0)
-    )
+    terms["v_shift"] = sum(shift(z, alpha, 0.0) for z, alpha, _ in pairs)
+    terms["b_shift"] = sum(shift(z, 0.0, beta) for z, _, beta in pairs)
     return terms
 
 
@@ -335,33 +329,40 @@ def diff_identity_rhs(p: FHParams, n: int, t: float, traj: SigmaTrajectory) -> c
     return n * (p.beta2 - p.beta1) + d1 + d2 + d3
 
 
+def _fk_prefactor(alpha: float) -> float:
+    """P(alpha) of FKConstants, the prefactor of c1 and c2."""
+    return math.exp(2.0 * log_barnes_g_ratio(alpha, 0.0).real) / 2.0 ** (2.0 * alpha * alpha)
+
+
 @dataclass(frozen=True)
 class FKConstants:
-    """The three moment-scaling constants of the symmetric power symbol."""
+    """The three moment-scaling constants of the symmetric power symbol.
+
+    With P(alpha) = G(1+alpha)^4 / (G(1+2 alpha)^2 2^(2 alpha^2)):
+    c1(t1) = P(alpha) int_0^t1 sin^(-2 alpha^2) x dx for 2 alpha^2 < 1, in
+    closed form through the regularized incomplete beta function;
+    c2 = P(1/sqrt 2) at the critical point; and c3 is G(1+2 alpha)^2 /
+    G(1+4 alpha) times int_0^inf e^{Re omega(2u)} du for 2 alpha^2 > 1.
+    """
 
     alpha: float
 
     def c1(self, t1: float) -> float:
-        if 2.0 * self.alpha**2 >= 1.0:
-            raise ValidationError("first-regime constant diverges for 2 alpha^2 >= 1")
         a = self.alpha
-        prefac = math.exp(
-            (4.0 * log_barnes_g(1.0 + a) - 2.0 * log_barnes_g(1.0 + 2.0 * a)).real
-        ) / 2.0 ** (2.0 * a * a)
-        expo = -2.0 * a * a
-
-        def integrand(rule):
-            return np.sin(rule.x) ** expo
-
-        val, _ = integrate_arc(integrand, 0.0, t1, tol=1e-11)
-        return prefac * float(val.real)
+        if 2.0 * a * a >= 1.0:
+            raise ValidationError("first-regime constant diverges for 2 alpha^2 >= 1")
+        if not (0.0 < t1 < math.pi):
+            raise ValidationError("first-regime constant needs t1 in (0, pi)")
+        # u = sin^2 x: int_0^t1 sin^(-2 a^2) x dx = B(mu, 1/2) I_{sin^2 t1}(mu, 1/2) / 2
+        # for t1 <= pi/2, and the full B(mu, 1/2) less the mirror part past pi/2
+        mu = 0.5 - a * a
+        full = float(_sp_beta(mu, 0.5))
+        part = 0.5 * full * float(betainc(mu, 0.5, math.sin(t1) ** 2))
+        return _fk_prefactor(a) * (part if t1 <= 0.5 * math.pi else full - part)
 
     @property
     def c2(self) -> float:
-        iv = 1.0 / math.sqrt(2.0)
-        return math.exp(
-            (4.0 * log_barnes_g(1.0 + iv) - 2.0 * log_barnes_g(1.0 + 2.0 * iv)).real
-        ) / 2.0
+        return _fk_prefactor(1.0 / math.sqrt(2.0))
 
     def c3(self, traj: SigmaTrajectory) -> float:
         """gfac int_0^inf e^{Re omega(2u)} du, e^omega continued past the
@@ -375,7 +376,7 @@ class FKConstants:
         vals = np.exp(traj.omega_at(2.0 * us).real)
         body = np.trapezoid(vals * us, np.log(us))
         tail = vals[-1] * u_max / (2.0 * a * a - 1.0)
-        gfac = math.exp((2.0 * log_barnes_g(1.0 + 2.0 * a) - log_barnes_g(1.0 + 4.0 * a)).real)
+        gfac = math.exp(log_barnes_g_ratio(2.0 * a, 0.0).real)
         return gfac * (body + tail)
 
 

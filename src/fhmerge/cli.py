@@ -76,8 +76,10 @@ def _read_config(path) -> dict:
     return cfg
 
 
-def _params_from_args(args) -> FHParams:
-    base = params_from_json_dict(_read_config(args.config) if args.config else {})
+def _params_from_args(args, base: FHParams = FHParams(0.0, 0.0)) -> FHParams:
+    """The symbol flags over the config file, or over base without one."""
+    if args.config:
+        base = params_from_json_dict(_read_config(args.config))
     v = dict(base.v_coeffs)
     if args.v is not None:
         v = dict(args.v)
@@ -184,14 +186,12 @@ def _cmd_predict(args):
     return EXIT_OK
 
 
-def _default_suite_params(args) -> FHParams:
-    if args.alpha1 is None and args.config is None:
-        return FHParams(0.3, 0.3, t=0.3)
-    return _params_from_args(args)
+# the symbol of the verify suites that take one, when no config is given
+_SUITE_DEFAULT = FHParams(0.3, 0.3, t=0.3)
 
 
 def _cmd_verify(args):
-    p = _default_suite_params(args)
+    p = _params_from_args(args, _SUITE_DEFAULT)
     if args.suite == "regimes":
         cfg = experiments.SweepConfig(params=p, n_list=tuple(args.n_list or (64, 128)))
         report = experiments.regime_sweep(cfg)

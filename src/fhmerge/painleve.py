@@ -35,7 +35,7 @@ from .errors import (
     PoleDetectedError,
     ValidationError,
 )
-from .specfun import log_barnes_g, log_gamma
+from .specfun import is_nonpositive_integer, log_barnes_g_ratio, log_gamma
 from .symbol import FHParams
 
 __all__ = [
@@ -72,27 +72,6 @@ def sigma_zero(p: FHParams) -> complex:
     return 2.0 * p.alpha1 * p.alpha2 - p.beta_sum**2 / 2.0
 
 
-def _is_negative_integer(z: complex) -> bool:
-    return z.imag == 0.0 and z.real < -0.5 and z.real == round(z.real)
-
-
-def barnes_g_pair_sum(p: FHParams) -> complex:
-    """ln G(1+alpha_j+beta_j) + ln G(1+alpha_j-beta_j) - ln G(1+2 alpha_j), summed over j."""
-    return (
-        log_barnes_g(1.0 + p.alpha1 + p.beta1)
-        + log_barnes_g(1.0 + p.alpha1 - p.beta1)
-        + log_barnes_g(1.0 + p.alpha2 + p.beta2)
-        + log_barnes_g(1.0 + p.alpha2 - p.beta2)
-        - log_barnes_g(1.0 + 2.0 * p.alpha1)
-        - log_barnes_g(1.0 + 2.0 * p.alpha2)
-    )
-
-
-def barnes_g_merged_sum(a: complex, b: complex) -> complex:
-    """ln G(1+a+b) + ln G(1+a-b) - ln G(1+2a) for merged exponents a, b."""
-    return log_barnes_g(1.0 + a + b) + log_barnes_g(1.0 + a - b) - log_barnes_g(1.0 + 2.0 * a)
-
-
 def check_nondegeneracy(p: FHParams, merged: bool = True) -> None:
     """Reject alpha_j +/- beta_j in {-1,-2,...} (and merged combinations)."""
     combos = [p.alpha1 + p.beta1, p.alpha1 - p.beta1, p.alpha2 + p.beta2, p.alpha2 - p.beta2]
@@ -100,7 +79,7 @@ def check_nondegeneracy(p: FHParams, merged: bool = True) -> None:
         a, b = p.alpha1 + p.alpha2, p.beta_sum
         combos += [a + b, a - b]
     for c in combos:
-        if _is_negative_integer(c):
+        if is_nonpositive_integer(c + 1.0):
             raise NondegeneracyError(f"parameter combination {c} hits a negative integer")
 
 
@@ -109,7 +88,7 @@ def tau0(p: FHParams) -> complex:
     a = p.alpha1 + p.alpha2
     b = p.beta_sum
     two_a = 2.0 * a
-    if two_a.imag == 0.0 and two_a.real >= 0.0 and two_a.real == round(two_a.real):
+    if is_nonpositive_integer(-two_a):
         raise NondegeneracyError("2(alpha1+alpha2) in N u {0}: no tau0 term (half-integer case)")
     check_nondegeneracy(p)
     sin2a = cmath.sin(2.0 * cmath.pi * a)
@@ -192,10 +171,16 @@ def _omega_series_head(p: FHParams, x):
     return (xe[..., 1:] * (c[1:] / e[1:])).sum(-1)
 
 
+def _branch_sign(p: FHParams) -> float:
+    """+1 when Re(beta1 - beta2) >= 0, else -1: the sign of the oscillating
+    term that the large-argument expansion keeps."""
+    return 1.0 if (p.beta1 - p.beta2).real >= 0.0 else -1.0
+
+
 def _gamma_connection(p: FHParams, x):
     """The oscillatory gamma(s) entering the large-argument expansion, at
     x = |s| given as a float or an array of floats."""
-    if (p.beta1 - p.beta2).real >= 0.0:
+    if _branch_sign(p) > 0.0:
         expo = 2.0 * (-1.0 + p.beta1 - p.beta2)
         phase = np.exp(-1j * x) * cmath.exp(1j * cmath.pi * (p.alpha1 + p.alpha2))
         ratio = cmath.exp(log_gamma(1.0 + p.alpha1 - p.beta1) + log_gamma(1.0 + p.alpha2 + p.beta2))
@@ -218,7 +203,7 @@ def sigma_large_asym(p: FHParams, x: float) -> complex:
         raise ValidationError("large-argument form needs seminorm < 1")
     s = -1j * x
     g = _gamma_connection(p, x)
-    sign = 1.0 if (p.beta1 - p.beta2).real >= 0.0 else -1.0
+    sign = _branch_sign(p)
     return (p.beta2 - p.beta1) * s / 2.0 - (p.beta1 - p.beta2) ** 2 / 2.0 + sign * s * g / (1.0 + g)
 
 
@@ -480,7 +465,7 @@ def r_small_s(p: FHParams, x: float) -> complex:
     """Leading small-argument form of r at s = -ix."""
     a = p.alpha1 + p.alpha2
     b = p.beta_sum
-    if _is_negative_integer(1.0 + a - b):
+    if is_nonpositive_integer(2.0 + a - b):  # 1 + a - b in {-1, -2, ...}
         raise NondegeneracyError("r small-argument form degenerate")
     val = cmath.exp(log_gamma(1.0 + a - b)) * complex(rgamma(a + b))
     phase = cmath.exp(1j * cmath.pi * (p.alpha1 - p.alpha2 - 3.0 * p.beta1 - p.beta2))
@@ -625,15 +610,13 @@ def integral_identity_check(p: FHParams, traj: SigmaTrajectory, T: float):
         + 2.0 * (p.alpha1 * p.alpha2 - p.beta1 * p.beta2) * math.log(T)
     )
     # the tail vanishes for the degenerate pair, where rgamma(alpha2 - beta2) = 0
-    sign = 1.0 if (p.beta1 - p.beta2).real >= 0.0 else -1.0
+    sign = _branch_sign(p)
     ys = np.arange(T, max(10.0 * T, 2000.0), math.pi / 40.0)
     gs = _gamma_connection(p, ys)
     integrand = -sign * 1j * gs / (1.0 + gs)
     lhs += np.trapezoid(integrand, ys)
 
-    a = p.alpha1 + p.alpha2
-    b = p.beta_sum
     rhs = 1j * math.pi * (p.alpha1 * p.beta2 - p.alpha2 * p.beta1)
-    rhs -= barnes_g_merged_sum(a, b)
-    rhs += barnes_g_pair_sum(p)
+    rhs -= log_barnes_g_ratio(p.alpha1 + p.alpha2, p.beta_sum)
+    rhs += log_barnes_g_ratio(p.alpha1, p.beta1) + log_barnes_g_ratio(p.alpha2, p.beta2)
     return lhs, rhs, abs(lhs - rhs)

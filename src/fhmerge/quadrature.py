@@ -1,11 +1,15 @@
-"""Double-exponential (tanh-sinh) quadrature on arcs with endpoint singularities.
+"""Double-exponential (tanh-sinh) rules on arcs with endpoint singularities.
 
-One scheme covers every admissible exponent: an algebraic endpoint
-singularity (x - a)^lam with Re lam > -1 is flattened by the tanh-sinh
-substitution, so no Jacobi-type weights are needed.  Nodes are returned
-together with their distances to both endpoints, computed without
-cancellation, so integrands can resolve |x - endpoint| to full precision
-arbitrarily close to the ends.
+One rule, arc_rule, serves every caller: an algebraic endpoint
+singularity (x - a)^lam is flattened by the tanh-sinh substitution, so
+no Jacobi-type weights are needed.  Nodes are returned together with
+their distances to both endpoints, computed without cancellation, so
+integrands can resolve |x - endpoint| to full precision arbitrarily
+close to the ends.  The nodes stop at endpoint distances ~1e-37; the
+mass of (x - a)^lam dropped there is ~(1e-37)^(1 + Re lam), below 1e-11
+only for Re lam > -0.7.  Callers choose the step (refine) and estimate
+the error themselves from the nested every-other-node half that
+ArcRule.coarse marks.
 """
 
 from __future__ import annotations
@@ -15,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError
-
-__all__ = ["ArcRule", "arc_rule", "integrate_arc"]
+__all__ = ["ArcRule", "arc_rule"]
 
 # Clustering cutoff: endpoint distances reach ~exp(-pi*sinh(4)) ~ 1e-37,
 # enough for exponents down to (and slightly below) -1/2.
@@ -25,7 +27,6 @@ _T_MAX = 4.0
 _BASE_H = 1.0 / 64.0
 # bulk nodes per period of the fastest oscillation at refine 0
 _NODES_PER_OSC = 8.0
-_MAX_REFINE = 6  # step halvings integrate_arc tries after refine 0
 
 
 @dataclass(frozen=True)
@@ -90,28 +91,4 @@ def arc_rule(a: float, b: float, max_freq: float = 0.0, refine: int = 0) -> ArcR
         dist_a=dist_a[keep],
         dist_b=dist_b[keep],
         coarse=(k[keep] % 2 == 0),
-    )
-
-
-def integrate_arc(func, a, b, tol=1e-12):
-    """Adaptively integrate func over [a, b] with tanh-sinh refinement.
-
-    func receives an ArcRule and must return integrand values at rule.x
-    (it can use rule.dist_a / rule.dist_b for endpoint-singular factors).
-    Returns (value, error_estimate).
-    """
-    prev = None
-    for refine in range(_MAX_REFINE + 1):
-        rule = arc_rule(a, b, refine=refine)
-        vals = func(rule)
-        total = np.sum(vals * rule.w)
-        if prev is not None:
-            err = abs(total - prev)
-            scale = max(1.0, abs(total))
-            if err <= tol * scale:
-                return total, err
-        prev = total
-    raise QuadratureError(
-        f"tanh-sinh failed to reach tol={tol} on [{a}, {b}] "
-        f"after {_MAX_REFINE} refinements (last delta {err:.3e})"
     )

@@ -21,6 +21,8 @@ from .errors import BarnesGZeroError, GammaPoleError
 __all__ = [
     "log_gamma",
     "log_barnes_g",
+    "log_barnes_g_ratio",
+    "is_nonpositive_integer",
     "GLAISHER_A",
     "ZETA_PRIME_MINUS1",
     "DYSON_CD",
@@ -42,7 +44,8 @@ _LN_2PI = math.log(2.0 * math.pi)
 _EULER_GAMMA = 0.5772156649015328606065120900824024310
 
 
-def _is_nonpositive_integer(z: complex) -> bool:
+def is_nonpositive_integer(z: complex) -> bool:
+    """z in {0, -1, -2, ...}: a pole of Gamma, a zero of Barnes G."""
     return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
 
 
@@ -52,7 +55,7 @@ def log_gamma(z: complex) -> complex:
     Raises GammaPoleError at the poles z = 0, -1, -2, ...
     """
     z = complex(z)
-    if _is_nonpositive_integer(z):
+    if is_nonpositive_integer(z):
         raise GammaPoleError(f"Gamma has a pole at z = {z}")
     return complex(_sp_loggamma(z))
 
@@ -94,7 +97,7 @@ def log_barnes_g(z: complex) -> complex:
     the zeros z = 0, -1, -2, ...
     """
     z = complex(z)
-    if _is_nonpositive_integer(z):
+    if is_nonpositive_integer(z):
         raise BarnesGZeroError(f"Barnes G vanishes at z = {z}")
     if abs(z.imag) > 2.0 + 1e-12:
         raise ValueError("log_barnes_g supports |Im z| <= 2 only")
@@ -110,8 +113,14 @@ def log_barnes_g(z: complex) -> complex:
     elif m < 0:
         # ln G(z) = ln G(z - m) - sum_{j=0..-m-1} ln Gamma(z + j)
         for j in range(0, -m):
-            if _is_nonpositive_integer(z + j):
+            if is_nonpositive_integer(z + j):
                 raise BarnesGZeroError("Barnes G vanishes at a shifted pole")
             shift -= log_gamma(z + j)
         z = z - m
     return _log_barnes_g_base(z - 1.0) + shift
+
+
+def log_barnes_g_ratio(a: complex, b: complex) -> complex:
+    """ln G(1+a+b) + ln G(1+a-b) - ln G(1+2a), the Barnes-G part of the
+    constant of one Fisher-Hartwig singularity with exponents (a, b)."""
+    return log_barnes_g(1.0 + a + b) + log_barnes_g(1.0 + a - b) - log_barnes_g(1.0 + 2.0 * a)

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -264,6 +265,26 @@ def test_fk_constants_c3_power_law_omega(alpha):
 def test_fk_c1_diverges():
     with pytest.raises(ValidationError):
         fk_constants(0.9).c1(0.5)
+
+
+@pytest.mark.parametrize("alpha", [-0.2, 0.2, 0.5, 0.6, 0.65, 0.7])
+def test_fk_c1_against_mpmath_betainc(alpha):
+    # G(1+a)^4 / (G(1+2a)^2 2^(2a^2)) int_0^t1 sin^(-2a^2) x dx with
+    # u = sin^2 x: B_{sin^2 t1}(mu, 1/2) / 2 up to pi/2, mu = 1/2 - a^2
+    for t1 in (0.05, PI / 3.0, PI / 2.0, 2.5):
+        with mp.workdps(30):
+            a = mp.mpf(alpha)
+            mu = mp.mpf(0.5) - a * a
+            prefac = mp.barnesg(1 + a) ** 4 / mp.barnesg(1 + 2 * a) ** 2 / mp.mpf(2) ** (2 * a * a)
+            half = mp.betainc(mu, 0.5, 0, mp.sin(mp.mpf(t1)) ** 2) / 2
+            want = float(prefac * (half if t1 <= PI / 2.0 else mp.beta(mu, 0.5) - half))
+        assert abs(fk_constants(alpha).c1(t1) - want) < 1e-12 * want
+
+
+@pytest.mark.parametrize("t1", [0.0, -0.1, PI, 4.0])
+def test_fk_c1_rejects_t1_outside_open_interval(t1):
+    with pytest.raises(ValidationError):
+        fk_constants(0.5).c1(t1)
 
 
 def test_dyson_constant_value():

@@ -20,6 +20,18 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(fhmerge.__file__)))
 
 
+def _run_child(workload, trace):
+    """The JSON report of one bench/child.py repetition of workload."""
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), workload, "0", trace, repr(time.time())],
+        env={**os.environ, "PYTHONPATH": _SRC},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 @pytest.mark.parametrize(
     "workload, failing",
     [
@@ -29,14 +41,7 @@ _SRC = os.path.dirname(os.path.dirname(os.path.abspath(fhmerge.__file__)))
     ],
 )
 def test_bench_workload_passes_its_oracles(workload, failing, monkeypatch):
-    proc = subprocess.run(
-        [sys.executable, str(BENCH / "child.py"), workload, "0", "0", repr(time.time())],
-        env={**os.environ, "PYTHONPATH": _SRC},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    rep = json.loads(proc.stdout.strip().splitlines()[-1])
+    rep = _run_child(workload, "0")
     assert {op["name"] for op in rep["ops"] if "error" in op} == failing
     monkeypatch.syspath_prepend(str(BENCH))
     import oracles
@@ -44,3 +49,17 @@ def test_bench_workload_passes_its_oracles(workload, failing, monkeypatch):
     outs = {op["name"]: op["out"] for op in rep["ops"] if "out" in op}
     fails, _ = oracles.check(workload, 0, outs, rep["extra"])
     assert fails == []
+
+
+def test_bench_tracer_reaches_every_layer(monkeypatch):
+    # a traced function the library stops binding, or a layer a workload
+    # stops reaching, shows here as a key with no site or a zero metric
+    rep = _run_child("shifted-ratio", "1")
+    monkeypatch.syspath_prepend(str(BENCH))
+    import run
+    from tracing import Tracer
+
+    keys = {key for key, *_ in Tracer()._targets()}
+    assert {k for k in keys if rep["trace"]["sites"].get(k, 0) == 0} == set()
+    metrics = rep["trace"]["metrics"]
+    assert [m for m in run.EXERCISED["shifted-ratio"] if metrics[m] == 0] == []

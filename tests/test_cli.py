@@ -162,6 +162,22 @@ def test_verify_identity_suite_degenerate_pair(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("flags", [["--beta1", "0,0.1"], ["--beta2", "0,-0.1"]])
+def test_verify_symbol_flag_overrides_suite_default(flags, capsys):
+    # a lone flag replaces its field of the suite default FHParams(0.3, 0.3, t=0.3)
+    assert main(["verify", "--suite", "identity"]) == 0
+    default_row = capsys.readouterr().out.splitlines()[1]
+    assert main(["verify", "--suite", "identity", *flags]) == 0
+    assert capsys.readouterr().out.splitlines()[1] != default_row
+
+
+def test_verify_fk_below_critical_returns_a_verdict(capsys):
+    # c1 is in closed form up to alpha = 1/sqrt 2, so no quadrature can fail
+    code = main(["verify", "--suite", "fk", "--alpha", "0.65", "--n-list", "32", "64"])
+    capsys.readouterr()
+    assert code in (0, 1)
+
+
 def test_sigma_r_failure_exit_code(monkeypatch, capsys):
     # a failing r-trajectory is reported, not written as r = 0 columns
     def fail(p, traj):

@@ -19,6 +19,7 @@ from fhmerge.experiments import (
     sigma_from_determinants,
 )
 from fhmerge.painleve import integrate_sigma
+from fhmerge.specfun import DYSON_CD
 from fhmerge.symbol import FHParams, fourier_coeffs
 from fhmerge.toeplitz import log_det
 
@@ -151,6 +152,18 @@ def test_dyson_check_small_sizes():
     assert devs[2] < devs[1] < devs[0]
     # D_7, D_15 and D_31 read from one table per node on the panels of 31
     assert report.summary["t_quadrature"] == {"panel_n": 31, "t_nodes": 64, "tables": 64}
+
+
+def test_dyson_richardson_reaches_constant():
+    # the ratio rho0/sqrt(n) approaches C_D like n^(-1/2): one Richardson
+    # step on consecutive sizes removes that term
+    ratios = [r["ratio"] for r in dyson_check((64, 128, 256)).rows]
+    q = math.sqrt(2.0)
+    errs = [
+        abs((q * big - small) / (q - 1.0) - DYSON_CD) / DYSON_CD
+        for small, big in zip(ratios, ratios[1:])
+    ]
+    assert errs[1] < 5e-5 and errs[1] < errs[0]
 
 
 def test_dyson_two_particle_value():
