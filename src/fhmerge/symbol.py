@@ -254,9 +254,9 @@ class FourierTable:
         return complex(self.coeffs[j + self.n_max])
 
     def toeplitz(self, n: int) -> np.ndarray:
-        """The n x n matrix (f_{j-k})."""
-        if n - 1 > self.n_max:
-            raise ValidationError(f"table holds |j| <= {self.n_max}, need {n - 1}")
+        """The n x n matrix (f_{j-k}) for 1 <= n <= n_max + 1."""
+        if not 1 <= n <= self.n_max + 1:
+            raise ValidationError(f"table holds |j| <= {self.n_max}; no {n} x {n} matrix")
         idx = np.arange(n)
         return self.coeffs[(idx[:, None] - idx[None, :]) + self.n_max]
 

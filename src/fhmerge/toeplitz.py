@@ -1,10 +1,11 @@
 """Exact finite-n objects: log-determinants, a Heine-integral oracle, and
 the polynomials orthogonal on the circle with the symbol as weight.
 
-Determinants go through pivoted complex LU with log-magnitude/phase
-accumulation, so n up to ~1024 is safe from overflow.  The Heine route
-re-derives small determinants by direct multi-dimensional quadrature and
-is kept deliberately independent of the LU path.
+Each Toeplitz job is one LAPACK call: `log_det` takes ln|D_n| and arg D_n
+from numpy's `slogdet` (pivoted complex LU, safe from overflow for n up to
+~1024) and `orth_poly` makes one solve.  The Heine route re-derives small
+determinants by direct multi-dimensional quadrature and is kept
+deliberately independent of the LU path.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._blas import single_thread
 from .errors import BranchAmbiguityError, SingularMatrixError, ValidationError
@@ -42,20 +42,6 @@ class LogDeterminant:
 
 
 @single_thread
-def _lu_logdet(matrix: np.ndarray) -> tuple[float, float]:
-    lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
-    diag = np.diag(lu)
-    bad = np.nonzero(np.abs(diag) == 0.0)[0]
-    if bad.size:
-        raise SingularMatrixError(int(bad[0]) + 1)
-    log_abs = float(np.sum(np.log(np.abs(diag))))
-    arg = float(np.sum(np.angle(diag)))
-    swaps = int(np.sum(piv != np.arange(len(piv))))
-    arg += math.pi * (swaps % 2)
-    arg = math.remainder(arg, TWO_PI)
-    return log_abs, arg
-
-
 def log_det(table: FourierTable, n: int) -> LogDeterminant:
     """ln det of the n x n Toeplitz matrix built from the coefficient table.
 
@@ -63,10 +49,10 @@ def log_det(table: FourierTable, n: int) -> LogDeterminant:
     """
     if n == 0:
         return LogDeterminant(n=0, log_abs=0.0, arg=0.0)
-    if table.n_max < n - 1:
-        raise ValidationError(f"table n_max={table.n_max} < n-1={n - 1}")
-    log_abs, arg = _lu_logdet(table.toeplitz(n))
-    return LogDeterminant(n=n, log_abs=log_abs, arg=arg)
+    sign, log_abs = np.linalg.slogdet(table.toeplitz(n))
+    if sign == 0.0:
+        raise SingularMatrixError(n)
+    return LogDeterminant(n=n, log_abs=float(log_abs), arg=float(np.angle(sign)))
 
 
 _HEINE_REFINE = {1: 3, 2: 1, 3: 0}  # tanh-sinh step halvings per n
@@ -129,23 +115,20 @@ def orth_poly(table: FourierTable, n: int) -> OrthoPolyData:
     """Polynomials of degree n orthogonal w.r.t. the symbol on the circle.
 
     Solves the moment systems equivalent to the bordered-determinant
-    formulas; requires table.n_max >= n.
+    formulas; requires table.n_max >= n.  A Toeplitz T has T^T = J T J (J
+    reverses), so T^{-T} e_n is T^{-1} e_0 reversed: one solve gives both.
     """
-    if table.n_max < n:
-        raise ValidationError(f"table n_max={table.n_max} < n={n}")
-    size = n + 1
-    m = table.toeplitz(size)
-    e_last = np.zeros(size, dtype=complex)
-    e_last[-1] = 1.0
+    m = table.toeplitz(n + 1)
+    rhs = np.zeros((n + 1, 2), dtype=complex)
+    rhs[[-1, 0], [0, 1]] = 1.0
     try:
-        lu = scipy.linalg.lu_factor(m, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SingularMatrixError(size) from exc
-    y = scipy.linalg.lu_solve(lu, e_last)  # columns of T^{-1}: y = T^{-1} e_n
-    yt = scipy.linalg.lu_solve(lu, e_last, trans=1)  # T^{-T} e_n
+        cols = np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(n + 1) from exc
+    y, yt = cols[:, 0], cols[::-1, 1]  # T^{-1} e_n and T^{-T} e_n
     chi_sq = complex(y[-1])  # (T^{-1})_{nn} = D_n / D_{n+1}
     if chi_sq == 0.0 or not np.isfinite(chi_sq):
-        raise SingularMatrixError(size)
+        raise SingularMatrixError(n + 1)
     chi = complex(np.sqrt(chi_sq))
     phi = y / chi  # phi_n coefficients, leading = chi
     hat_phi = yt / chi

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import loggamma
 
-from fhmerge.errors import ValidationError
-from fhmerge.symbol import FHParams, fourier_coeffs
+from fhmerge.errors import SingularMatrixError, ValidationError
+from fhmerge.symbol import FHParams, FourierTable, fourier_coeffs
 from fhmerge.toeplitz import det_path, heine_det, log_det, orth_poly
 
 PI = math.pi
@@ -187,15 +188,45 @@ def test_det_path_constant_factor():
 
 def test_log_det_requires_table_size():
     tab = fourier_coeffs(FHParams(0.25, 0.25), 3)
+    for call in (log_det, orth_poly):
+        for n in (-1, 5):
+            with pytest.raises(ValidationError):
+                call(tab, n)
     with pytest.raises(ValidationError):
-        log_det(tab, 5)
+        orth_poly(tab, tab.n_max + 1)
+    assert log_det(tab, 0).log == 0.0
+
+
+def test_singular_matrix_raises_typed_error():
+    tab = FourierTable(FHParams(0.0, 0.0), 3, np.zeros(7, dtype=complex), 0.0)
+    with pytest.raises(SingularMatrixError):
+        log_det(tab, 3)
+    with pytest.raises(SingularMatrixError):
+        orth_poly(tab, 3)
+
+
+@pytest.mark.parametrize("n", [63, 255])
+@pytest.mark.parametrize(
+    "p",
+    [FHParams(0.3, 0.25, 0.1 + 0.2j, -0.15j, 0.4), FHParams(0.3, 0.3, 0.0, -1.0, 0.3)],
+    ids=["complex", "shifted"],
+)
+def test_orth_poly_persymmetric_solve_suite_size(p, n):
+    # phi_n and hat-phi_n against independent solves with T and T^T
+    tab = fourier_coeffs(p, n)
+    m = tab.toeplitz(n + 1)
+    e_n = np.eye(n + 1)[-1]
+    y = scipy.linalg.solve(m, e_n)
+    chi = np.sqrt(complex(y[-1]))
+    yt = scipy.linalg.solve(m.T, e_n)
+    op = orth_poly(tab, n)
+    for got, want in ((op.phi_coeffs, y / chi), (op.hat_phi_coeffs, yt / chi)):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_dense_algebra_runs_on_one_blas_thread(monkeypatch):
-    # log_det and orth_poly factor with every OpenBLAS at one thread and
-    # hand the previous counts back, also when the wrapped call raises
-    import scipy.linalg
-
+    # log_det and orth_poly call LAPACK with every OpenBLAS at one thread
+    # and hand the previous counts back, also when the wrapped call raises
     from fhmerge import _blas
 
     controls = _blas._controls()
@@ -203,13 +234,16 @@ def test_dense_algebra_runs_on_one_blas_thread(monkeypatch):
         pytest.skip("no OpenBLAS found in this process")
     before = [get() for get, _ in controls]
     seen = []
-    factor = scipy.linalg.lu_factor
 
-    def spy(*args, **kwargs):
-        seen.append([get() for get, _ in controls])
-        return factor(*args, **kwargs)
+    def spy(fn):
+        def wrapper(*args, **kwargs):
+            seen.append([get() for get, _ in controls])
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
+        return wrapper
+
+    for name in ("slogdet", "solve"):
+        monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
     tab = fourier_coeffs(FHParams(0.3, 0.3, beta1=0.2j, t=0.3), 40)
     log_det(tab, 40)
     orth_poly(tab, 30)
