@@ -79,8 +79,8 @@ def e_constant(p: FHParams) -> complex:
     out = p.szego_sum
     out += 2.0 * (p.beta1 * p.beta2 - p.alpha1 * p.alpha2) * math.log(abs(2.0 * math.sin(p.t)))
     out += 1j * (math.pi - 2.0 * p.t) * (p.alpha1 * p.beta2 - p.alpha2 * p.beta1)
-    for z, alpha, beta in ((p.z1, p.alpha1, p.beta1), (p.z2, p.alpha2, p.beta2)):
-        out += _wiener_hopf_log(p, z, alpha, beta) + log_barnes_g_ratio(alpha, beta)
+    for s in p.pair:
+        out += _wiener_hopf_log(p, s.z, s.alpha, s.beta) + log_barnes_g_ratio(s.alpha, s.beta)
     return out
 
 
@@ -187,10 +187,9 @@ def _transition_terms(p: FHParams, n: int) -> dict:
         raise ValidationError("transition form needs t in (0, pi)")
     _require_seminorm(p)
     merged = fh1_log(p.merged(), n)
-    # each singularity's Wiener-Hopf factor at z_j = e^{+-it} less its value at 1
-    pairs = ((cmath.exp(1j * t), p.alpha1, p.beta1), (cmath.exp(-1j * t), p.alpha2, p.beta2))
 
     def shift(z, alpha, beta):
+        """One singularity's Wiener-Hopf factor at z_j less its value at 1."""
         return _wiener_hopf_log(p, z, alpha, beta) - _wiener_hopf_log(p, 1.0, alpha, beta)
 
     terms = dict(merged.terms)
@@ -200,8 +199,8 @@ def _transition_terms(p: FHParams, n: int) -> dict:
         2.0 * (p.beta1 * p.beta2 - p.alpha1 * p.alpha2) * math.log(math.sin(t) / t)
     )
     terms["t_linear"] = 2j * t * (p.alpha2 * p.beta1 - p.alpha1 * p.beta2)
-    terms["v_shift"] = sum(shift(z, alpha, 0.0) for z, alpha, _ in pairs)
-    terms["b_shift"] = sum(shift(z, 0.0, beta) for z, _, beta in pairs)
+    terms["v_shift"] = sum(shift(s.z, s.alpha, 0.0) for s in p.pair)
+    terms["b_shift"] = sum(shift(s.z, 0.0, s.beta) for s in p.pair)
     return terms
 
 
@@ -254,24 +253,19 @@ def beta_one_ratio(
         return cmath.log(factor)
 
     def large_branch() -> complex:
-        z1, z2 = p.z1, p.z2
-        term1 = (
-            cmath.exp((2.0 * p.beta1 - 1.0) * math.log(n))
-            * z1 ** (-n + 1)
-            * cmath.exp(p.log_b_minus(z1) - p.log_b_plus(z1))
-            * cmath.exp(log_gamma(1.0 + p.alpha1 - p.beta1) - log_gamma(p.alpha1 + p.beta1))
-            * cmath.exp(1j * (math.pi - 2.0 * t) * p.alpha2)
-            * (2.0 * math.sin(t)) ** (-2.0 * p.beta2)
+        # one term per singularity j, with k the other one and eps = +-1
+        s1, s2 = p.pair
+        return cmath.log(
+            sum(
+                cmath.exp((2.0 * j.beta - 1.0) * math.log(n))
+                * j.z ** (-n + 1)
+                * cmath.exp(p.log_b_minus(j.z) - p.log_b_plus(j.z))
+                * cmath.exp(log_gamma(1.0 + j.alpha - j.beta) - log_gamma(j.alpha + j.beta))
+                * cmath.exp(1j * eps * (math.pi - 2.0 * t) * k.alpha)
+                * (2.0 * math.sin(t)) ** (-2.0 * k.beta)
+                for j, k, eps in ((s1, s2, 1.0), (s2, s1, -1.0))
+            )
         )
-        term2 = (
-            cmath.exp((2.0 * p.beta2 - 1.0) * math.log(n))
-            * z2 ** (-n + 1)
-            * cmath.exp(p.log_b_minus(z2) - p.log_b_plus(z2))
-            * cmath.exp(log_gamma(1.0 + p.alpha2 - p.beta2) - log_gamma(p.alpha2 + p.beta2))
-            * cmath.exp(1j * (-math.pi + 2.0 * t) * p.alpha1)
-            * (2.0 * math.sin(t)) ** (-2.0 * p.beta1)
-        )
-        return cmath.log(term1 + term2)
 
     use_small = nt <= DEFAULT_C0
     notes = {"nt": nt, "branch": "small" if use_small else "large"}

@@ -98,8 +98,7 @@ def _emit(args, header, rows, meta):
     if args.format == "csv":
         text = experiments._csv_text(header, rows)
     else:
-        data = [dict(zip(header, [_jsonable(v) for v in row])) for row in rows]
-        text = json.dumps({"meta": meta, "data": data}, indent=2) + "\n"
+        text = experiments.json_text({"meta": meta, "data": [dict(zip(header, r)) for r in rows]})
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -107,16 +106,8 @@ def _emit(args, header, rows, meta):
         sys.stdout.write(text)
 
 
-def _jsonable(v):
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    return v
-
-
 def _meta(args, **extra):
-    meta = {k: _jsonable(v) for k, v in vars(args).items() if k not in ("func",)}
-    if meta.get("v"):
-        meta["v"] = [[k, _jsonable(c)] for k, c in meta["v"]]
+    meta = {k: v for k, v in vars(args).items() if k != "func"}
     meta.update(extra)
     return meta
 
@@ -181,7 +172,7 @@ def _cmd_predict(args):
         args,
         ["regime", "n", "t", "re_log_pred", "im_log_pred", "residual_order"],
         [row],
-        _meta(args, terms={k: _jsonable(complex(v)) for k, v in pred.terms.items()}),
+        _meta(args, terms={k: complex(v) for k, v in pred.terms.items()}),
     )
     return EXIT_OK
 

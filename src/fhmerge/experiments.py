@@ -113,8 +113,17 @@ class ExperimentReport:
             "summary": self.summary,
         }
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, default=str)
-            fh.write("\n")
+            fh.write(json_text(payload))
+
+
+def _json_value(v):
+    """json's fallback: a complex number as [re, im], anything else as its str."""
+    return [v.real, v.imag] if isinstance(v, complex) else str(v)
+
+
+def json_text(payload) -> str:
+    """payload as indented JSON through _json_value; the CLI writes through it too."""
+    return json.dumps(payload, indent=2, default=_json_value) + "\n"
 
 
 def _fmt(v) -> str:
@@ -425,7 +434,7 @@ def beta_one_check(p: FHParams, n_list, nt_list) -> ExperimentReport:
     table = fourier_coeffs(pid, _IDENTITY_N)
     op = orth_poly(table, _IDENTITY_N - 1)
     lhs = (
-        pid.z2 ** (_IDENTITY_N - 1)
+        pid.pair[1].z ** (_IDENTITY_N - 1)
         * op.hat_phi0_chi
         * np.exp(log_det(table, _IDENTITY_N).log)
     )

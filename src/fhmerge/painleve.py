@@ -82,7 +82,7 @@ def sigma_zero(p: FHParams) -> complex:
 
 def check_nondegeneracy(p: FHParams, merged: bool = True) -> None:
     """Reject alpha_j +/- beta_j in {-1,-2,...} (and merged combinations)."""
-    combos = [p.alpha1 + p.beta1, p.alpha1 - p.beta1, p.alpha2 + p.beta2, p.alpha2 - p.beta2]
+    combos = [s.alpha + sign * s.beta for s in p.pair for sign in (1.0, -1.0)]
     if merged:
         a, b = p.alpha1 + p.alpha2, p.beta_sum
         combos += [a + b, a - b]
@@ -305,25 +305,24 @@ def sigma_series_small(p: FHParams, x):
     return _series_values(_series_terms(p, x_range), x)
 
 
-def _branch_sign(p: FHParams) -> float:
-    """+1 when Re(beta1 - beta2) >= 0, else -1: the sign of the oscillating
-    term that the large-argument expansion keeps."""
-    return 1.0 if (p.beta1 - p.beta2).real >= 0.0 else -1.0
+def _branch_sign(p: FHParams):
+    """(sign, kept, other): sign = +1 when Re(beta1 - beta2) >= 0, else -1,
+    the sign of the oscillating term that the large-argument expansion
+    keeps; kept is the singularity that term belongs to (1 for +1, 2 for
+    -1) and other the remaining one."""
+    s1, s2 = p.pair
+    return (1.0, s1, s2) if (p.beta1 - p.beta2).real >= 0.0 else (-1.0, s2, s1)
 
 
 def _gamma_connection(p: FHParams, x):
     """The oscillatory gamma(s) entering the large-argument expansion, at
-    x = |s| given as a float or an array of floats."""
-    if _branch_sign(p) > 0.0:
-        expo = 2.0 * (-1.0 + p.beta1 - p.beta2)
-        phase = np.exp(-1j * x) * cmath.exp(1j * cmath.pi * (p.alpha1 + p.alpha2))
-        ratio = cmath.exp(log_gamma(1.0 + p.alpha1 - p.beta1) + log_gamma(1.0 + p.alpha2 + p.beta2))
-        ratio *= complex(rgamma(p.alpha1 + p.beta1)) * complex(rgamma(p.alpha2 - p.beta2))
-    else:
-        expo = 2.0 * (-1.0 + p.beta2 - p.beta1)
-        phase = np.exp(1j * x) * cmath.exp(-1j * cmath.pi * (p.alpha1 + p.alpha2))
-        ratio = cmath.exp(log_gamma(1.0 + p.alpha2 - p.beta2) + log_gamma(1.0 + p.alpha1 + p.beta1))
-        ratio *= complex(rgamma(p.alpha2 + p.beta2)) * complex(rgamma(p.alpha1 - p.beta1))
+    x = |s| given as a float or an array of floats; one expression on the
+    kept singularity j and the other one k, with phase e^{-+ix}."""
+    sign, j, k = _branch_sign(p)
+    expo = 2.0 * (-1.0 + j.beta - k.beta)
+    phase = np.exp(-1j * sign * x) * cmath.exp(1j * sign * cmath.pi * (p.alpha1 + p.alpha2))
+    ratio = cmath.exp(log_gamma(1.0 + j.alpha - j.beta) + log_gamma(1.0 + k.alpha + k.beta))
+    ratio *= complex(rgamma(j.alpha + j.beta)) * complex(rgamma(k.alpha - k.beta))
     return 0.25 * (x / 2.0) ** expo * phase * ratio
 
 
@@ -337,7 +336,7 @@ def sigma_large_asym(p: FHParams, x: float) -> complex:
         raise ValidationError("large-argument form needs seminorm < 1")
     s = -1j * x
     g = _gamma_connection(p, x)
-    sign = _branch_sign(p)
+    sign = _branch_sign(p)[0]
     return (p.beta2 - p.beta1) * s / 2.0 - (p.beta1 - p.beta2) ** 2 / 2.0 + sign * s * g / (1.0 + g)
 
 
@@ -531,15 +530,6 @@ def _default_grid(x0: float, x_max: float) -> np.ndarray:
     return np.unique(np.concatenate([head, tail, [x_max]]))
 
 
-def _is_pole_free_class(p: FHParams) -> bool:
-    return (
-        p.alpha1.imag == 0.0
-        and p.alpha2.imag == 0.0
-        and p.beta1.real == 0.0
-        and p.beta2.real == 0.0
-    )
-
-
 def integrate_sigma(
     p: FHParams, x0: float | None = None, x_max: float = 40.0, tol: float = _DEFAULT_TOL
 ) -> SigmaTrajectory:
@@ -596,7 +586,7 @@ def integrate_sigma(
     dense = _integrate_ray(p, x0, x_max, y0, rtol)
     traj = SigmaTrajectory(p, x0, x_max, dense, table)
 
-    if _is_pole_free_class(p) and p.seminorm < 1.0 and x_max >= _X_ASYM_MIN:
+    if p.has_real_fh_factor() and p.seminorm < 1.0 and x_max >= _X_ASYM_MIN:
         # a forward pass that quietly left the connecting solution shows
         # up as an O(1) mismatch at the far end
         asym = sigma_large_asym(p, x_max)
@@ -621,9 +611,9 @@ def is_degenerate(p: FHParams) -> bool:
     return (p.alpha1, p.alpha2, p.beta1, p.beta2) == (0.5,) * 4
 
 
-def degenerate_sigma(x0: float = 1e-3, x_max: float = 40.0) -> SigmaTrajectory:
+def degenerate_sigma(x_max: float = 40.0) -> SigmaTrajectory:
     """The explicit solution sigma == 0 at alpha1=alpha2=beta1=beta2=1/2."""
-    return integrate_sigma(_DEGENERATE, x0, x_max)
+    return integrate_sigma(_DEGENERATE, x_max=x_max)
 
 
 def degenerate_r(x: float) -> float:
@@ -662,24 +652,18 @@ def r_small_s(p: FHParams, x: float) -> complex:
 
 
 def r_large_s(p: FHParams, x: float) -> complex:
-    """Two-term large-argument form of r at s = -ix (Re beta1 = Re beta2)."""
-    term1 = (
+    """Two-term large-argument form of r at s = -ix (Re beta1 = Re beta2):
+    one term per singularity j, with k the other one and eps = +-1."""
+    s1, s2 = p.pair
+    return sum(
         -2.0
-        * x ** (-1.0 - p.beta2)
-        * cmath.exp(-1j * x / 2.0)
-        * cmath.exp(1j * cmath.pi * (p.alpha1 - 3.0 * p.beta1 - p.beta2))
-        * cmath.exp(log_gamma(1.0 + p.alpha1 - p.beta1))
-        * complex(rgamma(p.alpha1 + p.beta1))
+        * x ** (-1.0 - k.beta)
+        * cmath.exp(-1j * eps * x / 2.0)
+        * cmath.exp(1j * cmath.pi * (eps * j.alpha - 3.0 * p.beta1 - p.beta2))
+        * cmath.exp(log_gamma(1.0 + j.alpha - j.beta))
+        * complex(rgamma(j.alpha + j.beta))
+        for j, k, eps in ((s1, s2, 1.0), (s2, s1, -1.0))
     )
-    term2 = (
-        -2.0
-        * x ** (-1.0 - p.beta1)
-        * cmath.exp(1j * x / 2.0)
-        * cmath.exp(-1j * cmath.pi * (p.alpha2 + 3.0 * p.beta1 + p.beta2))
-        * cmath.exp(log_gamma(1.0 + p.alpha2 - p.beta2))
-        * complex(rgamma(p.alpha2 + p.beta2))
-    )
-    return term1 + term2
 
 
 def _lax_system(p: FHParams):
@@ -801,7 +785,7 @@ def integral_identity_check(p: FHParams, traj: SigmaTrajectory, T: float):
         + 2.0 * (p.alpha1 * p.alpha2 - p.beta1 * p.beta2) * math.log(T)
     )
     # the tail vanishes for the degenerate pair, where rgamma(alpha2 - beta2) = 0
-    sign = _branch_sign(p)
+    sign = _branch_sign(p)[0]
     ys = np.arange(T, max(10.0 * T, 2000.0), math.pi / 40.0)
     gs = _gamma_connection(p, ys)
     integrand = -sign * 1j * gs / (1.0 + gs)

@@ -6,10 +6,11 @@ no Jacobi-type weights are needed.  Nodes are returned together with
 their distances to both endpoints, computed without cancellation, so
 integrands can resolve |x - endpoint| to full precision arbitrarily
 close to the ends.  The nodes stop at endpoint distances ~1e-37; the
-mass of (x - a)^lam dropped there is ~(1e-37)^(1 + Re lam), below 1e-11
-only for Re lam > -0.7.  Callers choose the step (refine) and estimate
-the error themselves from the nested every-other-node half that
-ArcRule.coarse marks.
+mass of (x - a)^lam dropped there is ~(1e-37)^(1 + Re lam)/(1 + Re lam),
+does not shrink with refine, and is below 1e-11 only for Re lam > -0.68
+(symbol.fourier_coeffs bounds it per table).  Callers choose the step
+(refine) and estimate the error themselves from the nested every-other-node
+half that ArcRule.coarse marks.
 """
 
 from __future__ import annotations

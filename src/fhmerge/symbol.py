@@ -1,25 +1,31 @@
 """The two-singularity circle symbol: evaluation and Fourier coefficients.
 
-The symbol carries power factors |z - z_j|^(2 alpha_j) and jump factors
-with exponents beta_j at the conjugate pair z_1 = e^{it}, z_2 = e^{-it},
-times a smooth factor e^{V(z)} given by finitely many Laurent
-coefficients.  Fourier coefficients are computed by splitting the circle
-at the singular angles and applying tanh-sinh quadrature on each arc,
-with the node density tied to the largest requested mode number.  The
-first rule tried has 8 bulk nodes per period of the top mode (refine 0);
-its nested estimate, the change when the every-other-node half is
-dropped, decides whether to escalate to refine 1, 2 or 3.  The
-phase e^{-ij theta} of the M requested modes is factored into a coarse
-step e^{-i(j0 + B q) theta} and a fine offset e^{-i m theta},
-B = ceil(sqrt(M)), both filled by repeated multiplication, so a table
-costs one exponential and O(sqrt(M)) multiplications per node plus one
-matrix product per nested half-rule.
+The symbol is e^{V(z)} times one factor per singularity of the pair
+`FHParams.pair`, z_j = e^{i theta_j} with theta_1 = t and
+theta_2 = 2 pi - t (both 0 at t = 0): |z - z_j|^(2 alpha_j) times the
+jump g_{z_j,beta_j} and e^{i beta_j (theta - theta_j)}.  Fourier
+coefficients are computed by splitting the circle at the singular angles
+and applying tanh-sinh quadrature on each arc (`weighted_rules`).  A
+node's offset to theta_j is its stable distance to the arc end theta_j
+is: dist_a at the start a, -dist_b at the end b, the nearer of the two
+where the merged singularity is both ends, x - theta_j otherwise.  The
+node density is tied to the largest requested mode number.  The first
+rule tried has 8 bulk nodes per period of the top mode (refine 0); its
+nested estimate, the change when the every-other-node half is dropped,
+decides whether to escalate to refine 1, 2 or 3.  The mass the nodes drop
+beyond their ends (~1e-37 away) does not shrink with refine; it is bounded
+up front and added to the estimate.  The phase e^{-ij theta} of the M
+requested modes is factored into a coarse step e^{-i(j0 + B q) theta} and
+a fine offset e^{-i m theta}, B = ceil(sqrt(M)), both filled by repeated
+multiplication, so a table costs one exponential and O(sqrt(M))
+multiplications per node plus one matrix product per nested half-rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,9 +36,11 @@ from .quadrature import arc_rule
 __all__ = [
     "FHParams",
     "FourierTable",
+    "Singularity",
     "eval_symbol",
     "fourier_coeffs",
     "params_from_json_dict",
+    "weighted_rules",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -44,6 +52,15 @@ def _as_complex(value) -> complex:
         re, im = value
         return complex(float(re), float(im))
     return complex(value)
+
+
+class Singularity(NamedTuple):
+    """One Fisher-Hartwig singularity z = e^{i theta} with exponents (alpha, beta)."""
+
+    theta: float
+    z: complex
+    alpha: complex
+    beta: complex
 
 
 @dataclass(frozen=True)
@@ -91,12 +108,14 @@ class FHParams:
             raise ValidationError("merged symbol needs Re(alpha1+alpha2) > -1/2")
 
     @property
-    def z1(self) -> complex:
-        return complex(math.cos(self.t), math.sin(self.t))
-
-    @property
-    def z2(self) -> complex:
-        return complex(math.cos(self.t), -math.sin(self.t))
+    def pair(self) -> tuple[Singularity, Singularity]:
+        """The two singularities: theta_1 = t and theta_2 = 2 pi - t, both 0 at t = 0."""
+        c, s = math.cos(self.t), math.sin(self.t)
+        theta2 = TWO_PI - self.t if self.t > 0.0 else 0.0
+        return (
+            Singularity(self.t, complex(c, s), self.alpha1, self.beta1),
+            Singularity(theta2, complex(c, -s), self.alpha2, self.beta2),
+        )
 
     @property
     def beta_sum(self) -> complex:
@@ -123,27 +142,17 @@ class FHParams:
             self.alpha1 + self.alpha2, 0.0, self.beta1 + self.beta2, 0.0, 0.0, self.v_coeffs
         )
 
+    def has_real_fh_factor(self) -> bool:
+        """True when f e^{-V} is real on the circle: real alphas, imaginary betas."""
+        return all(s.alpha.imag == 0.0 and s.beta.real == 0.0 for s in self.pair)
+
     def is_real_symbol(self) -> bool:
-        """True when f is real-valued on the circle (real alphas, imaginary
-        betas, V real on the circle)."""
-        if self.alpha1.imag != 0.0 or self.alpha2.imag != 0.0:
-            return False
-        if self.beta1.real != 0.0 or self.beta2.real != 0.0:
+        """True when f is real-valued on the circle (has_real_fh_factor, and
+        V real on the circle)."""
+        if not self.has_real_fh_factor():
             return False
         v = self.v
-        for k, c in v.items():
-            if v.get(-k, 0.0) != c.conjugate():
-                return False
-        return True
-
-    def singular_angles(self):
-        if self.t == 0.0:
-            return (0.0,)
-        return (self.t, TWO_PI - self.t)
-
-    def v_at(self, z: complex) -> complex:
-        """V(z) from the Laurent data."""
-        return sum(c * z**k for k, c in self.v_coeffs)
+        return all(v.get(-k, 0.0) == c.conjugate() for k, c in v.items())
 
     # Wiener-Hopf split e^V = b_+ e^{V_0} b_- over the Laurent coefficients
 
@@ -164,79 +173,83 @@ class FHParams:
         return sum(k * c * v.get(-k, 0.0 + 0.0j) for k, c in v.items() if k >= 1)
 
 
-def _jump_factors(p: FHParams, d1, d2):
-    """g_{z1,beta1} * g_{z2,beta2}: e^{i pi beta_j} before z_j, e^{-i pi beta_j} after.
+def _symbol_core(p: FHParams, theta, offsets):
+    """Symbol values at the angles theta, given each node's stable offset
+    d_j to theta_j.
 
-    The side comes from the sign of the stable offset d_j (d_j < 0 before
-    z_j): a node within rounding of z_j has an angle that may round onto
-    the other side, its offset does not.  At t = 0 every node counts as
-    after the merged singularity.
+    Singularity j contributes |z - z_j|^(2 alpha_j) = (2|sin(d_j/2)|)^(2 alpha_j),
+    the jump g_{z_j,beta_j} = e^{i pi beta_j} before z_j and e^{-i pi beta_j}
+    after, and e^{-i theta_j beta_j}.  The side comes from the sign of d_j
+    (d_j < 0 before z_j): a node within rounding of z_j has an angle that
+    may round onto the other side, its offset does not.  At t = 0 every
+    node counts as after the merged singularity.
     """
-    before1 = (p.t > 0.0) & (d1 < 0.0)
-    before2 = (p.t > 0.0) & (d2 < 0.0)
-    g1 = np.where(before1, np.exp(1j * math.pi * p.beta1), np.exp(-1j * math.pi * p.beta1))
-    g2 = np.where(before2, np.exp(1j * math.pi * p.beta2), np.exp(-1j * math.pi * p.beta2))
-    return g1 * g2
-
-
-def _symbol_core(p: FHParams, theta, d1, d2):
-    """Symbol values given angles and stable angle offsets to z1, z2."""
-    theta = np.asarray(theta, dtype=float)
     vals = np.exp(1j * theta * p.beta_sum)
     for k, c in p.v_coeffs:
         vals = vals * np.exp(c * np.exp(1j * k * theta))
-    # |z - z_j|^{2 alpha_j} = (2|sin(d_j/2)|)^{2 alpha_j}
-    vals = vals * np.exp(2.0 * p.alpha1 * np.log(2.0 * np.abs(np.sin(d1 / 2.0))))
-    vals = vals * np.exp(2.0 * p.alpha2 * np.log(2.0 * np.abs(np.sin(d2 / 2.0))))
-    vals = vals * _jump_factors(p, d1, d2)
-    t1, t2 = (p.t, TWO_PI - p.t) if p.t > 0.0 else (0.0, 0.0)
-    vals = vals * np.exp(-1j * (t1 * p.beta1 + t2 * p.beta2))
-    return vals
+    jumps = 1.0
+    for s, d in zip(p.pair, offsets):
+        vals = vals * np.exp(2.0 * s.alpha * np.log(2.0 * np.abs(np.sin(d / 2.0))))
+        before = (p.t > 0.0) & (d < 0.0)
+        g = np.exp(1j * math.pi * s.beta), np.exp(-1j * math.pi * s.beta)
+        jumps = jumps * np.where(before, *g)
+    vals = vals * jumps
+    return vals * np.exp(-1j * sum(s.theta * s.beta for s in p.pair))
 
 
 def eval_symbol(p: FHParams, theta):
-    """f(e^{i theta}); raises SingularAngleError on the singular angles."""
+    """f(e^{i theta}) for theta in [0, 2 pi); raises SingularAngleError on
+    the singular angles."""
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    for a in p.singular_angles():
+    for a in (s.theta for s in p.pair):
         if np.any(theta_arr == a) or (a == 0.0 and np.any(theta_arr == TWO_PI)):
             raise SingularAngleError(f"symbol is singular at theta = {a}")
-    t1, t2 = (p.t, TWO_PI - p.t) if p.t > 0.0 else (0.0, TWO_PI)
-    d1 = theta_arr - t1
-    d2 = theta_arr - t2
-    out = _symbol_core(p, theta_arr, d1, d2)
+    out = _symbol_core(p, theta_arr, [theta_arr - s.theta for s in p.pair])
     return out[0] if np.isscalar(theta) or np.ndim(theta) == 0 else out
 
 
 def _arcs(p: FHParams):
-    """Circle split at the singular angles; each arc lists which endpoint
-    coincides with which singularity ('a'/'b' keyed by singularity index)."""
-    if p.t == 0.0:
-        return [((0.0, TWO_PI), {1: "ab", 2: "ab"})]
-    t = p.t
-    return [
-        ((0.0, t), {1: "b"}),
-        ((t, TWO_PI - t), {1: "a", 2: "b"}),
-        ((TWO_PI - t, TWO_PI), {2: "a"}),
-    ]
+    """The circle [0, 2 pi] split at the singular angles, as (a, b) endpoints."""
+    edges = sorted({0.0, TWO_PI, *(s.theta for s in p.pair)})
+    return list(zip(edges[:-1], edges[1:]))
 
 
-def _symbol_on_rule(p: FHParams, rule, roles):
-    """Evaluate the symbol at tanh-sinh nodes using stable endpoint offsets."""
-    t1, t2 = (p.t, TWO_PI - p.t) if p.t > 0.0 else (0.0, TWO_PI)
+def _ends(rule, theta: float):
+    """(theta is the arc's start a, theta is its end b), angles mod 2 pi."""
+    return theta == rule.a, rule.b in (theta, theta + TWO_PI)
 
-    def offset(target, role):
-        if role and "a" in role and "b" in role:
-            # merged t=0 singularity sits at both ends; use the nearer one
-            return np.where(rule.dist_a <= rule.dist_b, rule.dist_a, -rule.dist_b)
-        if role == "a":
-            return rule.dist_a
-        if role == "b":
-            return -rule.dist_b
-        return rule.x - target
 
-    d1 = offset(t1, roles.get(1))
-    d2 = offset(t2, roles.get(2))
-    return _symbol_core(p, rule.x, d1, d2)
+def _offset(rule, theta: float):
+    """The nodes' offsets to theta, in stable form at an arc end."""
+    at_a, at_b = _ends(rule, theta)
+    if at_a and at_b:  # the merged t = 0 singularity: the nearer end
+        return np.where(rule.dist_a <= rule.dist_b, rule.dist_a, -rule.dist_b)
+    return rule.dist_a if at_a else -rule.dist_b if at_b else rule.x - theta
+
+
+def weighted_rules(p: FHParams, max_freq: float, refine: int):
+    """(rule, w f / 2 pi) on each arc between the singular angles, the
+    tanh-sinh rule resolving modes up to max_freq at the given refine."""
+    for a, b in _arcs(p):
+        rule = arc_rule(a, b, max_freq=max_freq, refine=refine)
+        f = _symbol_core(p, rule.x, [_offset(rule, s.theta) for s in p.pair])
+        yield rule, rule.w * f / TWO_PI
+
+
+def _dropped_mass(p: FHParams, arcs) -> float:
+    """Bound on the mass of |f|/2 pi beyond each arc's outermost nodes.
+
+    Near an end where singularities of total exponent lam = 2 sum Re alpha_j
+    sit, |f| ~ C delta^lam; with delta0 the outermost node's distance the
+    dropped mass is |f(x0)| delta0 / (1 + lam).  It does not shrink with
+    refine, so the nested estimate cannot see it.
+    """
+    total = 0.0
+    for rule, wf in arcs:
+        for end, i, dist in ((0, 0, rule.dist_a), (1, -1, rule.dist_b)):
+            lam = 2.0 * sum(s.alpha.real for s in p.pair if _ends(rule, s.theta)[end])
+            total += abs(wf[i]) / rule.w[i] * dist[i] / (1.0 + lam)
+    return float(total)
 
 
 @dataclass(frozen=True)
@@ -261,8 +274,9 @@ class FourierTable:
         return self.coeffs[(idx[:, None] - idx[None, :]) + self.n_max]
 
 
-def _fourier_sums(p: FHParams, n_max: int, j_values: np.ndarray, refine: int):
-    """Fine and coarse (half-rate) quadrature sums of f e^{-ij theta}/(2 pi).
+def _fourier_sums(arcs, j_values: np.ndarray):
+    """Fine and coarse (half-rate) quadrature sums of f e^{-ij theta}/(2 pi)
+    over the (rule, w f / 2 pi) pairs of weighted_rules.
 
     The M contiguous modes are written j = j0 + B q + m with 0 <= m < B and
     B = ceil(sqrt(M)), so the phase factors as e^{-i(j0 + B q) theta} times
@@ -275,9 +289,7 @@ def _fourier_sums(p: FHParams, n_max: int, j_values: np.ndarray, refine: int):
     block = math.isqrt(n_modes - 1) + 1
     n_outer = -(-n_modes // block)
     fine, coarse = np.zeros((2, n_modes), dtype=complex)
-    for (a, b), roles in _arcs(p):
-        rule = arc_rule(a, b, max_freq=float(n_max), refine=refine)
-        wf = rule.w * _symbol_on_rule(p, rule, roles) / TWO_PI
+    for rule, wf in arcs:
         sums = []
         for half in (rule.coarse, ~rule.coarse):
             x = rule.x[half]
@@ -306,7 +318,11 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
     """Fourier coefficients f_j, |j| <= n_max, of the symbol.
 
     Each call builds its table; the returned quad_error_estimate is a
-    nested tanh-sinh comparison, uniform in j.
+    nested tanh-sinh comparison, uniform in j, plus the bound on the mass
+    the rules drop beyond their outermost nodes.  Raises ValidationError
+    before any sums when that bound alone exceeds tol (Re alpha_j, or
+    Re(alpha1 + alpha2) at t = 0, below about -0.34 at tol = 1e-11), and
+    QuadratureError when refine 3 still misses tol.
     """
     if n_max < 0:
         raise ValidationError("n_max must be nonnegative")
@@ -316,8 +332,16 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
     # refine 0 runs first (8 nodes per oscillation of the top mode, 4 on
     # its coarse half); the nested estimate decides whether to escalate
     for refine in (0, 1, 2, 3):
-        fine, coarse = _fourier_sums(p, n_max, j_values, refine)
-        err = float(np.max(np.abs(fine - coarse)))
+        arcs = list(weighted_rules(p, float(n_max), refine))
+        if refine == 0:
+            dropped = _dropped_mass(p, arcs)
+            if dropped > tol:
+                raise ValidationError(
+                    f"Fourier table drops mass {dropped:.2e} beyond its endpoint nodes, "
+                    f"above tol {tol:.2e}: an exponent too close to -1/2"
+                )
+        fine, coarse = _fourier_sums(arcs, j_values)
+        err = float(np.max(np.abs(fine - coarse))) + dropped
         if err <= tol:
             break
     else:

@@ -17,8 +17,7 @@ import numpy as np
 
 from ._blas import single_thread
 from .errors import BranchAmbiguityError, SingularMatrixError, ValidationError
-from .quadrature import arc_rule
-from .symbol import TWO_PI, FHParams, FourierTable, _arcs, _symbol_on_rule, fourier_coeffs
+from .symbol import TWO_PI, FHParams, FourierTable, fourier_coeffs, weighted_rules
 
 __all__ = ["LogDeterminant", "OrthoPolyData", "log_det", "heine_det", "orth_poly", "det_path"]
 
@@ -68,13 +67,8 @@ def heine_det(p: FHParams, n: int) -> complex:
     """
     if n not in _HEINE_REFINE:
         raise ValidationError("heine_det supports n in {1, 2, 3} only")
-    nodes = []
-    weights = []
-    for (a, b), roles in _arcs(p):
-        rule = arc_rule(a, b, max_freq=4.0, refine=_HEINE_REFINE[n])
-        nodes.append(rule.x)
-        weights.append(rule.w * _symbol_on_rule(p, rule, roles) / TWO_PI)
-    theta = np.concatenate(nodes)
+    rules, weights = zip(*weighted_rules(p, 4.0, _HEINE_REFINE[n]))
+    theta = np.concatenate([rule.x for rule in rules])
     wf = np.concatenate(weights)
     if n == 1:
         return complex(np.sum(wf))

@@ -65,7 +65,7 @@ def test_criterion_01_exact_oracles():
     pid = FHParams(0.3, 0.3, 0.0, 0.0, 0.2)
     table = fourier_coeffs(pid, n)
     op = orth_poly(table, n - 1)
-    lhs = pid.z2 ** (n - 1) * op.hat_phi0_chi * np.exp(log_det(table, n).log)
+    lhs = pid.pair[1].z ** (n - 1) * op.hat_phi0_chi * np.exp(log_det(table, n).log)
     pm = pid.with_betas(0.0, -1.0)
     rhs = np.exp(log_det(fourier_coeffs(pm, n - 2), n - 1).log)
     ok_id = abs(lhs - rhs) / abs(rhs) < 1e-8

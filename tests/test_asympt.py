@@ -311,3 +311,21 @@ def test_prediction_conjugation():
     # prediction must be too
     preal = FHParams(0.3, 0.2, beta1=0.1j, beta2=-0.2j, t=0.7, v_coeffs={1: 0.1, -1: 0.1})
     assert abs(fh2_log(preal, 40).log_value.imag) < 1e-12
+
+
+# ln D_{n-1} of the shifted symbol on the large-nt branch (n = 128, nt = 32),
+# alpha = (0.3, 0.25 + 0.05i), V = {1: 0.2 + 0.1i, -1: 0.15 - 0.05i, 2: -0.1i},
+# ln D_n = 1.5 - 0.3i, with the complex betas in both orders
+_RATIO_GOLDEN = {
+    "12": (0.1 + 0.2j, 0.1 - 0.15j, -3.070142754764805 - 34.956409853433854j),
+    "21": (0.1 - 0.15j, 0.1 + 0.2j, -4.190973360037633 - 29.357982007317517j),
+}
+
+
+@pytest.mark.parametrize("order", list(_RATIO_GOLDEN))
+def test_beta_one_large_branch_golden(order):
+    b1, b2, ref = _RATIO_GOLDEN[order]
+    v = {1: 0.2 + 0.1j, -1: 0.15 - 0.05j, 2: -0.1j}
+    pred = beta_one_ratio(FHParams(0.3, 0.25 + 0.05j, b1, b2, 0.25, v), 128, None, 1.5 - 0.3j)
+    assert pred.notes["branch"] == "large"
+    assert abs(pred.log_value - ref) <= 1e-13 * abs(ref)

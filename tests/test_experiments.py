@@ -79,6 +79,9 @@ def test_report_serialization(tmp_path, traj03, p03):
     payload = json.loads(json_path.read_text())
     assert payload["suite"] == "regimes" and "verdict" in payload and "runtime_s" in payload
     assert payload["worst_row"] is not None
+    # complex values are written as [re, im], as the CLI writes them
+    exact = report.worst_row["exact"]
+    assert payload["worst_row"]["exact"] == [exact.real, exact.imag]
 
 
 def test_sigma_from_determinants_matches_trajectory(traj03, p03):

@@ -57,3 +57,41 @@ def test_benchmark_trace_targets_resolve():
     spec.loader.exec_module(tracing)
     targets = tracing.Tracer()._targets()
     assert targets and all(callable(fn) for _, fns, _, _ in targets for fn in fns)
+
+
+# (importing module, sibling module, private name) crossings the package allows
+PRIVATE_CROSSINGS = {
+    ("experiments", "asympt", "_transition_terms"),
+    ("cli", "experiments", "_csv_text"),
+}
+
+
+def _private_crossings():
+    """(module, sibling, name) for every `from .sibling import _name` and every
+    `sibling._name` on a sibling module bound by `from . import sibling`."""
+    for path in sorted(Path(fhmerge.__file__).parent.glob("*.py")):
+        mod = path.stem
+        tree = ast.parse(path.read_text())
+        siblings = {}  # local name -> sibling module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    siblings.update((a.asname or a.name, a.name) for a in node.names)
+                else:
+                    yield from (
+                        (mod, node.module, alias.name)
+                        for alias in node.names
+                        if alias.name.startswith("_")
+                    )
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings
+                and node.attr.startswith("_")
+            ):
+                yield mod, siblings[node.value.id], node.attr
+
+
+def test_private_names_stay_in_their_module():
+    assert set(_private_crossings()) == PRIVATE_CROSSINGS

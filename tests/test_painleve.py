@@ -238,6 +238,48 @@ def test_gamma_connection_value():
     assert abs(_gamma_connection(p, 2.0 * PI) + 1.0 / (16.0 * PI**2)) < 1e-14
 
 
+# gamma(x) at x = 3 and 17.5 for Re(beta1 - beta2) > 0, = 0 and < 0 (kept
+# singularity 1, 1 and 2), alpha = (0.3 + 0.1i, 0.2 - 0.05i), t = 0.3
+_GAMMA_GOLDEN = {
+    "pos": (0.25 + 0.1j, -0.1j, [
+        0.01244803752758553 - 0.009148104815346928j,
+        -0.0003147643588644278 - 0.0010503215785895095j,
+    ]),
+    "zero": (0.1 + 0.2j, 0.1 - 0.15j, [
+        0.006181749551131968 + 0.0026177125318950756j,
+        0.00018855727032696934 - 5.8028857853120734e-05j,
+    ]),
+    "neg": (-0.2 + 0.1j, 0.15, [
+        0.014424906094135945 + 0.03164315853822244j,
+        -0.0032104348296196823 + 0.0014244700026158795j,
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", list(_GAMMA_GOLDEN))
+def test_gamma_connection_golden(name):
+    from fhmerge.painleve import _gamma_connection
+
+    b1, b2, ref = _GAMMA_GOLDEN[name]
+    got = _gamma_connection(FHParams(0.3 + 0.1j, 0.2 - 0.05j, b1, b2, 0.3), np.array([3.0, 17.5]))
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_r_large_s_golden(order):
+    # r at x = 12.5 and 31 for alpha = (0.3 + 0.1i, 0.25), t = 0.3, with the
+    # complex betas (0.1 + 0.2i, 0.1 - 0.15i) in both orders
+    b1, b2, ref = [
+        (0.1 + 0.2j, 0.1 - 0.15j, [0.06013946284753763 - 0.12405070690513872j,
+                                   -0.03823906814432741 + 0.08560244508629088j]),
+        (0.1 - 0.15j, 0.1 + 0.2j, [-0.020295943115643526 + 0.03488930396329845j,
+                                   0.007136370578965467 - 0.01302125788633863j]),
+    ][order]
+    p = FHParams(0.3 + 0.1j, 0.25, b1, b2, 0.3)
+    for x, r in zip((12.5, 31.0), ref):
+        assert abs(r_large_s(p, x) - r) <= 1e-13 * abs(r)
+
+
 def test_large_asym_imaginary_part_within_error_order():
     # for real alphas and imaginary betas sigma is real; the formula's
     # imaginary part must stay inside its own O(1/x) error band

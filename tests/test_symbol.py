@@ -1,23 +1,28 @@
 import math
+import time
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import i0
+from scipy.special import gamma, i0, rgamma
 
 from fhmerge.errors import QuadratureError, SingularAngleError, ValidationError
 from fhmerge.quadrature import arc_rule
 from fhmerge.symbol import (
     FHParams,
-    _arcs,
     _fourier_sums,
-    _symbol_on_rule,
     eval_symbol,
     fourier_coeffs,
     params_from_json_dict,
+    weighted_rules,
 )
 
 PI = math.pi
+
+
+def _sums(p, n_max, j_values, refine):
+    """The table builder's fine and coarse sums at one refine."""
+    return _fourier_sums(weighted_rules(p, float(n_max), refine), j_values)
 
 
 def test_tanh_sinh_endpoint_singularity():
@@ -101,6 +106,52 @@ def test_fourier_identity():
     assert max(abs(tab[j]) for j in range(1, 7)) < 1e-13
 
 
+# f at theta = 0.1, 1, 3, 5.9 for alpha = (0.3 + 0.05i, 0.2), beta = (0.1 + 0.2i,
+# -0.15i), V = {1: 0.2 + 0.1i, -1: 0.15 - 0.05i, 2: -0.1i}
+_SYMBOL_GOLDEN = {
+    0.0: [
+        0.13878006380334504 - 0.09047358827773688j,
+        1.2374696519425243 - 0.13374043735849458j,
+        1.3479930528711164 - 0.11289578283974169j,
+        0.44884919548961805 + 0.06093865662327075j,
+    ],
+    0.5: [
+        0.2591941768407316 + 0.0361555626029468j,
+        1.119006731040388 - 0.25471736105010206j,
+        1.540515472690868 - 0.21480131871252264j,
+        0.2099024794445922 + 0.03512084104904299j,
+    ],
+}
+
+
+@pytest.mark.parametrize("t", list(_SYMBOL_GOLDEN))
+def test_eval_symbol_golden(t):
+    v = {1: 0.2 + 0.1j, -1: 0.15 - 0.05j, 2: -0.1j}
+    p = FHParams(0.3 + 0.05j, 0.2, 0.1 + 0.2j, -0.15j, t, v)
+    ref = np.array(_SYMBOL_GOLDEN[t])
+    got = eval_symbol(p, np.array([0.1, 1.0, 3.0, 5.9]))
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5])
+@pytest.mark.parametrize("a", [-0.2, -0.3, -0.34, -0.35, -0.36, -0.37, -0.45])
+def test_fourier_table_meets_tol_or_refuses(a, t):
+    # |z - e^{it}|^{2a} has f_j = (-1)^j G(1+2a)/(G(1+a-j) G(1+a+j)) e^{-ijt}; the
+    # mass the rules drop ~1e-37 from the singular end does not shrink with
+    # refine, so the table meets tol or is refused before any sums
+    tol = 1e-11
+    start = time.perf_counter()
+    try:
+        tab = fourier_coeffs(FHParams(a, 0.0, t=t), 8, tol=tol)
+    except ValidationError:
+        assert time.perf_counter() - start < 0.1
+        return
+    j = np.arange(-8, 9)
+    exact = (-1.0) ** j * gamma(1 + 2 * a) * rgamma(1 + a - j) * rgamma(1 + a + j)
+    assert np.max(np.abs(tab.coeffs - exact * np.exp(-1j * j * t))) <= tol
+    assert tab.quad_error_estimate <= tol
+
+
 def test_fourier_abs_z_minus_one():
     # f = |z-1| = 2|sin(theta/2)|: f_j = 4/pi (j=0), -4/(pi(4j^2-1)) else
     tab = fourier_coeffs(FHParams(0.25, 0.25), 5)
@@ -125,7 +176,7 @@ def test_jump_side_from_offset(t):
     # (t = 0.3) and 2.5e-11 (t = 3.0) at refine 0, and f_0 off by 2.9e-11
     # and 1.3e-10
     p = FHParams(-0.2, -0.15, 0.1j, 0.0, t)
-    fine, coarse = _fourier_sums(p, 16, np.arange(-16, 17), refine=0)
+    fine, coarse = _sums(p, 16, np.arange(-16, 17), refine=0)
     assert np.max(np.abs(fine - coarse)) <= 1e-14
 
     with mp.workdps(20):
@@ -150,9 +201,7 @@ def _direct_sums(p, n_max, j_values, refine):
     """Fine and coarse sums of f e^{-ij theta}/(2 pi), one exponential per term."""
     fine = np.zeros(len(j_values), dtype=complex)
     coarse = np.zeros(len(j_values), dtype=complex)
-    for (a, b), roles in _arcs(p):
-        rule = arc_rule(a, b, max_freq=float(n_max), refine=refine)
-        wf = rule.w * _symbol_on_rule(p, rule, roles) / (2.0 * PI)
+    for rule, wf in weighted_rules(p, float(n_max), refine):
         for i, j in enumerate(j_values):
             terms = wf * np.exp(-1j * j * rule.x)
             fine[i] += np.sum(terms)
@@ -167,7 +216,7 @@ def test_fourier_sums_match_direct_sum(beta1, n_max, t):
     p = FHParams(0.3, 0.2, beta1=beta1, beta2=-0.05j, t=t)
     lo = 0 if p.is_real_symbol() else -n_max
     j_values = np.arange(lo, n_max + 1)
-    fine, coarse = _fourier_sums(p, n_max, j_values, refine=1)
+    fine, coarse = _sums(p, n_max, j_values, refine=1)
     # all modes of the small tables; of the large ones the first and last 64
     # (the padded outer block is the last) and every 29th in between
     pick = np.unique(np.r_[0:64, -64:0, 64 : len(j_values) - 64 : 29] % len(j_values))
@@ -181,10 +230,10 @@ def test_fourier_sums_parity_split():
     # half-rules, so the coarse sums fix which nodes form the coarse half;
     # the middle arc starts on an odd (non-coarse) node, the others on an even
     p = FHParams(0.3, 0.2, beta1=0.1 + 0.2j, beta2=-0.05j, t=0.7)
-    starts = [bool(arc_rule(a, b, max_freq=17.0).coarse[0]) for (a, b), _ in _arcs(p)]
+    starts = [bool(rule.coarse[0]) for rule, _ in weighted_rules(p, 17.0, 0)]
     assert starts == [True, False, True]
     j_values = np.arange(-200, 201)
-    fine, coarse = _fourier_sums(p, 17, j_values, refine=0)
+    fine, coarse = _sums(p, 17, j_values, refine=0)
     ref_fine, ref_coarse = _direct_sums(p, 17, j_values, refine=0)
     assert np.max(np.abs(fine - coarse)) > 0.1
     assert np.max(np.abs(fine - ref_fine)) < 1e-13
@@ -213,7 +262,7 @@ def test_fourier_table_matches_next_refinement(name, t, n_max):
     tab = fourier_coeffs(p, n_max)
     lo = 0 if p.is_real_symbol() else -n_max
     j_values = np.arange(lo, n_max + 1)
-    fine, _ = _fourier_sums(p, n_max, j_values, refine=1)
+    fine, _ = _sums(p, n_max, j_values, refine=1)
     assert tab.quad_error_estimate <= 1e-13
     assert np.max(np.abs(tab.coeffs[n_max + j_values] - fine)) <= 5e-14
 
@@ -223,7 +272,7 @@ def test_fourier_table_escalates():
     # cannot resolve the z^{+-32k} terms at refine 0, so the table escalates
     p = FHParams(0.0, 0.0, t=0.3, v_coeffs={32: 0.5, -32: 0.5})
     n_max, tol = 16, 1e-11
-    fine, coarse = _fourier_sums(p, n_max, np.arange(0, n_max + 1), refine=0)
+    fine, coarse = _sums(p, n_max, np.arange(0, n_max + 1), refine=0)
     assert np.max(np.abs(fine - coarse)) > tol
     tab = fourier_coeffs(p, n_max, tol=tol)
     assert tab.quad_error_estimate <= tol
@@ -244,13 +293,8 @@ def test_parseval():
     n_max = 48
     tab = fourier_coeffs(p, n_max)
 
-    total = 0.0
-    from fhmerge.symbol import _arcs, _symbol_on_rule
-
-    for (a, b), roles in _arcs(p):
-        rule = arc_rule(a, b, max_freq=4.0, refine=1)
-        vals = np.abs(_symbol_on_rule(p, rule, roles)) ** 2
-        total += np.sum(vals * rule.w) / (2.0 * PI)
+    # sum |f|^2 w / 2 pi, with w f / 2 pi from the table's rules
+    total = sum(np.sum(np.abs(wf) ** 2 / rule.w) * 2.0 * PI for rule, wf in weighted_rules(p, 4.0, 1))
     series = sum(abs(tab[j]) ** 2 for j in range(-n_max, n_max + 1))
     # coefficients decay ~ 1/j^2, so the tail is O(1/n_max^3)
     assert abs(total - series) < 5.0 / n_max**3
