@@ -28,7 +28,6 @@ from .errors import (
     NumericalError,
     PoleDetectedError,
     QuadratureError,
-    SingularAngleError,
     SingularMatrixError,
     ValidationError,
 )
@@ -41,12 +40,11 @@ from .painleve import (
     integrate_sigma,
     r_trajectory,
     sigma_large_asym,
-    sigma_series_small,
     tau0,
     theta_params,
 )
 from .specfun import log_barnes_g, log_gamma
-from .symbol import FHParams, FourierTable, eval_symbol, fourier_coeffs
+from .symbol import FHParams, FourierTable, fourier_coeffs
 from .toeplitz import LogDeterminant, OrthoPolyData, det_path, heine_det, log_det, orth_poly
 
 __all__ = [
@@ -64,7 +62,6 @@ __all__ = [
     "diff_identity_rhs",
     "dyson_constant",
     "e_constant",
-    "eval_symbol",
     "fh1_log",
     "fh2_log",
     "fh2_odd_log",
@@ -80,7 +77,6 @@ __all__ = [
     "orth_poly",
     "r_trajectory",
     "sigma_large_asym",
-    "sigma_series_small",
     "tau0",
     "theta_params",
     "transition_log",
@@ -89,7 +85,6 @@ __all__ = [
     "NumericalError",
     "GammaPoleError",
     "BarnesGZeroError",
-    "SingularAngleError",
     "NondegeneracyError",
     "QuadratureError",
     "SingularMatrixError",

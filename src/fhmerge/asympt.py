@@ -18,7 +18,7 @@ from scipy.special import beta as _sp_beta
 from scipy.special import betainc
 
 from .errors import ValidationError
-from .painleve import SigmaTrajectory, check_nondegeneracy
+from .painleve import SigmaTrajectory, check_nondegeneracy, sigma_zero
 from .specfun import DYSON_CD, log_barnes_g_ratio, log_gamma
 from .symbol import FHParams
 
@@ -54,14 +54,15 @@ class AsymptoticPrediction:
     def log_value(self) -> complex:
         return complex(sum(self.terms.values()))
 
-    @property
-    def value(self) -> complex:
-        return cmath.exp(self.log_value)
-
 
 def _require_seminorm(p: FHParams):
     if p.seminorm >= 1.0:
         raise ValidationError(f"seminorm {p.seminorm} out of range; reduce betas first")
+
+
+def _log_n_power(p: FHParams) -> complex:
+    """sum_j (alpha_j^2 - beta_j^2), the power of n in the fixed-t expansion."""
+    return sum(s.alpha**2 - s.beta**2 for s in p.pair)
 
 
 def _wiener_hopf_log(p: FHParams, z: complex, alpha: complex, beta: complex) -> complex:
@@ -77,8 +78,8 @@ def e_constant(p: FHParams) -> complex:
         raise ValidationError("constant term needs t in (0, pi)")
     check_nondegeneracy(p, merged=False)
     out = p.szego_sum
-    out += 2.0 * (p.beta1 * p.beta2 - p.alpha1 * p.alpha2) * math.log(abs(2.0 * math.sin(p.t)))
-    out += 1j * (math.pi - 2.0 * p.t) * (p.alpha1 * p.beta2 - p.alpha2 * p.beta1)
+    out -= 2.0 * p.log_coupling * math.log(abs(2.0 * math.sin(p.t)))
+    out += 1j * (math.pi - 2.0 * p.t) * p.phase_coupling
     for s in p.pair:
         out += _wiener_hopf_log(p, s.z, s.alpha, s.beta) + log_barnes_g_ratio(s.alpha, s.beta)
     return out
@@ -93,7 +94,7 @@ def fh2_log(p: FHParams, n: int) -> AsymptoticPrediction:
     _require_seminorm(p)
     terms = {
         "n_linear": n * p.v0,
-        "log_n": (p.alpha1**2 + p.alpha2**2 - p.beta1**2 - p.beta2**2) * math.log(n),
+        "log_n": _log_n_power(p) * math.log(n),
         "constant": e_constant(p),
     }
     t_min = n**-0.5
@@ -164,10 +165,8 @@ def fh2_odd_log(p: FHParams, n: int) -> AsymptoticPrediction:
     pa, pb = nb.params, nb.params_pair
     check_nondegeneracy(pa, merged=False)
     check_nondegeneracy(pb, merged=False)
-    exp_a = p.alpha1**2 + p.alpha2**2 - pa.beta1**2 - pa.beta2**2
-    exp_b = p.alpha1**2 + p.alpha2**2 - pb.beta1**2 - pb.beta2**2
-    branch_a = exp_a * math.log(n) + e_constant(pa)
-    branch_b = 2j * n * nb.ell * p.t + exp_b * math.log(n) + e_constant(pb)
+    branch_a = _log_n_power(pa) * math.log(n) + e_constant(pa)
+    branch_b = 2j * n * nb.ell * p.t + _log_n_power(pb) * math.log(n) + e_constant(pb)
     terms = {
         "n_linear": n * (p.v0 + 2j * nb.k * p.t),
         "interference": cmath.log(cmath.exp(branch_a) + cmath.exp(branch_b)),
@@ -195,10 +194,8 @@ def _transition_terms(p: FHParams, n: int) -> dict:
     terms = dict(merged.terms)
     terms["nt_linear"] = 1j * n * t * (p.beta2 - p.beta1)
     terms["painleve_integral"] = 0.0
-    terms["sin_ratio"] = (
-        2.0 * (p.beta1 * p.beta2 - p.alpha1 * p.alpha2) * math.log(math.sin(t) / t)
-    )
-    terms["t_linear"] = 2j * t * (p.alpha2 * p.beta1 - p.alpha1 * p.beta2)
+    terms["sin_ratio"] = -2.0 * p.log_coupling * math.log(math.sin(t) / t)
+    terms["t_linear"] = -2j * t * p.phase_coupling
     terms["v_shift"] = sum(shift(s.z, s.alpha, 0.0) for s in p.pair)
     terms["b_shift"] = sum(shift(s.z, 0.0, s.beta) for s in p.pair)
     return terms
@@ -270,12 +267,7 @@ def beta_one_ratio(
     use_small = nt <= DEFAULT_C0
     notes = {"nt": nt, "branch": "small" if use_small else "large"}
     if 0.75 * DEFAULT_C0 <= nt <= 1.25 * DEFAULT_C0 and r_value is not None:
-        try:
-            notes["branch_mismatch"] = abs(
-                cmath.exp(small_branch()) - cmath.exp(large_branch())
-            )
-        except ValidationError:  # pragma: no cover
-            pass
+        notes["branch_mismatch"] = abs(cmath.exp(small_branch()) - cmath.exp(large_branch()))
     branch = small_branch() if use_small else large_branch()
     terms = {
         "prefactor": -1j * (n - 1) * t - p.v0,
@@ -290,37 +282,23 @@ def beta_one_ratio(
 def diff_identity_rhs(p: FHParams, n: int, t: float, traj: SigmaTrajectory) -> complex:
     """Asymptotic form of (1/i) d/dt ln D_n at small t.
 
-    Assembled from the Laurent data and the sigma trajectory at x = 2nt.
+    Assembled from the Laurent data and the sigma trajectory at x = 2nt,
+    with one term per singularity j at z_j = e^{+-it} of p.with_t(t):
+    eps = d theta_j/dt = +-1, z V'(z) = sum k V_k z^k and
+    h(z) = sum |k| V_k z^k.
     """
     x = 2.0 * n * t
     sig, du, _ = traj.eval(x)
-    sig_s = 1j * du
-    v = p.v
-    d1 = (p.alpha2 - p.alpha1) * p.beta_sum
-    for j, vj in v.items():
-        if j == 0:
-            continue
-        d1 += -p.alpha1 * j * vj * cmath.exp(1j * j * t) + p.alpha2 * j * vj * cmath.exp(
-            -1j * j * t
-        )
-    d1 += (
-        1j
-        * p.beta_sum
-        * sum(
-            j * (v.get(j, 0.0) - v.get(-j, 0.0)) * math.sin(j * t)
-            for j in range(1, max((abs(k) for k in v), default=0) + 1)
-        )
-    )
-    d2 = (p.beta_sum**2 - 4.0 * p.alpha1 * p.alpha2) * (math.cos(t) / (2j * math.sin(t)))
-    d2 += sig / (1j * t)
-    bracket = -sum(
-        j * (v.get(j, 0.0) + v.get(-j, 0.0)) * math.cos(j * t)
-        for j in range(1, max((abs(k) for k in v), default=0) + 1)
-    )
-    bracket += (p.beta1 - p.beta2) / 2j * (math.cos(t) / math.sin(t) - 1.0 / t)
-    bracket += -p.alpha1 - p.alpha2
-    d3 = 2.0 * sig_s * bracket
-    return n * (p.beta2 - p.beta1) + d1 + d2 + d3
+    b = p.beta_sum
+    d1 = 0.0
+    bracket = (p.beta1 - p.beta2) / 2j * (math.cos(t) / math.sin(t) - 1.0 / t)
+    for s, eps in zip(p.with_t(t).pair, (1.0, -1.0)):
+        zv_prime = sum(k * c * s.z**k for k, c in p.v_coeffs)
+        h = sum(abs(k) * c * s.z**k for k, c in p.v_coeffs)
+        d1 += eps * (b * h / 2.0 - s.alpha * (zv_prime + b))
+        bracket -= s.alpha + h / 2.0
+    d2 = (sig / t - sigma_zero(p) * math.cos(t) / math.sin(t)) / 1j
+    return n * (p.beta2 - p.beta1) + d1 + d2 + 2j * du * bracket
 
 
 def _fk_prefactor(alpha: float) -> float:

@@ -48,6 +48,18 @@ def _v_flag(text: str):
         raise argparse.ArgumentTypeError(f"expected 'k=re,im', got {text!r}") from exc
 
 
+def _t_grid_flag(text: str):
+    """Parse 'START:STOP:COUNT' (finite ends, COUNT >= 1) into np.linspace's arguments."""
+    try:
+        start, stop, count = text.split(":")
+        grid = float(start), float(stop), int(count)
+        if grid[2] >= 1 and all(map(math.isfinite, grid[:2])):
+            return grid
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected 'START:STOP:COUNT' with COUNT >= 1, got {text!r}")
+
+
 def _add_symbol_flags(sub, table_output=True):
     sub.add_argument("--config", help="JSON symbol-config path; flags override it")
     sub.add_argument("--alpha1", type=_complex_flag, default=None)
@@ -122,9 +134,8 @@ def _cmd_fourier(args):
 
 def _cmd_det(args):
     p = _params_from_args(args)
-    if args.t_grid:
-        start, stop, count = args.t_grid.split(":")
-        grid = np.linspace(float(start), float(stop), int(count))
+    if args.t_grid is not None:
+        grid = np.linspace(*args.t_grid)
         path = toeplitz.det_path(p, args.n, grid, tol=args.tol)
         rows = [(args.n, t, ld.log_abs, ld.arg) for t, ld in zip(grid, path)]
     else:
@@ -259,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("det", help="log-determinant (optionally along a t grid)")
     _add_symbol_flags(s)
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--t-grid", help="START:STOP:COUNT ascending t grid")
+    s.add_argument("--t-grid", type=_t_grid_flag, help="START:STOP:COUNT ascending t grid")
     s.add_argument("--tol", type=float, default=1e-11)
     s.set_defaults(func=_cmd_det)
 

@@ -17,10 +17,6 @@ class BarnesGZeroError(ValidationError):
     """log_barnes_g evaluated at a zero of the Barnes G-function."""
 
 
-class SingularAngleError(ValidationError):
-    """Symbol evaluated at one of its singular angles."""
-
-
 class NondegeneracyError(ValidationError):
     """alpha_j +/- beta_j (or a merged combination) hits a negative integer."""
 

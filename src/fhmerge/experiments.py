@@ -49,6 +49,14 @@ _TIE_SLACK = 0.10
 _IDENTITY_N = 8  # size of beta_one_check's exact identity row
 
 
+def _check_n_list(n_list, least: int = 1, sizes: int = 1) -> None:
+    """Raise ValidationError unless n_list holds at least `sizes` sizes,
+    strictly ascending from at least `least`."""
+    n = list(n_list)
+    if len(n) < sizes or n[0] < least or any(a >= b for a, b in zip(n, n[1:])):
+        raise ValidationError(f"n_list {n} is not {sizes}+ ascending sizes from {least} up")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid specification for the regime comparison sweep."""
@@ -60,8 +68,7 @@ class SweepConfig:
     nt_values: tuple = (0.2, 1.0, 5.0, 20.0)
 
     def __post_init__(self):
-        if not self.n_list or list(self.n_list) != sorted(self.n_list) or self.n_list[0] < 1:
-            raise ValidationError("n_list must be nonempty ascending positive")
+        _check_n_list(self.n_list)
         if self.t_rule not in ("fixed-t", "fixed-nt"):
             raise ValidationError(f"unknown t_rule {self.t_rule!r}")
         if self.t_rule == "fixed-t" and self.t_value is None:
@@ -288,8 +295,10 @@ def dyson_check(n_list) -> ExperimentReport:
 
     rho0(n) = (2/pi) int_0^{pi/2} D_{n-1}(f_t) dt for the square-root
     pair symbol; the ratio rho0/sqrt(n) must approach the closed-form
-    constant with strictly shrinking deviation.
+    constant with strictly shrinking deviation.  n_list is ascending with
+    every n >= 2, since rho0(n) reads D_{n-1}.
     """
+    _check_n_list(n_list, least=2)
     start = time.time()
     cd = dyson_constant()
     integrals, t_quad = _integrate_det(
@@ -324,7 +333,10 @@ def fk_moment_scan(alpha: float, n_list, t1: float) -> ExperimentReport:
     Fits the log-log slope across n_list and compares with the regime
     exponent (2 alpha^2, n log n, or 4 alpha^2 - 1); the prefactor is
     compared against the matching closed-form constant when available.
+    n_list is two or more ascending sizes n >= 2 (the critical regime
+    divides by n ln n); the prefactor is read at the largest.
     """
+    _check_n_list(n_list, least=2, sizes=2)
     start = time.time()
     if alpha <= -0.25:
         raise ValidationError("needs alpha > -1/4")

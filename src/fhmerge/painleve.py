@@ -43,7 +43,6 @@ __all__ = [
     "RTrajectory",
     "theta_params",
     "tau0",
-    "sigma_series_small",
     "sigma_large_asym",
     "integrate_sigma",
     "degenerate_sigma",
@@ -99,20 +98,14 @@ def tau0(p: FHParams) -> complex:
     if is_nonpositive_integer(-two_a):
         raise NondegeneracyError("2(alpha1+alpha2) in N u {0}: no tau0 term (half-integer case)")
     check_nondegeneracy(p)
-    sin2a = cmath.sin(2.0 * cmath.pi * a)
-    bracket = (
-        cmath.exp(1j * cmath.pi * (p.alpha1 - p.alpha2)) * cmath.sin(cmath.pi * (a + b)) / sin2a
-        + cmath.exp(-1j * cmath.pi * (p.alpha1 - p.alpha2)) * cmath.sin(cmath.pi * (a - b)) / sin2a
-        - cmath.exp(1j * cmath.pi * (p.beta1 - p.beta2))
-    )
-    lg = (
-        log_gamma(1.0 + a + b)
-        + log_gamma(1.0 + a - b)
-        - 2.0 * log_gamma(1.0 + two_a)
-        + log_gamma(1.0 + 2.0 * p.alpha1)
-        + log_gamma(1.0 + 2.0 * p.alpha2)
-        - log_gamma(2.0 + two_a)
-    )
+    # one term per sign eps = +-1 of b, and one per singularity
+    d = p.alpha1 - p.alpha2
+    bracket = sum(
+        cmath.exp(eps * 1j * cmath.pi * d) * cmath.sin(cmath.pi * (a + eps * b)) for eps in (1.0, -1.0)
+    ) / cmath.sin(cmath.pi * two_a) - cmath.exp(1j * cmath.pi * (p.beta1 - p.beta2))
+    lg = sum(log_gamma(1.0 + a + eps * b) for eps in (1.0, -1.0))
+    lg += sum(log_gamma(1.0 + 2.0 * s.alpha) for s in p.pair)
+    lg -= 2.0 * log_gamma(1.0 + two_a) + log_gamma(2.0 + two_a)
     return -cmath.exp(lg) / (2.0 * cmath.pi) * bracket
 
 
@@ -289,22 +282,6 @@ def _series_omega(table, x):
     return (xe[..., 1:] * (c[1:] / e[1:])).sum(-1)
 
 
-def sigma_series_small(p: FHParams, x):
-    """(sigma, d sigma/dx, d^2 sigma/dx^2) at s = -ix from the x -> 0 expansion.
-
-    Reads the table of _series_terms; x is a float or an array and each
-    result has its shape.  Valid for 0 < x <= max(1e-2, 4 x_start), with
-    x_start integrate_sigma's default start at tol = 1e-8; raises
-    ValidationError outside, and NondegeneracyError where _series_terms
-    does.
-    """
-    x_range = _series_range(_series_start(p, _DEFAULT_TOL))
-    xs = np.asarray(x, dtype=float)
-    if not np.all((0.0 < xs) & (xs <= x_range)):
-        raise ValidationError(f"series needs 0 < x <= {x_range:.3g}")
-    return _series_values(_series_terms(p, x_range), x)
-
-
 def _branch_sign(p: FHParams):
     """(sign, kept, other): sign = +1 when Re(beta1 - beta2) >= 0, else -1,
     the sign of the oscillating term that the large-argument expansion
@@ -373,12 +350,12 @@ class SigmaTrajectory:
 
     Built from the parameters, the range [x0, x_max] and the dense solver
     output, whose variable tau is x - x0 and whose rows are (sigma,
-    sigma_s, sigma_ss, omega - omega_head, ln U, W).  eval, sigma_at and omega_at
-    take a float or an array of x and read the dense output in one call;
-    below x0 they read the solve's series table _series in one call.
-    x_grid is _default_grid(x0, x_max)
-    and omega_head the series omega at x0; the grid fields are filled
-    from one eval on x_grid and the quartic-relation residual there.
+    sigma_s, sigma_ss, omega - omega_head, ln U, W).  eval, sigma_at and
+    omega_at take a float or an array of x and read it through _read: the
+    solve's series table _series below x0, the dense output from x0 on,
+    one call each.  x_grid is _default_grid(x0, x_max) and omega_head the
+    series omega at x0; the grid fields are filled from one eval on x_grid
+    and the quartic-relation residual there.
     """
 
     params: FHParams
@@ -409,34 +386,33 @@ class SigmaTrajectory:
             )
         return self._dense(np.minimum(xs - self.x0, self._dense.t_max))
 
-    def eval(self, x):
-        """(sigma, sigma_x, sigma_xx) at x, each of the shape of x."""
+    def _read(self, x):
+        """(sigma, sigma_x, sigma_xx, omega) at x, each of the shape of x:
+        the series table below x0, the dense output from x0 on (at x0 it
+        returns the start data and omega_head, the series values there)."""
         xs = np.asarray(x, dtype=float)
         flat = xs.ravel()
         head = flat < self.x0
-        out = np.empty((3, flat.size), dtype=complex)
+        out = np.empty((4, flat.size), dtype=complex)
         if head.any():
-            out[:, head] = _series_values(self._series, flat[head])
+            out[:3, head] = _series_values(self._series, flat[head])
+            out[3, head] = _series_omega(self._series, flat[head])
         if not head.all():
-            sig, dsig, d2sig = self._dense_at(flat[~head])[:3]
+            sig, dsig, d2sig, omega = self._dense_at(flat[~head])[:4]
             # convert s-derivatives to x-derivatives on the ray (ds/dx = -i)
-            out[:, ~head] = sig, -1j * dsig, -d2sig
+            out[:, ~head] = sig, -1j * dsig, -d2sig, self.omega_head + omega
         return tuple(o.reshape(xs.shape)[()] for o in out)
 
+    def eval(self, x):
+        """(sigma, sigma_x, sigma_xx) at x, each of the shape of x."""
+        return self._read(x)[:3]
+
     def sigma_at(self, x):
-        return self.eval(x)[0]
+        return self._read(x)[0]
 
     def omega_at(self, x):
         """int_0^{-ix} (sigma(s) - sigma(0)) ds/s along the ray, of the shape of x."""
-        xs = np.asarray(x, dtype=float)
-        flat = xs.ravel()
-        head = flat <= self.x0
-        out = np.empty(flat.size, dtype=complex)
-        if head.any():
-            out[head] = _series_omega(self._series, flat[head])
-        if not head.all():
-            out[~head] = self.omega_head + self._dense_at(flat[~head])[3]
-        return out.reshape(xs.shape)[()]
+        return self._read(x)[3]
 
 
 def _lax_rates(p: FHParams):
@@ -539,7 +515,7 @@ def integrate_sigma(
     defaults to the start: the smallest x >= 1e-3 at which the start data
     resolve the selecting tau0 term to relative accuracy tol (1e-3 for
     alpha1 = alpha2 = 0.3, about 0.24 for 0.9 at tol = 1e-8; see
-    _series_start).  The Lax variable U starts on r_log_derivative's root
+    _series_start).  The Lax variable U starts on _lax_root's root
     at x = 1e-3 and W = 0 there; both are carried to x0 with sigma read
     from the table.  The sets where sigma == 0 exactly (the degenerate
     pair alpha = beta = 1/2 and the smooth symbol) have the empty table,
@@ -700,7 +676,8 @@ def _lax_branches(p: FHParams, x, sig, du, d2u):
     lax_v, su_s, sy_y, numf_of = _lax_system(p)
     v = lax_v(sig_s)
     v_s = d2u  # v_s = -sigma_ss and sigma_ss = -d2u on the ray
-    w_cap = sig - s * sig_s + p.alpha1**2 + p.alpha2**2 - p.beta_sum**2 / 2.0
+    # sigma - s sigma_s + sum_j alpha_j^2 - (beta1 + beta2)^2 / 2, added left to right
+    w_cap = sum((j.alpha**2 for j in p.pair), sig - s * sig_s) - p.beta_sum**2 / 2.0
     a_minus = p.alpha1 - p.alpha2 - p.beta_sum
     a_plus = p.alpha1 + p.alpha2 - p.beta_sum
     qa = v * (v + a_plus)
@@ -730,11 +707,6 @@ def _lax_root(p: FHParams, x: float, sig, du, d2u):
     target = -1.0 / x - 0.5j  # log-derivative of the small-x closed form
     k = int(abs(vals[1] - target) < abs(vals[0] - target))
     return vals[k], u[k]
-
-
-def r_log_derivative(p: FHParams, traj: SigmaTrajectory, x: float):
-    """(d ln r/dx, U) at x from sigma, on the root integrate_sigma starts U on."""
-    return _lax_root(p, x, *traj.eval(x))
 
 
 def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
@@ -779,11 +751,8 @@ def integral_identity_check(p: FHParams, traj: SigmaTrajectory, T: float):
         raise ValidationError("need T >= 20")
     if p.seminorm >= 1.0:
         raise ValidationError("identity needs seminorm < 1")
-    lhs = (
-        traj.omega_at(T)
-        + 1j * T * (p.beta2 - p.beta1) / 2.0
-        + 2.0 * (p.alpha1 * p.alpha2 - p.beta1 * p.beta2) * math.log(T)
-    )
+    lhs = traj.omega_at(T) + 1j * T * (p.beta2 - p.beta1) / 2.0
+    lhs += 2.0 * p.log_coupling * math.log(T)
     # the tail vanishes for the degenerate pair, where rgamma(alpha2 - beta2) = 0
     sign = _branch_sign(p)[0]
     ys = np.arange(T, max(10.0 * T, 2000.0), math.pi / 40.0)
@@ -791,7 +760,6 @@ def integral_identity_check(p: FHParams, traj: SigmaTrajectory, T: float):
     integrand = -sign * 1j * gs / (1.0 + gs)
     lhs += np.trapezoid(integrand, ys)
 
-    rhs = 1j * math.pi * (p.alpha1 * p.beta2 - p.alpha2 * p.beta1)
-    rhs -= log_barnes_g_ratio(p.alpha1 + p.alpha2, p.beta_sum)
-    rhs += log_barnes_g_ratio(p.alpha1, p.beta1) + log_barnes_g_ratio(p.alpha2, p.beta2)
+    rhs = 1j * math.pi * p.phase_coupling - log_barnes_g_ratio(p.alpha1 + p.alpha2, p.beta_sum)
+    rhs += sum(log_barnes_g_ratio(s.alpha, s.beta) for s in p.pair)
     return lhs, rhs, abs(lhs - rhs)

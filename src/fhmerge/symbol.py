@@ -1,4 +1,4 @@
-"""The two-singularity circle symbol: evaluation and Fourier coefficients.
+"""The two-singularity circle symbol and its Fourier coefficients.
 
 The symbol is e^{V(z)} times one factor per singularity of the pair
 `FHParams.pair`, z_j = e^{i theta_j} with theta_1 = t and
@@ -24,20 +24,19 @@ multiplications per node plus one matrix product per nested half-rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from ._blas import single_thread
-from .errors import QuadratureError, SingularAngleError, ValidationError
+from .errors import QuadratureError, ValidationError
 from .quadrature import arc_rule
 
 __all__ = [
     "FHParams",
     "FourierTable",
     "Singularity",
-    "eval_symbol",
     "fourier_coeffs",
     "params_from_json_dict",
     "weighted_rules",
@@ -78,7 +77,6 @@ class FHParams:
     beta2: complex = 0.0
     t: float = 0.0
     v_coeffs: tuple = ()
-    t_was_snapped: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha1", complex(self.alpha1))
@@ -99,7 +97,6 @@ class FHParams:
             raise ValidationError(f"t must lie in [0, pi), got {t}")
         if 0.0 < t < _T_SNAP:
             t = 0.0
-            object.__setattr__(self, "t_was_snapped", True)
         object.__setattr__(self, "t", t)
 
         if self.alpha1.real <= -0.5 or self.alpha2.real <= -0.5:
@@ -120,6 +117,18 @@ class FHParams:
     @property
     def beta_sum(self) -> complex:
         return self.beta1 + self.beta2
+
+    @property
+    def log_coupling(self) -> complex:
+        """alpha1 alpha2 - beta1 beta2, the pair's cross term at ln|2 sin t|,
+        ln(sin t / t) and ln T."""
+        return self.alpha1 * self.alpha2 - self.beta1 * self.beta2
+
+    @property
+    def phase_coupling(self) -> complex:
+        """alpha1 beta2 - alpha2 beta1, the pair's cross term at the phases
+        i (pi - 2t), 2it and i pi."""
+        return self.alpha1 * self.beta2 - self.alpha2 * self.beta1
 
     @property
     def seminorm(self) -> float:
@@ -195,17 +204,6 @@ def _symbol_core(p: FHParams, theta, offsets):
         jumps = jumps * np.where(before, *g)
     vals = vals * jumps
     return vals * np.exp(-1j * sum(s.theta * s.beta for s in p.pair))
-
-
-def eval_symbol(p: FHParams, theta):
-    """f(e^{i theta}) for theta in [0, 2 pi); raises SingularAngleError on
-    the singular angles."""
-    theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    for a in (s.theta for s in p.pair):
-        if np.any(theta_arr == a) or (a == 0.0 and np.any(theta_arr == TWO_PI)):
-            raise SingularAngleError(f"symbol is singular at theta = {a}")
-    out = _symbol_core(p, theta_arr, [theta_arr - s.theta for s in p.pair])
-    return out[0] if np.isscalar(theta) or np.ndim(theta) == 0 else out
 
 
 def _arcs(p: FHParams):

@@ -32,10 +32,6 @@ class LogDeterminant:
     arg: float
 
     @property
-    def value(self) -> complex:
-        return np.exp(self.log_abs + 1j * self.arg)
-
-    @property
     def log(self) -> complex:
         return complex(self.log_abs, self.arg)
 

@@ -329,3 +329,44 @@ def test_beta_one_large_branch_golden(order):
     pred = beta_one_ratio(FHParams(0.3, 0.25 + 0.05j, b1, b2, 0.25, v), 128, None, 1.5 - 0.3j)
     assert pred.notes["branch"] == "large"
     assert abs(pred.log_value - ref) <= 1e-13 * abs(ref)
+
+
+# golden values (1e-13 relative) of the predictors built from the pair's cross
+# terms, sum_j (alpha_j^2 - beta_j^2) and the V-part of the derivative expansion
+_V = {1: 0.2 + 0.1j, -1: 0.15 - 0.05j, 2: -0.1j}
+
+
+def _close(got, ref):
+    return abs(got - ref) <= 1e-13 * abs(ref)
+
+
+def test_e_constant_golden():
+    p = FHParams(0.3 + 0.05j, 0.2, 0.1 + 0.2j, -0.15j, 0.5, _V)
+    assert _close(e_constant(p), 0.17638122198021478 - 0.002993070238459265j)
+    assert _close(fh2_log(p, 64).log_value, 0.9249801769849556 - 0.04458190107205602j)
+
+
+def test_transition_terms_golden():
+    from fhmerge.asympt import _transition_terms
+
+    p = FHParams(0.3 + 0.05j, 0.2, 0.1 + 0.2j, -0.15j, 0.05, _V)
+    got = sum(_transition_terms(p, 64).values())
+    assert _close(got, 2.0953957865853936 - 0.12333144149450322j)
+
+
+def test_fh2_odd_log_golden():
+    p = FHParams(0.3, 0.2 + 0.1j, 0.5 + 0.1j, -0.5, 0.4, _V)
+    assert _close(fh2_odd_log(p, 16).log_value, -0.8811356816451904 - 12.578137621701057j)
+    assert _close(fh2_odd_log(p, 64).log_value, -1.2617811945318007 - 50.52201948919181j)
+
+
+def test_diff_identity_rhs_golden():
+    from fhmerge.painleve import integrate_sigma
+
+    p = FHParams(0.3, 0.25, 0.1j, -0.15j, 0.3, _V)
+    traj = integrate_sigma(p, x_max=80.0)
+    for n, t, ref in [
+        (32, 0.1, 0.007636934643144605 + 1.4506313734744893j),
+        (128, 0.25, -0.016624670523641503 + 0.6434927023701489j),
+    ]:
+        assert _close(diff_identity_rhs(p, n, t, traj), ref)

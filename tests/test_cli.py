@@ -134,6 +134,24 @@ def test_det_tol_reaches_quadrature(where, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("grid", ["0.1:0.5", "a:b:3", "0.1:0.5:0"])
+def test_det_malformed_t_grid_exit_code(grid, capsys):
+    # START:STOP:COUNT with COUNT >= 1 is parsed before any table
+    with pytest.raises(SystemExit) as exc:
+        main(["det", "--alpha1", "0.3", "--alpha2", "0.3", "--n", "4", "--t-grid", grid])
+    assert exc.value.code == 2
+    assert "--t-grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "suite, n_list",
+    [("dyson", ["0"]), ("dyson", ["1"]), ("fk", ["8"]), ("fk", ["64", "32"])],
+)
+def test_verify_unusable_n_list_exit_code(suite, n_list, capsys):
+    assert main(["verify", "--suite", suite, "--n-list", *n_list]) == 2
+    assert "n_list" in capsys.readouterr().err
+
+
 def test_verify_identity_suite(tmp_path, capsys):
     out = tmp_path / "identity.csv"
     code = main(["verify", "--suite", "identity", "-o", str(out)])

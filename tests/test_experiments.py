@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -34,6 +35,30 @@ def test_sweep_config_validation():
         SweepConfig(params=p, n_list=(64, 32))
     with pytest.raises(ValidationError):
         SweepConfig(params=p, n_list=(32,), t_rule="fixed-t")
+
+
+@pytest.mark.parametrize(
+    "suite, n_list",
+    [
+        ("dyson", ()),
+        ("dyson", (0,)),
+        ("dyson", (1,)),
+        ("dyson", (1, 4)),
+        ("dyson", (64, 32)),
+        ("dyson", (32, 32)),
+        ("fk", (8,)),
+        ("fk", (64, 32)),
+        ("fk", (1, 8)),
+        ("fk", ()),
+    ],
+)
+def test_suite_rejects_unusable_n_list(suite, n_list):
+    # dyson reads D_(n-1), so n >= 2; fk fits a slope, so at least two sizes
+    run = {"dyson": dyson_check, "fk": lambda n: fk_moment_scan(0.9, n, PI / 3.0)}[suite]
+    start = time.perf_counter()
+    with pytest.raises(ValidationError):
+        run(n_list)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_regime_sweep_small(traj03, p03):
@@ -190,6 +215,23 @@ def test_diff_identity_scan_halving(traj03, p03):
     m32 = max(r["err"] for r in r32.rows)
     m64 = max(r["err"] for r in r64.rows)
     assert 1.5 <= m32 / m64 <= 2.5
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        FHParams(0.3, 0.25, 0.1j, -0.15j, 0.3, {1: 0.2 + 0.1j, -1: 0.15 - 0.05j, 2: -0.1j}),
+        FHParams(0.2, 0.35, 0.05 + 0.1j, 0.05 - 0.1j, 0.3, {1: 0.3, -2: 0.1j}),
+    ],
+    ids=["imaginary-betas", "complex-betas"],
+)
+def test_diff_identity_scan_with_smooth_factor(p):
+    # the expansion's V-part against exact determinants: the worst error on
+    # the grid falls like 1/n (ratios 1.87-2.05 per doubling)
+    traj = integrate_sigma(p, x_max=80.0)
+    grid = np.linspace(0.08, 0.3, 6)
+    errs = [diff_identity_scan(p, n, grid, traj=traj).summary["max_err"] for n in (32, 64, 128)]
+    assert errs[0] / errs[1] >= 1.7 and errs[1] / errs[2] >= 1.7
 
 
 def test_diff_identity_imaginary_beta(p03):

@@ -95,3 +95,38 @@ def _private_crossings():
 
 def test_private_names_stay_in_their_module():
     assert set(_private_crossings()) == PRIVATE_CROSSINGS
+
+
+# exported names nothing in the package or the benchmark calls, kept on purpose:
+# heine_det is the oracle log_det is tested against, ZETA_PRIME_MINUS1 the
+# reference value GLAISHER_A is tested against
+UNCALLED_EXPORTS = {"heine_det", "ZETA_PRIME_MINUS1"}
+
+
+def _exports():
+    """Every name in fhmerge.__all__ and in each module's __all__."""
+    names = set(fhmerge.__all__)
+    for name in MODULES:
+        names.update(getattr(importlib.import_module(f"fhmerge.{name}"), "__all__", ()))
+    return names
+
+
+def _referenced_names():
+    """Every name read (Name or Attribute) or imported in src/fhmerge
+    outside __init__.py and in bench/."""
+    package = Path(fhmerge.__file__).parent
+    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    out = set()
+    for path in paths + sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                out.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                out.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return out
+
+
+def test_every_export_has_a_caller():
+    assert sorted(_exports() - _referenced_names()) == sorted(UNCALLED_EXPORTS)

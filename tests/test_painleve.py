@@ -13,6 +13,7 @@ from fhmerge.painleve import (
     _series_range,
     _series_start,
     _series_terms,
+    _series_values,
     degenerate_r,
     degenerate_sigma,
     integral_identity_check,
@@ -22,7 +23,6 @@ from fhmerge.painleve import (
     r_trajectory,
     sigma_large_asym,
     sigma_residual,
-    sigma_series_small,
     sigma_zero,
     tau0,
     theta_params,
@@ -31,6 +31,12 @@ from fhmerge.symbol import FHParams, fourier_coeffs
 from fhmerge.toeplitz import log_det
 
 PI = math.pi
+
+
+def _series(p, x):
+    """(sigma, sigma_x, sigma_xx) at x from the series table on the range of
+    integrate_sigma's default start at tol = 1e-8."""
+    return _series_values(_series_terms(p, _series_range(_series_start(p, 1e-8))), x)
 
 
 def test_theta_params_degenerate_case():
@@ -67,6 +73,12 @@ def test_tau0_reflection_invariance():
     assert abs(c - d) < 1e-14
 
 
+def test_tau0_golden():
+    # golden value (1e-13 relative) at complex alpha and beta1 != beta2
+    ref = -0.053219599411850727 - 0.28698685454060535j
+    assert abs(tau0(FHParams(0.3 + 0.05j, 0.2, 0.1 + 0.2j, -0.15j, 0.3)) - ref) <= 1e-13 * abs(ref)
+
+
 def test_tau0_half_integer_error():
     with pytest.raises(NondegeneracyError):
         tau0(FHParams(0.25, 0.25))  # 2(a1+a2) = 1
@@ -74,13 +86,13 @@ def test_tau0_half_integer_error():
 
 def test_series_leading_term():
     p = FHParams(0.3, 0.3, beta1=0.1j, beta2=-0.3j, t=0.2)
-    u, _, _ = sigma_series_small(p, 1e-8)
+    u, _, _ = _series(p, 1e-8)
     assert abs(u - sigma_zero(p)) < 1e-8
     assert abs(sigma_zero(FHParams(0.5, 0.5)) - 0.5) < 1e-15
 
 
 def test_series_value(p03):
-    u, _, _ = sigma_series_small(p03, 1e-3)
+    u, _, _ = _series(p03, 1e-3)
     t0 = tau0(p03)
     # linear term vanishes (equal alphas); equation-forced x^2 piece present
     assert abs(u - (0.18 + t0 * 1e-3**2.2) + 0.20454545454545456 * 1e-6) < 1e-12
@@ -111,14 +123,9 @@ def test_resonant_rejected_before_solve(p):
 def test_resonant_series_raises(p):
     # no silent sigma(0)-only value or zero omega head
     with pytest.raises(NondegeneracyError):
-        sigma_series_small(p, 1e-3)
+        _series(p, 1e-3)
     with pytest.raises(NondegeneracyError):
         _series_terms(p, 1e-2)
-
-
-def test_series_radius_error(p03):
-    with pytest.raises(ValidationError):
-        sigma_series_small(p03, 0.5)
 
 
 SERIES_SETS = [
@@ -137,7 +144,7 @@ def test_series_table_solves_quartic_relation(p):
     # the whole expansion: the quartic relation holds to rounding on the
     # series range, which is 0.95 for alpha = 0.9
     xs = np.geomspace(1e-6, _series_range(_series_start(p, 1e-8)), 60)
-    u, du, d2u = sigma_series_small(p, xs)
+    u, du, d2u = _series(p, xs)
     assert np.max(sigma_residual(p, -1j * xs, u, 1j * du, -d2u)) < 1e-13
 
 
@@ -395,6 +402,22 @@ def test_integral_identity(p03, traj03):
     assert disc <= 5e-3
 
 
+@pytest.mark.parametrize(
+    "p, ref",
+    [
+        (FHParams(0.3, 0.25, 0.1j, -0.15j, 0.3, {1: 0.2 + 0.1j, -1: 0.15 - 0.05j, 2: -0.1j}),
+         0.24181390401758573),
+        (FHParams(0.3 + 0.05j, 0.2, 0.1 + 0.2j, 0.1 - 0.15j, 0.3),
+         0.2892020742807176 + 0.06570375423586375j),
+    ],
+    ids=["imaginary-betas", "complex"],
+)
+def test_integral_identity_rhs_golden(p, ref):
+    # golden Barnes-G side (1e-13 relative) with beta1 != beta2
+    rhs = integral_identity_check(p, integrate_sigma(p, x_max=42.0), 40.0)[1]
+    assert abs(rhs - ref) <= 1e-13 * abs(ref)
+
+
 def test_integral_identity_degenerate_termwise():
     p = FHParams(0.5, 0.5, 0.5, 0.5, 0.2)
     traj = degenerate_sigma(x_max=45.0)
@@ -442,10 +465,10 @@ def test_r_trajectory_matches_large_form(p03, traj03):
 
 def test_r_log_derivative_identity(p03, traj03):
     # d ln r/dx of the output matches the identity away from r-zeros
-    from fhmerge.painleve import r_log_derivative
+    from fhmerge.painleve import _lax_root
 
     rt = r_trajectory(p03, traj03)
-    val, u_lax = r_log_derivative(p03, traj03, 2.0)
+    val, u_lax = _lax_root(p03, 2.0, *traj03.eval(2.0))
     h = 0.02
     fd = (np.log(rt.r_at(2.0 + h)) - np.log(rt.r_at(2.0 - h))) / (2.0 * h)
     assert abs(val - fd) < 5e-3
@@ -455,7 +478,7 @@ def test_r_trajectory_matches_stepwise_reference(p03, traj03):
     # reference: a node walk 1e-3 apart that tracks the root of the Lax
     # quadratic nearest the U-equation predictor and sums d ln r/dx by
     # the trapezoid rule; r_trajectory reads the one sigma pass instead
-    from fhmerge.painleve import _lax_branches, _lax_system, r_log_derivative
+    from fhmerge.painleve import _lax_branches, _lax_root, _lax_system
 
     x0, x_max = traj03.x0, float(traj03.x_grid[-1])
     xs = np.union1d(np.arange(x0, x_max, 1e-3), traj03.x_grid)
@@ -463,7 +486,7 @@ def test_r_trajectory_matches_stepwise_reference(p03, traj03):
     u, y_part, numf, _ = _lax_branches(p03, xs, sig, du, d2u)
     lax_v, su_s, _, _ = _lax_system(p03)
     du_dx = su_s(u, lax_v(1j * du), -1j * xs) / xs  # dU/dx = -i dU/ds on the ray
-    u_prev, slope, pick = r_log_derivative(p03, traj03, x0)[1], 0.0, []
+    u_prev, slope, pick = _lax_root(p03, x0, *traj03.eval(x0))[1], 0.0, []
     for i, h in enumerate(np.diff(xs, prepend=x0)):
         pred = u_prev + slope * h
         k = int(abs(u[1, i] - pred) < abs(u[0, i] - pred))

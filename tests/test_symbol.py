@@ -6,18 +6,24 @@ import numpy as np
 import pytest
 from scipy.special import gamma, i0, rgamma
 
-from fhmerge.errors import QuadratureError, SingularAngleError, ValidationError
+from fhmerge.errors import QuadratureError, ValidationError
 from fhmerge.quadrature import arc_rule
 from fhmerge.symbol import (
     FHParams,
     _fourier_sums,
-    eval_symbol,
+    _symbol_core,
     fourier_coeffs,
     params_from_json_dict,
     weighted_rules,
 )
 
 PI = math.pi
+
+
+def _eval(p, theta):
+    """f(e^{i theta}) off the singular angles, each offset theta - theta_j."""
+    theta = np.asarray(theta, dtype=float)
+    return _symbol_core(p, theta, [theta - s.theta for s in p.pair])
 
 
 def _sums(p, n_max, j_values, refine):
@@ -50,7 +56,7 @@ def test_params_validation():
 
 def test_t_snap():
     p = FHParams(0.3, 0.3, t=1e-15)
-    assert p.t == 0.0 and p.t_was_snapped
+    assert p.t == 0.0 and p.pair[1].theta == 0.0
 
 
 def test_seminorm():
@@ -61,26 +67,20 @@ def test_seminorm():
 def test_eval_identity_symbol():
     p = FHParams(0.0, 0.0)
     for theta in (0.3, 2.0, 5.9):
-        assert abs(eval_symbol(p, theta) - 1.0) < 1e-15
+        assert abs(_eval(p, theta) - 1.0) < 1e-15
 
 
 def test_eval_modulus_product():
     # |1-i| * |1+i| = 2 at theta=0 for the half pair at t = pi/2
     p = FHParams(0.5, 0.5, t=PI / 2.0)
-    assert abs(eval_symbol(p, 0.0) - 2.0) < 1e-14
+    assert abs(_eval(p, 0.0) - 2.0) < 1e-14
 
 
 def test_jump_ratio():
     p = FHParams(0.0, 0.0, beta1=0.5, t=1.0)
     eps = 1e-9
-    ratio = eval_symbol(p, 1.0 + eps) / eval_symbol(p, 1.0 - eps)
+    ratio = _eval(p, 1.0 + eps) / _eval(p, 1.0 - eps)
     assert abs(ratio - np.exp(-2j * PI * 0.5)) < 1e-6
-
-
-def test_eval_singular_angle_error():
-    p = FHParams(0.3, 0.3, t=0.7)
-    with pytest.raises(SingularAngleError):
-        eval_symbol(p, 0.7)
 
 
 def test_wiener_hopf_trivial():
@@ -129,7 +129,7 @@ def test_eval_symbol_golden(t):
     v = {1: 0.2 + 0.1j, -1: 0.15 - 0.05j, 2: -0.1j}
     p = FHParams(0.3 + 0.05j, 0.2, 0.1 + 0.2j, -0.15j, t, v)
     ref = np.array(_SYMBOL_GOLDEN[t])
-    got = eval_symbol(p, np.array([0.1, 1.0, 3.0, 5.9]))
+    got = _eval(p, np.array([0.1, 1.0, 3.0, 5.9]))
     assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
 
 
