@@ -19,7 +19,7 @@ from scipy.special import betainc
 
 from .errors import ValidationError
 from .painleve import SigmaTrajectory, check_nondegeneracy, sigma_zero
-from .specfun import DYSON_CD, log_barnes_g_ratio, log_gamma
+from .specfun import DYSON_CD, gamma_ratio, log_barnes_g_ratio
 from .symbol import FHParams
 
 __all__ = [
@@ -257,7 +257,7 @@ def beta_one_ratio(
                 cmath.exp((2.0 * j.beta - 1.0) * math.log(n))
                 * j.z ** (-n + 1)
                 * cmath.exp(p.log_b_minus(j.z) - p.log_b_plus(j.z))
-                * cmath.exp(log_gamma(1.0 + j.alpha - j.beta) - log_gamma(j.alpha + j.beta))
+                * gamma_ratio(j.alpha, j.beta)
                 * cmath.exp(1j * eps * (math.pi - 2.0 * t) * k.alpha)
                 * (2.0 * math.sin(t)) ** (-2.0 * k.beta)
                 for j, k, eps in ((s1, s2, 1.0), (s2, s1, -1.0))

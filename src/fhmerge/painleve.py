@@ -5,13 +5,16 @@ sigma solves the quartic second-order equation
     s^2 sigma_ss^2 = (sigma - s sigma_s + 2 sigma_s^2)^2
                      - 4 prod_k (sigma_s - theta_k)
 
-on the ray s = -i x, x > 0.  We integrate the once-differentiated
-explicit third-order form (no square roots, hence no branch flips); the
-quartic relation itself is a first integral of that form, so it is
-enforced by checking the residual at every output node.  The same pass
-carries omega, ln U for the Lax variable U of the associated linear
-problem, and W = int (s y_s/y) ds/s, so the r-function of the
-shifted-beta determinant ratio, r = C e^W numf(U, sigma_s)/s, is read
+on the ray s = -i x, x > 0.  Every caller reads sigma in the real x, so
+the solve does too: on u(x) = sigma(-ix) the relation is a polynomial in
+u, u', u'' whose constants (a, e2, e3) come from _equation_constants.  We
+integrate its once-differentiated explicit third-order form (no square
+roots, hence no branch flips), the same equation whose small-x series
+_series_lattice builds; the quartic relation itself is a first integral
+of that form, so it is enforced by checking the residual at every output
+node.  The same pass carries omega, ln U for the Lax variable U of the
+associated linear problem, and W = int (x y_x/y) dx/x, so the r-function
+of the shifted-beta determinant ratio, r = C e^W numf(U, v)/x, is read
 from the same dense output as sigma, at any x.  Everything downstream
 (the transition formula, the integral identity, the ratio) reads from
 the resulting trajectory.
@@ -26,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.special import rgamma
 
 from .errors import (
     DegenerateDenominatorError,
@@ -35,7 +37,7 @@ from .errors import (
     PoleDetectedError,
     ValidationError,
 )
-from .specfun import is_nonpositive_integer, log_barnes_g_ratio, log_gamma
+from .specfun import gamma_ratio, is_nonpositive_integer, log_barnes_g_ratio, log_gamma
 from .symbol import FHParams
 
 __all__ = [
@@ -114,26 +116,33 @@ def _sigma_vanishes(p: FHParams) -> bool:
     return is_degenerate(p) or (p.alpha1, p.alpha2, p.beta1, p.beta2) == (0.0,) * 4
 
 
-def _series_lattice(p: FHParams, t0: complex, size_j: int, size_k: int):
-    """Coefficients C[k, j] of x^(j + k mu), mu = 1 + 2a, for j < size_j, k < size_k.
+def _equation_constants(p: FHParams):
+    """(a, e2, e3): a = alpha1 + alpha2, and the second and third
+    elementary symmetric sums of the theta_k, e2 = sigma(0) - a^2 and e3.
 
     u(x) = sigma(-ix) solves x^2 u''' + x u'' = (u - x u' - 2u'^2)(x + 4u')
     + 2i P'(iu'), P(z) = prod_k (z - theta_k).  The theta_k sum to zero,
     so the cubic terms in u' cancel and the form is quadratic:
 
-        x^2 u''' + x u'' = xu + 4uu' - x^2 u' - 6x u'^2 - 4 e2 u' - 2i e3,
+        x^2 u''' + x u'' = xu + 4uu' - x^2 u' - 6x u'^2 - 4 e2 u' - 2i e3.
+    """
+    th1, th2, th3, th4 = theta_params(p)
+    a = p.alpha1 + p.alpha2
+    return a, sigma_zero(p) - a * a, th1 * th2 * (th3 + th4) + th3 * th4 * (th1 + th2)
 
-    with e2, e3 the elementary symmetric sums of the theta_k.  At
-    x^(e-1) the terms in c_e add up to c_e e ((e-1)^2 - 4a^2), since
-    4(sigma(0) - e2) = 4a^2; so c_e is the rest at x^(e-1) over
-    e ((e-1)^2 - 4a^2), except c_0 = sigma(0) and the free c_mu = tau0.
+
+def _series_lattice(p: FHParams, t0: complex, size_j: int, size_k: int):
+    """Coefficients C[k, j] of x^(j + k mu), mu = 1 + 2a, for j < size_j, k < size_k.
+
+    At x^(e-1) the terms in c_e of _equation_constants' quadratic form add
+    up to c_e e ((e-1)^2 - 4a^2), since 4(sigma(0) - e2) = 4a^2; so c_e
+    is the rest at x^(e-1) over e ((e-1)^2 - 4a^2), except c_0 = sigma(0)
+    and the free c_mu = tau0.
     Products of lattice points with j >= 0 stay on that lattice, and each
     point depends only on points at or below it in both j and k, so a
     k-major sweep fills the table.
     """
-    th1, th2, th3, th4 = theta_params(p)
-    e3 = th1 * th2 * (th3 + th4) + th3 * th4 * (th1 + th2)
-    a = p.alpha1 + p.alpha2
+    a, _, e3 = _equation_constants(p)
     e = np.arange(size_j) + (1.0 + 2.0 * a) * np.arange(size_k)[:, None]
     den = e * ((e - 1.0) ** 2 - 4.0 * a * a)
     c = np.zeros((size_k, size_j), dtype=complex)
@@ -298,8 +307,7 @@ def _gamma_connection(p: FHParams, x):
     sign, j, k = _branch_sign(p)
     expo = 2.0 * (-1.0 + j.beta - k.beta)
     phase = np.exp(-1j * sign * x) * cmath.exp(1j * sign * cmath.pi * (p.alpha1 + p.alpha2))
-    ratio = cmath.exp(log_gamma(1.0 + j.alpha - j.beta) + log_gamma(1.0 + k.alpha + k.beta))
-    ratio *= complex(rgamma(j.alpha + j.beta)) * complex(rgamma(k.alpha - k.beta))
+    ratio = gamma_ratio(j.alpha, j.beta) * gamma_ratio(k.alpha, -k.beta)
     return 0.25 * (x / 2.0) ** expo * phase * ratio
 
 
@@ -318,30 +326,19 @@ def sigma_large_asym(p: FHParams, x: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# ODE integration along paths in the s-plane
+# ODE integration along the ray s = -ix, in x
 
 
-def _sigma_rhs_factory(thetas):
-    th1, th2, th3, th4 = thetas
-
-    def rhs(s, sigma, dsig, d2sig):
-        # third-order explicit form: d/ds of the quartic relation,
-        # divided through by 2 s^2 sigma_ss (the division cancels exactly)
-        aa = sigma - s * dsig + 2.0 * dsig * dsig
-        f1, f2, f3, f4 = dsig - th1, dsig - th2, dsig - th3, dsig - th4
-        pprime = 4.0 * (f2 * f3 * f4 + f1 * f3 * f4 + f1 * f2 * f4 + f1 * f2 * f3)
-        return (2.0 * aa * (4.0 * dsig - s) - pprime) / (2.0 * s * s) - d2sig / s
-
-    return rhs
-
-
-def sigma_residual(p: FHParams, s, sigma, dsig, d2sig):
-    """Scaled residual of the quartic relation, at one point or elementwise."""
-    th1, th2, th3, th4 = theta_params(p)
-    aa = sigma - s * dsig + 2.0 * dsig * dsig
-    quart = 4.0 * (dsig - th1) * (dsig - th2) * (dsig - th3) * (dsig - th4)
-    res = s * s * d2sig * d2sig - aa * aa + quart
-    return abs(res) / (1.0 + abs(sigma) ** 2 + abs(s * dsig) ** 2)
+def sigma_residual(p: FHParams, x, sigma, sigma_x, sigma_xx):
+    """Scaled residual of the quartic relation at x from sigma and its
+    x-derivatives, at one point or elementwise.  On u(x) = sigma(-ix), its
+    u'^4 terms cancelled, the relation is x^2 u''^2 + (u - x u')(u - x u'
+    - 4u'^2) + 4(e2 u' + i e3) u' = 4 prod_k theta_k."""
+    _, e2, e3 = _equation_constants(p)
+    rest = sigma - x * sigma_x
+    res = (x * sigma_xx) ** 2 + rest * (rest - 4.0 * sigma_x**2) - 4.0 * math.prod(theta_params(p))
+    res += 4.0 * (e2 * sigma_x + 1j * e3) * sigma_x
+    return abs(res) / (1.0 + abs(sigma) ** 2 + abs(x * sigma_x) ** 2)
 
 
 @dataclass
@@ -349,22 +346,21 @@ class SigmaTrajectory:
     """sigma and derivatives on a grid of x = |s| along the ray s = -ix.
 
     Built from the parameters, the range [x0, x_max] and the dense solver
-    output, whose variable tau is x - x0 and whose rows are (sigma,
-    sigma_s, sigma_ss, omega - omega_head, ln U, W).  eval, sigma_at and
+    output over x, whose rows are (sigma, sigma_x, sigma_xx, omega, ln U,
+    W), omega included from its series value at x0 on.  eval, sigma_at and
     omega_at take a float or an array of x and read it through _read: the
     solve's series table _series below x0, the dense output from x0 on,
-    one call each.  x_grid is _default_grid(x0, x_max) and omega_head the
-    series omega at x0; the grid fields are filled from one eval on x_grid
-    and the quartic-relation residual there.
+    one call each.  x_grid is _default_grid(x0, x_max); the grid fields
+    are filled from one eval on x_grid and the quartic-relation residual
+    there.
     """
 
     params: FHParams
     x0: float
     x_max: float
-    _dense: object = field(repr=False)  # OdeSolution over [0, x_max - x0]
+    _dense: object = field(repr=False)  # OdeSolution over [x0, x_max]
     _series: tuple = field(repr=False)  # the table (c, e)
     x_grid: np.ndarray = field(init=False)
-    omega_head: complex = field(init=False)
     sigma: np.ndarray = field(init=False)
     sigma_x: np.ndarray = field(init=False)
     sigma_xx: np.ndarray = field(init=False)
@@ -372,24 +368,24 @@ class SigmaTrajectory:
 
     def __post_init__(self):
         self.x_grid = _default_grid(self.x0, self.x_max)
-        self.omega_head = _series_omega(self._series, self.x0)
         self.sigma, self.sigma_x, self.sigma_xx = self.eval(self.x_grid)
-        s = -1j * self.x_grid
-        self.residual = sigma_residual(self.params, s, self.sigma, 1j * self.sigma_x, -self.sigma_xx)
+        self.residual = sigma_residual(
+            self.params, self.x_grid, self.sigma, self.sigma_x, self.sigma_xx
+        )
 
     def _dense_at(self, xs: np.ndarray) -> np.ndarray:
-        """Rows (sigma, sigma_s, sigma_ss, omega - omega_head, ln U, W) at the points xs."""
+        """Rows (sigma, sigma_x, sigma_xx, omega, ln U, W) at the points xs."""
         outside = ~((self.x0 <= xs) & (xs <= self.x_max + 1e-12))
         if outside.any():
             raise ValidationError(
                 f"x = {xs[outside][0]} outside trajectory range [{self.x0}, {self.x_max}]"
             )
-        return self._dense(np.minimum(xs - self.x0, self._dense.t_max))
+        return self._dense(np.minimum(xs, self._dense.t_max))
 
     def _read(self, x):
         """(sigma, sigma_x, sigma_xx, omega) at x, each of the shape of x:
         the series table below x0, the dense output from x0 on (at x0 it
-        returns the start data and omega_head, the series values there)."""
+        returns the start data, the series values there)."""
         xs = np.asarray(x, dtype=float)
         flat = xs.ravel()
         head = flat < self.x0
@@ -398,9 +394,7 @@ class SigmaTrajectory:
             out[:3, head] = _series_values(self._series, flat[head])
             out[3, head] = _series_omega(self._series, flat[head])
         if not head.all():
-            sig, dsig, d2sig, omega = self._dense_at(flat[~head])[:4]
-            # convert s-derivatives to x-derivatives on the ray (ds/dx = -i)
-            out[:, ~head] = sig, -1j * dsig, -d2sig, self.omega_head + omega
+            out[:, ~head] = self._dense_at(flat[~head])[:4]
         return tuple(o.reshape(xs.shape)[()] for o in out)
 
     def eval(self, x):
@@ -411,18 +405,18 @@ class SigmaTrajectory:
         return self._read(x)[0]
 
     def omega_at(self, x):
-        """int_0^{-ix} (sigma(s) - sigma(0)) ds/s along the ray, of the shape of x."""
+        """int_0^x (sigma(-iy) - sigma(0)) dy/y, of the shape of x."""
         return self._read(x)[3]
 
 
 def _lax_rates(p: FHParams):
-    """(d ln U/ds, dW/ds) from s, sigma_s and ln U: what the sigma pass
+    """(d ln U/dx, dW/dx) from x, sigma_x and ln U: what the sigma pass
     carries besides sigma and omega."""
-    lax_v, su_s, sy_y, _ = _lax_system(p)
+    lax_v, xu_x, xy_y = _lax_system(p)[:3]
 
-    def rates(s, dsig, ln_u):
-        u_lax, v = cmath.exp(ln_u), lax_v(dsig)
-        return su_s(u_lax, v, s) / (s * u_lax), sy_y(u_lax, v, s) / s
+    def rates(x, du, ln_u):
+        u_lax, v = cmath.exp(ln_u), lax_v(du)
+        return xu_x(u_lax, v, x) / (x * u_lax), xy_y(u_lax, v, x) / x
 
     return rates
 
@@ -438,8 +432,7 @@ def _lax_head(p: FHParams, table, x0: float, rtol: float):
     rates = _lax_rates(p)
 
     def f(x, yv):
-        dsig = 1j * _series_values(table, x)[1]
-        return -1j * np.array(rates(-1j * x, dsig, yv[0]), dtype=complex)  # ds/dx = -i
+        return np.array(rates(x, _series_values(table, x)[1], yv[0]), dtype=complex)
 
     sol = solve_ivp(
         f, (_X_ANCHOR, x0), [cmath.log(u_anchor), 0.0], method="DOP853", rtol=rtol, atol=rtol
@@ -450,53 +443,44 @@ def _lax_head(p: FHParams, table, x0: float, rtol: float):
 
 
 def _integrate_ray(p, x0, x_max, y0, rtol):
-    """Dense solution of (sigma, sigma_s, sigma_ss, omega, ln U, W) from s = -i x0 to -i x_max.
+    """Dense solution of (u, u', u'', omega, ln U, W) over [x0, x_max],
+    u(x) = sigma(-ix), from the start data y0 at x0.
 
-    U oscillates like e^s with O(1) amplitude at large x, which would set
-    the step; ln U ~ s plus a slowly varying part does not.
+    u''' is the quadratic form of _equation_constants, the equation that
+    _series_lattice expands, and omega' = (u - sigma(0))/x.  U oscillates
+    like e^{-ix} with O(1) amplitude at large x, which would set the step;
+    ln U ~ -ix plus a slowly varying part does not.
     """
-    rhs3 = _sigma_rhs_factory(theta_params(p))
-    rates = _lax_rates(p)
+    _, e2, e3 = _equation_constants(p)
     s0c = sigma_zero(p)
-    s_a, s_b = -1j * x0, -1j * x_max
-    length = abs(s_b - s_a)
-    direction = (s_b - s_a) / length
+    rates = _lax_rates(p)
     nfev = 0
 
-    def f(tau, yv):
+    def f(x, yv):
         nonlocal nfev
         nfev += 1
         if nfev > _RHS_BUDGET:
             raise NumericalError(
-                f"sigma solve stalled at x = {x0 + tau:.6g} after "
+                f"sigma solve stalled at x = {x:.6g} after "
                 f"{_RHS_BUDGET} right-hand-side evaluations"
             )
-        s = s_a + tau * direction
-        sig, dsig, d2sig, _, ln_u, _ = yv.tolist()
-        d_ln_u, d_w = rates(s, dsig, ln_u)
-        return direction * np.array(
-            [dsig, d2sig, rhs3(s, sig, dsig, d2sig), (sig - s0c) / s, d_ln_u, d_w], dtype=complex
-        )
+        x = float(x)  # numpy-scalar arithmetic would dominate the call
+        u, du, d2u, _, ln_u, _ = yv.tolist()
+        d3u = (x * (u - x * du - 6.0 * du * du - d2u) + 4.0 * (u - e2) * du - 2j * e3) / (x * x)
+        return np.array([du, d2u, d3u, (u - s0c) / x, *rates(x, du, ln_u)], dtype=complex)
 
-    def blowup(tau, yv):
+    def blowup(x, yv):
         return abs(yv[0]) - _POLE_CAP
 
     blowup.terminal = True
     sol = solve_ivp(
-        f,
-        (0.0, length),
-        np.asarray(y0, dtype=complex),
-        method="DOP853",
-        rtol=rtol,
-        atol=rtol,
-        dense_output=True,
-        events=blowup,
+        f, (x0, x_max), np.asarray(y0, dtype=complex), method="DOP853", rtol=rtol, atol=rtol,
+        dense_output=True, events=blowup,
     )
     if not sol.success and sol.status != 1:
         raise NumericalError(f"sigma integration failed: {sol.message}")
     if sol.status == 1:  # blow-up event fired
-        s_pole = s_a + sol.t_events[0][0] * direction
-        raise PoleDetectedError(abs(s_pole.imag))
+        raise PoleDetectedError(sol.t_events[0][0])
     return sol.sol
 
 
@@ -509,9 +493,10 @@ def _default_grid(x0: float, x_max: float) -> np.ndarray:
 def integrate_sigma(
     p: FHParams, x0: float | None = None, x_max: float = 40.0, tol: float = _DEFAULT_TOL
 ) -> SigmaTrajectory:
-    """Integrate the sigma-equation forward along s = -ix from x0 to x_max.
+    """Integrate u(x) = sigma(-ix) forward in x from x0 to x_max.
 
-    The pass starts from the small-argument series table at x0.  x0
+    The pass starts from the small-argument series table at x0, whose
+    sigma, sigma_x, sigma_xx and omega there are its start data.  x0
     defaults to the start: the smallest x >= 1e-3 at which the start data
     resolve the selecting tau0 term to relative accuracy tol (1e-3 for
     alpha1 = alpha2 = 0.3, about 0.24 for 0.9 at tol = 1e-8; see
@@ -554,11 +539,8 @@ def integrate_sigma(
         raise ValidationError(f"series needs 0 < x <= {x_range:.3g}")
     table = _series_terms(p, x_range)
     rtol = min(1e-10, tol * 1e-2)
-    u0, du0, d2u0 = _series_values(table, x0)
     ln_u0, w0 = (0.0, 0.0) if _sigma_vanishes(p) else _lax_head(p, table, x0, rtol)
-
-    # state in s-variables: sigma_s = i u', sigma_ss = -u''
-    y0 = [u0, 1j * du0, -d2u0, 0.0, ln_u0, w0]
+    y0 = [*_series_values(table, x0), _series_omega(table, x0), ln_u0, w0]
     dense = _integrate_ray(p, x0, x_max, y0, rtol)
     traj = SigmaTrajectory(p, x0, x_max, dense, table)
 
@@ -622,9 +604,8 @@ def r_small_s(p: FHParams, x: float) -> complex:
     b = p.beta_sum
     if is_nonpositive_integer(2.0 + a - b):  # 1 + a - b in {-1, -2, ...}
         raise NondegeneracyError("r small-argument form degenerate")
-    val = cmath.exp(log_gamma(1.0 + a - b)) * complex(rgamma(a + b))
     phase = cmath.exp(1j * cmath.pi * (p.alpha1 - p.alpha2 - 3.0 * p.beta1 - p.beta2))
-    return -2.0 / x * cmath.exp(-1j * x / 2.0) * phase * val
+    return -2.0 / x * cmath.exp(-1j * x / 2.0) * phase * gamma_ratio(a, b)
 
 
 def r_large_s(p: FHParams, x: float) -> complex:
@@ -636,28 +617,34 @@ def r_large_s(p: FHParams, x: float) -> complex:
         * x ** (-1.0 - k.beta)
         * cmath.exp(-1j * eps * x / 2.0)
         * cmath.exp(1j * cmath.pi * (eps * j.alpha - 3.0 * p.beta1 - p.beta2))
-        * cmath.exp(log_gamma(1.0 + j.alpha - j.beta))
-        * complex(rgamma(j.alpha + j.beta))
+        * gamma_ratio(j.alpha, j.beta)
         for j, k, eps in ((s1, s2, 1.0), (s2, s1, -1.0))
     )
 
 
 def _lax_system(p: FHParams):
     """The compatibility-system forms with the constants of p bound, each
-    on floats or arrays: v from sigma_s; s dU/ds (the U-equation) and
-    s y_s/y on (U, v, s); the r-numerator on (U, v), whose zeros are the
-    zeros of r."""
+    on floats or arrays and read in x at s = -ix: v from sigma_x;
+    x dU/dx = s dU/ds (the U-equation) and x y_x/y = s y_s/y on (U, v, x);
+    the r-numerator numf on (U, v), whose zeros are the zeros of r; and
+    d numf/dx on (U, v, x, sigma_xx)."""
     a1, b = p.alpha1, p.beta_sum
     v_shift, a_minus = b / 2.0 - a1, a1 - p.alpha2 - b
     c_u, d_u = b - a1 - p.alpha2, 3.0 * a1 - p.alpha2 - b
 
-    def su_s(u, v, s):
-        return s * u + (u - 1.0) * (u * c_u + d_u - 2.0 * v * (u - 1.0))
+    def xu_x(u, v, x):  # s dU/ds, s = -ix
+        return -1j * x * u + (u - 1.0) * (u * c_u + d_u - 2.0 * v * (u - 1.0))
 
-    def sy_y(u, v, s):
-        return (v + 2.0 * a1) / u - 2.0 * (v + a1) - s / 2.0 + u * v
+    def xy_y(u, v, x):  # s y_s/y, s = -ix
+        return (v + 2.0 * a1) / u - 2.0 * (v + a1) + 0.5j * x + u * v
 
-    return (lambda sig_s: v_shift - sig_s), su_s, sy_y, (lambda u, v: v * (1.0 - u) + a_minus)
+    def lax_v(sig_x):  # v_shift - sigma_s, sigma_s = i sigma_x
+        return v_shift - 1j * sig_x
+
+    def numf_x(u, v, x, sig_xx):  # dv/dx = -i sigma_xx
+        return -1j * sig_xx * (1.0 - u) - v * xu_x(u, v, x) / x
+
+    return lax_v, xu_x, xy_y, (lambda u, v: v * (1.0 - u) + a_minus), numf_x
 
 
 def _lax_branches(p: FHParams, x, sig, du, d2u):
@@ -665,19 +652,16 @@ def _lax_branches(p: FHParams, x, sig, du, d2u):
     and its x-derivatives there (floats, or arrays of one shape), with
     the pieces of d ln r/dx on each.
 
-    v is fixed by sigma_s; U solves the quadratic the sigma-equation
+    v is fixed by sigma_x; U solves the quadratic the sigma-equation
     forces on the residue variables.  Returns (u, y_part, numf, dnumf),
     each stacked over the two roots along the first axis; where the
     leading coefficient vanishes both rows hold the linear root.
     """
     x = np.asarray(x, dtype=float)
-    s = -1j * x
-    sig_s = 1j * du
-    lax_v, su_s, sy_y, numf_of = _lax_system(p)
-    v = lax_v(sig_s)
-    v_s = d2u  # v_s = -sigma_ss and sigma_ss = -d2u on the ray
-    # sigma - s sigma_s + sum_j alpha_j^2 - (beta1 + beta2)^2 / 2, added left to right
-    w_cap = sum((j.alpha**2 for j in p.pair), sig - s * sig_s) - p.beta_sum**2 / 2.0
+    lax_v, _, xy_y, numf_of, numf_x = _lax_system(p)
+    v = lax_v(du)
+    # sigma - x sigma_x + sum_j alpha_j^2 - (beta1 + beta2)^2 / 2, added left to right
+    w_cap = sum((j.alpha**2 for j in p.pair), sig - x * du) - p.beta_sum**2 / 2.0
     a_minus = p.alpha1 - p.alpha2 - p.beta_sum
     a_plus = p.alpha1 + p.alpha2 - p.beta_sum
     qa = v * (v + a_plus)
@@ -692,10 +676,8 @@ def _lax_branches(p: FHParams, x, sig, du, d2u):
     u = np.stack(
         [np.where(linear, lin, (-qb + disc) / two_qa), np.where(linear, lin, (-qb - disc) / two_qa)]
     )
-    numf = numf_of(u, v)
-    dnumf = v_s * (1.0 - u) - v * su_s(u, v, s) / s
-    # d ln r/dx = -i [ y_s/y - 1/s + numf_s/numf ] = y_part - 1/x + ...
-    return u, -1j * sy_y(u, v, s) / s, numf, -1j * dnumf
+    # d ln r/dx = y_x/y - 1/x + numf_x/numf = y_part - 1/x + dnumf/numf
+    return u, xy_y(u, v, x) / x, numf_of(u, v), numf_x(u, v, x, d2u)
 
 
 def _lax_root(p: FHParams, x: float, sig, du, d2u):
@@ -712,8 +694,8 @@ def _lax_root(p: FHParams, x: float, sig, du, d2u):
 def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
     """r(s) on the trajectory, read from the sigma pass.
 
-    The pass carries ln U and W = int_{1e-3} (s y_s/y) ds/s, so
-    r = C e^W numf(U, sigma_s)/s at any x: the zeros of r are zeros of
+    The pass carries ln U and W = int_{1e-3} (x y_x/y) dx/x, so
+    r = C e^W numf(U, v)/x at any x: the zeros of r are zeros of
     numf, crossed exactly.  The constant C is matched to the
     small-argument form at x = 1e-3, where W = 0, whatever the start.
     The degenerate pair has the closed form degenerate_r; the smooth
@@ -725,17 +707,17 @@ def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
     if _sigma_vanishes(p):
         raise DegenerateDenominatorError("Lax quadratic degenerates where sigma == 0")
 
-    lax_v, _, _, numf_of = _lax_system(p)
+    lax_v, _, _, numf_of, _ = _lax_system(p)
 
     def shape(xs):  # (r / C, numf) at the points xs
-        _, dsig, _, _, ln_u, w = traj._dense_at(xs)
-        numf = numf_of(np.exp(ln_u), lax_v(dsig))
+        _, du, _, _, ln_u, w = traj._dense_at(xs)
+        numf = numf_of(np.exp(ln_u), lax_v(du))
         return np.exp(w) * numf / xs, numf
 
     unit, numf = shape(traj.x_grid)
     sig_a, du_a, d2u_a = traj.eval(_X_ANCHOR)
     u_a = _lax_root(p, _X_ANCHOR, sig_a, du_a, d2u_a)[1]
-    c = r_small_s(p, _X_ANCHOR) * _X_ANCHOR / numf_of(u_a, lax_v(1j * du_a))
+    c = r_small_s(p, _X_ANCHOR) * _X_ANCHOR / numf_of(u_a, lax_v(du_a))
     flagged = np.abs(numf) < 1e-6 * (1.0 + np.max(np.abs(numf)))
     return RTrajectory(traj.x_grid, c * unit, flagged, lambda xs: c * shape(xs)[0])
 
@@ -753,7 +735,7 @@ def integral_identity_check(p: FHParams, traj: SigmaTrajectory, T: float):
         raise ValidationError("identity needs seminorm < 1")
     lhs = traj.omega_at(T) + 1j * T * (p.beta2 - p.beta1) / 2.0
     lhs += 2.0 * p.log_coupling * math.log(T)
-    # the tail vanishes for the degenerate pair, where rgamma(alpha2 - beta2) = 0
+    # the tail vanishes for the degenerate pair, where gamma_ratio(alpha2, -beta2) = 0
     sign = _branch_sign(p)[0]
     ys = np.arange(T, max(10.0 * T, 2000.0), math.pi / 40.0)
     gs = _gamma_connection(p, ys)

@@ -14,12 +14,14 @@ import math
 
 import numpy as np
 from scipy.special import loggamma as _sp_loggamma
+from scipy.special import rgamma
 from scipy.special import zeta as _sp_zeta
 
 from .errors import BarnesGZeroError, GammaPoleError
 
 __all__ = [
     "log_gamma",
+    "gamma_ratio",
     "log_barnes_g",
     "log_barnes_g_ratio",
     "is_nonpositive_integer",
@@ -58,6 +60,12 @@ def log_gamma(z: complex) -> complex:
     if is_nonpositive_integer(z):
         raise GammaPoleError(f"Gamma has a pole at z = {z}")
     return complex(_sp_loggamma(z))
+
+
+def gamma_ratio(alpha: complex, beta: complex) -> complex:
+    """Gamma(1 + alpha - beta) / Gamma(alpha + beta) of one singularity, 0 where
+    alpha + beta is a pole of Gamma; GammaPoleError where 1 + alpha - beta is."""
+    return cmath.exp(log_gamma(1.0 + alpha - beta)) * complex(rgamma(alpha + beta))
 
 
 # Tail depth for the accelerated Weierstrass series of ln G(1+w); with the

@@ -93,6 +93,9 @@ class FHParams:
         object.__setattr__(self, "v_coeffs", v)
 
         t = float(self.t)
+        values = [t, self.alpha1, self.alpha2, self.beta1, self.beta2, *(c for _, c in v)]
+        if not np.isfinite(values).all():
+            raise ValidationError("t, alpha_j, beta_j and V_k must be finite")
         if t < 0.0 or t >= math.pi:
             raise ValidationError(f"t must lie in [0, pi), got {t}")
         if 0.0 < t < _T_SNAP:

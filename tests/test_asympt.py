@@ -331,6 +331,18 @@ def test_beta_one_large_branch_golden(order):
     assert abs(pred.log_value - ref) <= 1e-13 * abs(ref)
 
 
+@pytest.mark.parametrize("n, nt, band", [(128, 40.0, 6e-3), (256, 40.0, 3e-3), (256, 80.0, 3e-3)])
+def test_beta_one_large_branch_drops_a_vanishing_term(n, nt, band):
+    # alpha2 + beta2 = 0: 1/Gamma(alpha2 + beta2) = 0 removes the second
+    # singularity's term, and the first one alone matches the exact ratio
+    pt = FHParams(0.3, 0.0, 0.1j, 0.0, nt / n)
+    exact_n = log_det(fourier_coeffs(pt, n - 1), n).log
+    exact_m = log_det(fourier_coeffs(pt.with_betas(0.1j, -1.0), n - 2), n - 1).log
+    pred = beta_one_ratio(pt, n, None, exact_n)
+    assert pred.notes["branch"] == "large"
+    assert abs(cmath.exp(pred.log_value - exact_m) - 1.0) < band
+
+
 # golden values (1e-13 relative) of the predictors built from the pair's cross
 # terms, sum_j (alpha_j^2 - beta_j^2) and the V-part of the derivative expansion
 _V = {1: 0.2 + 0.1j, -1: 0.15 - 0.05j, 2: -0.1j}
@@ -360,11 +372,32 @@ def test_fh2_odd_log_golden():
     assert _close(fh2_odd_log(p, 64).log_value, -1.2617811945318007 - 50.52201948919181j)
 
 
-def test_diff_identity_rhs_golden():
-    from fhmerge.painleve import integrate_sigma
+class _RecordedSigma:
+    """A trajectory stand-in whose eval(x) returns fixed (sigma, sigma_x,
+    sigma_xx), recorded from integrate_sigma(FHParams(0.3, 0.25, 0.1j,
+    -0.15j, 0.3, _V), x_max=80) at x = 6.4 and 64, so the golden pins
+    diff_identity_rhs's formula and not the solver's rounding."""
 
+    _AT = {
+        6.4: (
+            -0.7779973061947039 + 1.311011782351735e-13j,
+            -0.09907853551453027 + 2.3238271669252347e-14j,
+            0.008573672019953326 - 8.592024495362231e-15j,
+        ),
+        64.0: (
+            -7.969362437375388 + 1.335395062034535e-12j,
+            -0.12242103867224324 + 2.1500190808307908e-14j,
+            0.001259499265478314 - 1.3413259693980216e-15j,
+        ),
+    }
+
+    def eval(self, x):
+        return self._AT[x]
+
+
+def test_diff_identity_rhs_golden():
     p = FHParams(0.3, 0.25, 0.1j, -0.15j, 0.3, _V)
-    traj = integrate_sigma(p, x_max=80.0)
+    traj = _RecordedSigma()
     for n, t, ref in [
         (32, 0.1, 0.007636934643144605 + 1.4506313734744893j),
         (128, 0.25, -0.016624670523641503 + 0.6434927023701489j),

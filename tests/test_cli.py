@@ -119,6 +119,23 @@ def test_validation_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["det", "--alpha1", "0.3", "--alpha2", "0.3", "--t", "nan", "--n", "4"],
+        ["sigma", "--alpha1", "nan", "--alpha2", "0.3"],
+        ["det", "--alpha1", "nan", "--alpha2", "0.3", "--t", "0.3", "--n", "4"],
+        ["det", "--alpha1", "0.3", "--alpha2", "0.3,nan", "--t", "0.3", "--n", "4"],
+        ["det", "--alpha1", "0.3", "--alpha2", "0.3", "--t", "0.3", "--n", "4", "--v", "1=nan"],
+    ],
+    ids=["t", "sigma-alpha", "alpha", "alpha-imag", "v"],
+)
+def test_non_finite_parameter_exit_code(argv, capsys):
+    # NaN fails every range comparison silently; it is refused before any work
+    assert main(argv) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_quadrature_failure_exit_code(capsys):
     code = main(["fourier", "--alpha1", "0.3", "--alpha2", "0.3", "--t", "0.3", "--n-max", "8",
                  "--tol", "1e-30"])

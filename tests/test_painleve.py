@@ -145,7 +145,7 @@ def test_series_table_solves_quartic_relation(p):
     # series range, which is 0.95 for alpha = 0.9
     xs = np.geomspace(1e-6, _series_range(_series_start(p, 1e-8)), 60)
     u, du, d2u = _series(p, xs)
-    assert np.max(sigma_residual(p, -1j * xs, u, 1j * du, -d2u)) < 1e-13
+    assert np.max(sigma_residual(p, xs, u, du, d2u)) < 1e-13
 
 
 @pytest.mark.parametrize("p", SERIES_SETS[:4])
@@ -372,7 +372,7 @@ def test_degenerate_solves_equation():
 
     p = FHParams(0.5, 0.5, 0.5, 0.5, 0.2)
     for x in (0.5, 3.0, 11.0):
-        assert sigma_residual(p, -1j * x, 0.0, 0.0, 0.0) == 0.0
+        assert sigma_residual(p, x, 0.0, 0.0, 0.0) == 0.0
 
 
 def test_omega_additivity(traj03):
@@ -484,8 +484,8 @@ def test_r_trajectory_matches_stepwise_reference(p03, traj03):
     xs = np.union1d(np.arange(x0, x_max, 1e-3), traj03.x_grid)
     sig, du, d2u = traj03.eval(xs)
     u, y_part, numf, _ = _lax_branches(p03, xs, sig, du, d2u)
-    lax_v, su_s, _, _ = _lax_system(p03)
-    du_dx = su_s(u, lax_v(1j * du), -1j * xs) / xs  # dU/dx = -i dU/ds on the ray
+    lax_v, xu_x = _lax_system(p03)[:2]
+    du_dx = xu_x(u, lax_v(du), xs) / xs
     u_prev, slope, pick = _lax_root(p03, x0, *traj03.eval(x0))[1], 0.0, []
     for i, h in enumerate(np.diff(xs, prepend=x0)):
         pred = u_prev + slope * h
@@ -531,6 +531,23 @@ def test_r_trajectory_matches_shifted_determinant_ratio(p):
         prefactor = t * (n * t / math.sin(t)) ** (2.0 * b) * phase
         oracle = -cmath.exp(dm + 1j * (n - 1) * t - df) / prefactor
         assert abs(rt.r_at(x) - oracle) / abs(oracle) < 5e-2
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.9])
+def test_start_is_continuous_across_the_read_split(alpha, traj03):
+    # the dense output at x0 returns the series start data and omega bit
+    # for bit, and reads just below x0 (series) and just above it (dense)
+    # agree; alpha = 0.9 starts at x0 = 0.24, above the anchor
+    from fhmerge.painleve import _series_omega
+
+    traj = traj03 if alpha == 0.3 else integrate_sigma(FHParams(0.9, 0.9, t=0.1), x_max=2.0)
+    x0, table = traj.x0, traj._series
+    start = (*_series_values(table, x0), _series_omega(table, x0))
+    assert tuple(traj._dense(x0)[:4]) == start
+    assert traj._read(x0) == start
+    below, above = traj._read(x0 * (1.0 - 1e-12)), traj._read(x0 * (1.0 + 1e-12))
+    for lo, hi in zip(below, above):
+        assert abs(lo - hi) <= 1e-12 * max(1.0, abs(lo))
 
 
 def test_r_at_reads_the_sigma_pass(p03, traj03):
