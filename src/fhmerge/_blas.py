@@ -1,7 +1,8 @@
 """One OpenBLAS thread for fhmerge's own dense algebra.
 
-The dense work here is small: numpy's `slogdet` and `solve` (complex LU)
-on Toeplitz matrices of order n <= ~1024, and the table products of one
+The dense work here is small: numpy's `slogdet` and `solve` (LU, real
+for the float tables of real mirror-even symbols and complex otherwise) on
+Toeplitz matrices of order n <= ~1024, and the table products of one
 nested half-rule.  On such sizes OpenBLAS's thread pool costs more than it
 saves, and its spinning threads make the wall time depend on whatever else
 holds the cores.  On a 2-core machine, one run of `beta_one_check` at

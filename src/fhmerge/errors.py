@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the tolerance check."""
 
 
 class FhmergeError(Exception):
@@ -53,3 +53,9 @@ class PoleDetectedError(NumericalError):
 
 class DegenerateDenominatorError(NumericalError):
     """The r-identity denominator stays below the degeneracy floor."""
+
+
+def check_tol(tol: float) -> None:
+    """Refuse a tolerance that is not a finite positive number."""
+    if not 0.0 < tol < float("inf"):
+        raise ValidationError(f"tol must be finite and positive, got {tol}")

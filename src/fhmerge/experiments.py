@@ -26,7 +26,7 @@ from .asympt import (
     fk_constants,
     transition_log,
 )
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .painleve import SigmaTrajectory, integrate_sigma, r_trajectory, sigma_zero
 from .symbol import FHParams, fourier_coeffs
 from .toeplitz import det_path, log_det, orth_poly
@@ -279,13 +279,19 @@ def _integrate_det(p_of_t, n_list, t_max: float):
     near t = 0; the table at max(n) - 1 built at each node serves every
     D_n.  Returns the integrals in the order of n_list and a record of
     the t-quadrature: the panel n, the number of t-nodes and of tables.
+    The symbols are positive and so is each D_n; one that comes out with
+    another sign (arg not 0) raises NumericalError.
     """
     n_top = max(n_list)
     ts, ws = _t_nodes(n_top, t_max)
     dets = np.empty((len(ts), len(n_list)))
     for i, t in enumerate(ts):
         table = fourier_coeffs(p_of_t(t), n_top - 1)
-        dets[i] = [math.exp(log_det(table, n).log_abs) for n in n_list]
+        for k, n in enumerate(n_list):
+            ld = log_det(table, n)
+            if ld.arg != 0.0:
+                raise NumericalError(f"D_{n} at t = {t:.6g} has arg {ld.arg:.3g}, not 0")
+            dets[i, k] = math.exp(ld.log_abs)
     t_quad = {"panel_n": n_top, "t_nodes": len(ts), "tables": len(ts)}
     return ws @ dets, t_quad
 

@@ -36,6 +36,7 @@ from .errors import (
     NumericalError,
     PoleDetectedError,
     ValidationError,
+    check_tol,
 )
 from .specfun import gamma_ratio, is_nonpositive_integer, log_barnes_g_ratio, log_gamma
 from .symbol import FHParams
@@ -512,6 +513,8 @@ def integrate_sigma(
       is in N u {0}, when 1 - 2(alpha1+alpha2) lies on the exponent
       lattice (alpha1 + alpha2 = -1/6, -1/4, -3/10, -1/3, ...), or when a
       parameter combination hits a negative integer;
+    - ValidationError up front for a tol that is not finite and positive,
+      and unless 0 < x0 < x_max < inf;
     - NumericalError up front when an explicit x0 lies below the start,
       and ValidationError when it lies above the series range
       max(1e-2, 4 start);
@@ -525,10 +528,11 @@ def integrate_sigma(
     - NumericalError when the quartic-relation residual at a grid node
       exceeds 10*tol.
     """
+    check_tol(tol)
     start = _series_start(p, tol)
     x0 = start if x0 is None else x0
-    if x0 <= 0.0 or x0 >= x_max:
-        raise ValidationError(f"need 0 < x0 < x_max (x0 = {x0:.3g})")
+    if not 0.0 < x0 < x_max < math.inf:
+        raise ValidationError(f"need 0 < x0 < x_max < inf (x0 = {x0:.3g}, x_max = {x_max:.3g})")
     if x0 < start:
         raise NumericalError(
             f"x0 = {x0:.3g} is below the start {start:.3g}: the start data there "

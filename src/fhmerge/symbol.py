@@ -19,6 +19,15 @@ requested modes is factored into a coarse step e^{-i(j0 + B q) theta} and
 a fine offset e^{-i m theta}, B = ceil(sqrt(M)), both filled by repeated
 multiplication, so a table costs one exponential and O(sqrt(M))
 multiplications per node plus one matrix product per nested half-rule.
+
+A mirror-even symbol, f(2 pi - theta) = f(theta) (alpha1 = alpha2,
+beta1 = -beta2, V_k = V_-k), has f_-j = f_j and is summed over half the
+circle (`_folded_rules`): the arc [0, t] stands for itself and its mirror
+[2 pi - t, 2 pi], and the k >= 0 half of the self-mirror arc (the middle
+one, or the whole circle at t = 0) for the whole arc, so the sums of
+w f cos(j theta) need half the nodes.  The nested half and the dropped
+mass see every end as before.  A real mirror-even symbol gets a float
+table, whose determinants and solves run in real arithmetic.
 """
 
 from __future__ import annotations
@@ -30,8 +39,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._blas import single_thread
-from .errors import QuadratureError, ValidationError
-from .quadrature import arc_rule
+from .errors import QuadratureError, ValidationError, check_tol
+from .quadrature import ArcRule, arc_rule
 
 __all__ = [
     "FHParams",
@@ -158,6 +167,16 @@ class FHParams:
         """True when f e^{-V} is real on the circle: real alphas, imaginary betas."""
         return all(s.alpha.imag == 0.0 and s.beta.real == 0.0 for s in self.pair)
 
+    def is_mirror_even(self) -> bool:
+        """True when f(2 pi - theta) = f(theta): alpha1 = alpha2,
+        beta1 = -beta2 and V_k = V_-k."""
+        v = self.v
+        return (
+            self.alpha1 == self.alpha2
+            and self.beta1 == -self.beta2
+            and all(v.get(-k, 0.0) == c for k, c in v.items())
+        )
+
     def is_real_symbol(self) -> bool:
         """True when f is real-valued on the circle (has_real_fh_factor, and
         V real on the circle)."""
@@ -228,13 +247,51 @@ def _offset(rule, theta: float):
     return rule.dist_a if at_a else -rule.dist_b if at_b else rule.x - theta
 
 
+def _weighted(p: FHParams, rule):
+    """(rule, w f / 2 pi) on one rule's nodes."""
+    f = _symbol_core(p, rule.x, [_offset(rule, s.theta) for s in p.pair])
+    return rule, rule.w * f / TWO_PI
+
+
 def weighted_rules(p: FHParams, max_freq: float, refine: int):
     """(rule, w f / 2 pi) on each arc between the singular angles, the
     tanh-sinh rule resolving modes up to max_freq at the given refine."""
     for a, b in _arcs(p):
-        rule = arc_rule(a, b, max_freq=max_freq, refine=refine)
-        f = _symbol_core(p, rule.x, [_offset(rule, s.theta) for s in p.pair])
-        yield rule, rule.w * f / TWO_PI
+        yield _weighted(p, arc_rule(a, b, max_freq=max_freq, refine=refine))
+
+
+def _folded_rules(p: FHParams, max_freq: float, refine: int):
+    """weighted_rules folded onto [0, pi] for a mirror-even symbol.
+
+    The mirror theta -> 2 pi - theta maps the arc [0, t] onto
+    [2 pi - t, 2 pi], and the node k of the self-mirror arc (the middle
+    one, or the circle at t = 0) onto its node -k, since
+    dist_a(-k) = dist_b(k).  So [0, t] at twice its weights, and the k >= 0
+    half of the self-mirror arc at twice its weights but the centre's,
+    sum w f cos(j theta) over the whole rule.  The half is a rule from the
+    centre, whose start is no arc end and drops no mass.  (The full-circle
+    rule on [2 pi - t, 2 pi], whose length rounds off t, can stop one node
+    earlier at each end than [0, t]; those nodes weigh ~1e-38.)
+    """
+    arcs = _arcs(p)
+    if len(arcs) > 1:
+        rule, wf = _weighted(p, arc_rule(*arcs[0], max_freq=max_freq, refine=refine))
+        yield rule, 2.0 * wf
+    rule = arc_rule(*arcs[len(arcs) // 2], max_freq=max_freq, refine=refine)
+    mid = len(rule.x) // 2  # the centre node, k = 0
+    x = rule.x[mid:]
+    half = ArcRule(
+        a=x[0],
+        b=rule.b,
+        x=x,
+        w=rule.w[mid:],
+        dist_a=x - x[0],
+        dist_b=rule.dist_b[mid:],
+        coarse=rule.coarse[mid:],
+    )
+    rule, wf = _weighted(p, half)
+    wf[1:] *= 2.0
+    yield rule, wf
 
 
 def _dropped_mass(p: FHParams, arcs) -> float:
@@ -268,11 +325,16 @@ class FourierTable:
         return complex(self.coeffs[j + self.n_max])
 
     def toeplitz(self, n: int) -> np.ndarray:
-        """The n x n matrix (f_{j-k}) for 1 <= n <= n_max + 1."""
+        """The n x n matrix (f_{j-k}) for 1 <= n <= n_max + 1, of the
+        coefficients' dtype, as a read-only view of the table.
+
+        Row j is f_{j-k}, k = 0..n-1: the window of the reversed
+        coefficients that starts at n_max - j.
+        """
         if not 1 <= n <= self.n_max + 1:
             raise ValidationError(f"table holds |j| <= {self.n_max}; no {n} x {n} matrix")
-        idx = np.arange(n)
-        return self.coeffs[(idx[:, None] - idx[None, :]) + self.n_max]
+        windows = np.lib.stride_tricks.sliding_window_view(self.coeffs[::-1], n)
+        return windows[self.n_max :: -1][:n]
 
 
 def _fourier_sums(arcs, j_values: np.ndarray):
@@ -284,19 +346,26 @@ def _fourier_sums(arcs, j_values: np.ndarray):
     e^{-i m theta}.  On each nested half-rule (coarse nodes, the rest) both
     factors are filled by repeated multiplication with e^{-i theta} and
     e^{-i B theta}: a node costs one exponential and O(sqrt(M)) products,
-    and one matrix product per half returns its sums.
+    and one matrix product per half returns its sums.  The factors of every
+    half are written into one workspace allocated once per call: allocated
+    per half, they came from memory glibc had just returned to the system,
+    and a Dyson table at n_max = 254 took ~700 page faults.
     """
+    arcs = list(arcs)
     n_modes = len(j_values)
     block = math.isqrt(n_modes - 1) + 1
     n_outer = -(-n_modes // block)
+    n_nodes = max(len(rule.x) for rule, _ in arcs) // 2 + 1  # the larger half
+    work = np.empty((2, block * n_nodes), dtype=complex)
     fine, coarse = np.zeros((2, n_modes), dtype=complex)
     for rule, wf in arcs:
         sums = []
         for half in (rule.coarse, ~rule.coarse):
             x = rule.x[half]
             step = np.exp(-1j * x)
-            inner = _powers(1.0, step, block)
-            outer = _powers(wf[half] * np.exp(-1j * j_values[0] * x), inner[-1] * step, n_outer)
+            inner = _powers(1.0, step, block, work[0])
+            seed = wf[half] * np.exp(-1j * j_values[0] * x)
+            outer = _powers(seed, inner[-1] * step, n_outer, work[1])
             # entry [q, m] belongs to mode j0 + B q + m; the padding beyond M is dropped
             sums.append((outer @ inner.T).ravel()[:n_modes])
         even, odd = sums
@@ -305,9 +374,10 @@ def _fourier_sums(arcs, j_values: np.ndarray):
     return fine, coarse
 
 
-def _powers(seed, step, count):
-    """Rows seed * step**k for k < count, filled by repeated multiplication."""
-    rows = np.empty((count, len(step)), dtype=complex)
+def _powers(seed, step, count, work):
+    """Rows seed * step**k for k < count, filled by repeated multiplication
+    into the front of the flat workspace."""
+    rows = work[: count * len(step)].reshape(count, len(step))
     rows[0] = seed
     for k in range(1, count):
         np.multiply(rows[k - 1], step, out=rows[k])
@@ -323,17 +393,21 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
     the rules drop beyond their outermost nodes.  Raises ValidationError
     before any sums when that bound alone exceeds tol (Re alpha_j, or
     Re(alpha1 + alpha2) at t = 0, below about -0.34 at tol = 1e-11), and
-    QuadratureError when refine 3 still misses tol.
+    QuadratureError when refine 3 still misses tol; a tol that is not
+    finite and positive is a ValidationError.  The coefficients are float
+    for a real mirror-even symbol and complex otherwise.
     """
+    check_tol(tol)
     if n_max < 0:
         raise ValidationError("n_max must be nonnegative")
     n_max = int(n_max)
-    hermitian = p.is_real_symbol()
-    j_values = np.arange(0, n_max + 1) if hermitian else np.arange(-n_max, n_max + 1)
+    real, mirror = p.is_real_symbol(), p.is_mirror_even()
+    j_values = np.arange(0 if real else -n_max, n_max + 1)
+    rules = _folded_rules if mirror else weighted_rules
     # refine 0 runs first (8 nodes per oscillation of the top mode, 4 on
     # its coarse half); the nested estimate decides whether to escalate
     for refine in (0, 1, 2, 3):
-        arcs = list(weighted_rules(p, float(n_max), refine))
+        arcs = list(rules(p, float(n_max), refine))
         if refine == 0:
             dropped = _dropped_mass(p, arcs)
             if dropped > tol:
@@ -342,6 +416,8 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
                     f"above tol {tol:.2e}: an exponent too close to -1/2"
                 )
         fine, coarse = _fourier_sums(arcs, j_values)
+        if mirror:  # w f cos(j theta): the real part for a real f, else the mean over +-j
+            fine, coarse = (s.real if real else (s + s[::-1]) / 2.0 for s in (fine, coarse))
         err = float(np.max(np.abs(fine - coarse))) + dropped
         if err <= tol:
             break
@@ -349,9 +425,9 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
         raise QuadratureError(
             f"Fourier table error estimate {err:.2e} exceeds tol {tol:.2e} at refine 3"
         )
-    coeffs = np.zeros(2 * n_max + 1, dtype=complex)
+    coeffs = np.zeros(2 * n_max + 1, dtype=fine.dtype)
     coeffs[n_max + j_values] = fine
-    if hermitian:
+    if real:
         coeffs[:n_max] = np.conj(coeffs[:n_max:-1])
     return FourierTable(params=p, n_max=n_max, coeffs=coeffs, quad_error_estimate=err)
 

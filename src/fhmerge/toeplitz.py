@@ -2,10 +2,12 @@
 the polynomials orthogonal on the circle with the symbol as weight.
 
 Each Toeplitz job is one LAPACK call: `log_det` takes ln|D_n| and arg D_n
-from numpy's `slogdet` (pivoted complex LU, safe from overflow for n up to
-~1024) and `orth_poly` makes one solve.  The Heine route re-derives small
-determinants by direct multi-dimensional quadrature and is kept
-deliberately independent of the LU path.
+from numpy's `slogdet` (pivoted LU, safe from overflow for n up to ~1024)
+and `orth_poly` makes one solve.  Both run in the table's dtype: real
+arithmetic on the float table of a real mirror-even symbol, complex
+otherwise.  The Heine route re-derives small determinants by direct
+multi-dimensional quadrature and is kept deliberately independent of the
+LU path.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import single_thread
-from .errors import BranchAmbiguityError, SingularMatrixError, ValidationError
+from .errors import BranchAmbiguityError, SingularMatrixError, ValidationError, check_tol
 from .symbol import TWO_PI, FHParams, FourierTable, fourier_coeffs, weighted_rules
 
 __all__ = ["LogDeterminant", "OrthoPolyData", "log_det", "heine_det", "orth_poly", "det_path"]
@@ -109,7 +111,7 @@ def orth_poly(table: FourierTable, n: int) -> OrthoPolyData:
     reverses), so T^{-T} e_n is T^{-1} e_0 reversed: one solve gives both.
     """
     m = table.toeplitz(n + 1)
-    rhs = np.zeros((n + 1, 2), dtype=complex)
+    rhs = np.zeros((n + 1, 2), dtype=m.dtype)
     rhs[[-1, 0], [0, 1]] = 1.0
     try:
         cols = np.linalg.solve(m, rhs)
@@ -139,6 +141,7 @@ def det_path(p: FHParams, n: int, t_grid, tol: float = 1e-11):
     are unwrapped by the nearest-branch rule.  Raises BranchAmbiguityError
     when neighboring arguments are too far apart to unwrap reliably.
     """
+    check_tol(tol)
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0.0):
         raise ValidationError("t_grid must be strictly ascending")

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -134,6 +135,39 @@ def test_non_finite_parameter_exit_code(argv, capsys):
     # NaN fails every range comparison silently; it is refused before any work
     assert main(argv) == 2
     assert "finite" in capsys.readouterr().err
+
+
+_SIGMA = ["sigma", "--alpha1", "0.3", "--alpha2", "0.3"]
+_DET = ["det", "--alpha1", "0.3", "--alpha2", "0.3", "--n", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_SIGMA, "--x-max", "12", "--tol", "nan"],
+        [*_SIGMA, "--x-max", "12", "--tol", "inf"],
+        [*_SIGMA, "--x-max", "12", "--tol", "-1"],
+        [*_SIGMA, "--x-max", "12", "--tol", "0"],
+        [*_SIGMA, "--x-max", "nan"],
+        [*_SIGMA, "--x-max", "inf"],
+        [*_SIGMA, "--x-max", "12", "--x0", "nan"],
+        ["fourier", "--alpha1", "0.3", "--alpha2", "0.3", "--t", "0.3", "--n-max", "8",
+         "--tol", "nan"],
+        [*_DET, "--t", "0.3", "--tol", "-1"],
+        [*_DET, "--t-grid", "0.1:0.5:3", "--tol", "nan"],
+    ],
+    ids=["sigma-tol-nan", "sigma-tol-inf", "sigma-tol-negative", "sigma-tol-zero",
+         "sigma-x-max-nan", "sigma-x-max-inf", "sigma-x0-nan", "fourier-tol-nan",
+         "det-tol-negative", "det-path-tol-nan"],
+)
+def test_unusable_tol_or_range_exit_code(argv, capsys):
+    # refused up front: a NaN tol passed every gate, a negative one reached
+    # scipy, and a NaN x_max ground through the solver's whole budget
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "tol must be finite and positive" in err or "x_max < inf" in err
 
 
 def test_quadrature_failure_exit_code(capsys):

@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from fhmerge.errors import ValidationError
+from fhmerge import experiments
+from fhmerge.errors import NumericalError, ValidationError
 from fhmerge.experiments import (
     SweepConfig,
     _integrate_det,
@@ -21,7 +22,7 @@ from fhmerge.experiments import (
 )
 from fhmerge.painleve import integrate_sigma
 from fhmerge.specfun import DYSON_CD
-from fhmerge.symbol import FHParams, fourier_coeffs
+from fhmerge.symbol import FHParams, FourierTable, fourier_coeffs
 from fhmerge.toeplitz import log_det
 
 PI = math.pi
@@ -274,6 +275,23 @@ def test_integrate_det_shared_tables():
         dets = [math.exp(log_det(fourier_coeffs(p_of_t(t), n - 1), n).log_abs) for t in ts]
         own = float(np.dot(ws, dets))
         assert abs(value - own) <= 1e-12 * abs(own)
+
+
+def test_integrate_det_refuses_a_negative_determinant(monkeypatch):
+    # f_0 = 1, f_{+-1} = c: D_2 = 1 - c^2 is positive at c = 0.4 and negative
+    # at c = 2, which the integrand of a positive symbol cannot be; it is not
+    # read as |D_2|
+    def stub(c):
+        return lambda p, n_max: FourierTable(p, n_max, np.array([c, 1.0, c]), 0.0)
+
+    def p_of_t(t):
+        return FHParams(0.4, 0.4, t=t)
+
+    monkeypatch.setattr(experiments, "fourier_coeffs", stub(0.4))
+    _integrate_det(p_of_t, [1, 2], 1.0)
+    monkeypatch.setattr(experiments, "fourier_coeffs", stub(2.0))
+    with pytest.raises(NumericalError, match="D_2"):
+        _integrate_det(p_of_t, [1, 2], 1.0)
 
 
 def test_fk_moment_scan_quick():

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 from scipy.special import gamma, i0, rgamma
 
+from fhmerge._blas import single_thread
 from fhmerge.errors import QuadratureError, ValidationError
-from fhmerge.quadrature import arc_rule
+from fhmerge.quadrature import ArcRule, arc_rule
 from fhmerge.symbol import (
+    TWO_PI,
     FHParams,
+    _dropped_mass,
+    _folded_rules,
     _fourier_sums,
     _symbol_core,
     fourier_coeffs,
@@ -265,6 +269,89 @@ def test_fourier_table_matches_next_refinement(name, t, n_max):
     fine, _ = _sums(p, n_max, j_values, refine=1)
     assert tab.quad_error_estimate <= 1e-13
     assert np.max(np.abs(tab.coeffs[n_max + j_values] - fine)) <= 5e-14
+    if not p.is_mirror_even():  # the full-circle sums at refine 0, bit for bit
+        fine0, _ = single_thread(_sums)(p, n_max, j_values, refine=0)
+        assert np.array_equal(tab.coeffs[n_max + j_values], fine0)
+
+
+# (alpha, beta, V) of mirror-even classes, f(2 pi - theta) = f(theta) for
+# alpha1 = alpha2 = alpha, beta1 = -beta2 = beta and V_k = V_-k
+_MIRROR_CLASSES = {
+    "dyson": (0.5, 0.0, {}),
+    "calpha": (0.3 + 0.1j, 0.0, {}),
+    "ibeta": (0.3, 0.2j, {}),
+    "rbeta": (0.3, 0.2, {}),
+    "cbeta": (0.25, 0.1 + 0.2j, {}),
+    "realV": (0.3, 0.0, {1: 0.2, -1: 0.2}),
+    "cV": (0.3, 0.1j, {1: 0.2 + 0.1j, -1: 0.2 + 0.1j, 2: 0.1j, -2: 0.1j}),
+    "negalpha": (-0.15, 0.0, {}),
+}
+
+
+def _mirrored_last_arc(arcs):
+    """The full-circle arcs with [2 pi - t, 2 pi] replaced by the exact
+    mirror of [0, t]; its own rule can have one node fewer at each end,
+    since its length 2 pi - (2 pi - t) rounds off t and can move ceil(4/h)
+    (t = 0.3, n_max = 255)."""
+    if len(arcs) == 1:
+        return arcs
+    rule, wf = arcs[0]
+    mirror = ArcRule(
+        a=TWO_PI - rule.b,
+        b=TWO_PI,
+        x=TWO_PI - rule.x[::-1],
+        w=rule.w[::-1],
+        dist_a=rule.dist_b[::-1],
+        dist_b=rule.dist_a[::-1],
+        coarse=rule.coarse[::-1],
+    )
+    return [*arcs[:2], (mirror, wf[::-1])]
+
+
+@pytest.mark.parametrize("n_max", [16, 255])
+@pytest.mark.parametrize("t", [0.0, 0.01, 0.3, 1.5, 3.0])
+@pytest.mark.parametrize("name", list(_MIRROR_CLASSES))
+def test_folded_table_matches_full_circle(name, t, n_max):
+    alpha, beta, v = _MIRROR_CLASSES[name]
+    p = FHParams(alpha, alpha, beta, -beta, t, v)
+    assert p.is_mirror_even()
+    tab = fourier_coeffs(p, n_max)
+    assert (tab.coeffs.dtype == np.float64) == p.is_real_symbol()
+    j_values = np.arange(-n_max, n_max + 1)
+    fine, _ = _sums(p, n_max, j_values, refine=1)
+    assert np.max(np.abs(tab.coeffs - fine)) <= 5e-14
+
+    # the full-circle estimate at refine 0, the rule the table stops at
+    arcs = list(weighted_rules(p, float(n_max), 0))
+    fine0, coarse0 = _fourier_sums(arcs, j_values)
+    dropped = _dropped_mass(p, _mirrored_last_arc(arcs))
+    folded = _dropped_mass(p, list(_folded_rules(p, float(n_max), 0)))
+    assert folded == pytest.approx(dropped, rel=1e-12)
+    assert abs(tab.quad_error_estimate - (np.max(np.abs(fine0 - coarse0)) + dropped)) <= 1e-14
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 2.0])
+def test_folded_estimate_matches_full_circle(t):
+    # the z^{+-32} terms are unresolved at refine 0, which puts the nested
+    # estimate far above rounding; a tol just above it accepts refine 0
+    p = FHParams(0.3, 0.3, 0.2j, -0.2j, t, {32: 0.5, -32: 0.5})
+    j_values = np.arange(-16, 17)
+    arcs = list(weighted_rules(p, 16.0, 0))
+    fine, coarse = _fourier_sums(arcs, j_values)
+    est = float(np.max(np.abs(fine - coarse))) + _dropped_mass(p, arcs)
+    assert est > 1e-3
+    tab = fourier_coeffs(p, 16, tol=2.0 * est)
+    assert abs(tab.quad_error_estimate - est) <= 1e-12 * est
+    assert np.max(np.abs(tab.coeffs - fine)) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(0.3, 0.3, 0.2, 0.2), (0.3, 0.2, 0.1j, -0.1j), (0.3, 0.3, 0.0, 0.0, 0.5, {1: 0.2})],
+    ids=["beta-equal", "alpha-unequal", "V-odd"],
+)
+def test_not_mirror_even(args):
+    assert not FHParams(*args).is_mirror_even()
 
 
 def test_fourier_table_escalates():

@@ -224,6 +224,51 @@ def test_orth_poly_persymmetric_solve_suite_size(p, n):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def _as_complex_table(tab):
+    """The same table with its coefficients cast to complex."""
+    return FourierTable(tab.params, tab.n_max, tab.coeffs.astype(complex), tab.quad_error_estimate)
+
+
+# real mirror-even symbols, whose tables are float: Dyson's pair, the suite
+# symbol, an imaginary beta pair and an even real V
+_REAL_TABLES = [
+    FHParams(0.5, 0.5, t=0.3),
+    FHParams(0.3, 0.3, t=0.0),
+    FHParams(0.3, 0.3, 0.2j, -0.2j, 1.5),
+    FHParams(0.25, 0.25, t=2.0, v_coeffs={1: 0.2, -1: 0.2}),
+]
+
+
+@pytest.mark.parametrize("n", [1, 16, 64, 255])
+@pytest.mark.parametrize("p", _REAL_TABLES, ids=["dyson", "merged", "ibeta", "V"])
+def test_real_table_log_det_matches_complex(p, n):
+    tab = fourier_coeffs(p, 255)
+    assert tab.coeffs.dtype == np.float64 and tab.toeplitz(n).dtype == np.float64
+    ld = log_det(tab, n)
+    sign, want = np.linalg.slogdet(tab.toeplitz(n).astype(complex))
+    assert ld.arg == 0.0 and abs(sign - 1.0) <= 1e-13
+    assert abs(ld.log_abs - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("n", [16, 255])
+@pytest.mark.parametrize("p", _REAL_TABLES, ids=["dyson", "merged", "ibeta", "V"])
+def test_real_table_orth_poly_matches_complex(p, n):
+    tab = fourier_coeffs(p, n)
+    got, want = orth_poly(tab, n), orth_poly(_as_complex_table(tab), n)
+    assert abs(got.chi_sq - want.chi_sq) <= 1e-12 * abs(want.chi_sq)
+    for a, b in ((got.phi_coeffs, want.phi_coeffs), (got.hat_phi_coeffs, want.hat_phi_coeffs)):
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_dyson_symbol_merged_determinant(n):
+    # |z - 1|^2 = 2 - z - 1/z has the tridiagonal matrix (2, -1), D_n = n + 1
+    tab = fourier_coeffs(FHParams(0.5, 0.5, t=0.0), n - 1)
+    ld = log_det(tab, n)
+    assert ld.arg == 0.0
+    assert abs(ld.log_abs - math.log(n + 1)) <= 1e-10
+
+
 def test_dense_algebra_runs_on_one_blas_thread(monkeypatch):
     # log_det and orth_poly call LAPACK with every OpenBLAS at one thread
     # and hand the previous counts back, also when the wrapped call raises
