@@ -18,7 +18,7 @@ from scipy.special import beta as _sp_beta
 from scipy.special import betainc
 
 from .errors import ValidationError
-from .painleve import SigmaTrajectory, check_nondegeneracy, sigma_zero
+from .painleve import SigmaTrajectory, check_nondegeneracy, check_seminorm, sigma_zero
 from .specfun import DYSON_CD, gamma_ratio, log_barnes_g_ratio
 from .symbol import FHParams
 
@@ -55,11 +55,6 @@ class AsymptoticPrediction:
         return complex(sum(self.terms.values()))
 
 
-def _require_seminorm(p: FHParams):
-    if p.seminorm >= 1.0:
-        raise ValidationError(f"seminorm {p.seminorm} out of range; reduce betas first")
-
-
 def _log_n_power(p: FHParams) -> complex:
     """sum_j (alpha_j^2 - beta_j^2), the power of n in the fixed-t expansion."""
     return sum(s.alpha**2 - s.beta**2 for s in p.pair)
@@ -91,7 +86,7 @@ def fh2_log(p: FHParams, n: int) -> AsymptoticPrediction:
     Valid (with error O(n^(seminorm-1))) for t down to omega(n)/n with
     omega(n) = n^(1/2); the threshold is recorded in the notes.
     """
-    _require_seminorm(p)
+    check_seminorm(p)
     terms = {
         "n_linear": n * p.v0,
         "log_n": _log_n_power(p) * math.log(n),
@@ -112,8 +107,6 @@ def fh1_log(p: FHParams, n: int) -> AsymptoticPrediction:
         raise ValidationError("single-singularity form applies at t = 0")
     a = p.alpha1 + p.alpha2
     b = p.beta_sum
-    if a.real <= -0.5:
-        raise ValidationError("needs Re(alpha1+alpha2) > -1/2")
     check_nondegeneracy(p.merged(), merged=False)
     constant = p.szego_sum + _wiener_hopf_log(p, 1.0, a, b) + log_barnes_g_ratio(a, b)
     terms = {
@@ -184,7 +177,7 @@ def _transition_terms(p: FHParams, n: int) -> dict:
     t = p.t
     if not (0.0 < t < math.pi):
         raise ValidationError("transition form needs t in (0, pi)")
-    _require_seminorm(p)
+    check_seminorm(p)
     merged = fh1_log(p.merged(), n)
 
     def shift(z, alpha, beta):

@@ -13,6 +13,7 @@ import json
 import math
 import operator
 import sys
+import time
 
 import numpy as np
 
@@ -148,7 +149,7 @@ def _cmd_det(args):
 
 def _cmd_sigma(args):
     p = _params_from_args(args)
-    traj = painleve.integrate_sigma(p, x0=args.x0, x_max=args.x_max, tol=args.tol)
+    traj = painleve.integrate_sigma(p, x_max=args.x_max, tol=args.tol)
     rt = painleve.r_trajectory(p, traj)
     rows = [
         (x, sig.real, sig.imag, sig_x.real, sig_x.imag, r.real, r.imag, res)
@@ -212,13 +213,13 @@ def _cmd_verify(args):
             p, tuple(args.n_list or (32,)), (0.5, 2.0, 5.0, 10.0, 30.0)
         )
     else:  # identity
+        start = time.time()
         traj = painleve.integrate_sigma(p, x_max=42.0)
         lhs, rhs, disc = painleve.integral_identity_check(p, traj, 40.0)
+        row = {"T": 40.0, "lhs": lhs, "rhs": rhs, "err": disc}
         report = experiments.ExperimentReport(
-            suite="identity",
-            rows=[{"T": 40.0, "lhs": lhs, "rhs": rhs, "err": disc}],
-            verdict=disc <= 5e-3,
-            summary={"discrepancy": disc},
+            suite="identity", rows=[row], verdict=disc <= 5e-3,
+            summary={"discrepancy": disc}, runtime_s=time.time() - start,
         )
     _write_report(args, report)
     return EXIT_OK if report.verdict else EXIT_VERDICT
@@ -276,9 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sigma", help="integrate the Painleve V transcendent")
     _add_symbol_flags(s)
-    s.add_argument(
-        "--x0", type=float, default=None, help="series start (default: the start at --tol)"
-    )
     s.add_argument("--x-max", type=float, default=40.0)
     s.add_argument("--tol", type=float, default=1e-8)
     s.set_defaults(func=_cmd_sigma)

@@ -112,9 +112,26 @@ def tau0(p: FHParams) -> complex:
     return -cmath.exp(lg) / (2.0 * cmath.pi) * bracket
 
 
+def _exponents(p: FHParams):
+    """(alpha1, alpha2, beta1, beta2): what sigma and r depend on."""
+    return p.alpha1, p.alpha2, p.beta1, p.beta2
+
+
 def _sigma_vanishes(p: FHParams) -> bool:
     """The degenerate pair and the smooth symbol, where sigma == 0 exactly."""
-    return is_degenerate(p) or (p.alpha1, p.alpha2, p.beta1, p.beta2) == (0.0,) * 4
+    return is_degenerate(p) or _exponents(p) == (0.0,) * 4
+
+
+def _check_trajectory(p: FHParams, traj: SigmaTrajectory) -> None:
+    """Refuse a trajectory of other exponents than p's; t and V may differ."""
+    if _exponents(p) != _exponents(traj.params):
+        raise ValidationError(f"trajectory solved for {_exponents(traj.params)}, not this set")
+
+
+def check_seminorm(p: FHParams) -> None:
+    """Refuse seminorm |Re(beta1 - beta2)| >= 1, outside the large-argument forms."""
+    if p.seminorm >= 1.0:
+        raise ValidationError(f"seminorm {p.seminorm} is not < 1; reduce betas first")
 
 
 def _equation_constants(p: FHParams):
@@ -250,7 +267,7 @@ def _series_start(p: FHParams, tol: float) -> float:
     included) R is infinite.  Raises NondegeneracyError where tau0 does
     and NumericalError where tau0 = 0 but sigma(0) != 0.
     """
-    s0 = 0.0 if _sigma_vanishes(p) else abs(sigma_zero(p))
+    s0 = abs(sigma_zero(p))
     if s0 == 0.0:
         return _X_ANCHOR
     t0 = abs(tau0(p))
@@ -261,7 +278,13 @@ def _series_start(p: FHParams, tol: float) -> float:
 
 
 def _series_range(start: float) -> float:
-    """The range a series table covers for a solve starting at start."""
+    """The range a series table covers for a solve starting at start.
+
+    The headroom is load-bearing: _series_terms drops terms by the size of
+    sigma's, but sigma_xx at the start needs some it drops on (0, start].
+    A table on (0, start] lost sigma_xx there by 4.1e-10 (|sigma_xx| =
+    0.26) and moved sigma on 24 seeded pole-free sets by up to 2.5e-7;
+    with this range sigma is 4.7e-9 from a tol = 1e-10 solve."""
     return max(_X_SERIES_MIN, _RANGE_PER_START * start)
 
 
@@ -318,8 +341,7 @@ def sigma_large_asym(p: FHParams, x: float) -> complex:
     Requires the seminorm |Re(beta1-beta2)| < 1; the error of the formula
     is O(x^(-1+seminorm)).
     """
-    if p.seminorm >= 1.0:
-        raise ValidationError("large-argument form needs seminorm < 1")
+    check_seminorm(p)
     s = -1j * x
     g = _gamma_connection(p, x)
     sign = _branch_sign(p)[0]
@@ -492,56 +514,39 @@ def _default_grid(x0: float, x_max: float) -> np.ndarray:
 
 
 def integrate_sigma(
-    p: FHParams, x0: float | None = None, x_max: float = 40.0, tol: float = _DEFAULT_TOL
+    p: FHParams, x_max: float = 40.0, tol: float = _DEFAULT_TOL
 ) -> SigmaTrajectory:
-    """Integrate u(x) = sigma(-ix) forward in x from x0 to x_max.
+    """Integrate u(x) = sigma(-ix) forward in x from the start x0 to x_max.
 
-    The pass starts from the small-argument series table at x0, whose
-    sigma, sigma_x, sigma_xx and omega there are its start data.  x0
-    defaults to the start: the smallest x >= 1e-3 at which the start data
-    resolve the selecting tau0 term to relative accuracy tol (1e-3 for
-    alpha1 = alpha2 = 0.3, about 0.24 for 0.9 at tol = 1e-8; see
-    _series_start).  The Lax variable U starts on _lax_root's root
-    at x = 1e-3 and W = 0 there; both are carried to x0 with sigma read
-    from the table.  The sets where sigma == 0 exactly (the degenerate
-    pair alpha = beta = 1/2 and the smooth symbol) have the empty table,
-    start from zero data and stay at zero through the same pass; they
-    have no Lax root and carry U = 1, which keeps the right-hand side
-    finite.  The trajectory is one solver pass, and the call raises:
+    x0 = _series_start(p, tol), where the series table's start data
+    (sigma, sigma_x, sigma_xx and omega) resolve tau0 to relative accuracy
+    tol: 1e-3 for alpha1 = alpha2 = 0.3, about 0.24 for 0.9 at tol = 1e-8.
+    The Lax variable U starts on _lax_root's root at x = 1e-3 with W = 0,
+    and both are carried to x0 on the table.  The sigma == 0 sets (the
+    degenerate pair alpha = beta = 1/2 and the smooth symbol) have the
+    empty table, start at 1e-3 from zero data, stay at zero and carry
+    U = 1, which keeps the right-hand side finite.  The trajectory is one
+    solver pass, and the call raises:
 
     - NondegeneracyError up front, from the series, when 2(alpha1+alpha2)
       is in N u {0}, when 1 - 2(alpha1+alpha2) lies on the exponent
       lattice (alpha1 + alpha2 = -1/6, -1/4, -3/10, -1/3, ...), or when a
       parameter combination hits a negative integer;
     - ValidationError up front for a tol that is not finite and positive,
-      and unless 0 < x0 < x_max < inf;
-    - NumericalError up front when an explicit x0 lies below the start,
-      and ValidationError when it lies above the series range
-      max(1e-2, 4 start);
+      and unless x0 < x_max < inf;
     - PoleDetectedError when |sigma| reaches the blow-up cap (a pole, or a
       runaway off the solution the initial data select);
     - NumericalError when the pass stalls (more than _RHS_BUDGET
-      right-hand-side evaluations), or when it left the connecting
-      solution: for the pole-free class (real alphas, imaginary betas)
-      with x_max >= 10, sigma(x_max) misses the connection asymptotics
-      by O(1);
-    - NumericalError when the quartic-relation residual at a grid node
-      exceeds 10*tol.
+      right-hand-side evaluations), when it left the connecting solution
+      (real alphas, imaginary betas, x_max >= 10: sigma(x_max) misses the
+      connection asymptotics by O(1)), or when the quartic-relation
+      residual at a grid node exceeds 10*tol.
     """
     check_tol(tol)
-    start = _series_start(p, tol)
-    x0 = start if x0 is None else x0
-    if not 0.0 < x0 < x_max < math.inf:
-        raise ValidationError(f"need 0 < x0 < x_max < inf (x0 = {x0:.3g}, x_max = {x_max:.3g})")
-    if x0 < start:
-        raise NumericalError(
-            f"x0 = {x0:.3g} is below the start {start:.3g}: the start data there "
-            f"do not resolve tau0 to tol = {tol:.1e}"
-        )
-    x_range = _series_range(start)
-    if x0 > x_range:
-        raise ValidationError(f"series needs 0 < x <= {x_range:.3g}")
-    table = _series_terms(p, x_range)
+    x0 = _series_start(p, tol)
+    if not x0 < x_max < math.inf:
+        raise ValidationError(f"need x0 < x_max < inf (x0 = {x0:.3g}, x_max = {x_max:.3g})")
+    table = _series_terms(p, _series_range(x0))
     rtol = min(1e-10, tol * 1e-2)
     ln_u0, w0 = (0.0, 0.0) if _sigma_vanishes(p) else _lax_head(p, table, x0, rtol)
     y0 = [*_series_values(table, x0), _series_omega(table, x0), ln_u0, w0]
@@ -570,7 +575,7 @@ _DEGENERATE = FHParams(0.5, 0.5, 0.5, 0.5, 0.1)  # t is irrelevant here
 
 def is_degenerate(p: FHParams) -> bool:
     """alpha1 = alpha2 = beta1 = beta2 = 1/2, where sigma == 0 exactly."""
-    return (p.alpha1, p.alpha2, p.beta1, p.beta2) == (0.5,) * 4
+    return _exponents(p) == (0.5,) * 4
 
 
 def degenerate_sigma(x_max: float = 40.0) -> SigmaTrajectory:
@@ -703,8 +708,10 @@ def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
     numf, crossed exactly.  The constant C is matched to the
     small-argument form at x = 1e-3, where W = 0, whatever the start.
     The degenerate pair has the closed form degenerate_r; the smooth
-    symbol, which has no Lax root, raises DegenerateDenominatorError.
+    symbol, which has no Lax root, raises DegenerateDenominatorError,
+    and a trajectory of other exponents than p's ValidationError.
     """
+    _check_trajectory(p, traj)
     if is_degenerate(p):
         r_of = np.vectorize(degenerate_r, otypes=[complex])
         return RTrajectory(traj.x_grid, r_of(traj.x_grid), np.zeros(len(traj.x_grid), bool), r_of)
@@ -731,12 +738,13 @@ def integral_identity_check(p: FHParams, traj: SigmaTrajectory, T: float):
 
     The left side is the finite-T combination plus an oscillatory-tail
     correction computed from the connection asymptotics; the right side
-    is the Barnes-G expression.  Returns (lhs, rhs, |lhs - rhs|).
+    is the Barnes-G expression.  Returns (lhs, rhs, |lhs - rhs|); raises
+    ValidationError for T < 20, seminorm >= 1 or another set's trajectory.
     """
     if T < 20.0:
         raise ValidationError("need T >= 20")
-    if p.seminorm >= 1.0:
-        raise ValidationError("identity needs seminorm < 1")
+    check_seminorm(p)
+    _check_trajectory(p, traj)
     lhs = traj.omega_at(T) + 1j * T * (p.beta2 - p.beta1) / 2.0
     lhs += 2.0 * p.log_coupling * math.log(T)
     # the tail vanishes for the degenerate pair, where gamma_ratio(alpha2, -beta2) = 0

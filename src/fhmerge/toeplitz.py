@@ -1,13 +1,12 @@
 """Exact finite-n objects: log-determinants, a Heine-integral oracle, and
-the polynomials orthogonal on the circle with the symbol as weight.
+hat-phi_n(0) chi_n, the orthogonal-polynomial datum of the beta-shift identity.
 
 Each Toeplitz job is one LAPACK call: `log_det` takes ln|D_n| and arg D_n
 from numpy's `slogdet` (pivoted LU, safe from overflow for n up to ~1024)
-and `orth_poly` makes one solve.  Both run in the table's dtype: real
-arithmetic on the float table of a real mirror-even symbol, complex
-otherwise.  The Heine route re-derives small determinants by direct
-multi-dimensional quadrature and is kept deliberately independent of the
-LU path.
+and `orth_poly` makes one single-column solve.  Both run in the table's
+dtype: real arithmetic on the float table of a real mirror-even symbol,
+complex otherwise.  The Heine route re-derives small determinants by
+direct multi-dimensional quadrature, independent of the LU path.
 """
 
 from __future__ import annotations
@@ -82,56 +81,23 @@ def heine_det(p: FHParams, n: int) -> complex:
 
 @dataclass(frozen=True)
 class OrthoPolyData:
-    """Coefficient data of phi_n and hat-phi_n plus the leading coefficient.
-
-    chi is the principal square root of chi^2 = D_n / D_{n+1}; complex
-    symbols should consume chi_sq (or products like hat_phi_at_0 * chi,
-    exposed branch-free as hat_phi0_chi) instead of chi itself.
-    """
+    """hat_phi0_chi = hat-phi_n(0) chi_n, the datum the beta-shift identity reads."""
 
     n: int
-    phi_coeffs: np.ndarray
-    hat_phi_coeffs: np.ndarray
-    chi: complex
-    chi_sq: complex
-    hat_phi_at_0: complex
-
-    @property
-    def hat_phi0_chi(self) -> complex:
-        """hat_phi_n(0) * chi_n without any square-root branch."""
-        return complex(self.hat_phi_at_0 * self.chi)
+    hat_phi0_chi: complex
 
 
 @single_thread
 def orth_poly(table: FourierTable, n: int) -> OrthoPolyData:
-    """Polynomials of degree n orthogonal w.r.t. the symbol on the circle.
-
-    Solves the moment systems equivalent to the bordered-determinant
-    formulas; requires table.n_max >= n.  A Toeplitz T has T^T = J T J (J
-    reverses), so T^{-T} e_n is T^{-1} e_0 reversed: one solve gives both.
-    """
+    """hat-phi_n(0) chi_n = (T^{-1})_{n0} = (-1)^n det T[1:, :-1] / det T of the
+    (n+1) x (n+1) Toeplitz matrix T, read from one solve T y = e_0; the
+    product carries no square-root branch.  Requires table.n_max >= n."""
     m = table.toeplitz(n + 1)
-    rhs = np.zeros((n + 1, 2), dtype=m.dtype)
-    rhs[[-1, 0], [0, 1]] = 1.0
     try:
-        cols = np.linalg.solve(m, rhs)
+        y = np.linalg.solve(m, np.eye(n + 1, 1, dtype=m.dtype))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(n + 1) from exc
-    y, yt = cols[:, 0], cols[::-1, 1]  # T^{-1} e_n and T^{-T} e_n
-    chi_sq = complex(y[-1])  # (T^{-1})_{nn} = D_n / D_{n+1}
-    if chi_sq == 0.0 or not np.isfinite(chi_sq):
-        raise SingularMatrixError(n + 1)
-    chi = complex(np.sqrt(chi_sq))
-    phi = y / chi  # phi_n coefficients, leading = chi
-    hat_phi = yt / chi
-    return OrthoPolyData(
-        n=n,
-        phi_coeffs=phi,
-        hat_phi_coeffs=hat_phi,
-        chi=chi,
-        chi_sq=chi_sq,
-        hat_phi_at_0=complex(hat_phi[0]),
-    )
+    return OrthoPolyData(n=n, hat_phi0_chi=complex(y[-1, 0]))
 
 
 def det_path(p: FHParams, n: int, t_grid, tol: float = 1e-11):

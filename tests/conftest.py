@@ -12,4 +12,4 @@ def p03():
 @pytest.fixture(scope="session")
 def traj03(p03):
     """Series-initialized trajectory for the symmetric 0.3 pair, to x = 42."""
-    return integrate_sigma(p03, x0=1e-3, x_max=42.0)
+    return integrate_sigma(p03, x_max=42.0)

@@ -1,6 +1,9 @@
+import argparse
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -9,7 +12,7 @@ import pytest
 
 import fhmerge
 from fhmerge import painleve
-from fhmerge.cli import main
+from fhmerge.cli import build_parser, main
 from fhmerge.errors import DegenerateDenominatorError
 
 PI = math.pi
@@ -150,14 +153,13 @@ _DET = ["det", "--alpha1", "0.3", "--alpha2", "0.3", "--n", "4"]
         [*_SIGMA, "--x-max", "12", "--tol", "0"],
         [*_SIGMA, "--x-max", "nan"],
         [*_SIGMA, "--x-max", "inf"],
-        [*_SIGMA, "--x-max", "12", "--x0", "nan"],
         ["fourier", "--alpha1", "0.3", "--alpha2", "0.3", "--t", "0.3", "--n-max", "8",
          "--tol", "nan"],
         [*_DET, "--t", "0.3", "--tol", "-1"],
         [*_DET, "--t-grid", "0.1:0.5:3", "--tol", "nan"],
     ],
     ids=["sigma-tol-nan", "sigma-tol-inf", "sigma-tol-negative", "sigma-tol-zero",
-         "sigma-x-max-nan", "sigma-x-max-inf", "sigma-x0-nan", "fourier-tol-nan",
+         "sigma-x-max-nan", "sigma-x-max-inf", "fourier-tol-nan",
          "det-tol-negative", "det-path-tol-nan"],
 )
 def test_unusable_tol_or_range_exit_code(argv, capsys):
@@ -211,6 +213,7 @@ def test_verify_identity_suite(tmp_path, capsys):
     assert out.exists() and (tmp_path / "identity.json").exists()
     payload = json.loads((tmp_path / "identity.json").read_text())
     assert payload["suite"] == "identity" and payload["verdict"] is True
+    assert payload["runtime_s"] > 0.0  # timed like the other suites
 
 
 def test_verify_stdout_matches_csv_file(tmp_path, capsys):
@@ -331,3 +334,45 @@ def test_malformed_config_exit_code(tmp_path, capsys, command, content):
         "sweep", "--config", str(cfg)]
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_lines():
+    with open(README) as fh:
+        return fh.read().splitlines()
+
+
+def test_readme_command_lines_parse():
+    # every fhmerge line of README's code blocks parses (nothing runs)
+    lines, in_block = [], False
+    for line in _readme_lines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("fhmerge "):
+            lines.append(line)
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
+
+
+def test_readme_flags_belong_to_a_subcommand():
+    # a flag README names outside its pip and pytest lines is some
+    # subcommand's option
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    known = {
+        flag
+        for sub in subs.choices.values()
+        for action in sub._actions
+        for flag in action.option_strings
+    }
+    named = {
+        flag
+        for line in _readme_lines()
+        if "pip " not in line and "pytest" not in line
+        for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line)
+    }
+    assert named and named <= known, sorted(named - known)

@@ -168,8 +168,6 @@ def test_default_start_follows_tau0():
     starts = [integrate_sigma(FHParams(a, a, t=0.1), x_max=12.0).x0 for a in (0.3, 0.45, 0.9)]
     assert starts[0] == 1e-3
     assert 5.0e-3 < starts[1] < 5.6e-3 and 0.2 < starts[2] < 0.28
-    with pytest.raises(ValidationError):  # above the series range
-        integrate_sigma(FHParams(0.3, 0.3, t=0.1), x0=0.05, x_max=12.0)
 
 
 def test_series_rejects_tau0_term_that_grows():
@@ -181,13 +179,16 @@ def test_series_rejects_tau0_term_that_grows():
 
 
 @pytest.mark.parametrize("alpha", [0.6, 0.65, 0.7, 0.8, 0.9])
-def test_strong_exponents_solve(alpha):
+def test_strong_exponents_solve(alpha, monkeypatch):
     # sigma to x = 80 for strong exponents; at tol = 1e-9, where the solver
     # error stays below 1e-8, tripling the start moves sigma by < 1e-7
     p = FHParams(alpha, alpha, t=0.1)
     integrate_sigma(p, x_max=80.0)
     traj = integrate_sigma(p, x_max=80.0, tol=1e-9)
-    moved = integrate_sigma(p, x0=3.0 * traj.x0, x_max=80.0, tol=1e-9)
+    start = painleve._series_start
+    monkeypatch.setattr(painleve, "_series_start", lambda q, tol: 3.0 * start(q, tol))
+    moved = integrate_sigma(p, x_max=80.0, tol=1e-9)
+    assert moved.x0 == 3.0 * traj.x0
     xs = np.linspace(moved.x0, 80.0, 2000)
     assert np.max(np.abs(traj.sigma_at(xs) - moved.sigma_at(xs))) < 1e-7
 
@@ -218,6 +219,24 @@ def test_small_exponents_meet_residual_gate():
     # a small-exponent set whose five-term start missed the 10*tol gate (1.4e-7)
     traj = integrate_sigma(FHParams(0.0551, 0.1278, 0.232j, 0.284j), x_max=42.0)
     assert np.max(traj.residual) < 1e-8
+
+
+def test_trajectory_of_other_exponents_refused(p03, traj03):
+    # r and the identity combine p's exponents with the trajectory's sigma;
+    # with p = (0.4, 0.2) on the 0.3 pair's sigma they returned r(4) =
+    # -0.1129-0.0056i and an identity gap of 0.072, against -0.1597+0.0369i
+    # and 4.4e-5 on p's own sigma
+    other = FHParams(0.4, 0.2, t=0.3)
+    with pytest.raises(ValidationError, match="trajectory"):
+        r_trajectory(other, traj03)
+    with pytest.raises(ValidationError, match="trajectory"):
+        integral_identity_check(other, traj03, 40.0)
+    # t and V may differ: sigma and r depend on neither
+    same = FHParams(0.3, 0.3, t=0.1, v_coeffs={1: 0.2})
+    assert r_trajectory(same, traj03).r_at(4.0) == r_trajectory(p03, traj03).r_at(4.0)
+    assert integral_identity_check(same, traj03, 40.0) == integral_identity_check(
+        p03, traj03, 40.0
+    )
 
 
 def test_r_keeps_its_anchor_at_raised_start():
@@ -353,8 +372,8 @@ def test_degenerate_accessors_take_arrays():
 
 
 def test_integrate_sigma_degenerate_pair():
-    traj = integrate_sigma(FHParams(0.5, 0.5, 0.5, 0.5, 0.2), x0=2e-3, x_max=30.0)
-    assert traj.x0 == 2e-3 and traj.x_max == 30.0
+    traj = integrate_sigma(FHParams(0.5, 0.5, 0.5, 0.5, 0.2), x_max=30.0)
+    assert traj.x0 == 1e-3 and traj.x_max == 30.0
     assert not traj.sigma.any() and not traj.sigma_x.any() and not traj.omega_at(30.0)
 
 
@@ -621,16 +640,6 @@ def test_sigma_solve_stalls_at_budget(p03, monkeypatch):
     with pytest.raises(NumericalError, match="stalled"):
         integrate_sigma(p03, x_max=80.0)
     assert time.perf_counter() - start < 10.0
-
-
-@pytest.mark.parametrize("alpha", [0.65, 0.8])
-def test_start_below_tau0_resolution_refused(alpha):
-    # x0 = 1e-3 lies below the start of these exponents: the start data
-    # there cannot resolve tau0, and the solve refuses it up front
-    start = time.perf_counter()
-    with pytest.raises(NumericalError, match="below the start"):
-        integrate_sigma(FHParams(alpha, alpha, t=0.1), x0=1e-3, x_max=80.0)
-    assert time.perf_counter() - start < 0.5
 
 
 def test_next_to_resonance_solves():

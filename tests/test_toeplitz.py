@@ -112,48 +112,52 @@ def test_szego_baseline():
 
 
 def test_orth_poly_trivial():
+    # f == 1: T = I, so hat-phi_n(0) chi_n = (T^{-1})_{n0} = 0
     tab = fourier_coeffs(FHParams(0.0, 0.0), 6)
     op = orth_poly(tab, 4)
-    assert abs(op.chi - 1.0) < 1e-12
-    np.testing.assert_allclose(op.phi_coeffs, np.eye(5)[-1], atol=1e-12)
+    assert op.n == 4 and abs(op.hat_phi0_chi) < 1e-12
 
 
 def test_orth_poly_chi0():
+    # n = 0: hat-phi_0(0) chi_0 = chi_0^2 = 1 / f_0, with f_0 = 4/pi for |z - 1|
     tab = fourier_coeffs(FHParams(0.25, 0.25), 4)
-    op = orth_poly(tab, 0)
-    assert abs(op.chi - (4.0 / PI) ** -0.5) < 1e-10
+    assert abs(orth_poly(tab, 0).hat_phi0_chi - PI / 4.0) < 1e-10
 
 
 def test_orth_poly_chi_consistency():
-    # chi_n^2 = D_n / D_{n+1}
+    # the beta-shift identity at small n:
+    # z2^(n-1) hat-phi_{n-1}(0) chi_{n-1} D_n(f) = D_{n-1}(f with beta2 - 1)
     p = FHParams(0.3, 0.3, beta1=0.1j, beta2=0.3j, t=0.8)
     tab = fourier_coeffs(p, 8)
-    for n in (0, 2, 5):
-        op = orth_poly(tab, n)
-        want = np.exp(log_det(tab, n).log - log_det(tab, n + 1).log)
-        assert abs(op.chi_sq - want) < 1e-8 * abs(want)
+    shifted = fourier_coeffs(p.with_betas(p.beta1, p.beta2 - 1.0), 8)
+    for n in (2, 4, 7):
+        lhs = p.pair[1].z ** (n - 1) * orth_poly(tab, n - 1).hat_phi0_chi
+        lhs *= np.exp(log_det(tab, n).log)
+        rhs = np.exp(log_det(shifted, n - 1).log)
+        assert abs(lhs - rhs) < 1e-12 * abs(rhs)
 
 
 def test_orth_poly_orthogonality_residuals():
-    p = FHParams(0.25, 0.25, t=0.6)
-    tab = fourier_coeffs(p, 8)
-    n = 5
-    op = orth_poly(tab, n)
-    for k in range(n + 1):
-        val = sum(op.phi_coeffs[j] * tab[k - j] for j in range(n + 1))
-        want = 1.0 / op.chi if k == n else 0.0
-        assert abs(val - want) < 1e-9
+    # the polynomials orthogonal w.r.t. |z - 1|^2 = 2 - z - 1/z: T is
+    # tridiagonal (2, -1), det T = n + 2 and the cofactor of (n, 0) is 1,
+    # so hat-phi_n(0) chi_n = 1 / (n + 2)
+    tab = fourier_coeffs(FHParams(0.5, 0.5, t=0.0), 255)
+    for n in (0, 5, 64, 255):
+        assert abs(orth_poly(tab, n).hat_phi0_chi * (n + 2) - 1.0) < 5e-11
 
 
 def test_orth_poly_recurrence():
-    # chi_n hat_n(w) = chi_{n-1} w hat_{n-1}(w) + hat_n(0) * reversed phi_n
-    tab = fourier_coeffs(FHParams(0.25, 0.25), 6)
-    op3 = orth_poly(tab, 3)
-    op2 = orth_poly(tab, 2)
-    lhs = op3.chi * op3.hat_phi_coeffs
-    rhs = np.concatenate([[0.0], op2.chi * op2.hat_phi_coeffs])
-    rhs = rhs + op3.hat_phi_at_0 * op3.phi_coeffs[::-1]
-    np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+    # Desnanot-Jacobi on the (n+1) x (n+1) matrix: D_{n+1} D_{n-1} =
+    # D_n^2 - a b D_{n+1}^2, with a = hat_phi0_chi of f and b that of
+    # f(1/z), whose Toeplitz matrix is T^T
+    p = FHParams(0.3, 0.25, 0.1 + 0.2j, -0.15j, 0.4)
+    tab = fourier_coeffs(p, 6)
+    flip = FourierTable(p, tab.n_max, tab.coeffs[::-1].copy(), tab.quad_error_estimate)
+    d = [np.exp(log_det(tab, k).log) for k in range(7)]
+    for n in range(1, 6):
+        a, b = orth_poly(tab, n).hat_phi0_chi, orth_poly(flip, n).hat_phi0_chi
+        want = d[n] ** 2 - a * b * d[n + 1] ** 2
+        assert abs(d[n + 1] * d[n - 1] - want) < 1e-14 * abs(d[n] ** 2)
 
 
 def test_det_path_positive_symbol():
@@ -212,16 +216,30 @@ def test_singular_matrix_raises_typed_error():
     ids=["complex", "shifted"],
 )
 def test_orth_poly_persymmetric_solve_suite_size(p, n):
-    # phi_n and hat-phi_n against independent solves with T and T^T
+    # the one column T^{-1} e_0 against an independent solve with T^T = J T J:
+    # (T^{-1})_{n0} is the first entry of T^{-T} e_n
+    tab = fourier_coeffs(p, n)
+    want = scipy.linalg.solve(tab.toeplitz(n + 1).T, np.eye(n + 1)[-1])[0]
+    assert abs(orth_poly(tab, n).hat_phi0_chi - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("n", [63, 127, 255])
+@pytest.mark.parametrize(
+    "p",
+    [
+        FHParams(0.5, 0.5, t=0.3),
+        FHParams(0.3, 0.25, 0.1 + 0.2j, -0.15j, 0.4),
+        FHParams(0.4, 0.3, 0.25j, -1.0 - 0.1j, 0.3),
+    ],
+    ids=["dyson", "complex", "shifted"],
+)
+def test_orth_poly_cofactor_suite_size(p, n):
+    # Cramer's rule: hat-phi_n(0) chi_n = (T^{-1})_{n0} = (-1)^n det T[1:, :-1] / det T
     tab = fourier_coeffs(p, n)
     m = tab.toeplitz(n + 1)
-    e_n = np.eye(n + 1)[-1]
-    y = scipy.linalg.solve(m, e_n)
-    chi = np.sqrt(complex(y[-1]))
-    yt = scipy.linalg.solve(m.T, e_n)
-    op = orth_poly(tab, n)
-    for got, want in ((op.phi_coeffs, y / chi), (op.hat_phi_coeffs, yt / chi)):
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    (sign_minor, log_minor), (sign, log_abs) = np.linalg.slogdet(m[1:, :-1]), np.linalg.slogdet(m)
+    want = (-1) ** n * sign_minor / sign * np.exp(log_minor - log_abs)
+    assert abs(orth_poly(tab, n).hat_phi0_chi - want) <= 1e-13 * abs(want)
 
 
 def _as_complex_table(tab):
@@ -254,10 +272,9 @@ def test_real_table_log_det_matches_complex(p, n):
 @pytest.mark.parametrize("p", _REAL_TABLES, ids=["dyson", "merged", "ibeta", "V"])
 def test_real_table_orth_poly_matches_complex(p, n):
     tab = fourier_coeffs(p, n)
-    got, want = orth_poly(tab, n), orth_poly(_as_complex_table(tab), n)
-    assert abs(got.chi_sq - want.chi_sq) <= 1e-12 * abs(want.chi_sq)
-    for a, b in ((got.phi_coeffs, want.phi_coeffs), (got.hat_phi_coeffs, want.hat_phi_coeffs)):
-        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+    got = orth_poly(tab, n).hat_phi0_chi
+    want = orth_poly(_as_complex_table(tab), n).hat_phi0_chi
+    assert got.imag == 0.0 and abs(got - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("n", [256, 1024])
