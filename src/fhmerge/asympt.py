@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import beta as _sp_beta
 from scipy.special import betainc
 
-from .errors import ValidationError
+from .errors import ValidationError, check_size
 from .painleve import SigmaTrajectory, check_nondegeneracy, check_seminorm, sigma_zero
 from .specfun import DYSON_CD, gamma_ratio, log_barnes_g_ratio
 from .symbol import FHParams
@@ -86,6 +86,7 @@ def fh2_log(p: FHParams, n: int) -> AsymptoticPrediction:
     Valid (with error O(n^(seminorm-1))) for t down to omega(n)/n with
     omega(n) = n^(1/2); the threshold is recorded in the notes.
     """
+    check_size(n)
     check_seminorm(p)
     terms = {
         "n_linear": n * p.v0,
@@ -103,6 +104,7 @@ def fh2_log(p: FHParams, n: int) -> AsymptoticPrediction:
 
 def fh1_log(p: FHParams, n: int) -> AsymptoticPrediction:
     """Merged single-singularity expansion of ln D_n at t = 0."""
+    check_size(n)
     if p.t != 0.0:
         raise ValidationError("single-singularity form applies at t = 0")
     a = p.alpha1 + p.alpha2
@@ -152,6 +154,7 @@ def normalize_beta(p: FHParams) -> NormalizedBeta:
 
 def fh2_odd_log(p: FHParams, n: int) -> AsymptoticPrediction:
     """Two-term interference expansion at odd-integer seminorm."""
+    check_size(n)
     nb = normalize_beta(p)
     if not nb.odd:
         raise ValidationError("seminorm does not reduce to an odd integer")
@@ -222,6 +225,7 @@ def beta_one_ratio(
     nt > DEFAULT_C0.  Within a +-25% window around nt = DEFAULT_C0 both
     branches are evaluated and their mismatch recorded in the notes.
     """
+    check_size(n)
     if (p.beta1 - p.beta2).real != 0.0:
         raise ValidationError("ratio form needs Re(beta1) = Re(beta2)")
     t = p.t

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import asympt, experiments, painleve, toeplitz
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_size
 from .symbol import FHParams, fourier_coeffs, params_from_json_dict
 
 EXIT_OK = 0
@@ -165,6 +165,7 @@ def _cmd_sigma(args):
 def _cmd_predict(args):
     p = _params_from_args(args)
     n = args.n
+    check_size(n)  # before the transition and beta-one regimes solve sigma
     if args.regime == "fh1":
         pred = asympt.fh1_log(p if p.t == 0.0 else p.merged(), n)
     elif args.regime == "fh2":

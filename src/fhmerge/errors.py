@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the tolerance check."""
+"""Exception types shared across the package, and the tolerance and size checks."""
 
 
 class FhmergeError(Exception):
@@ -59,3 +59,9 @@ def check_tol(tol: float) -> None:
     """Refuse a tolerance that is not a finite positive number."""
     if not 0.0 < tol < float("inf"):
         raise ValidationError(f"tol must be finite and positive, got {tol}")
+
+
+def check_size(n: int) -> None:
+    """Refuse a determinant size n < 1, where an expansion's ln n has no value."""
+    if n < 1:
+        raise ValidationError(f"n must be at least 1, got {n}")

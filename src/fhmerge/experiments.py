@@ -8,6 +8,7 @@ across n, never absolute claims at a single size.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import time
@@ -413,16 +414,38 @@ def diff_identity_scan(
     )
 
 
+def _shifted_logdet(p: FHParams, n: int):
+    """ln D_n(f) and ln D_{n-1}(f_{beta2-1}) from one table of f, through
+
+        D_{n-1}(f_{beta2-1}) = z2^(n-1) hat-phi_n(0) chi_n D_n(f):
+
+    f_{beta2-1}(z) = -z2 z^-1 f(z) gives T_{n-1}(f_{beta2-1}) = -z2 T_n(f)[1:, :-1],
+    and Cramer's rule.  The second arg is in (-pi, pi], as slogdet's."""
+    table = fourier_coeffs(p, n - 1)
+    ld = log_det(table, n)
+    shift = p.pair[1].z ** (n - 1) * orth_poly(table, n - 1).hat_phi0_chi
+    arg = cmath.phase(shift * cmath.rect(1.0, ld.arg))
+    return ld.log, complex(ld.log_abs + math.log(abs(shift)), arg)
+
+
 def beta_one_check(p: FHParams, n_list, nt_list) -> ExperimentReport:
     """Shifted-symbol determinant ratio: exact vs the two-branch prediction.
 
-    Also verifies the exact finite-n identity connecting D_{n-1} of the
-    shifted symbol to the orthogonal-polynomial data of the original one
-    (at n = _IDENTITY_N, tolerance 1e-8).
+    Each row reads both determinants from one table of f at t = nt/n,
+    through the exact finite-n identity of _shifted_logdet.  The identity
+    row checks that identity at n = _IDENTITY_N against an independent
+    table of the shifted symbol (tolerance 1e-8).  n_list is ascending
+    from 2 and every t = nt/n lies in (0, pi), both checked before sigma
+    is solved.
     """
     start = time.time()
     if (p.beta1 - p.beta2).real != 0.0:
         raise ValidationError("needs Re beta1 = Re beta2")
+    _check_n_list(n_list, least=2)
+    for n in n_list:
+        for nt in nt_list:
+            if not 0.0 < nt / n < math.pi:
+                raise ValidationError(f"nt = {nt} at n = {n} puts t = nt/n outside (0, pi)")
     traj = integrate_sigma(p, x_max=max(25.0, 2.2 * max(nt_list)))
     rt = r_trajectory(p, traj)
     rows = []
@@ -430,9 +453,7 @@ def beta_one_check(p: FHParams, n_list, nt_list) -> ExperimentReport:
         for nt in nt_list:
             t = float(nt) / n
             pt = p.with_t(t)
-            pm = pt.with_betas(pt.beta1, pt.beta2 - 1.0)
-            exact_n = _exact_logdet(pt, n)
-            exact_m = _exact_logdet(pm, n - 1)
+            exact_n, exact_m = _shifted_logdet(pt, n)
             pred = beta_one_ratio(pt, n, rt.r_at(2.0 * n * t), exact_n)
             err = abs(np.exp(pred.log_value) - np.exp(exact_m)) / abs(np.exp(exact_m))
             rows.append(
@@ -447,15 +468,9 @@ def beta_one_check(p: FHParams, n_list, nt_list) -> ExperimentReport:
                 }
             )
 
-    # exact identity row: vanishing-order-free product from the moment solve
+    # exact identity row: the rows' identity against the shifted symbol's own table
     pid = p.with_t(0.05 if p.t == 0.0 else p.t)
-    table = fourier_coeffs(pid, _IDENTITY_N)
-    op = orth_poly(table, _IDENTITY_N - 1)
-    lhs = (
-        pid.pair[1].z ** (_IDENTITY_N - 1)
-        * op.hat_phi0_chi
-        * np.exp(log_det(table, _IDENTITY_N).log)
-    )
+    lhs = np.exp(_shifted_logdet(pid, _IDENTITY_N)[1])
     pm = pid.with_betas(pid.beta1, pid.beta2 - 1.0)
     rhs = np.exp(_exact_logdet(pm, _IDENTITY_N - 1))
     id_err = abs(lhs - rhs) / abs(rhs)

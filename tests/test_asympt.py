@@ -231,6 +231,22 @@ def test_beta_one_needs_matching_real_parts():
         beta_one_ratio(FHParams(0.3, 0.3, 0.5, 0.0, 0.1), 16, None, 0.0)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_predictors_refuse_n_below_one(n, traj03):
+    # each reads ln n; the size is refused before any other work
+    p = FHParams(0.3, 0.3, t=0.1)
+    calls = [
+        lambda: fh1_log(p.merged(), n),
+        lambda: fh2_log(p, n),
+        lambda: fh2_odd_log(FHParams(0.3, 0.3, 0.5, -0.5, 0.1), n),
+        lambda: transition_log(p, n, traj03),
+        lambda: beta_one_ratio(p, n, 0.1, 0.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="n must be at least 1"):
+            call()
+
+
 def test_fk_constants_c2():
     c2 = fk_constants(1.0 / math.sqrt(2.0)).c2
     want = math.exp(

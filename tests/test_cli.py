@@ -198,11 +198,41 @@ def test_det_malformed_t_grid_exit_code(grid, capsys):
 
 @pytest.mark.parametrize(
     "suite, n_list",
-    [("dyson", ["0"]), ("dyson", ["1"]), ("fk", ["8"]), ("fk", ["64", "32"])],
+    [
+        ("dyson", ["0"]),
+        ("dyson", ["1"]),
+        ("fk", ["8"]),
+        ("fk", ["64", "32"]),
+        ("betaone", ["0"]),
+        ("betaone", ["1"]),
+        ("betaone", ["64", "32"]),
+    ],
 )
 def test_verify_unusable_n_list_exit_code(suite, n_list, capsys):
     assert main(["verify", "--suite", suite, "--n-list", *n_list]) == 2
     assert "n_list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["2", "8"])
+def test_verify_betaone_refuses_t_past_pi_before_sigma(n, capsys):
+    # the suite's nt = 30 puts t = 30/n past pi; refused before the sigma solve
+    start = time.perf_counter()
+    code = main(["verify", "--suite", "betaone", "--t", "0.3", "--n-list", n])
+    assert code == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert f"at n = {n}" in err and "nt = " in err
+
+
+@pytest.mark.parametrize("regime", ["fh1", "fh2", "fh2-odd", "transition", "beta-one"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_predict_refuses_n_below_one(regime, n, capsys):
+    start = time.perf_counter()
+    code = main(["predict", "--regime", regime, "--alpha1", "0.3", "--alpha2", "0.3",
+                 "--t", "0.1", "--n", n])
+    assert code == 2
+    assert time.perf_counter() - start < 0.5
+    assert "n must be at least 1" in capsys.readouterr().err
 
 
 def test_verify_identity_suite(tmp_path, capsys):

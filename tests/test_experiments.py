@@ -9,8 +9,10 @@ from fhmerge import experiments
 from fhmerge.errors import NumericalError, ValidationError
 from fhmerge.experiments import (
     SweepConfig,
+    _exact_logdet,
     _integrate_det,
     _logdet_stencil,
+    _mod_2pi_err,
     _stencil_derivs,
     _t_nodes,
     beta_one_check,
@@ -26,6 +28,7 @@ from fhmerge.symbol import FHParams, FourierTable, fourier_coeffs
 from fhmerge.toeplitz import log_det
 
 PI = math.pi
+BETAONE_NT = (0.5, 2.0, 5.0, 10.0, 30.0)  # the CLI's betaone nt list
 
 
 def test_sweep_config_validation():
@@ -51,11 +54,21 @@ def test_sweep_config_validation():
         ("fk", (64, 32)),
         ("fk", (1, 8)),
         ("fk", ()),
+        ("betaone", (0,)),
+        ("betaone", (1,)),
+        ("betaone", (2,)),
+        ("betaone", (8,)),
+        ("betaone", (64, 32)),
     ],
 )
 def test_suite_rejects_unusable_n_list(suite, n_list):
-    # dyson reads D_(n-1), so n >= 2; fk fits a slope, so at least two sizes
-    run = {"dyson": dyson_check, "fk": lambda n: fk_moment_scan(0.9, n, PI / 3.0)}[suite]
+    # dyson reads D_(n-1), so n >= 2; fk fits a slope, so at least two sizes;
+    # betaone reads D_(n-1) too, and nt = 30 needs n > 30/pi for t < pi
+    run = {
+        "dyson": dyson_check,
+        "fk": lambda n: fk_moment_scan(0.9, n, PI / 3.0),
+        "betaone": lambda n: beta_one_check(FHParams(0.3, 0.3, t=0.3), n, BETAONE_NT),
+    }[suite]
     start = time.perf_counter()
     with pytest.raises(ValidationError):
         run(n_list)
@@ -250,6 +263,36 @@ def test_beta_one_check_identity_row(p03):
     report = beta_one_check(p03, (16,), (2.0,))
     assert report.summary["identity_err"] < 1e-8
     assert report.verdict
+
+
+@pytest.mark.parametrize(
+    "p", [FHParams(0.3, 0.3, t=0.3), FHParams(0.3, 0.25, 0.1 + 0.2j, 0.1 - 0.05j, 0.3)]
+)
+def test_beta_one_check_rows_match_the_shifted_table(p):
+    # each row reads D_(n-1) of the shifted symbol through the identity from
+    # f's own table; an independent table of the shifted symbol agrees
+    report = beta_one_check(p, (16, 64), (0.5, 2.0, 10.0, 30.0))
+    rows = [r for r in report.rows if r["branch"] != "identity"]
+    assert len(rows) == 8
+    for row in rows:
+        pt = p.with_t(row["t"])
+        pm = pt.with_betas(pt.beta1, pt.beta2 - 1.0)
+        assert _mod_2pi_err(row["exact"], _exact_logdet(pm, row["n"] - 1)) < 1e-10
+        assert -PI < row["exact"].imag <= PI
+
+
+def test_beta_one_check_builds_one_table_per_row(monkeypatch, p03):
+    # one table of f per (n, nt) row, plus the identity row's two tables
+    built = []
+
+    def counting(q, n_max, **kwargs):
+        built.append(n_max)
+        return fourier_coeffs(q, n_max, **kwargs)
+
+    monkeypatch.setattr(experiments, "fourier_coeffs", counting)
+    n_list, nt_list = (16, 32), (0.5, 2.0, 30.0)
+    beta_one_check(p03, n_list, nt_list)
+    assert len(built) == len(n_list) * len(nt_list) + 2
 
 
 def test_beta_one_check_degenerate():
