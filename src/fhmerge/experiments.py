@@ -27,7 +27,7 @@ from .asympt import (
     fk_constants,
     transition_log,
 )
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_size
 from .painleve import SigmaTrajectory, integrate_sigma, r_trajectory, sigma_zero
 from .symbol import FHParams, fourier_coeffs
 from .toeplitz import det_path, log_det, orth_poly
@@ -58,9 +58,16 @@ def _check_n_list(n_list, least: int = 1, sizes: int = 1) -> None:
         raise ValidationError(f"n_list {n} is not {sizes}+ ascending sizes from {least} up")
 
 
+def _check_t(n: int, t: float) -> None:
+    """Raise ValidationError unless t = nt/n lies in (0, pi)."""
+    if not 0.0 < t < math.pi:
+        raise ValidationError(f"nt = {n * t:g} at n = {n} puts t = nt/n = {t:g} outside (0, pi)")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid specification for the regime comparison sweep."""
+    """Grid specification for the regime comparison sweep; every t of the
+    grid lies in (0, pi), checked here, before any sigma is solved."""
 
     params: FHParams
     n_list: tuple
@@ -76,6 +83,8 @@ class SweepConfig:
             raise ValidationError("fixed-t rule needs t_value")
         if len(self.nt_values) == 0:
             raise ValidationError("empty grid")
+        for n, t in self.grid():
+            _check_t(n, t)
 
     def grid(self):
         for n in self.n_list:
@@ -208,11 +217,17 @@ def regime_sweep(cfg: SweepConfig, traj: SigmaTrajectory | None = None) -> Exper
     )
 
 
+def _stencil(t: float, h: float):
+    """The five-point stencil t - 2h, ..., t + 2h, refused unless it lies in (0, pi)."""
+    ts = [t + k * h for k in (-2, -1, 0, 1, 2)]
+    if not (0.0 < min(ts) and max(ts) < math.pi):
+        raise ValidationError(f"stencil {ts[0]:g} .. {ts[-1]:g} around t = {t:g} leaves (0, pi)")
+    return ts
+
+
 def _logdet_stencil(p: FHParams, n: int, t: float, h: float):
     """The five-point stencil around t and ln D_n on it (continuous branch)."""
-    ts = [t + k * h for k in (-2, -1, 0, 1, 2)]
-    if ts[0] <= 0.0:
-        raise ValidationError("stencil crosses t = 0; increase t or shrink h")
+    ts = _stencil(t, h)
     path = det_path(p, n, ts)
     return ts, np.array([ld.log for ld in path])
 
@@ -391,15 +406,19 @@ def fk_moment_scan(alpha: float, n_list, t1: float) -> ExperimentReport:
 def diff_identity_scan(
     p: FHParams, n: int, t_grid, traj: SigmaTrajectory | None = None
 ) -> ExperimentReport:
-    """Finite differences of exact ln D_n against the derivative expansion."""
+    """Finite differences of exact ln D_n against the derivative expansion;
+    n >= 1 and every stencil t +- 2h in (0, pi) are checked before sigma is solved."""
     start = time.time()
+    check_size(n)
     t_grid = sorted(float(t) for t in t_grid)
+    steps = [max(1e-4, 1e-3 * t) for t in t_grid]
+    for t, h in zip(t_grid, steps):
+        _stencil(t, h)
     if traj is None:
         traj = integrate_sigma(p, x_max=max(20.0, 2.2 * n * max(t_grid)))
 
     rows = []
-    for t in t_grid:
-        h = max(1e-4, 1e-3 * t)
+    for t, h in zip(t_grid, steps):
         _, ls = _logdet_stencil(p.with_t(t), n, t, h)
         lhs = _stencil_derivs(ls, h)[0] / 1j
         rhs = diff_identity_rhs(p, n, t, traj)
@@ -444,8 +463,7 @@ def beta_one_check(p: FHParams, n_list, nt_list) -> ExperimentReport:
     _check_n_list(n_list, least=2)
     for n in n_list:
         for nt in nt_list:
-            if not 0.0 < nt / n < math.pi:
-                raise ValidationError(f"nt = {nt} at n = {n} puts t = nt/n outside (0, pi)")
+            _check_t(n, nt / n)
     traj = integrate_sigma(p, x_max=max(25.0, 2.2 * max(nt_list)))
     rt = r_trajectory(p, traj)
     rows = []

@@ -1,10 +1,10 @@
 """Complex special functions: log-Gamma, Barnes G, and related constants.
 
 Every constant term in the asymptotic formulas of this package is built
-from the principal-branch log-Gamma and a branch of ln G (Barnes).  Both
-are implemented here to ~1e-13 relative accuracy on the real interval
-(0, 10) and ~1e-9 on the strip |Im z| <= 2; nothing in the package needs
-Barnes G outside that strip.
+from the principal-branch log-Gamma (scipy's) and ln G (Barnes), the
+latter continued analytically from the positive real axis.  ln G comes
+from its large-argument expansion after an upward shift, to ~2e-14
+max(1, |ln G|) at every argument but its zeros.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ import math
 
 import numpy as np
 from scipy.special import loggamma as _sp_loggamma
-from scipy.special import rgamma
-from scipy.special import zeta as _sp_zeta
+from scipy.special import bernoulli, rgamma
 
 from .errors import BarnesGZeroError, GammaPoleError
 
@@ -35,15 +34,9 @@ __all__ = [
 ZETA_PRIME_MINUS1 = -0.16542114370045092921391966024278064276
 GLAISHER_A = 1.2824271291006226368753425688697917278
 # the boson occupation constant (e/pi)^(1/2) 2^(-5/6) A^(-6) Gamma(1/4)^2
-DYSON_CD = (
-    math.sqrt(math.e / math.pi)
-    * 2.0 ** (-5.0 / 6.0)
-    * GLAISHER_A ** (-6.0)
-    * math.exp(_sp_loggamma(0.25).real) ** 2
-)
+DYSON_CD = math.sqrt(math.e / math.pi) * 2.0 ** (-5 / 6) * GLAISHER_A**-6 * math.gamma(0.25) ** 2
 
 _LN_2PI = math.log(2.0 * math.pi)
-_EULER_GAMMA = 0.5772156649015328606065120900824024310
 
 
 def is_nonpositive_integer(z: complex) -> bool:
@@ -68,64 +61,38 @@ def gamma_ratio(alpha: complex, beta: complex) -> complex:
     return cmath.exp(log_gamma(1.0 + alpha - beta)) * complex(rgamma(alpha + beta))
 
 
-# Tail depth for the accelerated Weierstrass series of ln G(1+w); with the
-# partial-product cutoff K and |w| <= 2.2 the remainder is below 1e-16.
-_BARNES_K = 80
-_BARNES_J = 28
-_BARNES_ZETA_TAILS = tuple(
-    float(_sp_zeta(j - 1) - np.sum(np.arange(1.0, _BARNES_K + 1.0) ** (1.0 - j)))
-    for j in range(3, _BARNES_J + 1)
+# ln G(1+v) is summed asymptotically at Re v >= _BARNES_R, over _BARNES_TERMS
+# powers v^-2k with coefficients B_{2k+2} / (4k(k+1)); the last is below 1e-15.
+_BARNES_R = 6
+_BARNES_TERMS = 12
+_BARNES_POWERS = np.arange(1, _BARNES_TERMS + 1)
+_BARNES_COEFFS = bernoulli(2 * _BARNES_TERMS + 2)[4::2] / (
+    4 * _BARNES_POWERS * (_BARNES_POWERS + 1)
 )
 
 
-def _log_barnes_g_base(w: complex) -> complex:
-    """ln G(1+w) for w in the base strip Re w in [-1/2, 1/2], |Im w| <= 2.2.
-
-    Weierstrass product with the slowly convergent part of the k-sum
-    replaced by zeta-function tails, so the truncation is geometric.
-    """
-    total = w / 2.0 * _LN_2PI - w * (w + 1.0) / 2.0 - _EULER_GAMMA * w * w / 2.0
-    for k in range(1, _BARNES_K + 1):
-        total += k * cmath.log(1.0 + w / k) - w + w * w / (2.0 * k)
-    wj = w * w  # running power, starts the tail at j = 3
-    sign = 1.0
-    for j in range(3, _BARNES_J + 1):
-        wj *= w
-        total += sign * wj / j * _BARNES_ZETA_TAILS[j - 3]
-        sign = -sign
-    return total
-
-
 def log_barnes_g(z: complex) -> complex:
-    """A branch of ln G(z), continuous on the positive real axis.
+    """ln G(z), continued analytically from the positive real axis onto the
+    plane cut along (-inf, 0], as log_gamma is.
 
-    Satisfies ln G(z+1) = log_gamma(z) + ln G(z) with G(1) = 1.  The
-    argument is shifted into a base strip with the functional equation and
-    evaluated there by a convergent series.  Raises BarnesGZeroError at
-    the zeros z = 0, -1, -2, ...
+    Satisfies ln G(z+1) = log_gamma(z) + ln G(z) with G(1) = 1.  The least
+    n that puts v = z + n - 1 at Re v >= _BARNES_R gives ln G(z) = ln G(1+v)
+    - ln Gamma(z) - ... - ln Gamma(z+n-1), and ln G(1+v) is (DLMF 5.17.5)
+
+        v^2/2 ln v - 3v^2/4 + v/2 ln 2pi - ln(v)/12 + zeta'(-1) + sum_k B_{2k+2} / (4k(k+1) v^2k)
+
+    to ~2e-14 max(1, |ln G|).  Raises BarnesGZeroError at the zeros z = 0, -1, -2, ...
     """
     z = complex(z)
     if is_nonpositive_integer(z):
         raise BarnesGZeroError(f"Barnes G vanishes at z = {z}")
-    if abs(z.imag) > 2.0 + 1e-12:
-        raise ValueError("log_barnes_g supports |Im z| <= 2 only")
-
-    # Shift Re z into [1/2, 3/2) so that w = z - 1 lands in the base strip.
-    m = math.floor(z.real - 0.5)
-    shift = 0.0 + 0.0j
-    if m > 0:
-        # ln G(z) = ln G(z - m) + sum_{j=1..m} ln Gamma(z - j)
-        for j in range(1, m + 1):
-            shift += log_gamma(z - j)
-        z = z - m
-    elif m < 0:
-        # ln G(z) = ln G(z - m) - sum_{j=0..-m-1} ln Gamma(z + j)
-        for j in range(0, -m):
-            if is_nonpositive_integer(z + j):
-                raise BarnesGZeroError("Barnes G vanishes at a shifted pole")
-            shift -= log_gamma(z + j)
-        z = z - m
-    return _log_barnes_g_base(z - 1.0) + shift
+    n = max(0, math.ceil(_BARNES_R + 1.0 - z.real))
+    v = z + (n - 1)
+    lv = cmath.log(v)
+    total = v * v * (0.5 * lv - 0.75) + 0.5 * v * _LN_2PI - lv / 12.0 + ZETA_PRIME_MINUS1
+    total += complex(_BARNES_COEFFS @ v ** (-2 * _BARNES_POWERS))
+    # a running sum, not an array: n has no bound as Re z falls (5-6 in the package)
+    return total - complex(sum(_sp_loggamma(z + j) for j in range(n)))
 
 
 def log_barnes_g_ratio(a: complex, b: complex) -> complex:

@@ -360,7 +360,8 @@ def test_beta_one_large_branch_drops_a_vanishing_term(n, nt, band):
 
 
 # golden values (1e-13 relative) of the predictors built from the pair's cross
-# terms, sum_j (alpha_j^2 - beta_j^2) and the V-part of the derivative expansion
+# terms, sum_j (alpha_j^2 - beta_j^2) and the V-part of the derivative expansion;
+# those with a Barnes-G part are computed with ln G from mpmath at 30 digits
 _V = {1: 0.2 + 0.1j, -1: 0.15 - 0.05j, 2: -0.1j}
 
 
@@ -370,8 +371,8 @@ def _close(got, ref):
 
 def test_e_constant_golden():
     p = FHParams(0.3 + 0.05j, 0.2, 0.1 + 0.2j, -0.15j, 0.5, _V)
-    assert _close(e_constant(p), 0.17638122198021478 - 0.002993070238459265j)
-    assert _close(fh2_log(p, 64).log_value, 0.9249801769849556 - 0.04458190107205602j)
+    assert _close(e_constant(p), 0.17638122198038203 - 0.0029930702384591158j)
+    assert _close(fh2_log(p, 64).log_value, 0.9249801769851229 - 0.04458190107205587j)
 
 
 def test_transition_terms_golden():

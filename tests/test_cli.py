@@ -8,12 +8,15 @@ import subprocess
 import sys
 import time
 
+import mpmath as mp
 import pytest
 
 import fhmerge
-from fhmerge import painleve
+from fhmerge import experiments, painleve, specfun
+from fhmerge.asympt import fh1_log, fh2_log
 from fhmerge.cli import build_parser, main
 from fhmerge.errors import DegenerateDenominatorError
+from fhmerge.symbol import FHParams
 
 PI = math.pi
 # the child interpreter must import the same fhmerge as this process
@@ -233,6 +236,60 @@ def test_predict_refuses_n_below_one(regime, n, capsys):
     assert code == 2
     assert time.perf_counter() - start < 0.5
     assert "n must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("regime", ["fh1", "fh2"])
+def test_predict_past_the_old_barnes_strip(regime, capsys, monkeypatch):
+    # the merged pair's ln G(1.6 +- 2.5i) lie off |Im z| <= 2, where ln G once refused
+    args = ["--alpha1", "0.3", "--alpha2", "0.3", "--beta1", "0,2.5", "--t", "0.5"]
+    code, out = run_cli(["predict", "--regime", regime, *args, "--n", "64"], capsys)
+    assert code == 0
+    re_pred, im_pred = map(float, out.strip().splitlines()[1].split(",")[3:5])
+    assert math.isfinite(re_pred) and math.isfinite(im_pred)
+    # the real part does not depend on the branch: ln G from mpmath gives the same
+    monkeypatch.setattr(specfun, "log_barnes_g", lambda z: complex(mp.log(mp.barnesg(z))))
+    p = FHParams(0.3, 0.3, 2.5j, 0.0, 0.5)
+    ref = (fh1_log(p.merged(), 64) if regime == "fh1" else fh2_log(p, 64)).log_value
+    assert abs(re_pred - ref.real) <= 1e-10 * max(1.0, abs(ref.real))
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["verify", "--suite", "regimes", "--n-list", "2"], "nt = 20 at n = 2 "),
+        (["verify", "--suite", "diffid", "--n-list", "0"], "n must be at least 1"),
+    ],
+    ids=["regimes", "diffid"],
+)
+def test_verify_refuses_a_bad_grid_before_sigma(argv, says, monkeypatch, capsys):
+    solves = []
+    monkeypatch.setattr(experiments, "integrate_sigma", lambda *a, **k: solves.append(a))
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 0.5
+    assert not solves
+    assert says in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cfg, says",
+    [
+        ({"n_list": [4, 8], "nt_values": [0.2, 20.0]}, "nt = 20 at n = 4 "),
+        ({"n_list": [32], "t_rule": "fixed-t", "t_value": 3.5}, "nt = 112 at n = 32 "),
+        ({"n_list": [32], "t_rule": "fixed-t", "t_value": 0.0}, "nt = 0 at n = 32 "),
+    ],
+    ids=["nt-past-pi", "t-past-pi", "t-zero"],
+)
+def test_sweep_refuses_t_outside_0_pi_before_sigma(cfg, says, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    solves = []
+    monkeypatch.setattr(experiments, "integrate_sigma", lambda *a, **k: solves.append(a))
+    start = time.perf_counter()
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert not solves
+    assert says in capsys.readouterr().err
 
 
 def test_verify_identity_suite(tmp_path, capsys):

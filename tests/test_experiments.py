@@ -42,6 +42,33 @@ def test_sweep_config_validation():
 
 
 @pytest.mark.parametrize(
+    "kwargs, says",
+    [
+        ({"n_list": (2,)}, "nt = 20 at n = 2 "),  # the default nt_values reach 20
+        ({"n_list": (8, 16), "nt_values": (0.0, 1.0)}, "nt = 0 at n = 8 "),
+        ({"n_list": (32,), "t_rule": "fixed-t", "t_value": PI}, "at n = 32 "),
+        ({"n_list": (32,), "t_rule": "fixed-t", "t_value": -0.1}, "at n = 32 "),
+    ],
+)
+def test_sweep_config_refuses_t_outside_0_pi(kwargs, says):
+    with pytest.raises(ValidationError, match=says):
+        SweepConfig(params=FHParams(0.3, 0.3), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "n, t_grid",
+    [(0, [0.1]), (-2, [0.1]), (64, [1e-4, 0.1]), (64, [0.1, 3.14]), (64, [0.0])],
+    ids=["n-zero", "n-negative", "stencil-below-0", "stencil-past-pi", "t-zero"],
+)
+def test_diff_identity_scan_refuses_before_sigma(n, t_grid, monkeypatch, p03):
+    solves = []
+    monkeypatch.setattr(experiments, "integrate_sigma", lambda *a, **k: solves.append(a))
+    with pytest.raises(ValidationError):
+        diff_identity_scan(p03, n, t_grid)
+    assert not solves
+
+
+@pytest.mark.parametrize(
     "suite, n_list",
     [
         ("dyson", ()),
