@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import beta as _sp_beta
 from scipy.special import betainc
 
-from .errors import ValidationError, check_size
+from .errors import ValidationError, check_size, check_t
 from .painleve import SigmaTrajectory, check_nondegeneracy, check_seminorm, sigma_zero
 from .specfun import DYSON_CD, gamma_ratio, log_barnes_g_ratio
 from .symbol import FHParams
@@ -69,8 +69,7 @@ def _wiener_hopf_log(p: FHParams, z: complex, alpha: complex, beta: complex) -> 
 
 def e_constant(p: FHParams) -> complex:
     """The n-independent constant of the fixed-t two-singularity expansion."""
-    if not (0.0 < p.t < math.pi):
-        raise ValidationError("constant term needs t in (0, pi)")
+    check_t(p.t)
     check_nondegeneracy(p, merged=False)
     out = p.szego_sum
     out -= 2.0 * p.log_coupling * math.log(abs(2.0 * math.sin(p.t)))
@@ -178,8 +177,7 @@ def fh2_odd_log(p: FHParams, n: int) -> AsymptoticPrediction:
 def _transition_terms(p: FHParams, n: int) -> dict:
     """transition_log's terms at t = p.t, with omega's slot "painleve_integral" at 0.0."""
     t = p.t
-    if not (0.0 < t < math.pi):
-        raise ValidationError("transition form needs t in (0, pi)")
+    check_t(t)
     check_seminorm(p)
     merged = fh1_log(p.merged(), n)
 
@@ -229,8 +227,7 @@ def beta_one_ratio(
     if (p.beta1 - p.beta2).real != 0.0:
         raise ValidationError("ratio form needs Re(beta1) = Re(beta2)")
     t = p.t
-    if not (0.0 < t < math.pi):
-        raise ValidationError("needs t in (0, pi)")
+    check_t(t)
     nt = n * t
     b = p.beta_sum
 
@@ -320,8 +317,7 @@ class FKConstants:
         a = self.alpha
         if 2.0 * a * a >= 1.0:
             raise ValidationError("first-regime constant diverges for 2 alpha^2 >= 1")
-        if not (0.0 < t1 < math.pi):
-            raise ValidationError("first-regime constant needs t1 in (0, pi)")
+        check_t(t1)
         # u = sin^2 x: int_0^t1 sin^(-2 a^2) x dx = B(mu, 1/2) I_{sin^2 t1}(mu, 1/2) / 2
         # for t1 <= pi/2, and the full B(mu, 1/2) less the mirror part past pi/2
         mu = 0.5 - a * a

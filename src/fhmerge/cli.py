@@ -185,7 +185,7 @@ def _cmd_predict(args):
         args,
         ["regime", "n", "t", "re_log_pred", "im_log_pred", "residual_order"],
         [row],
-        _meta(args, terms={k: complex(v) for k, v in pred.terms.items()}),
+        _meta(args, terms={k: complex(v) for k, v in pred.terms.items()}, notes=pred.notes),
     )
     return EXIT_OK
 

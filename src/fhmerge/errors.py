@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the tolerance and size checks."""
+"""Exception types shared across the package, and the tolerance, size and t checks."""
+
+import math
 
 
 class FhmergeError(Exception):
@@ -65,3 +67,9 @@ def check_size(n: int) -> None:
     """Refuse a determinant size n < 1, where an expansion's ln n has no value."""
     if n < 1:
         raise ValidationError(f"n must be at least 1, got {n}")
+
+
+def check_t(t: float) -> None:
+    """Refuse t outside (0, pi), the range of every expansion in t."""
+    if not 0.0 < t < math.pi:
+        raise ValidationError(f"t must lie in (0, pi), got {t}")

@@ -15,9 +15,10 @@ of that form, so it is enforced by checking the residual at every output
 node.  The same pass carries omega, ln U for the Lax variable U of the
 associated linear problem, and W = int (x y_x/y) dx/x, so the r-function
 of the shifted-beta determinant ratio, r = C e^W numf(U, v)/x, is read
-from the same dense output as sigma, at any x.  Everything downstream
-(the transition formula, the integral identity, the ratio) reads from
-the resulting trajectory.
+from the same dense output as sigma, at any x; below the start U is a
+root of a quadratic in sigma's derivatives, so ln U and W start from the
+series table.  Everything downstream (the transition formula, the
+integral identity, the ratio) reads from the resulting trajectory.
 """
 
 from __future__ import annotations
@@ -58,9 +59,13 @@ __all__ = [
 _POLE_CAP = 1e6
 _X_ASYM_MIN = 10.0
 _DEFAULT_TOL = 1e-8
-# the lowest start of a sigma solve, and the point where r is matched to
-# its small-argument form
+# the lowest start of a sigma solve
 _X_ANCHOR = 1e-3
+# where r is matched to r_small_s, whose relative error k x is ~1e-10 here;
+# deeper, the Lax roots meet to rounding (at 1e-20 r was off by its size)
+_X_R = 1e-10
+# the Gauss-Legendre rule on each panel, at most a decade wide, of the W sum
+_W_RULE = np.polynomial.legendre.leggauss(16)
 # the series range is max(_X_SERIES_MIN, _RANGE_PER_START * start)
 _X_SERIES_MIN = 1e-2
 _RANGE_PER_START = 4.0
@@ -432,39 +437,6 @@ class SigmaTrajectory:
         return self._read(x)[3]
 
 
-def _lax_rates(p: FHParams):
-    """(d ln U/dx, dW/dx) from x, sigma_x and ln U: what the sigma pass
-    carries besides sigma and omega."""
-    lax_v, xu_x, xy_y = _lax_system(p)[:3]
-
-    def rates(x, du, ln_u):
-        u_lax, v = cmath.exp(ln_u), lax_v(du)
-        return xu_x(u_lax, v, x) / (x * u_lax), xy_y(u_lax, v, x) / x
-
-    return rates
-
-
-def _lax_head(p: FHParams, table, x0: float, rtol: float):
-    """(ln U, W) at x0, carried from the anchor _X_ANCHOR with sigma read
-    from the table.  U starts on _lax_root and W at 0 there, so r keeps
-    its match to the small-argument form at the anchor however far the
-    sigma start lies above it."""
-    u_anchor = _lax_root(p, _X_ANCHOR, *_series_values(table, _X_ANCHOR))[1]
-    if x0 == _X_ANCHOR:
-        return cmath.log(u_anchor), 0.0
-    rates = _lax_rates(p)
-
-    def f(x, yv):
-        return np.array(rates(x, _series_values(table, x)[1], yv[0]), dtype=complex)
-
-    sol = solve_ivp(
-        f, (_X_ANCHOR, x0), [cmath.log(u_anchor), 0.0], method="DOP853", rtol=rtol, atol=rtol
-    )
-    if not sol.success:
-        raise NumericalError(f"Lax head integration failed: {sol.message}")
-    return tuple(sol.y[:, -1])
-
-
 def _integrate_ray(p, x0, x_max, y0, rtol):
     """Dense solution of (u, u', u'', omega, ln U, W) over [x0, x_max],
     u(x) = sigma(-ix), from the start data y0 at x0.
@@ -476,7 +448,7 @@ def _integrate_ray(p, x0, x_max, y0, rtol):
     """
     _, e2, e3 = _equation_constants(p)
     s0c = sigma_zero(p)
-    rates = _lax_rates(p)
+    lax_v, xu_x, xy_y = _lax_system(p)[:3]
     nfev = 0
 
     def f(x, yv):
@@ -490,7 +462,9 @@ def _integrate_ray(p, x0, x_max, y0, rtol):
         x = float(x)  # numpy-scalar arithmetic would dominate the call
         u, du, d2u, _, ln_u, _ = yv.tolist()
         d3u = (x * (u - x * du - 6.0 * du * du - d2u) + 4.0 * (u - e2) * du - 2j * e3) / (x * x)
-        return np.array([du, d2u, d3u, (u - s0c) / x, *rates(x, du, ln_u)], dtype=complex)
+        u_lax, v = cmath.exp(ln_u), lax_v(du)
+        rates = xu_x(u_lax, v, x) / (x * u_lax), xy_y(u_lax, v, x) / x
+        return np.array([du, d2u, d3u, (u - s0c) / x, *rates], dtype=complex)
 
     def blowup(x, yv):
         return abs(yv[0]) - _POLE_CAP
@@ -521,12 +495,11 @@ def integrate_sigma(
     x0 = _series_start(p, tol), where the series table's start data
     (sigma, sigma_x, sigma_xx and omega) resolve tau0 to relative accuracy
     tol: 1e-3 for alpha1 = alpha2 = 0.3, about 0.24 for 0.9 at tol = 1e-8.
-    The Lax variable U starts on _lax_root's root at x = 1e-3 with W = 0,
-    and both are carried to x0 on the table.  The sigma == 0 sets (the
+    ln U and W start from _lax_start, read off the table.  The solve is
+    the one solve_ivp pass of _integrate_ray.  The sigma == 0 sets (the
     degenerate pair alpha = beta = 1/2 and the smooth symbol) have the
     empty table, start at 1e-3 from zero data, stay at zero and carry
-    U = 1, which keeps the right-hand side finite.  The trajectory is one
-    solver pass, and the call raises:
+    U = 1, which keeps the right-hand side finite.  The call raises:
 
     - NondegeneracyError up front, from the series, when 2(alpha1+alpha2)
       is in N u {0}, when 1 - 2(alpha1+alpha2) lies on the exponent
@@ -548,7 +521,7 @@ def integrate_sigma(
         raise ValidationError(f"need x0 < x_max < inf (x0 = {x0:.3g}, x_max = {x_max:.3g})")
     table = _series_terms(p, _series_range(x0))
     rtol = min(1e-10, tol * 1e-2)
-    ln_u0, w0 = (0.0, 0.0) if _sigma_vanishes(p) else _lax_head(p, table, x0, rtol)
+    ln_u0, w0 = (0.0, 0.0) if _sigma_vanishes(p) else _lax_start(p, table, x0)
     y0 = [*_series_values(table, x0), _series_omega(table, x0), ln_u0, w0]
     dense = _integrate_ray(p, x0, x_max, y0, rtol)
     traj = SigmaTrajectory(p, x0, x_max, dense, table)
@@ -689,24 +662,45 @@ def _lax_branches(p: FHParams, x, sig, du, d2u):
     return u, xy_y(u, v, x) / x, numf_of(u, v), numf_x(u, v, x, d2u)
 
 
-def _lax_root(p: FHParams, x: float, sig, du, d2u):
-    """(d ln r/dx, U) at x on the root of the Lax quadratic whose value is
-    nearest the log-derivative of the small-argument form (the first
-    root on a tie)."""
+def _lax_root(p: FHParams, x, sig, du, d2u):
+    """(d ln r/dx, U, x y_x/y) elementwise over x, on the root of the Lax
+    quadratic whose d ln r/dx is nearest -1/x - i/2 + k (the first on a
+    tie), k = i alpha2/(alpha1 + alpha2).
+
+    As x -> 0 the roots meet at U = -(a + b)/(a - b), a = alpha1 + alpha2,
+    b = beta1 + beta2.  The quadratic to second order in x there gives the
+    slopes of the two roots, and on them d ln r/dx + 1/x + i/2 tends to k
+    on the root the U-flow keeps, and to another constant (-2.23i at
+    alpha1 = alpha2 = 0.3) or like x^(2a-1) on the other.  Below about 1e-7
+    the roots agree to the rounding of the discriminant; either serves.
+    """
     u, y_part, numf, dnumf = _lax_branches(p, x, sig, du, d2u)
     vals = y_part - 1.0 / x + dnumf / numf
-    target = -1.0 / x - 0.5j  # log-derivative of the small-x closed form
-    k = int(abs(vals[1] - target) < abs(vals[0] - target))
-    return vals[k], u[k]
+    target = -1.0 / x - 0.5j + 1j * p.alpha2 / (p.alpha1 + p.alpha2)
+    pick = np.argmin(np.abs(vals - target), axis=0)[None]
+    return tuple(np.take_along_axis(rows, pick, 0)[0] for rows in (vals, u, y_part * x))
+
+
+def _lax_start(p: FHParams, table, x0: float):
+    """(ln U, W) at the sigma start x0 from the series table: U is _lax_root's
+    root at x0, and W = int_{_X_R}^{x0} (x y_x/y) dx/x on that root is one
+    sum in ln x of _W_RULE over equal panels of at most a decade."""
+    panels = math.ceil(math.log10(x0 / _X_R))
+    h = math.log(x0 / _X_R) / panels
+    nodes, weights = _W_RULE
+    xs = np.append(_X_R * np.exp(h * (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0))), x0)
+    _, u, xy_y = _lax_root(p, xs, *_series_values(table, xs))
+    return cmath.log(u[-1]), 0.5 * h * np.dot(np.tile(weights, panels), xy_y[:-1])
 
 
 def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
     """r(s) on the trajectory, read from the sigma pass.
 
-    The pass carries ln U and W = int_{1e-3} (x y_x/y) dx/x, so
-    r = C e^W numf(U, v)/x at any x: the zeros of r are zeros of
-    numf, crossed exactly.  The constant C is matched to the
-    small-argument form at x = 1e-3, where W = 0, whatever the start.
+    The pass carries ln U and W = int_{1e-10} (x y_x/y) dx/x, so
+    r = C e^W numf(U, v)/x at any x: the zeros of r are zeros of numf,
+    crossed exactly.  C is matched to r_small_s at x = _X_R = 1e-10, where
+    W = 0; it carries the rounding of the Lax root there, about 1e-8, or
+    where Re(alpha1 + alpha2) < 0 the form's x^(1+2a) term (3e-4 at -0.35).
     The degenerate pair has the closed form degenerate_r; the smooth
     symbol, which has no Lax root, raises DegenerateDenominatorError,
     and a trajectory of other exponents than p's ValidationError.
@@ -726,9 +720,8 @@ def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
         return np.exp(w) * numf / xs, numf
 
     unit, numf = shape(traj.x_grid)
-    sig_a, du_a, d2u_a = traj.eval(_X_ANCHOR)
-    u_a = _lax_root(p, _X_ANCHOR, sig_a, du_a, d2u_a)[1]
-    c = r_small_s(p, _X_ANCHOR) * _X_ANCHOR / numf_of(u_a, lax_v(du_a))
+    at_r = traj.eval(_X_R)
+    c = r_small_s(p, _X_R) * _X_R / numf_of(_lax_root(p, _X_R, *at_r)[1], lax_v(at_r[1]))
     flagged = np.abs(numf) < 1e-6 * (1.0 + np.max(np.abs(numf)))
     return RTrajectory(traj.x_grid, c * unit, flagged, lambda xs: c * shape(xs)[0])
 

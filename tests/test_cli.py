@@ -61,6 +61,27 @@ def test_predict_fh1_unit_alpha_sum(capsys):
     assert abs(val - math.log(100.0)) < 1e-9  # CSV carries 12 significant digits
 
 
+@pytest.mark.parametrize(
+    "regime, args, notes",
+    [
+        ("fh2", ["--t", "0.3"], {"t_threshold": 0.125, "t_ok": True}),
+        ("beta-one", ["--t", "0.03"], {"nt": 1.92, "branch": "small"}),
+        ("fh2-odd", ["--beta1", "0.5", "--beta2", "-0.5", "--t", "0.3"], {"k": -1, "ell": 1}),
+    ],
+)
+def test_predict_json_meta_carries_the_notes(regime, args, notes, capsys):
+    # what a predictor notes beside its terms (validity threshold, branch
+    # taken, beta reduction) reaches the JSON meta
+    code, out = run_cli(
+        ["predict", "--regime", regime, "--alpha1", "0.3", "--alpha2", "0.3", *args,
+         "--n", "64", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert meta["terms"] and meta["notes"].items() >= notes.items()
+
+
 def test_sigma_degenerate_zero_column(capsys):
     code, out = run_cli(
         ["sigma", "--alpha1", "0.5", "--alpha2", "0.5", "--beta1", "0.5", "--beta2", "0.5",

@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from fhmerge import painleve
-from fhmerge.errors import NondegeneracyError, NumericalError, ValidationError
+from fhmerge.errors import (
+    NondegeneracyError,
+    NumericalError,
+    PoleDetectedError,
+    ValidationError,
+)
 from fhmerge.asympt import fk_constants
+from fhmerge.experiments import _shifted_logdet
 from fhmerge.painleve import (
     SigmaTrajectory,
     _series_range,
@@ -240,7 +246,7 @@ def test_trajectory_of_other_exponents_refused(p03, traj03):
 
 
 def test_r_keeps_its_anchor_at_raised_start():
-    # alpha = 0.9 starts sigma near x = 0.24; r is still matched at 1e-3,
+    # alpha = 0.9 starts sigma near x = 0.24; r is still matched at 1e-10,
     # and agrees with the shifted-determinant ratio as on the weak sets
     p = FHParams(0.9, 0.9, t=0.3)
     traj = integrate_sigma(p, x_max=5.0)
@@ -488,7 +494,7 @@ def test_r_log_derivative_identity(p03, traj03):
     from fhmerge.painleve import _lax_root
 
     rt = r_trajectory(p03, traj03)
-    val, u_lax = _lax_root(p03, 2.0, *traj03.eval(2.0))
+    val = _lax_root(p03, 2.0, *traj03.eval(2.0))[0]
     h = 0.02
     fd = (np.log(rt.r_at(2.0 + h)) - np.log(rt.r_at(2.0 - h))) / (2.0 * h)
     assert abs(val - fd) < 5e-3
@@ -497,7 +503,9 @@ def test_r_log_derivative_identity(p03, traj03):
 def test_r_trajectory_matches_stepwise_reference(p03, traj03):
     # reference: a node walk 1e-3 apart that tracks the root of the Lax
     # quadratic nearest the U-equation predictor and sums d ln r/dx by
-    # the trapezoid rule; r_trajectory reads the one sigma pass instead
+    # the trapezoid rule; r_trajectory reads the one sigma pass instead.
+    # The walk starts from r_trajectory's own r at x0, so this checks the
+    # shape of r; its level is checked against the exact ratio below
     from fhmerge.painleve import _lax_branches, _lax_root, _lax_system
 
     x0, x_max = traj03.x0, float(traj03.x_grid[-1])
@@ -515,26 +523,25 @@ def test_r_trajectory_matches_stepwise_reference(p03, traj03):
     root = np.array(pick), np.arange(len(xs))
     y_part, numf = y_part[root], numf[root]
     integral = np.concatenate([[0.0], np.cumsum(0.5 * (y_part[1:] + y_part[:-1]) * np.diff(xs))])
-    ref = r_small_s(p03, x0) * (x0 / xs) * (numf / numf[0]) * np.exp(integral)
-
     rt = r_trajectory(p03, traj03)
+    ref = rt.r_at(x0) * (x0 / xs) * (numf / numf[0]) * np.exp(integral)
     at = np.searchsorted(xs, traj03.x_grid)
     ok = ~rt.flagged
     assert ok.sum() > 200
     np.testing.assert_allclose(rt.r[ok], ref[at][ok], rtol=1e-4)
 
 
-@pytest.mark.parametrize(
-    "p",
-    [
-        # two seeded pole-free sets on which a root tracker started at x0
-        # leaves the right root of the Lax quadratic before x = 0.0024
-        FHParams(0.3451902446298373, 0.42803886233166144, 0.18063630574562334j,
-                 0.0009928508970218353j, 0.3),
-        FHParams(0.33780111399199153, 0.44533696796027705, 0.13483646830044527j,
-                 -0.0013173121654587727j, 0.3),
-    ],
-)
+# two seeded pole-free sets on which a root tracker started at x0 leaves
+# the right root of the Lax quadratic before x = 0.0024
+_SEEDED_SETS = [
+    FHParams(0.3451902446298373, 0.42803886233166144, 0.18063630574562334j,
+             0.0009928508970218353j, 0.3),
+    FHParams(0.33780111399199153, 0.44533696796027705, 0.13483646830044527j,
+             -0.0013173121654587727j, 0.3),
+]
+
+
+@pytest.mark.parametrize("p", _SEEDED_SETS)
 def test_r_trajectory_matches_shifted_determinant_ratio(p):
     # independent oracle: r(-2int) from D_(n-1) of the beta2 -> beta2 - 1
     # symbol over D_n, less the beta-one prefactor, at n = 256
@@ -551,6 +558,65 @@ def test_r_trajectory_matches_shifted_determinant_ratio(p):
         prefactor = t * (n * t / math.sin(t)) ** (2.0 * b) * phase
         oracle = -cmath.exp(dm + 1j * (n - 1) * t - df) / prefactor
         assert abs(rt.r_at(x) - oracle) / abs(oracle) < 5e-2
+
+
+# (set, bound on |exact/r - 1|): the symmetric sets, a set with
+# Re(alpha1 + alpha2) < 0, where the x^(1+2a) term of r's small form
+# limits the match, and the two seeded sets above
+_RATIO_SETS = [
+    (FHParams(0.3, 0.3, t=0.3), 1e-6),
+    (FHParams(0.9, 0.9, t=0.1), 1e-4),
+    (FHParams(-0.2, -0.15, t=0.3), 1e-3),
+    *((p, 1e-6) for p in _SEEDED_SETS),
+]
+
+
+def _exact_r(p, x, n):
+    """r(-ix) read off the exact ratio D_(n-1)(f_(beta2-1)) / D_n(f) at t = x/2n."""
+    t = x / (2.0 * n)
+    log_dn, log_dm = _shifted_logdet(p.with_t(t), n)
+    phase = cmath.exp(1j * PI * (-p.alpha1 + 3.0 * p.beta1 + p.alpha2 + p.beta2))
+    prefactor = t * (n * t / math.sin(t)) ** (2.0 * p.beta_sum) * phase
+    return -cmath.exp(log_dm + 1j * (n - 1) * t - log_dn) / prefactor
+
+
+@pytest.mark.parametrize("p, bound", _RATIO_SETS)
+def test_r_trajectory_matches_exact_ratio_in_the_limit(p, bound):
+    # the exact ratio at n = 256, 512, 1024 taken to n = inf by two
+    # Richardson steps in 1/n: r's level, set by matching C at 1e-10,
+    # is right to the bound
+    rt = r_trajectory(p, integrate_sigma(p, x_max=5.0))
+    for x in (0.5, 2.0, 4.0):
+        r256, r512, r1024 = (_exact_r(p, x, n) for n in (256, 512, 1024))
+        limit = (4.0 * (2.0 * r1024 - r512) - (2.0 * r512 - r256)) / 3.0
+        assert abs(limit / rt.r_at(x) - 1.0) <= bound
+
+
+@pytest.mark.parametrize("p", [p for p, _ in _RATIO_SETS])
+def test_lax_root_pick_has_a_margin(p, monkeypatch):
+    # at every Gauss node of the W sum, at the start and at the match
+    # point, the picked root's d ln r/dx is at least 10 times nearer the
+    # target than the other root's, or (below 1e-6) the two roots agree
+    # to the rounding of the quadratic's discriminant and either serves
+    seen = []
+    branches = painleve._lax_branches
+
+    def record(q, x, *rest):
+        out = branches(q, x, *rest)
+        seen.append((np.atleast_1d(x), out))
+        return out
+
+    monkeypatch.setattr(painleve, "_lax_branches", record)
+    r_trajectory(p, integrate_sigma(p, x_max=5.0))
+    k = 1j * p.alpha2 / (p.alpha1 + p.alpha2)
+    xs = np.concatenate([x for x, _ in seen])
+    assert len(xs) > 100 and xs.min() == 1e-10
+    for x, (u, y_part, numf, dnumf) in seen:
+        near, far = np.sort(np.abs(y_part + dnumf / numf + 0.5j - k).reshape(2, -1), axis=0)
+        u = u.reshape(2, -1)
+        gap = np.abs(u[0] - u[1]) / np.abs(u).max(axis=0)
+        clear = far >= 10.0 * near
+        assert np.all(clear | ((gap <= 2e-7) & (x <= 1e-6)))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.9])
@@ -610,14 +676,27 @@ def test_r_degenerate_delegates():
 
 def test_pole_detection_complex_beta():
     # strongly complex betas: integration either passes or reports a pole
-    from fhmerge.errors import PoleDetectedError
-
     p = FHParams(0.1, 0.1, beta1=0.45, beta2=-0.45, t=0.2)
     try:
         traj = integrate_sigma(p, x_max=12.0)
         assert np.max(traj.residual) <= 1e-5
     except PoleDetectedError as exc:
         assert 0.0 < exc.x_location <= 12.0
+
+
+def test_pole_gate_raises_where_sigma_reaches_the_cap(monkeypatch):
+    # with beta1 - beta2 = 0.4i, |sigma| grows like 0.2 x and passes 1 near
+    # x = 5; a cap of 1 raises there, at the x where |sigma| = 1
+    p = FHParams(0.3, 0.3, beta1=0.2j, beta2=-0.2j, t=0.3)
+    free = integrate_sigma(p, x_max=12.0)
+    monkeypatch.setattr(painleve, "_POLE_CAP", 1.0)
+    start = time.perf_counter()
+    with pytest.raises(PoleDetectedError) as exc:
+        integrate_sigma(p, x_max=12.0)
+    assert time.perf_counter() - start < 5.0
+    x_location = exc.value.x_location
+    assert 0.0 < x_location <= 12.0
+    assert abs(abs(free.sigma_at(x_location)) - 1.0) < 1e-6
 
 
 @pytest.mark.parametrize("alpha", [0.65, 0.8])
