@@ -17,8 +17,11 @@ associated linear problem, and W = int (x y_x/y) dx/x, so the r-function
 of the shifted-beta determinant ratio, r = C e^W numf(U, v)/x, is read
 from the same dense output as sigma, at any x; below the start U is a
 root of a quadratic in sigma's derivatives, so ln U and W start from the
-series table.  Everything downstream (the transition formula, the
-integral identity, the ratio) reads from the resulting trajectory.
+series table.  The trajectory keeps the dense output as the solver's
+steps stacked into arrays and reads them with scipy's arithmetic, bit
+for bit equal to scipy's dense output.  Everything downstream (the
+transition formula, the integral identity, the ratio) reads from the
+resulting trajectory.
 """
 
 from __future__ import annotations
@@ -375,18 +378,20 @@ class SigmaTrajectory:
 
     Built from the parameters, the range [x0, x_max] and the dense solver
     output over x, whose rows are (sigma, sigma_x, sigma_xx, omega, ln U,
-    W), omega included from its series value at x0 on.  eval, sigma_at and
-    omega_at take a float or an array of x and read it through _read: the
-    solve's series table _series below x0, the dense output from x0 on,
-    one call each.  x_grid is _default_grid(x0, x_max); the grid fields
-    are filled from one eval on x_grid and the quartic-relation residual
-    there.
+    W), omega included from its series value at x0 on: _integrate_ray's
+    stacked step arrays, which _dense_at reads with scipy's DOP853
+    arithmetic, bit for bit equal to scipy's dense output.  eval, sigma_at
+    and omega_at take a float or an array of x and read it through _read:
+    the solve's series table _series below x0, the dense output from x0
+    on, one call each.  x_grid is _default_grid(x0, x_max); the grid
+    fields are filled from one eval on x_grid and the quartic-relation
+    residual there.
     """
 
     params: FHParams
     x0: float
     x_max: float
-    _dense: object = field(repr=False)  # OdeSolution over [x0, x_max]
+    _dense: tuple = field(repr=False)  # stacked DOP853 steps over [x0, x_max]
     _series: tuple = field(repr=False)  # the table (c, e)
     x_grid: np.ndarray = field(init=False)
     sigma: np.ndarray = field(init=False)
@@ -402,13 +407,26 @@ class SigmaTrajectory:
         )
 
     def _dense_at(self, xs: np.ndarray) -> np.ndarray:
-        """Rows (sigma, sigma_x, sigma_xx, omega, ln U, W) at the points xs."""
+        """Rows (sigma, sigma_x, sigma_xx, omega, ln U, W) at the points xs.
+
+        Each x is read on its step (the first whose end is >= x) from the
+        step's degree-7 polynomial, Horner in q and 1 - q alternately for
+        q = (x - t_old)/h: scipy's Dop853DenseOutput arithmetic, so every
+        value equals its dense output bit for bit."""
         outside = ~((self.x0 <= xs) & (xs <= self.x_max + 1e-12))
         if outside.any():
             raise ValidationError(
                 f"x = {xs[outside][0]} outside trajectory range [{self.x0}, {self.x_max}]"
             )
-        return self._dense(np.minimum(xs, self._dense.t_max))
+        t_old, h, coeffs, y_old = self._dense
+        xs = np.minimum(xs, self.x_max)
+        step = np.maximum(np.searchsorted(t_old, xs) - 1, 0)
+        q = ((xs - t_old[step]) / h[step])[:, None]
+        y = np.zeros((xs.size, y_old.shape[1]), dtype=complex)
+        for k, f in enumerate(coeffs[::-1, step]):
+            y += f
+            y *= q if k % 2 == 0 else 1 - q
+        return (y + y_old[step]).T
 
     def _read(self, x):
         """(sigma, sigma_x, sigma_xx, omega) at x, each of the shape of x:
@@ -439,7 +457,10 @@ class SigmaTrajectory:
 
 def _integrate_ray(p, x0, x_max, y0, rtol):
     """Dense solution of (u, u', u'', omega, ln U, W) over [x0, x_max],
-    u(x) = sigma(-ix), from the start data y0 at x0.
+    u(x) = sigma(-ix), from the start data y0 at x0, as the pass's steps
+    stacked into arrays (t_old, h, F, y_old): each step's start, width,
+    seven DOP853 interpolant rows (F's first axis) and start state, the
+    data of scipy's Dop853DenseOutput.
 
     u''' is the quadratic form of _equation_constants, the equation that
     _series_lattice expands, and omega' = (u - sigma(0))/x.  U oscillates
@@ -448,7 +469,7 @@ def _integrate_ray(p, x0, x_max, y0, rtol):
     """
     _, e2, e3 = _equation_constants(p)
     s0c = sigma_zero(p)
-    lax_v, xu_x, xy_y = _lax_system(p)[:3]
+    lax_v, lax_rates = _lax_system(p)[:2]
     nfev = 0
 
     def f(x, yv):
@@ -462,9 +483,9 @@ def _integrate_ray(p, x0, x_max, y0, rtol):
         x = float(x)  # numpy-scalar arithmetic would dominate the call
         u, du, d2u, _, ln_u, _ = yv.tolist()
         d3u = (x * (u - x * du - 6.0 * du * du - d2u) + 4.0 * (u - e2) * du - 2j * e3) / (x * x)
-        u_lax, v = cmath.exp(ln_u), lax_v(du)
-        rates = xu_x(u_lax, v, x) / (x * u_lax), xy_y(u_lax, v, x) / x
-        return np.array([du, d2u, d3u, (u - s0c) / x, *rates], dtype=complex)
+        u_lax = cmath.exp(ln_u)
+        xu_x, xy_y = lax_rates(u_lax, lax_v(du), x)
+        return [du, d2u, d3u, (u - s0c) / x, xu_x / (x * u_lax), xy_y / x]
 
     def blowup(x, yv):
         return abs(yv[0]) - _POLE_CAP
@@ -478,7 +499,13 @@ def _integrate_ray(p, x0, x_max, y0, rtol):
         raise NumericalError(f"sigma integration failed: {sol.message}")
     if sol.status == 1:  # blow-up event fired
         raise PoleDetectedError(sol.t_events[0][0])
-    return sol.sol
+    steps = sol.sol.interpolants
+    return (
+        np.array([d.t_old for d in steps]),
+        np.array([d.h for d in steps]),
+        np.stack([d.F for d in steps], axis=1),
+        np.array([d.y_old for d in steps]),
+    )
 
 
 def _default_grid(x0: float, x_max: float) -> np.ndarray:
@@ -607,26 +634,27 @@ def r_large_s(p: FHParams, x: float) -> complex:
 def _lax_system(p: FHParams):
     """The compatibility-system forms with the constants of p bound, each
     on floats or arrays and read in x at s = -ix: v from sigma_x;
-    x dU/dx = s dU/ds (the U-equation) and x y_x/y = s y_s/y on (U, v, x);
-    the r-numerator numf on (U, v), whose zeros are the zeros of r; and
-    d numf/dx on (U, v, x, sigma_xx)."""
+    lax_rates, the pair (x dU/dx, x y_x/y) = (s dU/ds, s y_s/y) on (U, v, x)
+    (the U-equation, and the rates of ln U and W times x); the r-numerator
+    numf on (U, v), whose zeros are the zeros of r; and d numf/dx on
+    (U, v, x, sigma_xx)."""
     a1, b = p.alpha1, p.beta_sum
     v_shift, a_minus = b / 2.0 - a1, a1 - p.alpha2 - b
     c_u, d_u = b - a1 - p.alpha2, 3.0 * a1 - p.alpha2 - b
 
-    def xu_x(u, v, x):  # s dU/ds, s = -ix
-        return -1j * x * u + (u - 1.0) * (u * c_u + d_u - 2.0 * v * (u - 1.0))
-
-    def xy_y(u, v, x):  # s y_s/y, s = -ix
-        return (v + 2.0 * a1) / u - 2.0 * (v + a1) + 0.5j * x + u * v
+    def lax_rates(u, v, x):  # (s dU/ds, s y_s/y), s = -ix
+        return (
+            -1j * x * u + (u - 1.0) * (u * c_u + d_u - 2.0 * v * (u - 1.0)),
+            (v + 2.0 * a1) / u - 2.0 * (v + a1) + 0.5j * x + u * v,
+        )
 
     def lax_v(sig_x):  # v_shift - sigma_s, sigma_s = i sigma_x
         return v_shift - 1j * sig_x
 
     def numf_x(u, v, x, sig_xx):  # dv/dx = -i sigma_xx
-        return -1j * sig_xx * (1.0 - u) - v * xu_x(u, v, x) / x
+        return -1j * sig_xx * (1.0 - u) - v * lax_rates(u, v, x)[0] / x
 
-    return lax_v, xu_x, xy_y, (lambda u, v: v * (1.0 - u) + a_minus), numf_x
+    return lax_v, lax_rates, (lambda u, v: v * (1.0 - u) + a_minus), numf_x
 
 
 def _lax_branches(p: FHParams, x, sig, du, d2u):
@@ -640,7 +668,7 @@ def _lax_branches(p: FHParams, x, sig, du, d2u):
     leading coefficient vanishes both rows hold the linear root.
     """
     x = np.asarray(x, dtype=float)
-    lax_v, _, xy_y, numf_of, numf_x = _lax_system(p)
+    lax_v, lax_rates, numf_of, numf_x = _lax_system(p)
     v = lax_v(du)
     # sigma - x sigma_x + sum_j alpha_j^2 - (beta1 + beta2)^2 / 2, added left to right
     w_cap = sum((j.alpha**2 for j in p.pair), sig - x * du) - p.beta_sum**2 / 2.0
@@ -659,7 +687,7 @@ def _lax_branches(p: FHParams, x, sig, du, d2u):
         [np.where(linear, lin, (-qb + disc) / two_qa), np.where(linear, lin, (-qb - disc) / two_qa)]
     )
     # d ln r/dx = y_x/y - 1/x + numf_x/numf = y_part - 1/x + dnumf/numf
-    return u, xy_y(u, v, x) / x, numf_of(u, v), numf_x(u, v, x, d2u)
+    return u, lax_rates(u, v, x)[1] / x, numf_of(u, v), numf_x(u, v, x, d2u)
 
 
 def _lax_root(p: FHParams, x, sig, du, d2u):
@@ -712,7 +740,7 @@ def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
     if _sigma_vanishes(p):
         raise DegenerateDenominatorError("Lax quadratic degenerates where sigma == 0")
 
-    lax_v, _, _, numf_of, _ = _lax_system(p)
+    lax_v, _, numf_of, _ = _lax_system(p)
 
     def shape(xs):  # (r / C, numf) at the points xs
         _, du, _, _, ln_u, w = traj._dense_at(xs)

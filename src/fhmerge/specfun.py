@@ -10,6 +10,7 @@ max(1, |ln G|) at every argument but its zeros.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -69,8 +70,12 @@ _BARNES_POWERS = np.arange(1, _BARNES_TERMS + 1)
 _BARNES_COEFFS = bernoulli(2 * _BARNES_TERMS + 2)[4::2] / (
     4 * _BARNES_POWERS * (_BARNES_POWERS + 1)
 )
+# ln G values kept per interpreter: the asymptotic constants ask for a few
+# hundred distinct arguments many times over
+_BARNES_CACHE = 4096
 
 
+@functools.lru_cache(maxsize=_BARNES_CACHE)
 def log_barnes_g(z: complex) -> complex:
     """ln G(z), continued analytically from the positive real axis onto the
     plane cut along (-inf, 0], as log_gamma is.
@@ -81,7 +86,9 @@ def log_barnes_g(z: complex) -> complex:
 
         v^2/2 ln v - 3v^2/4 + v/2 ln 2pi - ln(v)/12 + zeta'(-1) + sum_k B_{2k+2} / (4k(k+1) v^2k)
 
-    to ~2e-14 max(1, |ln G|).  Raises BarnesGZeroError at the zeros z = 0, -1, -2, ...
+    to ~2e-14 max(1, |ln G|).  Each value is computed once per argument
+    and kept (the last _BARNES_CACHE arguments).  Raises BarnesGZeroError
+    at the zeros z = 0, -1, -2, ...
     """
     z = complex(z)
     if is_nonpositive_integer(z):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from fhmerge.symbol import FHParams, fourier_coeffs
 from fhmerge.toeplitz import log_det
 
 PI = math.pi
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _series(p, x):
@@ -512,8 +514,8 @@ def test_r_trajectory_matches_stepwise_reference(p03, traj03):
     xs = np.union1d(np.arange(x0, x_max, 1e-3), traj03.x_grid)
     sig, du, d2u = traj03.eval(xs)
     u, y_part, numf, _ = _lax_branches(p03, xs, sig, du, d2u)
-    lax_v, xu_x = _lax_system(p03)[:2]
-    du_dx = xu_x(u, lax_v(du), xs) / xs
+    lax_v, lax_rates = _lax_system(p03)[:2]
+    du_dx = lax_rates(u, lax_v(du), xs)[0] / xs
     u_prev, slope, pick = _lax_root(p03, x0, *traj03.eval(x0))[1], 0.0, []
     for i, h in enumerate(np.diff(xs, prepend=x0)):
         pred = u_prev + slope * h
@@ -629,11 +631,56 @@ def test_start_is_continuous_across_the_read_split(alpha, traj03):
     traj = traj03 if alpha == 0.3 else integrate_sigma(FHParams(0.9, 0.9, t=0.1), x_max=2.0)
     x0, table = traj.x0, traj._series
     start = (*_series_values(table, x0), _series_omega(table, x0))
-    assert tuple(traj._dense(x0)[:4]) == start
+    assert tuple(traj._dense_at(np.array([x0]))[:4, 0]) == start
     assert traj._read(x0) == start
     below, above = traj._read(x0 * (1.0 - 1e-12)), traj._read(x0 * (1.0 + 1e-12))
     for lo, hi in zip(below, above):
         assert abs(lo - hi) <= 1e-12 * max(1.0, abs(lo))
+
+
+@pytest.mark.parametrize("which", ["family", "alpha065", "degenerate"])
+def test_stacked_read_equals_scipy_dense_output(which, monkeypatch):
+    # the trajectory keeps the pass's steps as arrays and reads them with
+    # scipy's DOP853 arithmetic: every value equals the OdeSolution's bit
+    # for bit, at both ends, on the grid, at the steps' ends and at random
+    # x.  A scipy that renamed the step fields fails here rather than
+    # reading wrong values
+    if which == "family":
+        monkeypatch.syspath_prepend(str(BENCH))
+        import draws
+
+        p, x_max = FHParams(*draws.sigma_family_sets(1)[1]), 42.0
+        assert p.beta1.imag != 0.0 and p.beta2.imag != 0.0
+    elif which == "alpha065":
+        p, x_max = FHParams(0.65, 0.65, t=0.1), 80.0
+    else:
+        p, x_max = painleve._DEGENERATE, 40.0
+    sols = []
+    solve = painleve.solve_ivp
+    monkeypatch.setattr(painleve, "solve_ivp", lambda *a, **k: sols.append(solve(*a, **k)) or sols[-1])
+    traj = integrate_sigma(p, x_max=x_max)
+    assert len(sols) == 1 and sols[0].sol.t_max == x_max
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([[traj.x0, traj.x_max], traj.x_grid, sols[0].t,
+                         rng.uniform(traj.x0, traj.x_max, 500)])
+    assert traj._dense_at(xs).tobytes() == sols[0].sol(xs).tobytes()
+
+
+def test_reads_after_the_solve_never_call_scipys_dense_output(p03, traj03, monkeypatch):
+    # r, the integral identity and the transition formula read the stacked
+    # steps; scipy's OdeSolution is not kept once integrate_sigma returns
+    from scipy.integrate import OdeSolution
+
+    from fhmerge.asympt import transition_log
+
+    def refuse(self, t):
+        raise AssertionError("OdeSolution read after the sigma solve")
+
+    monkeypatch.setattr(OdeSolution, "__call__", refuse)
+    rt = r_trajectory(p03, traj03)
+    rt.r_at(2.5)
+    integral_identity_check(p03, traj03, 40.0)
+    transition_log(p03.with_t(0.05), 64, traj03)
 
 
 def test_r_at_reads_the_sigma_pass(p03, traj03):
