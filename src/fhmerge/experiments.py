@@ -29,6 +29,7 @@ from .asympt import (
 )
 from .errors import NumericalError, ValidationError, check_size
 from .painleve import SigmaTrajectory, integrate_sigma, r_trajectory, sigma_zero
+from .quadrature import gauss_legendre_panels
 from .symbol import FHParams, fourier_coeffs
 from .toeplitz import det_path, log_det, orth_poly
 
@@ -277,15 +278,9 @@ def _panel_edges(n: int, t_max: float):
     return edges
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
 def _t_nodes(n: int, t_max: float):
     """16-point Gauss-Legendre nodes and weights on each panel of _panel_edges."""
-    edges = np.array(_panel_edges(n, t_max))
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+    return gauss_legendre_panels(_panel_edges(n, t_max))
 
 
 def _integrate_det(p_of_t, n_list, t_max: float):

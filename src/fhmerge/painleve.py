@@ -17,11 +17,14 @@ associated linear problem, and W = int (x y_x/y) dx/x, so the r-function
 of the shifted-beta determinant ratio, r = C e^W numf(U, v)/x, is read
 from the same dense output as sigma, at any x; below the start U is a
 root of a quadratic in sigma's derivatives, so ln U and W start from the
-series table.  The trajectory keeps the dense output as the solver's
-steps stacked into arrays and reads them with scipy's arithmetic, bit
-for bit equal to scipy's dense output.  Everything downstream (the
-transition formula, the integral identity, the ratio) reads from the
-resulting trajectory.
+series table.  That table is built on (0, x0], the only interval read
+from it (the start data at x0, sigma and omega below x0, the Lax start
+and r's anchor at 1e-10), and keeps each term that matters at rounding
+to sigma, sigma_x or sigma_xx there; _series_rows is its one read.  The
+trajectory keeps the dense output as the solver's steps stacked into
+arrays and reads them with scipy's arithmetic, bit for bit equal to
+scipy's dense output.  Everything downstream (the transition formula,
+the integral identity, the ratio) reads from the resulting trajectory.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .errors import (
     ValidationError,
     check_tol,
 )
+from .quadrature import gauss_legendre_panels
 from .specfun import gamma_ratio, is_nonpositive_integer, log_barnes_g_ratio, log_gamma
 from .symbol import FHParams
 
@@ -67,11 +71,6 @@ _X_ANCHOR = 1e-3
 # where r is matched to r_small_s, whose relative error k x is ~1e-10 here;
 # deeper, the Lax roots meet to rounding (at 1e-20 r was off by its size)
 _X_R = 1e-10
-# the Gauss-Legendre rule on each panel, at most a decade wide, of the W sum
-_W_RULE = np.polynomial.legendre.leggauss(16)
-# the series range is max(_X_SERIES_MIN, _RANGE_PER_START * start)
-_X_SERIES_MIN = 1e-2
-_RANGE_PER_START = 4.0
 # lattice points (j, k) a series table may take before it gives up
 _SERIES_BUDGET = 4000
 # right-hand-side evaluations allowed per sigma solve; passing runs use a
@@ -194,15 +193,20 @@ def _series_lattice(p: FHParams, t0: complex, size_j: int, size_k: int):
 
 
 def _series_terms(p: FHParams, x_range: float):
-    """The small-argument table (c, e): sigma(-ix) = sum_k c_k x^(e_k) to
-    rounding on 0 < x <= x_range.
+    """The small-argument table (c, e): sigma(-ix) = sum_k c_k x^(e_k), and
+    its first two x-derivatives term by term, to rounding on
+    0 < x <= x_range.
 
     The exponents are j + k(1 + 2a), a = alpha1 + alpha2, j, k >= 0, and
-    the coefficients come from _series_lattice, whose rectangle grows
-    until its last two columns and its last row lie below rounding on
-    the range (eps times its largest term).  sigma(0) is entry 0; the
-    other entries are the terms above that.  The degenerate pair and the
-    smooth symbol, where sigma == 0 exactly, have the empty table.  Raises
+    the coefficients come from _series_lattice.  A term is kept when it
+    matters at rounding to sigma, sigma_x or sigma_xx at x_range: each
+    derivative weighs c_k x^(e_k) by 1, e_k or e_k (e_k - 1) and is judged
+    against its own largest term (eps times it), so sigma_xx keeps high
+    orders that sigma alone would drop.  The rectangle grows until its
+    last two columns and its last row lie below all three of those bars.
+    sigma(0) is entry 0; the other entries are the kept terms above that.
+    The degenerate pair and the smooth symbol, where sigma == 0 exactly,
+    have the empty table.  Raises
     NondegeneracyError where tau0 does and where the recursion is
     resonant (_check_resonance), ValidationError for Re a <= -1/2 (the
     tau0 term does not vanish at x = 0) and NumericalError when the
@@ -220,11 +224,12 @@ def _series_terms(p: FHParams, x_range: float):
     size_k = 1 + math.ceil((size_j - 2) / mu)
     while size_j * size_k <= _SERIES_BUDGET:
         c, e = _series_lattice(p, t0, size_j, size_k)
-        mag = np.abs(c) * x_range**e.real
-        small = eps * mag.max()
-        cols_ok, row_ok = mag[:, -2:].max() <= small, mag[-1].max() <= small
+        # x^d times each term's size in the d-th derivative at x_range, d = 0, 1, 2
+        mag = np.abs(c * x_range**e.real * np.stack([np.ones_like(e), e, e * (e - 1.0)]))
+        big = mag > eps * mag.max(axis=(1, 2), keepdims=True)
+        cols_ok, row_ok = not big[..., -2:].any(), not big[:, -1].any()
         if cols_ok and row_ok:
-            keep = mag > small
+            keep = big.any(axis=0)
             keep[0, 0] = True
             return c[keep], e[keep]
         size_j += 0 if cols_ok else size_j // 2
@@ -273,7 +278,8 @@ def _series_start(p: FHParams, tol: float) -> float:
     R = |tau0| x^(1+2 Re a) / (eps |sigma(0)|), and the start is the
     smallest x with R >= 1/tol.  Where sigma(0) = 0 (the sigma == 0 sets
     included) R is infinite.  Raises NondegeneracyError where tau0 does
-    and NumericalError where tau0 = 0 but sigma(0) != 0.
+    and NumericalError where tau0 = 0 but sigma(0) != 0.  The start also
+    ends the series range: integrate_sigma builds the table on (0, x0].
     """
     s0 = abs(sigma_zero(p))
     if s0 == 0.0:
@@ -285,42 +291,22 @@ def _series_start(p: FHParams, tol: float) -> float:
     return max(_X_ANCHOR, need ** (1.0 / _tau0_power(p)))
 
 
-def _series_range(start: float) -> float:
-    """The range a series table covers for a solve starting at start.
-
-    The headroom is load-bearing: _series_terms drops terms by the size of
-    sigma's, but sigma_xx at the start needs some it drops on (0, start].
-    A table on (0, start] lost sigma_xx there by 4.1e-10 (|sigma_xx| =
-    0.26) and moved sigma on 24 seeded pole-free sets by up to 2.5e-7;
-    with this range sigma is 4.7e-9 from a tol = 1e-10 solve."""
-    return max(_X_SERIES_MIN, _RANGE_PER_START * start)
-
-
-def _series_powers(e, x, shifts):
-    """x^(e - m) for each m in shifts, one row per point of x.  A power is
-    a real power times a unit phase, so a real exponent keeps the
-    accuracy of the real power."""
-    xs = np.asarray(x, dtype=float)[..., None]
+def _series_rows(table, x):
+    """Rows (sigma, sigma_x, sigma_xx, omega) from the table at x > 0, each
+    of the shape of x; omega = int_0^x (sigma - sigma(0)) dy/y takes
+    c_k x^(e_k) / e_k from each term after sigma(0), the table's first.
+    A power is a real power times a unit phase, so a real exponent keeps
+    the accuracy of the real power.  Raises ValidationError unless every
+    x > 0."""
+    xs = np.asarray(x, dtype=float)
+    if not np.all(xs > 0.0):
+        raise ValidationError(f"x = {xs[~(xs > 0.0)][0]} is not > 0, where sigma is read")
+    c, e = table
+    xs = xs[..., None]
     phase = np.exp(1j * e.imag * np.log(xs))
-    return [xs ** (e.real - m) * phase for m in shifts]
-
-
-def _series_values(table, x):
-    """(sigma, d sigma/dx, d^2 sigma/dx^2) from the table, of the shape of x."""
-    c, e = table
-    xe, xe1, xe2 = _series_powers(e, x, (0.0, 1.0, 2.0))
-    return (xe * c).sum(-1), (xe1 * (c * e)).sum(-1), (xe2 * (c * e * (e - 1.0))).sum(-1)
-
-
-def _series_omega(table, x):
-    """int_0^x (sigma - sigma(0)) dy/y from the table, of the shape of x.
-
-    The table's first term is sigma(0); each later one integrates to
-    c_k x^(e_k) / e_k.
-    """
-    c, e = table
-    (xe,) = _series_powers(e, x, (0.0,))
-    return (xe[..., 1:] * (c[1:] / e[1:])).sum(-1)
+    xe, xe1, xe2 = (xs ** (e.real - m) * phase for m in (0.0, 1.0, 2.0))
+    terms = (xe * c, xe1 * (c * e), xe2 * (c * e * (e - 1.0)), xe[..., 1:] * (c[1:] / e[1:]))
+    return np.stack([t.sum(-1) for t in terms])
 
 
 def _branch_sign(p: FHParams):
@@ -437,8 +423,7 @@ class SigmaTrajectory:
         head = flat < self.x0
         out = np.empty((4, flat.size), dtype=complex)
         if head.any():
-            out[:3, head] = _series_values(self._series, flat[head])
-            out[3, head] = _series_omega(self._series, flat[head])
+            out[:, head] = _series_rows(self._series, flat[head])
         if not head.all():
             out[:, ~head] = self._dense_at(flat[~head])[:4]
         return tuple(o.reshape(xs.shape)[()] for o in out)
@@ -522,8 +507,10 @@ def integrate_sigma(
     x0 = _series_start(p, tol), where the series table's start data
     (sigma, sigma_x, sigma_xx and omega) resolve tau0 to relative accuracy
     tol: 1e-3 for alpha1 = alpha2 = 0.3, about 0.24 for 0.9 at tol = 1e-8.
-    ln U and W start from _lax_start, read off the table.  The solve is
-    the one solve_ivp pass of _integrate_ray.  The sigma == 0 sets (the
+    The table is built on (0, x0], which holds every read of it: the
+    start data, the trajectory's reads below x0, and ln U and W, which
+    start from _lax_start on [1e-10, x0].  The solve is the one
+    solve_ivp pass of _integrate_ray.  The sigma == 0 sets (the
     degenerate pair alpha = beta = 1/2 and the smooth symbol) have the
     empty table, start at 1e-3 from zero data, stay at zero and carry
     U = 1, which keeps the right-hand side finite.  The call raises:
@@ -546,10 +533,10 @@ def integrate_sigma(
     x0 = _series_start(p, tol)
     if not x0 < x_max < math.inf:
         raise ValidationError(f"need x0 < x_max < inf (x0 = {x0:.3g}, x_max = {x_max:.3g})")
-    table = _series_terms(p, _series_range(x0))
+    table = _series_terms(p, x0)
     rtol = min(1e-10, tol * 1e-2)
     ln_u0, w0 = (0.0, 0.0) if _sigma_vanishes(p) else _lax_start(p, table, x0)
-    y0 = [*_series_values(table, x0), _series_omega(table, x0), ln_u0, w0]
+    y0 = [*_series_rows(table, x0), ln_u0, w0]
     dense = _integrate_ray(p, x0, x_max, y0, rtol)
     traj = SigmaTrajectory(p, x0, x_max, dense, table)
 
@@ -712,13 +699,13 @@ def _lax_root(p: FHParams, x, sig, du, d2u):
 def _lax_start(p: FHParams, table, x0: float):
     """(ln U, W) at the sigma start x0 from the series table: U is _lax_root's
     root at x0, and W = int_{_X_R}^{x0} (x y_x/y) dx/x on that root is one
-    sum in ln x of _W_RULE over equal panels of at most a decade."""
+    16-point Gauss-Legendre sum in ln x over equal panels of at most a
+    decade."""
     panels = math.ceil(math.log10(x0 / _X_R))
-    h = math.log(x0 / _X_R) / panels
-    nodes, weights = _W_RULE
-    xs = np.append(_X_R * np.exp(h * (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0))), x0)
-    _, u, xy_y = _lax_root(p, xs, *_series_values(table, xs))
-    return cmath.log(u[-1]), 0.5 * h * np.dot(np.tile(weights, panels), xy_y[:-1])
+    ln_rel, weights = gauss_legendre_panels(np.linspace(0.0, math.log(x0 / _X_R), panels + 1))
+    xs = np.append(_X_R * np.exp(ln_rel), x0)
+    _, u, xy_y = _lax_root(p, xs, *_series_rows(table, xs)[:3])
+    return cmath.log(u[-1]), np.dot(weights, xy_y[:-1])
 
 
 def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:

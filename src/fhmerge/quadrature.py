@@ -10,7 +10,8 @@ mass of (x - a)^lam dropped there is ~(1e-37)^(1 + Re lam)/(1 + Re lam),
 does not shrink with refine, and is below 1e-11 only for Re lam > -0.68
 (symbol.fourier_coeffs bounds it per table).  Callers choose the step
 (refine) and estimate the error themselves from the nested every-other-node
-half that ArcRule.coarse marks.
+half that ArcRule.coarse marks.  Smooth integrands on panels take the
+16-point Gauss-Legendre rule of gauss_legendre_panels instead.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ArcRule", "arc_rule"]
+__all__ = ["ArcRule", "arc_rule", "gauss_legendre_panels"]
 
 # Clustering cutoff: endpoint distances reach ~exp(-pi*sinh(4)) ~ 1e-37,
 # enough for exponents down to (and slightly below) -1/2.
@@ -28,6 +29,9 @@ _T_MAX = 4.0
 _BASE_H = 1.0 / 64.0
 # bulk nodes per period of the fastest oscillation at refine 0
 _NODES_PER_OSC = 8.0
+# the 16-point Gauss-Legendre rule on [-1, 1], built once at import: leggauss
+# solves an eigenproblem, which wakes the BLAS threads on every call
+_GL_RULE = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
@@ -93,3 +97,13 @@ def arc_rule(a: float, b: float, max_freq: float = 0.0, refine: int = 0) -> ArcR
         dist_b=dist_b[keep],
         coarse=(k[keep] % 2 == 0),
     )
+
+
+def gauss_legendre_panels(edges):
+    """16-point Gauss-Legendre nodes and weights on each panel between
+    consecutive entries of edges, flattened panel by panel."""
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    nodes, weights = _GL_RULE
+    return (mid + half * nodes).ravel(), (half * weights).ravel()

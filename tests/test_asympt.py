@@ -18,7 +18,7 @@ from fhmerge.asympt import (
     transition_log,
 )
 from fhmerge.errors import ValidationError
-from fhmerge.painleve import degenerate_sigma
+from fhmerge.painleve import degenerate_sigma, integrate_sigma, r_trajectory
 from fhmerge.specfun import log_barnes_g
 from fhmerge.symbol import FHParams, fourier_coeffs
 from fhmerge.toeplitz import log_det
@@ -224,6 +224,22 @@ def test_beta_one_degenerate_small_branch():
     want = cmath.exp(-1j * (n - 1) * t) * math.sin(n * t) / math.sin(t)
     got = cmath.exp(pred.log_value)
     assert abs(got - want) / abs(want) < 0.1
+
+
+def test_beta_one_branch_mismatch_within_the_window(p03):
+    # within 25% of nt = 20 both branches are evaluated and their gap is
+    # noted; it falls along n (1.8e-4, 5.5e-5, 1.6e-5 at nt = 20)
+    rt = r_trajectory(p03, integrate_sigma(p03, x_max=60.0))
+    for nt in (10.0, 16.0, 20.0, 24.0, 30.0):
+        notes = [
+            beta_one_ratio(p03.with_t(nt / n), n, rt.r_at(2.0 * nt), 0.0).notes
+            for n in (64, 128, 256)
+        ]
+        if nt in (10.0, 30.0):
+            assert all("branch_mismatch" not in note for note in notes)
+            continue
+        gaps = [note["branch_mismatch"] for note in notes]
+        assert gaps[0] > gaps[1] > gaps[2] > 0.0
 
 
 def test_beta_one_needs_matching_real_parts():

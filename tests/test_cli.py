@@ -9,11 +9,12 @@ import sys
 import time
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import fhmerge
-from fhmerge import experiments, painleve, specfun
-from fhmerge.asympt import fh1_log, fh2_log
+from fhmerge import experiments, painleve, specfun, toeplitz
+from fhmerge.asympt import fh1_log, fh2_log, transition_log
 from fhmerge.cli import build_parser, main
 from fhmerge.errors import DegenerateDenominatorError
 from fhmerge.symbol import FHParams
@@ -38,6 +39,57 @@ def test_det_example(capsys):
     assert code == 0
     val = float(out.strip().splitlines()[1].split(",")[2])
     assert abs(val - math.log(128.0 / (9.0 * PI**2))) < 1e-10
+
+
+def test_det_t_grid_rows_are_det_paths(capsys):
+    code, out = run_cli(
+        ["det", "--alpha1", "0.3", "--alpha2", "0.2", "--beta1", "0,0.1", "--n", "16",
+         "--t-grid", "0.2:0.8:4"],
+        capsys,
+    )
+    assert code == 0
+    grid = np.linspace(0.2, 0.8, 4)
+    path = toeplitz.det_path(FHParams(0.3, 0.2, beta1=0.1j), 16, grid)
+    rows = [(16, t, ld.log_abs, ld.arg) for t, ld in zip(grid, path)]
+    assert out == experiments._csv_text(["n", "t", "log_abs_det", "arg_det"], rows)
+
+
+def test_predict_transition_row_is_transition_log(capsys):
+    # the command solves sigma to max(20, 2.2 nt): 20 at nt = 6.4, 28.16 at 12.8
+    p = FHParams(0.3, 0.3, t=0.1)
+    for n in (64, 128):
+        code, out = run_cli(
+            ["predict", "--regime", "transition", "--alpha1", "0.3", "--alpha2", "0.3",
+             "--t", "0.1", "--n", str(n)],
+            capsys,
+        )
+        assert code == 0
+        traj = painleve.integrate_sigma(p, x_max=max(20.0, 2.2 * n * p.t))
+        want = transition_log(p, n, traj).log_value
+        row = out.strip().splitlines()[1].split(",")
+        assert row[:3] == ["transition", str(n), "0.1"]
+        assert row[3:5] == [experiments._fmt(want.real), experiments._fmt(want.imag)]
+
+
+def test_verify_regimes_writes_the_grid(capsys):
+    code, out = run_cli(["verify", "--suite", "regimes", "--n-list", "32", "64"], capsys)
+    lines = out.strip().splitlines()
+    assert code in (0, 1)
+    assert lines[-1] == f"# verdict: {'PASS' if code == 0 else 'FAIL'}"
+    assert lines[0].startswith("n,t,x,exact,") and len(lines) == 2 + 2 * 4
+
+
+def test_sweep_rows_are_regime_sweeps(tmp_path, capsys):
+    cfg = {"symbol": {"alpha1": 0.3, "alpha2": 0.25, "beta1": [0, 0.1]}, "n_list": [32, 64],
+           "nt_values": [1.0, 5.0]}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cli(["sweep", "--config", str(path)], capsys)
+    report = experiments.regime_sweep(experiments.SweepConfig(
+        params=FHParams(0.3, 0.25, beta1=0.1j), n_list=(32, 64), nt_values=(1.0, 5.0)
+    ))
+    assert code == (0 if report.verdict else 1)
+    assert out == report.to_csv() + f"# verdict: {'PASS' if report.verdict else 'FAIL'}\n"
 
 
 def test_predict_fh1_merged_pair(capsys):

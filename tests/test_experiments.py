@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fhmerge import experiments
+from fhmerge.asympt import fk_constants
 from fhmerge.errors import NumericalError, ValidationError
 from fhmerge.experiments import (
     SweepConfig,
@@ -370,3 +371,12 @@ def test_fk_moment_scan_quick():
     assert abs(report.summary["slope"] - 0.32) < 0.15
     assert report.summary["reference_constant"] > 0.0
     assert report.summary["t_quadrature"]["panel_n"] == 64
+
+
+def test_fk_moment_scan_at_the_critical_point():
+    # at alpha = 1/sqrt 2 the moment grows like n ln n: the fit is on
+    # moment/(n ln n), whose slope is 0, and the prefactor's reference is c2
+    alpha = 1.0 / math.sqrt(2.0)
+    report = fk_moment_scan(alpha, (64, 128, 256), PI / 3.0)
+    assert report.verdict and report.summary["expected"] == 0.0
+    assert report.summary["reference_constant"] == fk_constants(alpha).c2

@@ -17,10 +17,9 @@ from fhmerge.asympt import fk_constants
 from fhmerge.experiments import _shifted_logdet
 from fhmerge.painleve import (
     SigmaTrajectory,
-    _series_range,
+    _series_rows,
     _series_start,
     _series_terms,
-    _series_values,
     degenerate_r,
     degenerate_sigma,
     integral_identity_check,
@@ -42,9 +41,8 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _series(p, x):
-    """(sigma, sigma_x, sigma_xx) at x from the series table on the range of
-    integrate_sigma's default start at tol = 1e-8."""
-    return _series_values(_series_terms(p, _series_range(_series_start(p, 1e-8))), x)
+    """(sigma, sigma_x, sigma_xx) at x from the series table on (0, max x]."""
+    return _series_rows(_series_terms(p, float(np.max(x))), x)[:3]
 
 
 def test_theta_params_degenerate_case():
@@ -150,10 +148,24 @@ SERIES_SETS = [
 @pytest.mark.parametrize("p", SERIES_SETS)
 def test_series_table_solves_quartic_relation(p):
     # the whole expansion: the quartic relation holds to rounding on the
-    # series range, which is 0.95 for alpha = 0.9
-    xs = np.geomspace(1e-6, _series_range(_series_start(p, 1e-8)), 60)
-    u, du, d2u = _series(p, xs)
-    assert np.max(sigma_residual(p, xs, u, du, d2u)) < 1e-13
+    # range the table is built for, both on (0, x0], integrate_sigma's
+    # (x0 = 0.24 for alpha = 0.9), and on (0, 1]
+    for x_range in (_series_start(p, 1e-8), 1.0):
+        xs = np.geomspace(1e-6, x_range, 60)
+        u, du, d2u = _series(p, xs)
+        assert np.max(sigma_residual(p, xs, u, du, d2u)) < 1e-13
+
+
+@pytest.mark.parametrize("p", SERIES_SETS)
+def test_series_cut_keeps_the_start_data(p):
+    # the table on (0, x0] keeps each term that matters at rounding to
+    # sigma, sigma_x or sigma_xx there, so at x0 it reads the start data
+    # (omega included) as a table on ten times the range does; a table
+    # cut by the size of sigma's terms alone loses sigma_xx by ~1e-10
+    x0 = _series_start(p, 1e-8)
+    got = _series_rows(_series_terms(p, x0), x0)
+    want = _series_rows(_series_terms(p, 10.0 * x0), x0)
+    assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
 
 
 @pytest.mark.parametrize("p", SERIES_SETS[:4])
@@ -626,11 +638,9 @@ def test_start_is_continuous_across_the_read_split(alpha, traj03):
     # the dense output at x0 returns the series start data and omega bit
     # for bit, and reads just below x0 (series) and just above it (dense)
     # agree; alpha = 0.9 starts at x0 = 0.24, above the anchor
-    from fhmerge.painleve import _series_omega
-
     traj = traj03 if alpha == 0.3 else integrate_sigma(FHParams(0.9, 0.9, t=0.1), x_max=2.0)
-    x0, table = traj.x0, traj._series
-    start = (*_series_values(table, x0), _series_omega(table, x0))
+    x0 = traj.x0
+    start = tuple(_series_rows(traj._series, x0))
     assert tuple(traj._dense_at(np.array([x0]))[:4, 0]) == start
     assert traj._read(x0) == start
     below, above = traj._read(x0 * (1.0 - 1e-12)), traj._read(x0 * (1.0 + 1e-12))
@@ -681,6 +691,21 @@ def test_reads_after_the_solve_never_call_scipys_dense_output(p03, traj03, monke
     rt.r_at(2.5)
     integral_identity_check(p03, traj03, 40.0)
     transition_log(p03.with_t(0.05), 64, traj03)
+
+
+def test_reads_refuse_x_outside_their_range(p03, traj03):
+    # sigma is read on 0 < x <= x_max and r on its grid: x <= 0 does not
+    # reach np.log, and x past either end is refused, not extrapolated
+    for x in (-1.0, 0.0, np.array([0.5, 0.0]), traj03.x_max + 1.0, math.nan):
+        for read in (traj03.sigma_at, traj03.omega_at, traj03.eval):
+            with pytest.raises(ValidationError):
+                read(x)
+    rt = r_trajectory(p03, traj03)
+    for x in (0.5 * traj03.x0, traj03.x_max + 1.0):
+        with pytest.raises(ValidationError, match="outside r trajectory range"):
+            rt.r_at(x)
+    with pytest.raises(ValidationError, match="T >= 20"):
+        integral_identity_check(p03, traj03, 19.0)
 
 
 def test_r_at_reads_the_sigma_pass(p03, traj03):
