@@ -1,15 +1,16 @@
 """One OpenBLAS thread for fhmerge's own dense algebra.
 
-The dense work here is small: numpy's `slogdet` and `solve` (LU, real
-for the float tables of real mirror-even symbols and complex otherwise) on
-Toeplitz matrices of order n <= ~1024, and the table products of one
-nested half-rule.  On such sizes OpenBLAS's thread pool costs more than it
-saves, and its spinning threads make the wall time depend on whatever else
-holds the cores.  On a 2-core machine, one run of `beta_one_check` at
-n = 64, 128, 256 plus its shifted-beta tables took 0.51-1.09 s wall (up to
-1.24 s beside a busy loop) with two threads and 0.27-0.36 s with one; the
-Dyson check at the same n used 1.7 s of CPU for 0.9 s of wall with two
-threads and 0.9 s for 0.9 s with one.
+The dense work here is small: LAPACK's `dpotrf` (Cholesky, on the float
+tables of real mirror-even symbols) and numpy's `slogdet` and `solve` (LU,
+real or complex in the table's dtype) on Toeplitz matrices of order
+n <= ~1024, and the table products of one nested half-rule.  On such sizes
+OpenBLAS's thread pool costs more than it saves, and its spinning threads
+make the wall time depend on whatever else holds the cores.  On a 2-core
+machine, one run of `beta_one_check` at n = 64, 128, 256 plus its
+shifted-beta tables took 0.51-1.09 s wall (up to 1.24 s beside a busy
+loop) with two threads and 0.27-0.36 s with one; the Dyson check at the
+same n used 1.7 s of CPU for 0.9 s of wall with two threads and 0.9 s for
+0.9 s with one.
 
 `single_thread` sets every OpenBLAS loaded in the process (numpy's and
 scipy's are separate libraries) to one thread for the duration of the

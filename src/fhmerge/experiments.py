@@ -284,25 +284,27 @@ def _t_nodes(n: int, t_max: float):
 
 
 def _integrate_det(p_of_t, n_list, t_max: float):
-    """int_0^{t_max} D_n(f_t) dt for each n in n_list, one table per t-node.
+    """int_0^{t_max} D_n(f_t) dt for each n in n_list, one table and one
+    factor per t-node.
 
     The t-nodes are those of the largest n, whose panels are the finest
-    near t = 0; the table at max(n) - 1 built at each node serves every
-    D_n.  Returns the integrals in the order of n_list and a record of
-    the t-quadrature: the panel n, the number of t-nodes and of tables.
-    The symbols are positive and so is each D_n; one that comes out with
-    another sign (arg not 0) raises NumericalError.
+    near t = 0.  At each node the table at max(n) - 1 is built and one
+    log_det call factors T_max(n) by Cholesky; every D_n is read from its
+    leading minors.  Returns the integrals in the order of n_list and a
+    record of the t-quadrature: the panel n, the number of t-nodes and of
+    tables.  The symbols are real, mirror-even and positive, so each table
+    is float and each D_k is positive; a factor that stops at a block that
+    is not positive raises NumericalError naming that D_k.
     """
     n_top = max(n_list)
     ts, ws = _t_nodes(n_top, t_max)
+    orders = np.asarray(n_list)
     dets = np.empty((len(ts), len(n_list)))
     for i, t in enumerate(ts):
-        table = fourier_coeffs(p_of_t(t), n_top - 1)
-        for k, n in enumerate(n_list):
-            ld = log_det(table, n)
-            if ld.arg != 0.0:
-                raise NumericalError(f"D_{n} at t = {t:.6g} has arg {ld.arg:.3g}, not 0")
-            dets[i, k] = math.exp(ld.log_abs)
+        minors = log_det(fourier_coeffs(p_of_t(t), n_top - 1), n_top).minors
+        if len(minors) <= n_top:
+            raise NumericalError(f"D_{len(minors)} at t = {t:.6g} is not positive")
+        dets[i] = np.exp(minors[orders])
     t_quad = {"panel_n": n_top, "t_nodes": len(ts), "tables": len(ts)}
     return ws @ dets, t_quad
 

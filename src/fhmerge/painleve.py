@@ -211,7 +211,7 @@ def _series_terms(p: FHParams, x_range: float):
     resonant (_check_resonance), ValidationError for Re a <= -1/2 (the
     tau0 term does not vanish at x = 0) and NumericalError when the
     series has not converged on the range within _SERIES_BUDGET lattice
-    points.
+    points or a term's size overflows there.
     """
     if _sigma_vanishes(p):
         return np.zeros((2, 0), dtype=complex)
@@ -219,13 +219,22 @@ def _series_terms(p: FHParams, x_range: float):
     mu = _tau0_power(p)
     _check_resonance(p)
     eps = np.finfo(float).eps
-    # first guess: a radius of convergence of 4 (3.4 to 9 for real alphas)
-    size_j = 2 + math.ceil(math.log(eps) / math.log(min(x_range / 4.0, 0.5)))
+    # first guess, meant to pass at once: a radius of convergence of 3 (3.4
+    # to 9 for real alphas) and sigma_xx's bar, whose largest term sits at
+    # x^2 or below; column j weighs about (x/3)^(j-2) j^2 against it, and
+    # the last two columns start at j = size_j - 2
+    log_ratio = math.log(min(x_range / 3.0, 0.5))
+    j = 2
+    while (j - 2) * log_ratio + 2.0 * math.log(j) > math.log(eps):
+        j += 1
+    size_j = j + 2
     size_k = 1 + math.ceil((size_j - 2) / mu)
     while size_j * size_k <= _SERIES_BUDGET:
         c, e = _series_lattice(p, t0, size_j, size_k)
         # x^d times each term's size in the d-th derivative at x_range, d = 0, 1, 2
         mag = np.abs(c * x_range**e.real * np.stack([np.ones_like(e), e, e * (e - 1.0)]))
+        if not np.all(np.isfinite(mag)):
+            break  # a term past the double range: the series diverges at x_range
         big = mag > eps * mag.max(axis=(1, 2), keepdims=True)
         cols_ok, row_ok = not big[..., -2:].any(), not big[:, -1].any()
         if cols_ok and row_ok:
@@ -304,8 +313,14 @@ def _series_rows(table, x):
     c, e = table
     xs = xs[..., None]
     phase = np.exp(1j * e.imag * np.log(xs))
-    xe, xe1, xe2 = (xs ** (e.real - m) * phase for m in (0.0, 1.0, 2.0))
-    terms = (xe * c, xe1 * (c * e), xe2 * (c * e * (e - 1.0)), xe[..., 1:] * (c[1:] / e[1:]))
+    weights = (c, c * e, c * e * (e - 1.0))
+    # a power whose weight is 0 (sigma(0)'s in both derivatives, x's in
+    # sigma_xx) is taken as x^0: x^(e-2) overflows below x ~ 1e-154, and
+    # inf * 0 is nan
+    xe, xe1, xe2 = (
+        xs ** np.where(w == 0.0, 0.0, e.real - m) * phase for m, w in enumerate(weights)
+    )
+    terms = (xe * c, xe1 * weights[1], xe2 * weights[2], xe[..., 1:] * (c[1:] / e[1:]))
     return np.stack([t.sum(-1) for t in terms])
 
 

@@ -1,20 +1,21 @@
 """Exact finite-n objects: log-determinants, a Heine-integral oracle, and
 hat-phi_n(0) chi_n, the orthogonal-polynomial datum of the beta-shift identity.
 
-Each Toeplitz job is one LAPACK call: `log_det` takes ln|D_n| and arg D_n
-from numpy's `slogdet` (pivoted LU, safe from overflow for n up to ~1024)
-and `orth_poly` makes one single-column solve.  Both run in the table's
-dtype: real arithmetic on the float table of a real mirror-even symbol,
-complex otherwise.  The Heine route re-derives small determinants by
-direct multi-dimensional quadrature, independent of the LU path.
+`log_det` reads ln D_n and every leading minor off one Cholesky factor
+(LAPACK's dpotrf) of a float table, and ln|D_n| and arg D_n from numpy's
+`slogdet` (pivoted LU) otherwise; `orth_poly` makes one single-column
+solve in the table's dtype.  The Heine route re-derives small
+determinants by direct multi-dimensional quadrature, independent of the
+factorisations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from ._blas import single_thread
 from .errors import BranchAmbiguityError, SingularMatrixError, ValidationError, check_tol
@@ -26,11 +27,18 @@ __all__ = ["LogDeterminant", "OrthoPolyData", "log_det", "heine_det", "orth_poly
 @dataclass(frozen=True)
 class LogDeterminant:
     """ln D_n split into magnitude and phase; arg is a representative value
-    in (-pi, pi] unless produced by det_path, which unwraps it."""
+    in (-pi, pi] unless produced by det_path, which unwraps it.
+
+    minors holds ln D_k, k = 0, 1, ..., from log_det's Cholesky factor of a
+    float table: every k <= n, or the k below the first block that is not
+    positive definite, whose order is then len(minors).  None for a
+    complex table and for n = 0.
+    """
 
     n: int
     log_abs: float
     arg: float
+    minors: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def log(self) -> complex:
@@ -41,14 +49,28 @@ class LogDeterminant:
 def log_det(table: FourierTable, n: int) -> LogDeterminant:
     """ln det of the n x n Toeplitz matrix built from the coefficient table.
 
-    n = 0 returns the empty-product convention ln D_0 = 0.
+    A float table comes from a real mirror-even symbol, f > 0, so T_n is
+    positive definite: dpotrf factors T_n = L L^T, and ln D_k =
+    2 sum_{j<k} ln L_jj for every k <= n (minors).  A complex table, or a
+    float one with a pivot that is not positive (only a hand-made table
+    has one), takes ln|D_n| and arg D_n from slogdet.  n = 0 returns the
+    empty-product convention ln D_0 = 0.
     """
     if n == 0:
         return LogDeterminant(n=0, log_abs=0.0, arg=0.0)
-    sign, log_abs = np.linalg.slogdet(table.toeplitz(n))
+    m = table.toeplitz(n)
+    minors = None
+    if m.dtype == np.float64:
+        factor, info = dpotrf(m, lower=1)
+        reached = n if info == 0 else info - 1  # info > 0: block info is not positive
+        minors = np.zeros(reached + 1)
+        np.cumsum(2.0 * np.log(np.diagonal(factor)[:reached]), out=minors[1:])
+        if info == 0:
+            return LogDeterminant(n=n, log_abs=float(minors[-1]), arg=0.0, minors=minors)
+    sign, log_abs = np.linalg.slogdet(m)
     if sign == 0.0:
         raise SingularMatrixError(n)
-    return LogDeterminant(n=n, log_abs=float(log_abs), arg=float(np.angle(sign)))
+    return LogDeterminant(n=n, log_abs=float(log_abs), arg=float(np.angle(sign)), minors=minors)
 
 
 _HEINE_REFINE = {1: 3, 2: 1, 3: 0}  # tanh-sinh step halvings per n

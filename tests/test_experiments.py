@@ -331,17 +331,25 @@ def test_beta_one_check_degenerate():
             assert row["err"] < 0.05
 
 
-def test_integrate_det_shared_tables():
-    # one table at max(n) - 1 per t-node against each n's own table at the
+def test_integrate_det_shared_tables(monkeypatch):
+    # one table at max(n) - 1 and one log_det of order max(n) per t-node,
+    # every D_n read from its minors, against each n's own table at the
     # same nodes: the two differ only by the tables' quadrature error
     n_list, t1 = (8, 16, 32), PI / 3.0
+    orders = []
+
+    def counting(table, n):
+        orders.append(n)
+        return log_det(table, n)
 
     def p_of_t(t):
         return FHParams(0.4, 0.4, t=t)
 
+    monkeypatch.setattr(experiments, "log_det", counting)
     got, t_quad = _integrate_det(p_of_t, n_list, t1)
     ts, ws = _t_nodes(32, t1)
     assert t_quad == {"panel_n": 32, "t_nodes": len(ts), "tables": len(ts)}
+    assert orders == [32] * len(ts)
     for n, value in zip(n_list, got):
         dets = [math.exp(log_det(fourier_coeffs(p_of_t(t), n - 1), n).log_abs) for t in ts]
         own = float(np.dot(ws, dets))

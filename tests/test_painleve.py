@@ -198,6 +198,16 @@ def test_series_rejects_tau0_term_that_grows():
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("alpha, x", [(0.9, 40.0), (0.9, 100.0), (0.3, 1000.0)])
+def test_series_refuses_a_range_where_its_terms_overflow(alpha, x):
+    # far past the radius of convergence x^(e_k) overflows; the sizes are
+    # then inf or nan, which no bar comparison flags, so they are refused
+    # rather than read as a converged table holding sigma(0) alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="does not converge"):
+            _series_terms(FHParams(alpha, alpha, t=0.1), x)
+
+
 @pytest.mark.parametrize("alpha", [0.6, 0.65, 0.7, 0.8, 0.9])
 def test_strong_exponents_solve(alpha, monkeypatch):
     # sigma to x = 80 for strong exponents; at tol = 1e-9, where the solver
@@ -706,6 +716,39 @@ def test_reads_refuse_x_outside_their_range(p03, traj03):
             rt.r_at(x)
     with pytest.raises(ValidationError, match="T >= 20"):
         integral_identity_check(p03, traj03, 19.0)
+
+
+def test_reads_near_zero_stay_finite(p03, traj03):
+    # sigma(0)'s powers in sigma_x and sigma_xx, and x's in sigma_xx, have
+    # weight 0 and are not formed: x^-2 overflows below x ~ 1e-154, and
+    # inf * 0 would be nan.  Down to subnormal x the rows are finite and
+    # sigma is sigma(0) to rounding
+    s0 = sigma_zero(p03)
+    with np.errstate(over="raise", invalid="raise"):
+        for x in (1e-160, 1e-200, 1e-320):
+            rows = traj03._read(x)
+            assert all(np.isfinite(v) for v in rows)
+            assert abs(rows[0] - s0) <= 1e-15 * abs(s0)
+
+
+def test_series_table_takes_one_lattice(monkeypatch):
+    # the first lattice guess already meets the sigma, sigma_x and sigma_xx
+    # bars at each set's start, so the table is built from one lattice
+    monkeypatch.syspath_prepend(str(BENCH))
+    import draws
+
+    sizes = []
+    build = painleve._series_lattice
+
+    def counting(p, t0, size_j, size_k):
+        sizes.append((size_j, size_k))
+        return build(p, t0, size_j, size_k)
+
+    monkeypatch.setattr(painleve, "_series_lattice", counting)
+    for p in SERIES_SETS + [FHParams(*s) for s in draws.sigma_family_sets(1)]:
+        sizes.clear()
+        _series_terms(p, _series_start(p, 1e-8))
+        assert len(sizes) == 1, (p, sizes)
 
 
 def test_r_at_reads_the_sigma_pass(p03, traj03):

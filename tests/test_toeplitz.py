@@ -268,6 +268,29 @@ def test_real_table_log_det_matches_complex(p, n):
     assert abs(ld.log_abs - want) <= 1e-13 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("p", _REAL_TABLES, ids=["dyson", "merged", "ibeta", "V"])
+def test_cholesky_minors_are_the_leading_determinants(p):
+    # one factor of T_255 carries ln D_k of every leading block
+    tab = fourier_coeffs(p, 255)
+    minors = log_det(tab, 255).minors
+    assert minors.shape == (256,) and minors[0] == 0.0
+    for k in (1, 2, 16, 64, 200, 255):
+        want = np.linalg.slogdet(tab.toeplitz(k).astype(complex))[1]
+        assert abs(minors[k] - want) <= 1e-13 * max(1.0, abs(want))
+    assert log_det(_as_complex_table(tab), 16).minors is None
+
+
+def test_indefinite_float_table_falls_back_to_slogdet():
+    # f_0 = 1, f_{+-1} = 2: T_2 has D_2 = -3, so the Cholesky factor stops
+    # at block 2 and slogdet gives ln 3 with arg pi, as on the complex table
+    tab = FourierTable(FHParams(0.0, 0.0), 1, np.array([2.0, 1.0, 2.0]), 0.0)
+    ld = log_det(tab, 2)
+    want = log_det(_as_complex_table(tab), 2)
+    assert abs(ld.log_abs - math.log(3.0)) <= 1e-15 and ld.arg == PI
+    assert (ld.log_abs, ld.arg) == (want.log_abs, want.arg)
+    assert ld.minors.tolist() == [0.0, 0.0]  # D_0 = D_1 = 1, then block 2 fails
+
+
 @pytest.mark.parametrize("n", [16, 255])
 @pytest.mark.parametrize("p", _REAL_TABLES, ids=["dyson", "merged", "ibeta", "V"])
 def test_real_table_orth_poly_matches_complex(p, n):
@@ -286,10 +309,26 @@ def test_dyson_symbol_merged_determinant(n):
     assert abs(ld.log_abs - math.log(n + 1)) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [768, 1024, 1200])
+def test_dyson_symbol_merged_determinant_to_first_order(n):
+    # the table misses f_0 = 2, f_{+-1} = -1 by rounding delta_j, which moves
+    # ln D_n by tr(T^{-1} Delta) = sum_j delta_j S_j to first order, S_j the
+    # j-th diagonal sum of T^{-1}; with (T^{-1})_{ik} = min(i,k)(n+1-max(i,k))/(n+1),
+    # S_j = m(m+1)(m+2) / (6(n+1)), m = n - |j|.  What is left is the
+    # factorisation's own rounding
+    tab = fourier_coeffs(FHParams(0.5, 0.5, t=0.0), n - 1)
+    j = np.arange(-(n - 1), n)
+    delta = tab.coeffs - np.select([j == 0, np.abs(j) == 1], [2.0, -1.0])
+    m = n - np.abs(j)
+    predicted = math.log(n + 1) + delta @ (m * (m + 1.0) * (m + 2.0) / (6.0 * (n + 1.0)))
+    assert abs(log_det(tab, n).log_abs - predicted) <= 5e-11
+
+
 def test_dense_algebra_runs_on_one_blas_thread(monkeypatch):
-    # log_det and orth_poly call LAPACK with every OpenBLAS at one thread
-    # and hand the previous counts back, also when the wrapped call raises
-    from fhmerge import _blas
+    # log_det (slogdet on a complex table, dpotrf on a float one) and
+    # orth_poly call LAPACK with every OpenBLAS at one thread and hand the
+    # previous counts back, also when the wrapped call raises
+    from fhmerge import _blas, toeplitz
 
     controls = _blas._controls()
     if not controls:
@@ -306,10 +345,14 @@ def test_dense_algebra_runs_on_one_blas_thread(monkeypatch):
 
     for name in ("slogdet", "solve"):
         monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+    monkeypatch.setattr(toeplitz, "dpotrf", spy(toeplitz.dpotrf))
     tab = fourier_coeffs(FHParams(0.3, 0.3, beta1=0.2j, t=0.3), 40)
     log_det(tab, 40)
     orth_poly(tab, 30)
-    assert seen == [[1] * len(controls)] * 2
+    real = fourier_coeffs(FHParams(0.3, 0.3, t=0.3), 40)
+    assert real.coeffs.dtype == np.float64
+    log_det(real, 40)
+    assert seen == [[1] * len(controls)] * 3
     assert [get() for get, _ in controls] == before
 
     @_blas.single_thread
