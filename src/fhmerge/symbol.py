@@ -19,15 +19,8 @@ requested modes is factored into a coarse step e^{-i(j0 + B q) theta} and
 a fine offset e^{-i m theta}, B = ceil(sqrt(M)), both filled by repeated
 multiplication, so a table costs one exponential and O(sqrt(M))
 multiplications per node plus one matrix product per nested half-rule.
-
-A mirror-even symbol, f(2 pi - theta) = f(theta) (alpha1 = alpha2,
-beta1 = -beta2, V_k = V_-k), has f_-j = f_j and is summed over half the
-circle (`_folded_rules`): the arc [0, t] stands for itself and its mirror
-[2 pi - t, 2 pi], and the k >= 0 half of the self-mirror arc (the middle
-one, or the whole circle at t = 0) for the whole arc, so the sums of
-w f cos(j theta) need half the nodes.  The nested half and the dropped
-mass see every end as before.  A real mirror-even symbol gets a float
-table, whose determinants and solves run in real arithmetic.
+At t = 0 with V = 0 the pair is one singularity, whose coefficients have
+a closed form (`_merged_half`) and need no quadrature.
 """
 
 from __future__ import annotations
@@ -37,10 +30,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import gamma, rgamma
 
 from ._blas import single_thread
-from .errors import QuadratureError, ValidationError, check_tol
-from .quadrature import ArcRule, arc_rule
+from .errors import NumericalError, QuadratureError, ValidationError, check_tol
+from .quadrature import arc_rule
+from .specfun import is_nonpositive_integer
 
 __all__ = [
     "FHParams",
@@ -228,12 +223,6 @@ def _symbol_core(p: FHParams, theta, offsets):
     return vals * np.exp(-1j * sum(s.theta * s.beta for s in p.pair))
 
 
-def _arcs(p: FHParams):
-    """The circle [0, 2 pi] split at the singular angles, as (a, b) endpoints."""
-    edges = sorted({0.0, TWO_PI, *(s.theta for s in p.pair)})
-    return list(zip(edges[:-1], edges[1:]))
-
-
 def _ends(rule, theta: float):
     """(theta is the arc's start a, theta is its end b), angles mod 2 pi."""
     return theta == rule.a, rule.b in (theta, theta + TWO_PI)
@@ -253,45 +242,24 @@ def _weighted(p: FHParams, rule):
     return rule, rule.w * f / TWO_PI
 
 
-def weighted_rules(p: FHParams, max_freq: float, refine: int):
-    """(rule, w f / 2 pi) on each arc between the singular angles, the
-    tanh-sinh rule resolving modes up to max_freq at the given refine."""
-    for a, b in _arcs(p):
+def _rules(p: FHParams, edges, max_freq: float, refine: int):
+    """(rule, w f / 2 pi) on each arc between the sorted edges, the tanh-sinh
+    rule resolving modes up to max_freq at the given refine."""
+    edges = sorted(edges)
+    for a, b in zip(edges[:-1], edges[1:]):
         yield _weighted(p, arc_rule(a, b, max_freq=max_freq, refine=refine))
 
 
-def _folded_rules(p: FHParams, max_freq: float, refine: int):
-    """weighted_rules folded onto [0, pi] for a mirror-even symbol.
+def weighted_rules(p: FHParams, max_freq: float, refine: int):
+    """_rules on the circle [0, 2 pi], split at the singular angles."""
+    return _rules(p, {0.0, TWO_PI, *(s.theta for s in p.pair)}, max_freq, refine)
 
-    The mirror theta -> 2 pi - theta maps the arc [0, t] onto
-    [2 pi - t, 2 pi], and the node k of the self-mirror arc (the middle
-    one, or the circle at t = 0) onto its node -k, since
-    dist_a(-k) = dist_b(k).  So [0, t] at twice its weights, and the k >= 0
-    half of the self-mirror arc at twice its weights but the centre's,
-    sum w f cos(j theta) over the whole rule.  The half is a rule from the
-    centre, whose start is no arc end and drops no mass.  (The full-circle
-    rule on [2 pi - t, 2 pi], whose length rounds off t, can stop one node
-    earlier at each end than [0, t]; those nodes weigh ~1e-38.)
-    """
-    arcs = _arcs(p)
-    if len(arcs) > 1:
-        rule, wf = _weighted(p, arc_rule(*arcs[0], max_freq=max_freq, refine=refine))
-        yield rule, 2.0 * wf
-    rule = arc_rule(*arcs[len(arcs) // 2], max_freq=max_freq, refine=refine)
-    mid = len(rule.x) // 2  # the centre node, k = 0
-    x = rule.x[mid:]
-    half = ArcRule(
-        a=x[0],
-        b=rule.b,
-        x=x,
-        w=rule.w[mid:],
-        dist_a=x - x[0],
-        dist_b=rule.dist_b[mid:],
-        coarse=rule.coarse[mid:],
-    )
-    rule, wf = _weighted(p, half)
-    wf[1:] *= 2.0
-    yield rule, wf
+
+def _folded_rules(p: FHParams, max_freq: float, refine: int):
+    """_rules on [0, pi], split at t, at twice their weights: the mirror
+    theta -> 2 pi - theta maps [0, pi] onto [pi, 2 pi] and a mirror-even f
+    onto itself, so they sum w f cos(j theta) over the circle."""
+    return ((rule, 2.0 * wf) for rule, wf in _rules(p, {0.0, p.t, math.pi}, max_freq, refine))
 
 
 def _dropped_mass(p: FHParams, arcs) -> float:
@@ -384,18 +352,40 @@ def _powers(seed, step, count, work):
     return rows
 
 
+# the closed form's rounding relative to |f_k| in eps = 2^-52: its seed's three
+# Gamma values (scipy's complex ones ~21 each, against mpmath), each ratio step
+_SEED_EPS, _STEP_EPS, _EPS = 96.0, 8.0, np.finfo(float).eps
+
+
+def _merged_half(a, b, n: int) -> np.ndarray:
+    """f_k = (-1)^k G(1+2a) / (G(1+a+b-k) G(1+a-b+k)), 0 <= k <= n, of the
+    merged singularity |z - 1|^(2a) g_b (Boettcher & Silbermann), 0 where a
+    G = Gamma below has a pole: f_k / f_{k-1} = (k-1-a-b)/(k+a-b) multiplied
+    up from the first k0 >= 0 off the poles of G(1+a-b+k)."""
+    c, d = a + b, a - b
+    k0 = 1 - int((1 + d).real) if is_nonpositive_integer(1 + d) else 0
+    f = np.zeros(n + 1, dtype=np.result_type(c, d))
+    if k0 <= n:
+        k = np.arange(k0 + 1, n + 1)
+        f[k0] = (-1) ** k0 * gamma(1 + 2 * a) * rgamma(1 + c - k0) * rgamma(1 + d + k0)
+        f[k0 + 1 :] = f[k0] * np.cumprod((k - 1 - c) / (k + d))
+    return f
+
+
 @single_thread
 def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
-    """Fourier coefficients f_j, |j| <= n_max, of the symbol.
+    """Fourier coefficients f_j, |j| <= n_max, of the symbol, built per call.
 
-    Each call builds its table; the returned quad_error_estimate is a
-    nested tanh-sinh comparison, uniform in j, plus the bound on the mass
-    the rules drop beyond their outermost nodes.  Raises ValidationError
-    before any sums when that bound alone exceeds tol (Re alpha_j, or
-    Re(alpha1 + alpha2) at t = 0, below about -0.34 at tol = 1e-11), and
-    QuadratureError when refine 3 still misses tol; a tol that is not
-    finite and positive is a ValidationError.  The coefficients are float
-    for a real mirror-even symbol and complex otherwise.
+    At t = 0 with V = 0 they are the closed form of `_merged_half`, and
+    quad_error_estimate is its rounding bound max_j |f_j| (96 + 8|j|) eps,
+    which held against mpmath for n_max <= 1024 (NumericalError above tol).
+    Otherwise they are tanh-sinh sums (a mirror-even symbol's over [0, pi],
+    `_folded_rules`), and the estimate is a nested comparison, uniform in
+    j, plus the mass the rules drop beyond their outermost nodes:
+    ValidationError before any sums when that alone exceeds tol (an exponent
+    below about -0.34 at tol = 1e-11), QuadratureError when refine 3 still
+    misses tol.  A tol that is not finite and positive is a ValidationError.
+    The coefficients are float for a real mirror-even symbol, else complex.
     """
     check_tol(tol)
     if n_max < 0:
@@ -403,29 +393,38 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
     n_max = int(n_max)
     real, mirror = p.is_real_symbol(), p.is_mirror_even()
     j_values = np.arange(0 if real else -n_max, n_max + 1)
-    rules = _folded_rules if mirror else weighted_rules
-    # refine 0 runs first (8 nodes per oscillation of the top mode, 4 on
-    # its coarse half); the nested estimate decides whether to escalate
-    for refine in (0, 1, 2, 3):
-        arcs = list(rules(p, float(n_max), refine))
-        if refine == 0:
-            dropped = _dropped_mass(p, arcs)
-            if dropped > tol:
-                raise ValidationError(
-                    f"Fourier table drops mass {dropped:.2e} beyond its endpoint nodes, "
-                    f"above tol {tol:.2e}: an exponent too close to -1/2"
-                )
-        fine, coarse = _fourier_sums(arcs, j_values)
-        if mirror:  # w f cos(j theta): the real part for a real f, else the mean over +-j
-            fine, coarse = (s.real if real else (s + s[::-1]) / 2.0 for s in (fine, coarse))
-        err = float(np.max(np.abs(fine - coarse))) + dropped
-        if err <= tol:
-            break
-    else:
-        raise QuadratureError(
-            f"Fourier table error estimate {err:.2e} exceeds tol {tol:.2e} at refine 3"
-        )
-    coeffs = np.zeros(2 * n_max + 1, dtype=fine.dtype)
+    if p.t == 0.0 and not p.v_coeffs:
+        a, b = p.alpha1 + p.alpha2, p.beta_sum
+        if a.imag == b.imag == 0.0:  # real Gamma values, exact at the integers
+            a, b = a.real, b.real
+        fine = _merged_half(a, b, n_max)
+        if not real:  # f_-k(a, b) = f_k(a, -b)
+            fine = np.concatenate([_merged_half(a, -b, n_max)[:0:-1], fine])
+        err = float(np.max(np.abs(fine) * (_SEED_EPS + _STEP_EPS * np.abs(j_values)))) * _EPS
+        if err > tol:
+            raise NumericalError(f"closed-form rounding bound {err:.2e} exceeds tol {tol:.2e}")
+    else:  # refine 0 first (8 nodes per period of the top mode, 4 on its coarse half)
+        rules = _folded_rules if mirror else weighted_rules
+        for refine in (0, 1, 2, 3):
+            arcs = list(rules(p, float(n_max), refine))
+            if refine == 0:
+                dropped = _dropped_mass(p, arcs)
+                if dropped > tol:
+                    raise ValidationError(
+                        f"Fourier table drops mass {dropped:.2e} beyond its endpoint nodes, "
+                        f"above tol {tol:.2e}: an exponent too close to -1/2"
+                    )
+            fine, coarse = _fourier_sums(arcs, j_values)
+            if mirror:  # w f cos(j theta): the real part for a real f, else the mean over +-j
+                fine, coarse = (s.real if real else (s + s[::-1]) / 2.0 for s in (fine, coarse))
+            err = float(np.max(np.abs(fine - coarse))) + dropped
+            if err <= tol:
+                break
+        else:
+            raise QuadratureError(
+                f"Fourier table error estimate {err:.2e} exceeds tol {tol:.2e} at refine 3"
+            )
+    coeffs = np.zeros(2 * n_max + 1, dtype=float if real and mirror else complex)
     coeffs[n_max + j_values] = fine
     if real:
         coeffs[:n_max] = np.conj(coeffs[:n_max:-1])

@@ -7,13 +7,11 @@ import pytest
 from scipy.special import gamma, i0, rgamma
 
 from fhmerge._blas import single_thread
-from fhmerge.errors import QuadratureError, ValidationError
-from fhmerge.quadrature import ArcRule, arc_rule
+from fhmerge import symbol
+from fhmerge.errors import NumericalError, QuadratureError, ValidationError
+from fhmerge.quadrature import arc_rule
 from fhmerge.symbol import (
-    TWO_PI,
     FHParams,
-    _dropped_mass,
-    _folded_rules,
     _fourier_sums,
     _symbol_core,
     fourier_coeffs,
@@ -269,7 +267,10 @@ def test_fourier_table_matches_next_refinement(name, t, n_max):
     fine, _ = _sums(p, n_max, j_values, refine=1)
     assert tab.quad_error_estimate <= 1e-13
     assert np.max(np.abs(tab.coeffs[n_max + j_values] - fine)) <= 5e-14
-    if not p.is_mirror_even():  # the full-circle sums at refine 0, bit for bit
+    # the full-circle sums at refine 0, bit for bit, where the table sums them:
+    # not for a mirror-even symbol (summed over [0, pi]), nor at t = 0 with
+    # V = 0 (the closed form)
+    if not p.is_mirror_even() and (t > 0.0 or v):
         fine0, _ = single_thread(_sums)(p, n_max, j_values, refine=0)
         assert np.array_equal(tab.coeffs[n_max + j_values], fine0)
 
@@ -288,26 +289,6 @@ _MIRROR_CLASSES = {
 }
 
 
-def _mirrored_last_arc(arcs):
-    """The full-circle arcs with [2 pi - t, 2 pi] replaced by the exact
-    mirror of [0, t]; its own rule can have one node fewer at each end,
-    since its length 2 pi - (2 pi - t) rounds off t and can move ceil(4/h)
-    (t = 0.3, n_max = 255)."""
-    if len(arcs) == 1:
-        return arcs
-    rule, wf = arcs[0]
-    mirror = ArcRule(
-        a=TWO_PI - rule.b,
-        b=TWO_PI,
-        x=TWO_PI - rule.x[::-1],
-        w=rule.w[::-1],
-        dist_a=rule.dist_b[::-1],
-        dist_b=rule.dist_a[::-1],
-        coarse=rule.coarse[::-1],
-    )
-    return [*arcs[:2], (mirror, wf[::-1])]
-
-
 @pytest.mark.parametrize("n_max", [16, 255])
 @pytest.mark.parametrize("t", [0.0, 0.01, 0.3, 1.5, 3.0])
 @pytest.mark.parametrize("name", list(_MIRROR_CLASSES))
@@ -317,32 +298,69 @@ def test_folded_table_matches_full_circle(name, t, n_max):
     assert p.is_mirror_even()
     tab = fourier_coeffs(p, n_max)
     assert (tab.coeffs.dtype == np.float64) == p.is_real_symbol()
+    assert tab.quad_error_estimate <= 1e-13
     j_values = np.arange(-n_max, n_max + 1)
     fine, _ = _sums(p, n_max, j_values, refine=1)
     assert np.max(np.abs(tab.coeffs - fine)) <= 5e-14
 
-    # the full-circle estimate at refine 0, the rule the table stops at
-    arcs = list(weighted_rules(p, float(n_max), 0))
-    fine0, coarse0 = _fourier_sums(arcs, j_values)
-    dropped = _dropped_mass(p, _mirrored_last_arc(arcs))
-    folded = _dropped_mass(p, list(_folded_rules(p, float(n_max), 0)))
-    assert folded == pytest.approx(dropped, rel=1e-12)
-    assert abs(tab.quad_error_estimate - (np.max(np.abs(fine0 - coarse0)) + dropped)) <= 1e-14
-
 
 @pytest.mark.parametrize("t", [0.0, 0.3, 2.0])
-def test_folded_estimate_matches_full_circle(t):
+def test_folded_estimate_bounds_full_circle_error(t):
     # the z^{+-32} terms are unresolved at refine 0, which puts the nested
-    # estimate far above rounding; a tol just above it accepts refine 0
+    # estimate far above rounding; a tol above it accepts refine 0, and the
+    # estimate bounds the table's distance to the full-circle sums at refine 3
     p = FHParams(0.3, 0.3, 0.2j, -0.2j, t, {32: 0.5, -32: 0.5})
     j_values = np.arange(-16, 17)
-    arcs = list(weighted_rules(p, 16.0, 0))
-    fine, coarse = _fourier_sums(arcs, j_values)
-    est = float(np.max(np.abs(fine - coarse))) + _dropped_mass(p, arcs)
-    assert est > 1e-3
-    tab = fourier_coeffs(p, 16, tol=2.0 * est)
-    assert abs(tab.quad_error_estimate - est) <= 1e-12 * est
-    assert np.max(np.abs(tab.coeffs - fine)) <= 1e-14
+    fine, coarse = _sums(p, 16, j_values, refine=0)
+    assert np.max(np.abs(fine - coarse)) > 1e-3
+    ref, _ = _sums(p, 16, j_values, refine=3)
+    tab = fourier_coeffs(p, 16, tol=1.0)
+    assert np.max(np.abs(tab.coeffs - ref)) <= tab.quad_error_estimate
+
+
+def _merged_exact(a, b, j):
+    """f_j of |z - 1|^(2a) g_b, (-1)^j G(1+2a) / (G(1+a+b-j) G(1+a-b+j)), at 30 digits."""
+    with mp.workdps(30):
+        a, b = mp.mpc(a), mp.mpc(b)
+        g = mp.gamma(1 + 2 * a)
+        return np.array(
+            [complex((-1) ** int(k) * g * mp.rgamma(1 + a + b - k) * mp.rgamma(1 + a - b + k)) for k in j]
+        )
+
+
+# (alpha1, alpha2, beta1, beta2) at t = 0: complex a and b, Re a = -0.45 (whose
+# quadrature table drops mass above tol), and b - a = 1, where f = -z and f_0 = 0
+_MERGED_SETS = {
+    "complex": (0.3 + 0.1j, 0.15 - 0.05j, 0.1 + 0.2j, -0.3j),
+    "a-0.45": (-0.2, -0.25, 0.0, 0.0),
+    "a-0.45-cbeta": (-0.2, -0.25, 0.2 - 0.1j, 0.1j),
+    "pole": (0.0, 0.0, 1.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("n_max", [16, 1024])
+@pytest.mark.parametrize("name", list(_MERGED_SETS))
+def test_merged_table_meets_its_bound_against_mpmath(name, n_max, monkeypatch):
+    def no_rule(*args, **kwargs):
+        raise AssertionError("a t = 0, V = 0 table built a quadrature rule")
+
+    monkeypatch.setattr(symbol, "arc_rule", no_rule)
+    p = FHParams(*_MERGED_SETS[name], t=0.0)
+    tab = fourier_coeffs(p, n_max)
+    # every mode of the small table; of the large one both ends and every 37th
+    j = np.unique(np.r_[-40:41, -n_max : -n_max + 40, n_max - 40 : n_max + 1, -n_max:n_max:37])
+    j = j[np.abs(j) <= n_max]
+    ref = _merged_exact(p.alpha1 + p.alpha2, p.beta_sum, j)
+    assert np.max(np.abs(tab.coeffs[n_max + j] - ref)) <= tab.quad_error_estimate <= 1e-11
+    if name == "pole":
+        assert tab.coeffs.tolist() == [0.0] * (n_max + 1) + [-1.0] + [0.0] * (n_max - 1)
+
+
+def test_merged_table_refuses_a_tol_below_its_bound():
+    tab = fourier_coeffs(FHParams(0.5, 0.5), 8)
+    assert 0.0 < tab.quad_error_estimate < 1e-13
+    with pytest.raises(NumericalError):
+        fourier_coeffs(FHParams(0.5, 0.5), 8, tol=tab.quad_error_estimate / 2.0)
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ BATTERY = [
     FHParams(-0.2, 0.25, t=0.3),
     FHParams(0.3, 0.3, beta1=0.4j, beta2=0.4j, t=0.3),
     FHParams(0.5, -0.2, beta1=0.4j, beta2=0.0, t=PI / 2.0),
+    FHParams(0.3, 0.1, beta1=0.2 + 0.1j, beta2=-0.1j, t=0.0),
 ]
 
 
@@ -300,7 +301,7 @@ def test_real_table_orth_poly_matches_complex(p, n):
     assert got.imag == 0.0 and abs(got - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("n", [256, 768, 1024, 1200, 2048])
 def test_dyson_symbol_merged_determinant(n):
     # |z - 1|^2 = 2 - z - 1/z has the tridiagonal matrix (2, -1), D_n = n + 1
     tab = fourier_coeffs(FHParams(0.5, 0.5, t=0.0), n - 1)
@@ -311,11 +312,11 @@ def test_dyson_symbol_merged_determinant(n):
 
 @pytest.mark.parametrize("n", [768, 1024, 1200])
 def test_dyson_symbol_merged_determinant_to_first_order(n):
-    # the table misses f_0 = 2, f_{+-1} = -1 by rounding delta_j, which moves
+    # a table that misses f_0 = 2, f_{+-1} = -1 by rounding delta_j moves
     # ln D_n by tr(T^{-1} Delta) = sum_j delta_j S_j to first order, S_j the
     # j-th diagonal sum of T^{-1}; with (T^{-1})_{ik} = min(i,k)(n+1-max(i,k))/(n+1),
     # S_j = m(m+1)(m+2) / (6(n+1)), m = n - |j|.  What is left is the
-    # factorisation's own rounding
+    # factorisation's own rounding (the closed-form table has delta = 0)
     tab = fourier_coeffs(FHParams(0.5, 0.5, t=0.0), n - 1)
     j = np.arange(-(n - 1), n)
     delta = tab.coeffs - np.select([j == 0, np.abs(j) == 1], [2.0, -1.0])
