@@ -358,10 +358,10 @@ _SEED_EPS, _STEP_EPS, _EPS = 96.0, 8.0, np.finfo(float).eps
 
 
 def _merged_half(a, b, n: int) -> np.ndarray:
-    """f_k = (-1)^k G(1+2a) / (G(1+a+b-k) G(1+a-b+k)), 0 <= k <= n, of the
-    merged singularity |z - 1|^(2a) g_b (Boettcher & Silbermann), 0 where a
-    G = Gamma below has a pole: f_k / f_{k-1} = (k-1-a-b)/(k+a-b) multiplied
-    up from the first k0 >= 0 off the poles of G(1+a-b+k)."""
+    """f_k, 0 <= k <= n, of the merged singularity |z - 1|^(2a) g_b:
+    (-1)^k Gamma(1+2a) / (Gamma(1+a+b-k) Gamma(1+a-b+k)) (Boettcher &
+    Silbermann), 0 at a pole below, by f_k / f_{k-1} = (k-1-a-b)/(k+a-b)
+    from the first k0 >= 0 off the poles of Gamma(1+a-b+k)."""
     c, d = a + b, a - b
     k0 = 1 - int((1 + d).real) if is_nonpositive_integer(1 + d) else 0
     f = np.zeros(n + 1, dtype=np.result_type(c, d))
@@ -401,7 +401,7 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
         if not real:  # f_-k(a, b) = f_k(a, -b)
             fine = np.concatenate([_merged_half(a, -b, n_max)[:0:-1], fine])
         err = float(np.max(np.abs(fine) * (_SEED_EPS + _STEP_EPS * np.abs(j_values)))) * _EPS
-        if err > tol:
+        if not err <= tol:  # nan too
             raise NumericalError(f"closed-form rounding bound {err:.2e} exceeds tol {tol:.2e}")
     else:  # refine 0 first (8 nodes per period of the top mode, 4 on its coarse half)
         rules = _folded_rules if mirror else weighted_rules

@@ -319,13 +319,13 @@ def test_folded_estimate_bounds_full_circle_error(t):
 
 
 def _merged_exact(a, b, j):
-    """f_j of |z - 1|^(2a) g_b, (-1)^j G(1+2a) / (G(1+a+b-j) G(1+a-b+j)), at 30 digits."""
+    """f_j of |z - 1|^(2a) g_b at 30 digits:
+    (-1)^j Gamma(1+2a) / (Gamma(1+a+b-j) Gamma(1+a-b+j))."""
     with mp.workdps(30):
         a, b = mp.mpc(a), mp.mpc(b)
         g = mp.gamma(1 + 2 * a)
-        return np.array(
-            [complex((-1) ** int(k) * g * mp.rgamma(1 + a + b - k) * mp.rgamma(1 + a - b + k)) for k in j]
-        )
+        terms = [(-1) ** int(k) * g * mp.rgamma(1 + a + b - k) * mp.rgamma(1 + a - b + k) for k in j]
+        return np.array([complex(x) for x in terms])
 
 
 # (alpha1, alpha2, beta1, beta2) at t = 0: complex a and b, Re a = -0.45 (whose
