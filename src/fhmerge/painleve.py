@@ -220,10 +220,13 @@ def _series_terms(p: FHParams, x_range: float):
     _check_resonance(p)
     eps = np.finfo(float).eps
     # first guess, meant to pass at once: a radius of convergence of 3 (3.4
-    # to 9 for real alphas) and sigma_xx's bar, whose largest term sits at
-    # x^2 or below; column j weighs about (x/3)^(j-2) j^2 against it, and
-    # the last two columns start at j = size_j - 2
-    log_ratio = math.log(min(x_range / 3.0, 0.5))
+    # to 9 for real alphas), times |1 - 4a^2| / 0.4 below 0.4 (the x^2 term's
+    # small divisor 2(1 - 4a^2) slows the decay of the terms built from it),
+    # and sigma_xx's bar, whose largest term sits at x^2 or below; column j
+    # weighs about (x/radius)^(j-2) j^2 against it, and the last two columns
+    # start at j = size_j - 2
+    radius = 3.0 * min(1.0, abs(1.0 - 4.0 * (p.alpha1 + p.alpha2) ** 2) / 0.4)
+    log_ratio = math.log(min(x_range / radius, 0.5))
     j = 2
     while (j - 2) * log_ratio + 2.0 * math.log(j) > math.log(eps):
         j += 1

@@ -8,10 +8,10 @@ integrands can resolve |x - endpoint| to full precision arbitrarily
 close to the ends.  The nodes stop at endpoint distances ~1e-37; the
 mass of (x - a)^lam dropped there is ~(1e-37)^(1 + Re lam)/(1 + Re lam),
 does not shrink with refine, and is below 1e-11 only for Re lam > -0.68
-(symbol.fourier_coeffs bounds it per quadrature table).  Callers choose
-the step (refine) and estimate the error themselves from the nested
-every-other-node half that ArcRule.coarse marks.  Smooth integrands on
-panels take the 16-point Gauss-Legendre rule of gauss_legendre_panels instead.
+(symbol.fourier_coeffs bounds it at each end of a table's arcs).
+Callers choose the step (refine) and estimate the error themselves from
+the nested every-other-node half that ArcRule.coarse marks.  Smooth
+integrands on panels take gauss_legendre_panels' 16-point rule instead.
 """
 
 from __future__ import annotations

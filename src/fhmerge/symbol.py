@@ -3,24 +3,29 @@
 The symbol is e^{V(z)} times one factor per singularity of the pair
 `FHParams.pair`, z_j = e^{i theta_j} with theta_1 = t and
 theta_2 = 2 pi - t (both 0 at t = 0): |z - z_j|^(2 alpha_j) times the
-jump g_{z_j,beta_j} and e^{i beta_j (theta - theta_j)}.  Fourier
-coefficients are computed by splitting the circle at the singular angles
-and applying tanh-sinh quadrature on each arc (`weighted_rules`).  A
-node's offset to theta_j is its stable distance to the arc end theta_j
-is: dist_a at the start a, -dist_b at the end b, the nearer of the two
-where the merged singularity is both ends, x - theta_j otherwise.  The
-node density is tied to the largest requested mode number.  The first
-rule tried has 8 bulk nodes per period of the top mode (refine 0); its
-nested estimate, the change when the every-other-node half is dropped,
-decides whether to escalate to refine 1, 2 or 3.  The mass the nodes drop
-beyond their ends (~1e-37 away) does not shrink with refine; it is bounded
-up front and added to the estimate.  The phase e^{-ij theta} of the M
-requested modes is factored into a coarse step e^{-i(j0 + B q) theta} and
-a fine offset e^{-i m theta}, B = ceil(sqrt(M)), both filled by repeated
-multiplication, so a table costs one exponential and O(sqrt(M))
-multiplications per node plus one matrix product per nested half-rule.
-At t = 0 with V = 0 the pair is one singularity, whose coefficients have
-a closed form (`_merged_half`) and need no quadrature.
+jump g_{z_j,beta_j} and e^{i beta_j (theta - theta_j)}, which together
+are (2|sin(d_j/2)|)^(2 alpha_j) e^{i beta_j (d_j - pi sgn d_j)} in the
+signed offset d_j of theta to theta_j.  The pair sits at the conjugate
+points e^{+-it}, so every Fourier table is one tanh-sinh rule on the
+arcs of [0, pi] split at t (`weighted_rules`), read at e^{i phi} and at
+e^{-i phi}, the mirror arc [pi, 2 pi].  On [0, pi] the offsets are
+exact: phi - t is the distance to the arc end t, and phi + t is formed
+directly; the other branch takes (-(phi + t), -(phi - t)).  At t = 0
+both singularities sit at the end phi = 0.  The node density is tied
+to the largest requested mode number.  The first rule tried has 8 bulk
+nodes per period of the top mode (refine 0); its nested estimate, the
+change when the every-other-node half is dropped, decides whether to
+escalate to refine 1, 2 or 3.  The mass the nodes drop beyond their ends
+(~1e-37 away) does not shrink with refine; it is bounded up front and
+added to the estimate.  The phase e^{-ij phi} of the M requested modes
+is factored into a coarse step e^{-i(j0 + B q) phi} and a fine offset
+e^{-i m phi}, B = ceil(sqrt(M)), both filled by repeated multiplication
+and shared by the two branches, so a table costs one exponential and
+O(sqrt(M)) multiplications per node and branch plus one matrix product
+per nested half-rule.  A real mirror-even f is the same on both branches
+and sums one of them, f_j = 2 Re S_j.  At t = 0 with V = 0 the pair is
+one singularity, whose coefficients have a closed form (`_merged_half`)
+and need no quadrature.
 """
 
 from __future__ import annotations
@@ -200,81 +205,56 @@ class FHParams:
 
 
 def _symbol_core(p: FHParams, theta, offsets):
-    """Symbol values at the angles theta, given each node's stable offset
-    d_j to theta_j.
+    """Symbol values at the angles theta, given each node's signed offset
+    d_j to theta_j (any representative mod 2 pi, in stable form).
 
-    Singularity j contributes |z - z_j|^(2 alpha_j) = (2|sin(d_j/2)|)^(2 alpha_j),
-    the jump g_{z_j,beta_j} = e^{i pi beta_j} before z_j and e^{-i pi beta_j}
-    after, and e^{-i theta_j beta_j}.  The side comes from the sign of d_j
-    (d_j < 0 before z_j): a node within rounding of z_j has an angle that
-    may round onto the other side, its offset does not.  At t = 0 every
-    node counts as after the merged singularity.
+    Singularity j contributes (2|sin(d_j/2)|)^(2 alpha_j) e^{i beta_j (d_j - pi sgn d_j)}:
+    |z - z_j|^(2 alpha_j) times the jump g_{z_j,beta_j} (e^{i pi beta_j}
+    before z_j, e^{-i pi beta_j} after) times e^{i beta_j (theta - theta_j)}.
+    The side comes from the sign of d_j: a node within rounding of z_j has
+    an angle that may round onto the other side, its offset does not.
     """
-    vals = np.exp(1j * theta * p.beta_sum)
+    log_f = 0.0
     for k, c in p.v_coeffs:
-        vals = vals * np.exp(c * np.exp(1j * k * theta))
-    jumps = 1.0
+        log_f = log_f + c * np.exp(1j * k * theta)
     for s, d in zip(p.pair, offsets):
-        vals = vals * np.exp(2.0 * s.alpha * np.log(2.0 * np.abs(np.sin(d / 2.0))))
-        before = (p.t > 0.0) & (d < 0.0)
-        g = np.exp(1j * math.pi * s.beta), np.exp(-1j * math.pi * s.beta)
-        jumps = jumps * np.where(before, *g)
-    vals = vals * jumps
-    return vals * np.exp(-1j * sum(s.theta * s.beta for s in p.pair))
-
-
-def _ends(rule, theta: float):
-    """(theta is the arc's start a, theta is its end b), angles mod 2 pi."""
-    return theta == rule.a, rule.b in (theta, theta + TWO_PI)
-
-
-def _offset(rule, theta: float):
-    """The nodes' offsets to theta, in stable form at an arc end."""
-    at_a, at_b = _ends(rule, theta)
-    if at_a and at_b:  # the merged t = 0 singularity: the nearer end
-        return np.where(rule.dist_a <= rule.dist_b, rule.dist_a, -rule.dist_b)
-    return rule.dist_a if at_a else -rule.dist_b if at_b else rule.x - theta
-
-
-def _weighted(p: FHParams, rule):
-    """(rule, w f / 2 pi) on one rule's nodes."""
-    f = _symbol_core(p, rule.x, [_offset(rule, s.theta) for s in p.pair])
-    return rule, rule.w * f / TWO_PI
-
-
-def _rules(p: FHParams, edges, max_freq: float, refine: int):
-    """(rule, w f / 2 pi) on each arc between the sorted edges, the tanh-sinh
-    rule resolving modes up to max_freq at the given refine."""
-    edges = sorted(edges)
-    for a, b in zip(edges[:-1], edges[1:]):
-        yield _weighted(p, arc_rule(a, b, max_freq=max_freq, refine=refine))
+        log_f = log_f + 2.0 * s.alpha * np.log(2.0 * np.abs(np.sin(d / 2.0)))
+        log_f = log_f + 1j * s.beta * (d - math.pi * np.sign(d))
+    return np.exp(log_f)
 
 
 def weighted_rules(p: FHParams, max_freq: float, refine: int):
-    """_rules on the circle [0, 2 pi], split at the singular angles."""
-    return _rules(p, {0.0, TWO_PI, *(s.theta for s in p.pair)}, max_freq, refine)
-
-
-def _folded_rules(p: FHParams, max_freq: float, refine: int):
-    """_rules on [0, pi], split at t, at twice their weights: the mirror
-    theta -> 2 pi - theta maps [0, pi] onto [pi, 2 pi] and a mirror-even f
-    onto itself, so they sum w f cos(j theta) over the circle."""
-    return ((rule, 2.0 * wf) for rule, wf in _rules(p, {0.0, p.t, math.pi}, max_freq, refine))
+    """(rule, w f(e^{i phi}) / 2 pi, w f(e^{-i phi}) / 2 pi) on each arc of
+    [0, pi] split at t, the tanh-sinh rule resolving modes up to max_freq
+    at the given refine; phi - t is dist_a after the arc end t, -dist_b
+    before it.  A mirror-even f reuses f(e^{i phi}) for e^{-i phi}."""
+    mirror = p.is_mirror_even()
+    edges = (0.0, p.t, math.pi) if p.t > 0.0 else (0.0, math.pi)
+    for a, b in zip(edges[:-1], edges[1:]):
+        rule = arc_rule(a, b, max_freq=max_freq, refine=refine)
+        near, far = rule.dist_a if a == p.t else -rule.dist_b, rule.x + p.t
+        plus = rule.w * _symbol_core(p, rule.x, (near, far)) / TWO_PI
+        minus = plus if mirror else rule.w * _symbol_core(p, -rule.x, (-far, -near)) / TWO_PI
+        yield rule, plus, minus
 
 
 def _dropped_mass(p: FHParams, arcs) -> float:
-    """Bound on the mass of |f|/2 pi beyond each arc's outermost nodes.
+    """Bound on the mass of |f|/2 pi beyond each arc's outermost nodes, on
+    both branches of weighted_rules.
 
     Near an end where singularities of total exponent lam = 2 sum Re alpha_j
     sit, |f| ~ C delta^lam; with delta0 the outermost node's distance the
     dropped mass is |f(x0)| delta0 / (1 + lam).  It does not shrink with
-    refine, so the nested estimate cannot see it.
+    refine, so the nested estimate cannot see it.  The end phi = t holds
+    alpha1 on the e^{i phi} branch and alpha2 on the other; at t = 0, both.
     """
+    at_t = (p.alpha1, p.alpha2) if p.t > 0.0 else (p.alpha1 + p.alpha2,) * 2
     total = 0.0
-    for rule, wf in arcs:
-        for end, i, dist in ((0, 0, rule.dist_a), (1, -1, rule.dist_b)):
-            lam = 2.0 * sum(s.alpha.real for s in p.pair if _ends(rule, s.theta)[end])
-            total += abs(wf[i]) / rule.w[i] * dist[i] / (1.0 + lam)
+    for rule, *rows in arcs:
+        for wf, alpha in zip(rows, at_t):
+            for end, i, dist in ((rule.a, 0, rule.dist_a), (rule.b, -1, rule.dist_b)):
+                lam = 2.0 * alpha.real if end == p.t else 0.0
+                total += abs(wf[i]) / rule.w[i] * dist[i] / (1.0 + lam)
     return float(total)
 
 
@@ -306,37 +286,39 @@ class FourierTable:
 
 
 def _fourier_sums(arcs, j_values: np.ndarray):
-    """Fine and coarse (half-rate) quadrature sums of f e^{-ij theta}/(2 pi)
-    over the (rule, w f / 2 pi) pairs of weighted_rules.
+    """Fine and coarse (half-rate) quadrature sums of w e^{-ij phi} over the
+    (rule, rows) pairs, one sum per weight row w of rows, all rows sharing
+    the phase powers.
 
     The M contiguous modes are written j = j0 + B q + m with 0 <= m < B and
-    B = ceil(sqrt(M)), so the phase factors as e^{-i(j0 + B q) theta} times
-    e^{-i m theta}.  On each nested half-rule (coarse nodes, the rest) both
-    factors are filled by repeated multiplication with e^{-i theta} and
-    e^{-i B theta}: a node costs one exponential and O(sqrt(M)) products,
-    and one matrix product per half returns its sums.  The factors of every
-    half are written into one workspace allocated once per call: allocated
-    per half, they came from memory glibc had just returned to the system,
-    and a Dyson table at n_max = 254 took ~700 page faults.
+    B = ceil(sqrt(M)), so the phase factors as e^{-i(j0 + B q) phi} times
+    e^{-i m phi}.  On each nested half-rule (coarse nodes, the rest) both
+    factors are filled by repeated multiplication with e^{-i phi} and
+    e^{-i B phi}: a node costs one exponential and O(sqrt(M)) products per
+    row, and one matrix product per half returns its sums.  The factors of
+    every half are written into one workspace allocated once per call:
+    allocated per half, they came from memory glibc had just returned to
+    the system, and a Dyson table at n_max = 254 took ~700 page faults.
     """
     arcs = list(arcs)
-    n_modes = len(j_values)
+    n_rows, n_modes = len(arcs[0][1]), len(j_values)
     block = math.isqrt(n_modes - 1) + 1
     n_outer = -(-n_modes // block)
     n_nodes = max(len(rule.x) for rule, _ in arcs) // 2 + 1  # the larger half
-    work = np.empty((2, block * n_nodes), dtype=complex)
-    fine, coarse = np.zeros((2, n_modes), dtype=complex)
-    for rule, wf in arcs:
+    work = np.empty((1 + n_rows, block * n_nodes), dtype=complex)
+    fine, coarse = np.zeros((2, n_rows, n_modes), dtype=complex)
+    for rule, rows in arcs:
         sums = []
         for half in (rule.coarse, ~rule.coarse):
             x = rule.x[half]
             step = np.exp(-1j * x)
-            inner = _powers(1.0, step, block, work[0])
-            seed = wf[half] * np.exp(-1j * j_values[0] * x)
-            outer = _powers(seed, inner[-1] * step, n_outer, work[1])
-            # entry [q, m] belongs to mode j0 + B q + m; the padding beyond M is dropped
-            sums.append((outer @ inner.T).ravel()[:n_modes])
-        even, odd = sums
+            inner = _powers(np.ones(len(x)), step, block, work[0])
+            seed = rows[:, half] * np.exp(-1j * j_values[0] * x)
+            outer = _powers(seed, inner[-1] * step, n_outer, work[1:].reshape(-1))
+            # entry [q, r, m] belongs to row r, mode j0 + B q + m; the padding beyond M is dropped
+            prod = outer.reshape(-1, len(x)) @ inner.T
+            sums.append(prod.reshape(n_outer, n_rows, block).transpose(1, 0, 2))
+        even, odd = (s.reshape(n_rows, -1)[:, :n_modes] for s in sums)
         fine += even + odd
         coarse += 2.0 * even
     return fine, coarse
@@ -345,11 +327,23 @@ def _fourier_sums(arcs, j_values: np.ndarray):
 def _powers(seed, step, count, work):
     """Rows seed * step**k for k < count, filled by repeated multiplication
     into the front of the flat workspace."""
-    rows = work[: count * len(step)].reshape(count, len(step))
+    rows = work[: count * seed.size].reshape(count, *seed.shape)
     rows[0] = seed
     for k in range(1, count):
         np.multiply(rows[k - 1], step, out=rows[k])
     return rows
+
+
+def _table_sums(p: FHParams, arcs, j_values: np.ndarray):
+    """Fine and coarse sums of f e^{-ij theta}/(2 pi) over the circle from
+    the arcs of weighted_rules: S_0 + conj S_1 of the rows w f(e^{i phi})
+    and conj(w f(e^{-i phi})), or 2 Re S_0 of the first row alone for a
+    real mirror-even f."""
+    if p.is_real_symbol() and p.is_mirror_even():
+        sums = _fourier_sums(((rule, plus[None]) for rule, plus, _ in arcs), j_values)
+        return tuple(2.0 * s[0].real for s in sums)
+    rows = ((rule, np.stack([plus, minus.conj()])) for rule, plus, minus in arcs)
+    return tuple(s[0] + s[1].conj() for s in _fourier_sums(rows, j_values))
 
 
 # the closed form's rounding relative to |f_k| in eps = 2^-52: its seed's three
@@ -379,9 +373,10 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
     At t = 0 with V = 0 they are the closed form of `_merged_half`, and
     quad_error_estimate is its rounding bound max_j |f_j| (96 + 8|j|) eps,
     which held against mpmath for n_max <= 1024 (NumericalError above tol).
-    Otherwise they are tanh-sinh sums (a mirror-even symbol's over [0, pi],
-    `_folded_rules`), and the estimate is a nested comparison, uniform in
-    j, plus the mass the rules drop beyond their outermost nodes:
+    Otherwise they are tanh-sinh sums over the arcs of [0, pi] split at t,
+    read at e^{i phi} and e^{-i phi} (`weighted_rules`), and the estimate
+    is a nested comparison, uniform in j, plus the mass the rules drop
+    beyond their outermost nodes on both branches:
     ValidationError before any sums when that alone exceeds tol (an exponent
     below about -0.34 at tol = 1e-11), QuadratureError when refine 3 still
     misses tol.  A tol that is not finite and positive is a ValidationError.
@@ -404,9 +399,8 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
         if not err <= tol:  # nan too
             raise NumericalError(f"closed-form rounding bound {err:.2e} exceeds tol {tol:.2e}")
     else:  # refine 0 first (8 nodes per period of the top mode, 4 on its coarse half)
-        rules = _folded_rules if mirror else weighted_rules
         for refine in (0, 1, 2, 3):
-            arcs = list(rules(p, float(n_max), refine))
+            arcs = list(weighted_rules(p, float(n_max), refine))
             if refine == 0:
                 dropped = _dropped_mass(p, arcs)
                 if dropped > tol:
@@ -414,9 +408,7 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
                         f"Fourier table drops mass {dropped:.2e} beyond its endpoint nodes, "
                         f"above tol {tol:.2e}: an exponent too close to -1/2"
                     )
-            fine, coarse = _fourier_sums(arcs, j_values)
-            if mirror:  # w f cos(j theta): the real part for a real f, else the mean over +-j
-                fine, coarse = (s.real if real else (s + s[::-1]) / 2.0 for s in (fine, coarse))
+            fine, coarse = _table_sums(p, arcs, j_values)
             err = float(np.max(np.abs(fine - coarse))) + dropped
             if err <= tol:
                 break

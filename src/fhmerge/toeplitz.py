@@ -73,30 +73,29 @@ def log_det(table: FourierTable, n: int) -> LogDeterminant:
     return LogDeterminant(n=n, log_abs=float(log_abs), arg=float(np.angle(sign)), minors=minors)
 
 
-_HEINE_REFINE = {1: 3, 2: 1, 3: 0}  # tanh-sinh step halvings per n
-
-
 @single_thread
 def heine_det(p: FHParams, n: int) -> complex:
     """D_n by direct quadrature of the n-fold Heine integral (n <= 3).
 
     Cost grows exponentially with n; this exists purely as an oracle for
-    log_det.  The one-dimensional rules are doubly-exponentially accurate,
-    so _HEINE_REFINE (coarser for larger n) still lands far below 1e-6.
+    log_det.  The nodes are those of weighted_rules at refine 0, read at
+    both e^{i phi} and e^{-i phi}; the one-dimensional rules are
+    doubly-exponentially accurate, so the sums land far below 1e-6.
     """
-    if n not in _HEINE_REFINE:
+    if n not in (1, 2, 3):
         raise ValidationError("heine_det supports n in {1, 2, 3} only")
-    rules, weights = zip(*weighted_rules(p, 4.0, _HEINE_REFINE[n]))
-    theta = np.concatenate([rule.x for rule in rules])
-    wf = np.concatenate(weights)
+    rules, plus, minus = zip(*weighted_rules(p, 4.0, 0))
+    theta = np.concatenate([rule.x for rule in rules] + [-rule.x for rule in rules])
+    wf = np.concatenate(plus + minus)
     if n == 1:
         return complex(np.sum(wf))
-    # pair factor |e^{i a} - e^{i b}|^2 = 2 - 2 cos(a - b)
+    # pair factor |e^{i a} - e^{i b}|^2 = 2 - 2 cos(a - b), real
     pair = 2.0 - 2.0 * np.cos(theta[:, None] - theta[None, :])
     if n == 2:
         total = wf @ pair @ wf
         return complex(total / 2.0)
-    m = (pair * wf[None, :]) @ pair  # m[a,b] = sum_c pair[a,c] wf[c] pair[c,b]
+    # m[a,b] = sum_c pair[a,c] wf[c] pair[c,b], as two real products
+    m = (pair * wf.real) @ pair + 1j * ((pair * wf.imag) @ pair)
     total = wf @ (pair * m) @ wf
     return complex(total / 6.0)
 

@@ -39,6 +39,7 @@ def _run_child(workload, trace):
         # omega matches the determinant-side values (test_painleve)
         ("sigma-family", set()),
         ("shifted-ratio", set()),
+        ("dyson", set()),
     ],
 )
 def test_bench_workload_passes_its_oracles(workload, failing, monkeypatch):

@@ -11,9 +11,11 @@ from fhmerge import symbol
 from fhmerge.errors import NumericalError, QuadratureError, ValidationError
 from fhmerge.quadrature import arc_rule
 from fhmerge.symbol import (
+    TWO_PI,
     FHParams,
     _fourier_sums,
     _symbol_core,
+    _table_sums,
     fourier_coeffs,
     params_from_json_dict,
     weighted_rules,
@@ -29,8 +31,38 @@ def _eval(p, theta):
 
 
 def _sums(p, n_max, j_values, refine):
-    """The table builder's fine and coarse sums at one refine."""
-    return _fourier_sums(weighted_rules(p, float(n_max), refine), j_values)
+    """The table builder's fine and coarse sums at one refine: both branches
+    of its half-circle arcs."""
+    return _table_sums(p, list(weighted_rules(p, float(n_max), refine)), j_values)
+
+
+def _circle_sums(p, n_max, j_values, refine):
+    """Fine sums of f e^{-ij theta}/(2 pi) on the full circle [0, 2 pi], split
+    at t and 2 pi - t: a reference geometry independent of the table's.
+
+    Each offset is formed without cancellation: from the arc end its
+    singularity sits at, else from the nearer copy of the singularity
+    (theta + t, or dist_a + 2t and -(dist_b + 2t) across the long arc).
+    """
+    t = p.t
+    if t == 0.0:
+        rule = arc_rule(0.0, TWO_PI, max_freq=float(n_max), refine=refine)
+        d = np.where(rule.dist_a <= rule.dist_b, rule.dist_a, -rule.dist_b)
+        arcs = [(rule, (d, d))]
+    else:
+        first, long, last = (
+            arc_rule(a, b, max_freq=float(n_max), refine=refine)
+            for a, b in ((0.0, t), (t, TWO_PI - t), (TWO_PI - t, TWO_PI))
+        )
+        near_a = long.dist_a <= long.dist_b
+        arcs = [
+            (first, (-first.dist_b, first.x + t)),
+            (long, (np.where(near_a, long.dist_a, -(long.dist_b + 2.0 * t)),
+                    np.where(near_a, long.dist_a + 2.0 * t, -long.dist_b))),
+            (last, (-(last.dist_b + t), last.dist_a)),
+        ]
+    rows = [(rule, (rule.w * _symbol_core(p, rule.x, d) / TWO_PI)[None]) for rule, d in arcs]
+    return _fourier_sums(rows, j_values)[0][0]
 
 
 def test_tanh_sinh_endpoint_singularity():
@@ -200,12 +232,13 @@ def test_fourier_nonconvergence_raises():
 
 
 def _direct_sums(p, n_max, j_values, refine):
-    """Fine and coarse sums of f e^{-ij theta}/(2 pi), one exponential per term."""
+    """Fine and coarse sums of f e^{-ij theta}/(2 pi) over the table's nodes
+    theta = phi and -phi of both branches, one exponential per term."""
     fine = np.zeros(len(j_values), dtype=complex)
     coarse = np.zeros(len(j_values), dtype=complex)
-    for rule, wf in weighted_rules(p, float(n_max), refine):
+    for rule, plus, minus in weighted_rules(p, float(n_max), refine):
         for i, j in enumerate(j_values):
-            terms = wf * np.exp(-1j * j * rule.x)
+            terms = plus * np.exp(-1j * j * rule.x) + minus * np.exp(1j * j * rule.x)
             fine[i] += np.sum(terms)
             coarse[i] += 2.0 * np.sum(terms[rule.coarse])
     return fine, coarse
@@ -230,13 +263,13 @@ def test_fourier_sums_match_direct_sum(beta1, n_max, t):
 def test_fourier_sums_parity_split():
     # modes far beyond the node density alias differently on the two nested
     # half-rules, so the coarse sums fix which nodes form the coarse half;
-    # the middle arc starts on an odd (non-coarse) node, the others on an even
+    # the arc [t, pi] starts on an odd (non-coarse) node, [0, t] on an even
     p = FHParams(0.3, 0.2, beta1=0.1 + 0.2j, beta2=-0.05j, t=0.7)
-    starts = [bool(rule.coarse[0]) for rule, _ in weighted_rules(p, 17.0, 0)]
-    assert starts == [True, False, True]
+    starts = [bool(rule.coarse[0]) for rule, _, _ in weighted_rules(p, 32.0, 0)]
+    assert starts == [True, False]
     j_values = np.arange(-200, 201)
-    fine, coarse = _sums(p, 17, j_values, refine=0)
-    ref_fine, ref_coarse = _direct_sums(p, 17, j_values, refine=0)
+    fine, coarse = _sums(p, 32, j_values, refine=0)
+    ref_fine, ref_coarse = _direct_sums(p, 32, j_values, refine=0)
     assert np.max(np.abs(fine - coarse)) > 0.1
     assert np.max(np.abs(fine - ref_fine)) < 1e-13
     assert np.max(np.abs(coarse - ref_coarse)) < 1e-13
@@ -264,13 +297,12 @@ def test_fourier_table_matches_next_refinement(name, t, n_max):
     tab = fourier_coeffs(p, n_max)
     lo = 0 if p.is_real_symbol() else -n_max
     j_values = np.arange(lo, n_max + 1)
-    fine, _ = _sums(p, n_max, j_values, refine=1)
+    fine = _circle_sums(p, n_max, j_values, refine=1)
     assert tab.quad_error_estimate <= 1e-13
     assert np.max(np.abs(tab.coeffs[n_max + j_values] - fine)) <= 5e-14
-    # the full-circle sums at refine 0, bit for bit, where the table sums them:
-    # not for a mirror-even symbol (summed over [0, pi]), nor at t = 0 with
-    # V = 0 (the closed form)
-    if not p.is_mirror_even() and (t > 0.0 or v):
+    # the half-circle sums at refine 0, bit for bit, where the table sums
+    # them: not at t = 0 with V = 0 (the closed form)
+    if t > 0.0 or v:
         fine0, _ = single_thread(_sums)(p, n_max, j_values, refine=0)
         assert np.array_equal(tab.coeffs[n_max + j_values], fine0)
 
@@ -300,20 +332,20 @@ def test_folded_table_matches_full_circle(name, t, n_max):
     assert (tab.coeffs.dtype == np.float64) == p.is_real_symbol()
     assert tab.quad_error_estimate <= 1e-13
     j_values = np.arange(-n_max, n_max + 1)
-    fine, _ = _sums(p, n_max, j_values, refine=1)
+    fine = _circle_sums(p, n_max, j_values, refine=1)
     assert np.max(np.abs(tab.coeffs - fine)) <= 5e-14
 
 
 @pytest.mark.parametrize("t", [0.0, 0.3, 2.0])
 def test_folded_estimate_bounds_full_circle_error(t):
-    # the z^{+-32} terms are unresolved at refine 0, which puts the nested
+    # the z^{+-40} terms are unresolved at refine 0, which puts the nested
     # estimate far above rounding; a tol above it accepts refine 0, and the
     # estimate bounds the table's distance to the full-circle sums at refine 3
-    p = FHParams(0.3, 0.3, 0.2j, -0.2j, t, {32: 0.5, -32: 0.5})
+    p = FHParams(0.3, 0.3, 0.2j, -0.2j, t, {40: 0.5, -40: 0.5})
     j_values = np.arange(-16, 17)
     fine, coarse = _sums(p, 16, j_values, refine=0)
     assert np.max(np.abs(fine - coarse)) > 1e-3
-    ref, _ = _sums(p, 16, j_values, refine=3)
+    ref = _circle_sums(p, 16, j_values, refine=3)
     tab = fourier_coeffs(p, 16, tol=1.0)
     assert np.max(np.abs(tab.coeffs - ref)) <= tab.quad_error_estimate
 
@@ -372,6 +404,72 @@ def test_not_mirror_even(args):
     assert not FHParams(*args).is_mirror_even()
 
 
+# a real mirror-even symbol (one summed branch), a real one, a complex one,
+# t = 0 with V != 0 (one arc) and t = 3 (a short arc [t, pi])
+_ARC_SETS = {
+    "real-mirror": FHParams(0.5, 0.5, 0.2j, -0.2j, 0.4),
+    "real": FHParams(0.3, 0.2, 0.4j, -0.1j, 0.7),
+    "complex": FHParams(0.3, 0.2, 0.1 + 0.2j, -0.05j, 0.7),
+    "t0-V": FHParams(0.3, 0.25, 0.1j, 0.0, 0.0, {1: 0.3 + 0.1j, -1: 0.3 - 0.1j}),
+    "t3": FHParams(0.3, 0.2, 0.1j, 0.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_ARC_SETS))
+def test_every_table_sums_half_circle_arcs(name, monkeypatch):
+    # one rule set for every symbol: arcs of [0, pi] split at t, at most one
+    # on each side of t (refines repeat the same arcs)
+    p = _ARC_SETS[name]
+    arcs = []
+
+    def recording(a, b, **kwargs):
+        arcs.append((a, b))
+        return arc_rule(a, b, **kwargs)
+
+    monkeypatch.setattr(symbol, "arc_rule", recording)
+    fourier_coeffs(p, 64)
+    assert arcs and all(0.0 <= a < b <= PI for a, b in arcs)
+    assert all(b <= p.t or a >= p.t for a, b in arcs)
+    assert len({arc for arc in arcs if arc[1] <= p.t}) <= 1
+    assert len({arc for arc in arcs if arc[0] >= p.t}) == 1
+
+
+def _mp_coeff(p, k):
+    """f_k at 30 digits by mp.quad on [0, t, 2 pi - t, 2 pi], the long arc in
+    1 + k // 12 pieces."""
+    with mp.workdps(30):
+        t, two_pi = mp.mpf(p.t), 2 * mp.pi
+        pair = [(mp.mpc(s.alpha), mp.mpc(s.beta), th) for s, th in zip(p.pair, (t, two_pi - t))]
+
+        def f(th):
+            val = mp.exp(-1j * k * th)
+            for alpha, beta, th_j in pair:
+                d = th - th_j
+                val *= (2 * abs(mp.sin(d / 2))) ** (2 * alpha) * mp.exp(1j * beta * (d - mp.pi * mp.sign(d)))
+            return val
+
+        pieces = 1 + k // 12
+        edges = [0, *(t + (two_pi - 2 * t) * i / pieces for i in range(pieces + 1)), two_pi]
+        return complex(mp.quad(f, edges) / two_pi)
+
+
+@pytest.mark.parametrize(
+    "args", [(-0.2, -0.2, 0.0, 0.0), (-0.2, -0.15, 0.1j, 0.0)], ids=["mirror", "not-mirror"]
+)
+def test_small_t_table_within_its_estimate_of_mpmath(args):
+    # a node's offset to the far singularity e^{-it} formed as x - (2 pi - t)
+    # lost a relative ~pi u / t of |z - z_2| near theta = t; at t = 1e-3 that
+    # put these tables 3.8e-14 and 1.7e-14 off, against estimates of 1.6e-15
+    # and 2.5e-15, uniformly in k
+    p = FHParams(*args, t=1e-3)
+    assert p.is_real_symbol()
+    tab = fourier_coeffs(p, 255, tol=1e-13)
+    for k in (0, 7, 200):
+        ref = _mp_coeff(p, k)
+        assert abs(tab[k] - ref) <= tab.quad_error_estimate
+        assert abs(tab[-k] - ref.conjugate()) <= tab.quad_error_estimate  # f real
+
+
 def test_fourier_table_escalates():
     # f = exp(cos 32 theta) = sum_k I_k(1) z^{32k}: the rule tied to n_max = 16
     # cannot resolve the z^{+-32k} terms at refine 0, so the table escalates
@@ -398,8 +496,11 @@ def test_parseval():
     n_max = 48
     tab = fourier_coeffs(p, n_max)
 
-    # sum |f|^2 w / 2 pi, with w f / 2 pi from the table's rules
-    total = sum(np.sum(np.abs(wf) ** 2 / rule.w) * 2.0 * PI for rule, wf in weighted_rules(p, 4.0, 1))
+    # sum |f|^2 w / 2 pi over both branches, with w f / 2 pi from the table's rules
+    total = sum(
+        np.sum((np.abs(plus) ** 2 + np.abs(minus) ** 2) / rule.w) * 2.0 * PI
+        for rule, plus, minus in weighted_rules(p, 4.0, 1)
+    )
     series = sum(abs(tab[j]) ** 2 for j in range(-n_max, n_max + 1))
     # coefficients decay ~ 1/j^2, so the tail is O(1/n_max^3)
     assert abs(total - series) < 5.0 / n_max**3
