@@ -129,7 +129,9 @@ def _cmd_fourier(args):
     p = _params_from_args(args)
     table = fourier_coeffs(p, args.n_max, tol=args.tol)
     rows = [(j, table[j]) for j in range(-args.n_max, args.n_max + 1)]
-    _emit(args, ["j", "f_j"], rows, _meta(args, quad_error=table.quad_error_estimate))
+    meta = _meta(args, quad_error=table.quad_error_estimate, refine=table.refine,
+                 nodes=table.nodes)
+    _emit(args, ["j", "f_j"], rows, meta)
     return EXIT_OK
 
 

@@ -9,9 +9,13 @@ close to the ends.  The nodes stop at endpoint distances ~1e-37; the
 mass of (x - a)^lam dropped there is ~(1e-37)^(1 + Re lam)/(1 + Re lam),
 does not shrink with refine, and is below 1e-11 only for Re lam > -0.68
 (symbol.fourier_coeffs bounds it at each end of a table's arcs).
-Callers choose the step (refine) and estimate the error themselves from
-the nested every-other-node half that ArcRule.coarse marks.  Smooth
-integrands on panels take gauss_legendre_panels' 16-point rule instead.
+The step at refine 0 puts 4 bulk nodes in each period of the fastest
+oscillation the caller names (max_freq), capped at 1/64; the trapezoid
+sum of the transformed integrand resolves e^{i max_freq x} well below
+that budget.  Callers choose the refine, each halving the step, and
+estimate the error themselves from the nested every-other-node half
+that ArcRule.coarse marks.  Smooth integrands on panels take
+gauss_legendre_panels' 16-point rule instead.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ __all__ = ["ArcRule", "arc_rule", "gauss_legendre_panels"]
 # enough for exponents down to (and slightly below) -1/2.
 _T_MAX = 4.0
 _BASE_H = 1.0 / 64.0
-# bulk nodes per period of the fastest oscillation at refine 0
-_NODES_PER_OSC = 8.0
+# bulk nodes per period of the fastest oscillation at refine 0 (2 on its
+# nested every-other-node half)
+_NODES_PER_OSC = 4.0
 # the 16-point Gauss-Legendre rule on [-1, 1], built once at import: leggauss
 # solves an eigenproblem, which wakes the BLAS threads on every call
 _GL_RULE = np.polynomial.legendre.leggauss(16)
@@ -56,7 +61,9 @@ def _choose_h(length: float, max_freq: float) -> float:
     """Step so the bulk node spacing resolves exp(i*max_freq*x).
 
     The spacing at the arc center is (length/2)(pi/2)h; requiring at least
-    _NODES_PER_OSC nodes per period 2*pi/max_freq gives the bound below.
+    _NODES_PER_OSC = 4 nodes per period 2*pi/max_freq gives the bound
+    below, which binds once max_freq*length > 128 (the base step 1/64
+    holds otherwise).
     """
     h = _BASE_H
     if max_freq > 0.0 and length > 0.0:

@@ -1,7 +1,7 @@
 """The two-singularity circle symbol and its Fourier coefficients.
 
 The symbol is e^{V(z)} times one factor per singularity of the pair
-`FHParams.pair`, z_j = e^{i theta_j} with theta_1 = t and
+`FHParams.pair`, z_1 = e^{it} and z_2 = e^{-it} at theta_1 = t and
 theta_2 = 2 pi - t (both 0 at t = 0): |z - z_j|^(2 alpha_j) times the
 jump g_{z_j,beta_j} and e^{i beta_j (theta - theta_j)}, which together
 are (2|sin(d_j/2)|)^(2 alpha_j) e^{i beta_j (d_j - pi sgn d_j)} in the
@@ -12,10 +12,11 @@ e^{-i phi}, the mirror arc [pi, 2 pi].  On [0, pi] the offsets are
 exact: phi - t is the distance to the arc end t, and phi + t is formed
 directly; the other branch takes (-(phi + t), -(phi - t)).  At t = 0
 both singularities sit at the end phi = 0.  The node density is tied
-to the largest requested mode number.  The first rule tried has 8 bulk
-nodes per period of the top mode (refine 0); its nested estimate, the
-change when the every-other-node half is dropped, decides whether to
-escalate to refine 1, 2 or 3.  The mass the nodes drop beyond their ends
+to the integrand's top frequency, the largest requested mode number plus
+the largest |k| of V.  The first rule tried has 4 bulk nodes per period
+of that frequency (refine 0), 2 on its nested every-other-node half; its
+nested estimate, the change when that half is dropped, decides whether
+to escalate to refine 1 to 4.  The mass the nodes drop beyond their ends
 (~1e-37 away) does not shrink with refine; it is bounded up front and
 added to the estimate.  The phase e^{-ij phi} of the M requested modes
 is factored into a coarse step e^{-i(j0 + B q) phi} and a fine offset
@@ -63,9 +64,8 @@ def _as_complex(value) -> complex:
 
 
 class Singularity(NamedTuple):
-    """One Fisher-Hartwig singularity z = e^{i theta} with exponents (alpha, beta)."""
+    """One Fisher-Hartwig singularity z on the unit circle with exponents (alpha, beta)."""
 
-    theta: float
     z: complex
     alpha: complex
     beta: complex
@@ -118,12 +118,11 @@ class FHParams:
 
     @property
     def pair(self) -> tuple[Singularity, Singularity]:
-        """The two singularities: theta_1 = t and theta_2 = 2 pi - t, both 0 at t = 0."""
+        """The two singularities: z_1 = e^{it} and z_2 = e^{-it}."""
         c, s = math.cos(self.t), math.sin(self.t)
-        theta2 = TWO_PI - self.t if self.t > 0.0 else 0.0
         return (
-            Singularity(self.t, complex(c, s), self.alpha1, self.beta1),
-            Singularity(theta2, complex(c, -s), self.alpha2, self.beta2),
+            Singularity(complex(c, s), self.alpha1, self.beta1),
+            Singularity(complex(c, -s), self.alpha2, self.beta2),
         )
 
     @property
@@ -223,6 +222,11 @@ def _symbol_core(p: FHParams, theta, offsets):
     return np.exp(log_f)
 
 
+def _top_freq(p: FHParams, n_max: int) -> float:
+    """The top frequency of f e^{-ij theta}, |j| <= n_max: n_max plus the largest |k| of V."""
+    return float(n_max + max((abs(k) for k, _ in p.v_coeffs), default=0))
+
+
 def weighted_rules(p: FHParams, max_freq: float, refine: int):
     """(rule, w f(e^{i phi}) / 2 pi, w f(e^{-i phi}) / 2 pi) on each arc of
     [0, pi] split at t, the tanh-sinh rule resolving modes up to max_freq
@@ -260,12 +264,19 @@ def _dropped_mass(p: FHParams, arcs) -> float:
 
 @dataclass(frozen=True)
 class FourierTable:
-    """Fourier coefficients f_j for |j| <= n_max with an accuracy estimate."""
+    """Fourier coefficients f_j for |j| <= n_max with an accuracy estimate.
+
+    refine is the refine of the accepted tanh-sinh rule and nodes the number
+    of its nodes on [0, pi], each read at e^{i phi} and e^{-i phi}; None
+    and 0 for the closed form, which sums no rule.
+    """
 
     params: FHParams
     n_max: int
     coeffs: np.ndarray
     quad_error_estimate: float
+    refine: int | None = None
+    nodes: int = 0
 
     def __getitem__(self, j: int) -> complex:
         if abs(j) > self.n_max:
@@ -376,10 +387,13 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
     Otherwise they are tanh-sinh sums over the arcs of [0, pi] split at t,
     read at e^{i phi} and e^{-i phi} (`weighted_rules`), and the estimate
     is a nested comparison, uniform in j, plus the mass the rules drop
-    beyond their outermost nodes on both branches:
-    ValidationError before any sums when that alone exceeds tol (an exponent
-    below about -0.34 at tol = 1e-11), QuadratureError when refine 3 still
-    misses tol.  A tol that is not finite and positive is a ValidationError.
+    beyond their outermost nodes on both branches.  The rules resolve the
+    integrand's top frequency n_max + max |k| of V, with 4 bulk nodes per
+    period at refine 0 and twice as many at each refine up to 4:
+    ValidationError before any sums when the dropped mass alone exceeds tol
+    (an exponent below about -0.34 at tol = 1e-11), QuadratureError when
+    refine 4 still misses tol.  A tol that is not finite and positive is a
+    ValidationError.
     The coefficients are float for a real mirror-even symbol, else complex.
     """
     check_tol(tol)
@@ -388,6 +402,7 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
     n_max = int(n_max)
     real, mirror = p.is_real_symbol(), p.is_mirror_even()
     j_values = np.arange(0 if real else -n_max, n_max + 1)
+    refine, nodes = None, 0
     if p.t == 0.0 and not p.v_coeffs:
         a, b = p.alpha1 + p.alpha2, p.beta_sum
         if a.imag == b.imag == 0.0:  # real Gamma values, exact at the integers
@@ -398,9 +413,9 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
         err = float(np.max(np.abs(fine) * (_SEED_EPS + _STEP_EPS * np.abs(j_values)))) * _EPS
         if not err <= tol:  # nan too
             raise NumericalError(f"closed-form rounding bound {err:.2e} exceeds tol {tol:.2e}")
-    else:  # refine 0 first (8 nodes per period of the top mode, 4 on its coarse half)
-        for refine in (0, 1, 2, 3):
-            arcs = list(weighted_rules(p, float(n_max), refine))
+    else:  # refine 0 first (4 nodes per period of the top frequency, 2 on its coarse half)
+        for refine in (0, 1, 2, 3, 4):
+            arcs = list(weighted_rules(p, _top_freq(p, n_max), refine))
             if refine == 0:
                 dropped = _dropped_mass(p, arcs)
                 if dropped > tol:
@@ -414,13 +429,14 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
                 break
         else:
             raise QuadratureError(
-                f"Fourier table error estimate {err:.2e} exceeds tol {tol:.2e} at refine 3"
+                f"Fourier table error estimate {err:.2e} exceeds tol {tol:.2e} at refine 4"
             )
+        nodes = sum(len(rule.x) for rule, _, _ in arcs)
     coeffs = np.zeros(2 * n_max + 1, dtype=float if real and mirror else complex)
     coeffs[n_max + j_values] = fine
     if real:
         coeffs[:n_max] = np.conj(coeffs[:n_max:-1])
-    return FourierTable(params=p, n_max=n_max, coeffs=coeffs, quad_error_estimate=err)
+    return FourierTable(p, n_max, coeffs, err, refine, nodes)
 
 
 def params_from_json_dict(cfg: dict) -> FHParams:

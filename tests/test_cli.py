@@ -161,6 +161,22 @@ def test_fourier_output_roundtrip(tmp_path, capsys):
     assert mid[0] == "0" and abs(float(mid[1].rstrip("j").split("+")[0]) - 4.0 / PI) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "t, refine, quadrature", [("0", None, False), ("0.3", 0, True)], ids=["closed-form", "rule"]
+)
+def test_fourier_json_meta_records_the_rule(t, refine, quadrature, capsys):
+    code, out = run_cli(
+        ["fourier", "--alpha1", "0.3", "--alpha2", "0.3", "--t", t, "--n-max", "8",
+         "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert meta["refine"] == refine
+    assert (meta["nodes"] > 0) == quadrature
+    assert meta["quad_error"] <= 1e-11
+
+
 def test_json_format_and_config_override(tmp_path, capsys):
     cfg = tmp_path / "sym.json"
     cfg.write_text(json.dumps({"alpha1": [0.25, 0.0], "alpha2": [0.25, 0.0], "t": 0.9}))

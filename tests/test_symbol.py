@@ -7,7 +7,7 @@ import pytest
 from scipy.special import gamma, i0, rgamma
 
 from fhmerge._blas import single_thread
-from fhmerge import symbol
+from fhmerge import experiments, quadrature, symbol
 from fhmerge.errors import NumericalError, QuadratureError, ValidationError
 from fhmerge.quadrature import arc_rule
 from fhmerge.symbol import (
@@ -16,6 +16,7 @@ from fhmerge.symbol import (
     _fourier_sums,
     _symbol_core,
     _table_sums,
+    _top_freq,
     fourier_coeffs,
     params_from_json_dict,
     weighted_rules,
@@ -25,15 +26,16 @@ PI = math.pi
 
 
 def _eval(p, theta):
-    """f(e^{i theta}) off the singular angles, each offset theta - theta_j."""
+    """f(e^{i theta}) off the singular angles, each offset theta - theta_j
+    with theta_1 = t and theta_2 = 2 pi - t (both 0 at t = 0)."""
     theta = np.asarray(theta, dtype=float)
-    return _symbol_core(p, theta, [theta - s.theta for s in p.pair])
+    return _symbol_core(p, theta, [theta - p.t, theta - (TWO_PI - p.t) % TWO_PI])
 
 
 def _sums(p, n_max, j_values, refine):
     """The table builder's fine and coarse sums at one refine: both branches
-    of its half-circle arcs."""
-    return _table_sums(p, list(weighted_rules(p, float(n_max), refine)), j_values)
+    of its half-circle arcs, on its rule for the top frequency n_max + deg V."""
+    return _table_sums(p, list(weighted_rules(p, _top_freq(p, n_max), refine)), j_values)
 
 
 def _circle_sums(p, n_max, j_values, refine):
@@ -90,7 +92,7 @@ def test_params_validation():
 
 def test_t_snap():
     p = FHParams(0.3, 0.3, t=1e-15)
-    assert p.t == 0.0 and p.pair[1].theta == 0.0
+    assert p.t == 0.0 and p.pair[1].z == 1.0
 
 
 def test_seminorm():
@@ -236,7 +238,7 @@ def _direct_sums(p, n_max, j_values, refine):
     theta = phi and -phi of both branches, one exponential per term."""
     fine = np.zeros(len(j_values), dtype=complex)
     coarse = np.zeros(len(j_values), dtype=complex)
-    for rule, plus, minus in weighted_rules(p, float(n_max), refine):
+    for rule, plus, minus in weighted_rules(p, _top_freq(p, n_max), refine):
         for i, j in enumerate(j_values):
             terms = plus * np.exp(-1j * j * rule.x) + minus * np.exp(1j * j * rule.x)
             fine[i] += np.sum(terms)
@@ -264,12 +266,13 @@ def test_fourier_sums_parity_split():
     # modes far beyond the node density alias differently on the two nested
     # half-rules, so the coarse sums fix which nodes form the coarse half;
     # the arc [t, pi] starts on an odd (non-coarse) node, [0, t] on an even
+    # at max_freq 64 (which arc starts on a coarse node depends on max_freq)
     p = FHParams(0.3, 0.2, beta1=0.1 + 0.2j, beta2=-0.05j, t=0.7)
-    starts = [bool(rule.coarse[0]) for rule, _, _ in weighted_rules(p, 32.0, 0)]
+    starts = [bool(rule.coarse[0]) for rule, _, _ in weighted_rules(p, 64.0, 0)]
     assert starts == [True, False]
     j_values = np.arange(-200, 201)
-    fine, coarse = _sums(p, 32, j_values, refine=0)
-    ref_fine, ref_coarse = _direct_sums(p, 32, j_values, refine=0)
+    fine, coarse = _sums(p, 64, j_values, refine=0)
+    ref_fine, ref_coarse = _direct_sums(p, 64, j_values, refine=0)
     assert np.max(np.abs(fine - coarse)) > 0.1
     assert np.max(np.abs(fine - ref_fine)) < 1e-13
     assert np.max(np.abs(coarse - ref_coarse)) < 1e-13
@@ -338,9 +341,11 @@ def test_folded_table_matches_full_circle(name, t, n_max):
 
 @pytest.mark.parametrize("t", [0.0, 0.3, 2.0])
 def test_folded_estimate_bounds_full_circle_error(t):
-    # the z^{+-40} terms are unresolved at refine 0, which puts the nested
-    # estimate far above rounding; a tol above it accepts refine 0, and the
-    # estimate bounds the table's distance to the full-circle sums at refine 3
+    # the table's rule resolves the top frequency 16 + 40, but e^V also holds
+    # z^{+-80}, z^{+-120}, ..., which the refine-0 rule's coarse half does
+    # not resolve; that puts the nested estimate far above rounding; a tol
+    # above it accepts refine 0, and the estimate bounds the table's
+    # distance to the full-circle sums at refine 3
     p = FHParams(0.3, 0.3, 0.2j, -0.2j, t, {40: 0.5, -40: 0.5})
     j_values = np.arange(-16, 17)
     fine, coarse = _sums(p, 16, j_values, refine=0)
@@ -470,14 +475,51 @@ def test_small_t_table_within_its_estimate_of_mpmath(args):
         assert abs(tab[-k] - ref.conjugate()) <= tab.quad_error_estimate  # f real
 
 
+def test_table_resolves_the_frequency_of_v():
+    # e^V carries z^{+-80} into f e^{-ij theta}: the rule resolves the top
+    # frequency 16 + 80; one tied to n_max = 16 alone misses tol at every refine
+    p = FHParams(0.3, 0.25, 0.1j, 0.0, t=0.3, v_coeffs={80: 0.5, -80: 0.5, 3: 0.2j})
+    tab = fourier_coeffs(p, 16)
+    assert tab.quad_error_estimate <= 1e-11
+    ref = _circle_sums(p, 96, np.arange(-16, 17), refine=3)
+    assert np.max(np.abs(tab.coeffs - ref)) <= 5e-14
+
+
+def _nodes_at_8_per_period(p, n_max, monkeypatch):
+    """Nodes of the refine-0 rule at 8 bulk nodes per period of the top frequency."""
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_NODES_PER_OSC", 8.0)
+        return sum(len(rule.x) for rule, _, _ in weighted_rules(p, _top_freq(p, n_max), 0))
+
+
+def test_suite_tables_accept_refine_0_at_4_nodes_per_period(monkeypatch):
+    # the Dyson t-node tables (n_max 254) and the complex beta-shift tables of
+    # the shifted-ratio suite size (n_max 255) meet tol on the first rule, at
+    # about half the nodes of a rule with 8 per period
+    dyson = [FHParams(0.5, 0.5, t=float(t)) for t in experiments._t_nodes(255, PI / 2.0)[0]]
+    shifted = [
+        FHParams(a1, a2, b1 + k, b2 - k, t)
+        for a1, a2, b1, b2, t in [
+            (0.3, 0.2, 0.1 + 0.2j, -0.05j, 0.3), (0.15, 0.35, -0.2j, 0.25, 1.1)
+        ]
+        for k in (0, 1, -1)
+    ]
+    for p, n_max in [(p, 254) for p in dyson] + [(p, 255) for p in shifted]:
+        tab = fourier_coeffs(p, n_max)
+        assert tab.refine == 0
+        assert tab.nodes <= 0.55 * _nodes_at_8_per_period(p, n_max, monkeypatch)
+
+
 def test_fourier_table_escalates():
-    # f = exp(cos 32 theta) = sum_k I_k(1) z^{32k}: the rule tied to n_max = 16
-    # cannot resolve the z^{+-32k} terms at refine 0, so the table escalates
+    # f = exp(cos 32 theta) = sum_k I_k(1) z^{32k}: the rule tied to the top
+    # frequency 16 + 32 cannot resolve the z^{+-32k} terms, k >= 2, on its
+    # refine-0 coarse half, so the table escalates
     p = FHParams(0.0, 0.0, t=0.3, v_coeffs={32: 0.5, -32: 0.5})
     n_max, tol = 16, 1e-11
     fine, coarse = _sums(p, n_max, np.arange(0, n_max + 1), refine=0)
     assert np.max(np.abs(fine - coarse)) > tol
     tab = fourier_coeffs(p, n_max, tol=tol)
+    assert tab.refine > 0
     assert tab.quad_error_estimate <= tol
     assert abs(tab[0] - i0(1.0)) <= tol
     assert max(abs(tab[j]) for j in range(1, n_max + 1)) <= tol
