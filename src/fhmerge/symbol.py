@@ -18,8 +18,10 @@ of that frequency (refine 0), 2 on its nested every-other-node half; its
 nested estimate, the change when that half is dropped, decides whether
 to escalate to refine 1 to 4.  The mass the nodes drop beyond their ends
 (~1e-37 away) does not shrink with refine; it is bounded up front and
-added to the estimate.  The phase e^{-ij phi} of the M requested modes
-is factored into a coarse step e^{-i(j0 + B q) phi} and a fine offset
+added to the estimate, as is the sums' rounding, which grows with the
+top frequency and which the nested comparison does not see.  The phase
+e^{-ij phi} of the M requested modes is factored into a coarse step
+e^{-i(j0 + B q) phi} and a fine offset
 e^{-i m phi}, B = ceil(sqrt(M)), both filled by repeated multiplication
 and shared by the two branches, so a table costs one exponential and
 O(sqrt(M)) multiplications per node and branch plus one matrix product
@@ -360,6 +362,21 @@ def _table_sums(p: FHParams, arcs, j_values: np.ndarray):
 # the closed form's rounding relative to |f_k| in eps = 2^-52: its seed's three
 # Gamma values (scipy's complex ones ~21 each, against mpmath), each ratio step
 _SEED_EPS, _STEP_EPS, _EPS = 96.0, 8.0, np.finfo(float).eps
+# the quadrature sums' rounding in eps (1 + top) sqrt(sum |w f|^2): the phase
+# e^{-ij phi} of a node is off by ~|j phi| eps (the rounded node, j phi, the
+# repeated products), independently from node to node; over ten symbol
+# classes at t in {1e-3, 0.3, 2} and n_max 255 and 1023 (six at 4095) the
+# worst table sat 3.5 of these units from sums on 4 to 8 times the nodes,
+# where the nested estimate, itself rounding, often fell short; 4 covers it
+# with the nested term on top
+_ROUND_EPS = 4.0
+
+
+def _rounding(arcs, top: float) -> float:
+    """Bound on the rounding of the sums over weighted_rules' arcs, uniform in
+    the modes up to the top frequency; it does not shrink with refine."""
+    squares = sum(float(np.vdot(wf, wf).real) for _, *rows in arcs for wf in rows)
+    return _ROUND_EPS * _EPS * (1.0 + top) * math.sqrt(squares)
 
 
 def _merged_half(a, b, n: int) -> np.ndarray:
@@ -387,8 +404,9 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
     Otherwise they are tanh-sinh sums over the arcs of [0, pi] split at t,
     read at e^{i phi} and e^{-i phi} (`weighted_rules`), and the estimate
     is a nested comparison, uniform in j, plus the mass the rules drop
-    beyond their outermost nodes on both branches.  The rules resolve the
-    integrand's top frequency n_max + max |k| of V, with 4 bulk nodes per
+    beyond their outermost nodes on both branches and the sums' rounding
+    (`_rounding`), which the nested comparison does not see.  The rules
+    resolve the integrand's top frequency n_max + max |k| of V, with 4 bulk nodes per
     period at refine 0 and twice as many at each refine up to 4:
     ValidationError before any sums when the dropped mass alone exceeds tol
     (an exponent below about -0.34 at tol = 1e-11), QuadratureError when
@@ -414,8 +432,9 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
         if not err <= tol:  # nan too
             raise NumericalError(f"closed-form rounding bound {err:.2e} exceeds tol {tol:.2e}")
     else:  # refine 0 first (4 nodes per period of the top frequency, 2 on its coarse half)
+        top = _top_freq(p, n_max)
         for refine in (0, 1, 2, 3, 4):
-            arcs = list(weighted_rules(p, _top_freq(p, n_max), refine))
+            arcs = list(weighted_rules(p, top, refine))
             if refine == 0:
                 dropped = _dropped_mass(p, arcs)
                 if dropped > tol:
@@ -424,7 +443,7 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
                         f"above tol {tol:.2e}: an exponent too close to -1/2"
                     )
             fine, coarse = _table_sums(p, arcs, j_values)
-            err = float(np.max(np.abs(fine - coarse))) + dropped
+            err = float(np.max(np.abs(fine - coarse))) + dropped + _rounding(arcs, top)
             if err <= tol:
                 break
         else:

@@ -40,20 +40,21 @@ def _sums(p, n_max, j_values, refine):
 
 def _circle_sums(p, n_max, j_values, refine):
     """Fine sums of f e^{-ij theta}/(2 pi) on the full circle [0, 2 pi], split
-    at t and 2 pi - t: a reference geometry independent of the table's.
+    at t and 2 pi - t: a reference geometry independent of the table's, at 8
+    bulk nodes per period of mode n_max at refine 0 (twice the tables' density).
 
     Each offset is formed without cancellation: from the arc end its
     singularity sits at, else from the nearer copy of the singularity
     (theta + t, or dist_a + 2t and -(dist_b + 2t) across the long arc).
     """
-    t = p.t
+    t, max_freq = p.t, n_max * 8.0 / quadrature._NODES_PER_OSC
     if t == 0.0:
-        rule = arc_rule(0.0, TWO_PI, max_freq=float(n_max), refine=refine)
+        rule = arc_rule(0.0, TWO_PI, max_freq=max_freq, refine=refine)
         d = np.where(rule.dist_a <= rule.dist_b, rule.dist_a, -rule.dist_b)
         arcs = [(rule, (d, d))]
     else:
         first, long, last = (
-            arc_rule(a, b, max_freq=float(n_max), refine=refine)
+            arc_rule(a, b, max_freq=max_freq, refine=refine)
             for a, b in ((0.0, t), (t, TWO_PI - t), (TWO_PI - t, TWO_PI))
         )
         near_a = long.dist_a <= long.dist_b
@@ -473,6 +474,50 @@ def test_small_t_table_within_its_estimate_of_mpmath(args):
         ref = _mp_coeff(p, k)
         assert abs(tab[k] - ref) <= tab.quad_error_estimate
         assert abs(tab[-k] - ref.conjugate()) <= tab.quad_error_estimate  # f real
+
+
+def _dyson_exact(t, n):
+    """f_j, 0 <= j <= n, of f = |z - e^{it}| |z - e^{-it}| = 2 |cos theta - cos t|:
+    (4/pi) int_0^t (cos theta - cos t) cos(j theta) d theta less (2/pi) times
+    the same integral over [0, pi], which is 0 for j >= 2."""
+    t = mp.mpf(t)
+    c = mp.cos(t)
+    out = [4 / mp.pi * (mp.sin(t) - c * t) + 2 * c,
+           4 / mp.pi * ((t + mp.sin(2 * t) / 2) / 2 - c * mp.sin(t)) - 1]
+    for j in range(2, n + 1):
+        half = (mp.sin((j - 1) * t) / (j - 1) + mp.sin((j + 1) * t) / (j + 1)) / 2
+        out.append(4 / mp.pi * (half - c * mp.sin(j * t) / j))
+    return np.array([float(v) for v in out])
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.3, 2.0])
+def test_dyson_table_at_n_max_4095_within_its_estimate(t):
+    # the sums' rounding grows with n_max and the nested estimate, itself
+    # rounding, does not see it: without its rounding term the estimate fell
+    # short of the exact error at t = 1e-3 and 0.3 (3.3e-14 against 4.7e-14)
+    n = 4095
+    tab = fourier_coeffs(FHParams(0.5, 0.5, t=t), n)
+    assert tab.refine == 0
+    with mp.workdps(30):
+        exact = _dyson_exact(t, n)
+    assert np.max(np.abs(tab.coeffs[n:] - exact)) <= tab.quad_error_estimate
+
+
+@pytest.mark.parametrize("name", ["calpha", "shifted"])
+def test_complex_table_at_n_max_4095_within_its_estimate(name):
+    # against half-circle sums on four times the nodes (16 per period of the
+    # top frequency), on both ends of the modes, where the rounding peaks,
+    # and the middle; without its rounding term the estimate fell short
+    a1, a2, b1, b2, v = _TABLE_CLASSES[name]
+    p = FHParams(a1, a2, b1, b2, 0.3, v)
+    n = 4095
+    tab = fourier_coeffs(p, n)
+    assert tab.refine == 0
+    arcs = list(weighted_rules(p, _top_freq(p, n), 2))
+    for lo in (-n, -128, n - 255):
+        j_values = np.arange(lo, lo + 256)
+        ref = _table_sums(p, arcs, j_values)[0]
+        assert np.max(np.abs(tab.coeffs[n + j_values] - ref)) <= tab.quad_error_estimate
 
 
 def test_table_resolves_the_frequency_of_v():
