@@ -160,7 +160,8 @@ def _cmd_sigma(args):
         )
     ]
     header = ["x", "re_sigma", "im_sigma", "re_sigma_x", "im_sigma_x", "re_r", "im_r", "residual"]
-    _emit(args, header, rows, _meta(args, x0=traj.x0))
+    meta = _meta(args, x0=traj.x0, handover=traj.handover, steps=traj.steps, nfev=traj.nfev)
+    _emit(args, header, rows, meta)
     return EXIT_OK
 
 

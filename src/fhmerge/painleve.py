@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg.lapack import ztrtrs
 
 from .errors import (
     DegenerateDenominatorError,
@@ -73,6 +74,10 @@ _X_ANCHOR = 1e-3
 _X_R = 1e-10
 # lattice points (j, k) a series table may take before it gives up
 _SERIES_BUDGET = 4000
+# the handover from the series table to the solver, as a fraction of the
+# series' radius guess, and the Lax root pick's margin it keeps
+_HANDOVER = 1.0 / 15.0
+_PICK_MARGIN = 20.0
 # right-hand-side evaluations allowed per sigma solve; passing runs use a
 # few thousand, a run heading for a blow-up millions
 _RHS_BUDGET = 100_000
@@ -164,31 +169,53 @@ def _series_lattice(p: FHParams, t0: complex, size_j: int, size_k: int):
     is the rest at x^(e-1) over e ((e-1)^2 - 4a^2), except c_0 = sigma(0)
     and the free c_mu = tau0.
     Products of lattice points with j >= 0 stay on that lattice, and each
-    point depends only on points at or below it in both j and k, so a
-    k-major sweep fills the table.
+    point depends only on points at or below it in both j and k, so the
+    table fills row by row.  Row 0, the powers x^j, pairs only its own
+    points and is filled one point at a time.  Row k >= 1 is linear in
+    itself: its products with row 0 and its (3 - e) c_{k, j-2} term make
+    one lower-triangular system, and the pairs of finished rows 1 .. k-1
+    its right-hand side, one product with their stacked Toeplitz windows.
     """
     a, _, e3 = _equation_constants(p)
     e = np.arange(size_j) + (1.0 + 2.0 * a) * np.arange(size_k)[:, None]
     den = e * ((e - 1.0) ** 2 - 4.0 * a * a)
-    c = np.zeros((size_k, size_j), dtype=complex)
     # the products 4uu' - 6x u'^2 at x^(e-1) pair c_p (4 - 6 e_p) with c_q e_q;
     # the pair (0, e) holds c_e itself and enters through den
-    left, right = np.zeros_like(c), np.zeros_like(c)
-    for k in range(size_k):
-        for j in range(size_j):
-            if (k, j) == (0, 0):
-                c[0, 0] = sigma_zero(p)
-                continue
-            if (k, j) == (1, 0):
-                c[1, 0] = t0
-            else:
-                rest = -2j * e3 if (k, j) == (0, 1) else 0.0
-                if j >= 2:
-                    rest += (3.0 - e[k, j]) * c[k, j - 2]
-                rest += np.sum(left[: k + 1, : j + 1] * right[k::-1, j::-1])
-                c[k, j] = rest / den[k, j]
-            left[k, j] = c[k, j] * (4.0 - 6.0 * e[k, j])
-            right[k, j] = c[k, j] * e[k, j]
+    left_w, right_w = 4.0 - 6.0 * e, e + 0j
+    c = np.zeros((size_k, size_j), dtype=complex)
+    row, lw, rw, den0 = [sigma_zero(p)], left_w[0].tolist(), right_w[0].tolist(), den[0].tolist()
+    for j in range(1, size_j):
+        rest = -2j * e3 if j == 1 else 0.0
+        if j >= 2:
+            rest += (3.0 - j) * row[j - 2]
+        rest += sum(row[m] * lw[m] * row[j - m] * rw[j - m] for m in range(1, j))
+        row.append(rest / den0[j])
+    c[0] = row
+    left, right = c * left_w, c * right_w
+    # lower Toeplitz windows, toe[j, k, m] = right[k, j - m] for m <= j, else 0,
+    # and low[j, m] = left[0, j - m] for m < j
+    lag = size_j - 1 + np.arange(size_j)[:, None] - np.arange(size_j)
+    pad = np.zeros(2 * size_j - 1, dtype=complex)
+    toe = np.zeros((size_j, size_k, size_j), dtype=complex)
+    pad[size_j:] = left[0, 1:]
+    low = pad[lag]
+    pad[size_j - 1 :] = right[0]
+    toe[:, 0] = pad[lag]
+    # row k's coupling to row 0 and to c_{k, j-2}, affine in e = j + k mu
+    two_back = np.eye(size_j, k=-2)
+    base = -(low * right_w[0] + toe[:, 0] * left_w[0] + two_back * (3.0 - right_w[0, :, None]))
+    slope = 6.0 * toe[:, 0] - low + two_back
+    diag = np.diag_indices(size_j)
+    for k in range(1, size_k):
+        rhs = toe[:, 1:k].reshape(size_j, -1) @ left[k - 1 : 0 : -1].ravel()
+        m = base + (e[k, 0] * slope)
+        m[diag] = den[k]
+        if k == 1:  # the free tau0
+            m[0, 0], rhs[0] = 1.0, t0
+        c[k] = ztrtrs(m, rhs, lower=1)[0]
+        left[k], right[k] = c[k] * left_w[k], c[k] * right_w[k]
+        pad[size_j - 1 :] = right[k]
+        toe[:, k] = pad[lag]
     return c, e
 
 
@@ -216,22 +243,9 @@ def _series_terms(p: FHParams, x_range: float):
     if _sigma_vanishes(p):
         return np.zeros((2, 0), dtype=complex)
     t0 = tau0(p)
-    mu = _tau0_power(p)
     _check_resonance(p)
     eps = np.finfo(float).eps
-    # first guess, meant to pass at once: a radius of convergence of 3 (3.4
-    # to 9 for real alphas), times |1 - 4a^2| / 0.4 below 0.4 (the x^2 term's
-    # small divisor 2(1 - 4a^2) slows the decay of the terms built from it),
-    # and sigma_xx's bar, whose largest term sits at x^2 or below; column j
-    # weighs about (x/radius)^(j-2) j^2 against it, and the last two columns
-    # start at j = size_j - 2
-    radius = 3.0 * min(1.0, abs(1.0 - 4.0 * (p.alpha1 + p.alpha2) ** 2) / 0.4)
-    log_ratio = math.log(min(x_range / radius, 0.5))
-    j = 2
-    while (j - 2) * log_ratio + 2.0 * math.log(j) > math.log(eps):
-        j += 1
-    size_j = j + 2
-    size_k = 1 + math.ceil((size_j - 2) / mu)
+    size_j, size_k = _series_guess(p, x_range)
     while size_j * size_k <= _SERIES_BUDGET:
         c, e = _series_lattice(p, t0, size_j, size_k)
         # x^d times each term's size in the d-th derivative at x_range, d = 0, 1, 2
@@ -247,6 +261,50 @@ def _series_terms(p: FHParams, x_range: float):
         size_j += 0 if cols_ok else size_j // 2
         size_k += 0 if row_ok else (size_k + 1) // 2
     raise NumericalError(f"small-argument series does not converge at x = {x_range:.3g}")
+
+
+def _radius_guess(p: FHParams) -> float:
+    """The radius of convergence _series_guess assumes: 3 (3.4 to 9 for
+    real alphas), times |1 - 4a^2| / 0.4 below 0.4, a = alpha1 + alpha2
+    (the x^2 term's small divisor 2(1 - 4a^2) slows the decay of the terms
+    built from it)."""
+    return 3.0 * min(1.0, abs(1.0 - 4.0 * (p.alpha1 + p.alpha2) ** 2) / 0.4)
+
+
+def _series_guess(p: FHParams, x_range: float):
+    """The first lattice (size_j, size_k) _series_terms tries on (0, x_range],
+    meant to pass at once: at _radius_guess, sigma_xx's bar, whose largest
+    term sits at x^2 or below, against column j, which weighs about
+    (x/radius)^(j-2) j^2 (the last two columns start at j = size_j - 2),
+    and rows up to the power x^(size_j - 2).  Raises ValidationError for
+    Re(alpha1 + alpha2) <= -1/2."""
+    log_ratio = math.log(min(x_range / _radius_guess(p), 0.5))
+    log_eps = math.log(np.finfo(float).eps)
+    j = 2
+    while (j - 2) * log_ratio + 2.0 * math.log(j) > log_eps:
+        j += 1
+    return j + 2, 1 + math.ceil(j / _tau0_power(p))
+
+
+def _handover(p: FHParams, x0: float, x_max: float):
+    """(x_h, table): where the sigma solve leaves the series table, and the
+    table it leaves, built on (0, cap] or (0, x0].
+
+    The series holds to rounding up to the cap _HANDOVER times
+    _radius_guess (0.2 at radius 3, less near alpha1 + alpha2 = 1/2).
+    Below x_h, U is also read off the Lax quadratic (_lax_head), which
+    needs _lax_root's pick to stay clear: its margin falls about like 1/x
+    (m x -> 8 (alpha1 + alpha2) at beta = 0), so x_h is at most where the
+    margin measured at x0 would fall to _PICK_MARGIN.  x_h = x0 when the
+    cap is not in (x0, x_max) or its first lattice would not fit
+    _SERIES_BUDGET, and for the sigma == 0 sets, whose table is empty."""
+    cap = _HANDOVER * _radius_guess(p)
+    fits = math.prod(_series_guess(p, cap)) <= _SERIES_BUDGET if x0 < cap < x_max else False
+    if _sigma_vanishes(p) or not fits:
+        return x0, _series_terms(p, x0)
+    table = _series_terms(p, cap)
+    margin = _lax_root(p, x0, *_series_rows(table, x0)[:3])[3]
+    return min(cap, max(x0, x0 * float(margin) / _PICK_MARGIN)), table
 
 
 def _check_resonance(p: FHParams) -> None:
@@ -380,22 +438,25 @@ def sigma_residual(p: FHParams, x, sigma, sigma_x, sigma_xx):
 class SigmaTrajectory:
     """sigma and derivatives on a grid of x = |s| along the ray s = -ix.
 
-    Built from the parameters, the range [x0, x_max] and the dense solver
-    output over x, whose rows are (sigma, sigma_x, sigma_xx, omega, ln U,
-    W), omega included from its series value at x0 on: _integrate_ray's
+    Built from the parameters, the range [x0, x_max], the solver pass
+    and the series table.  The pass starts at the handover and its dense
+    output has the rows (sigma, sigma_x, sigma_xx, omega, ln U, W), omega
+    included from its series value at the handover on: _integrate_ray's
     stacked step arrays, which _dense_at reads with scipy's DOP853
     arithmetic, bit for bit equal to scipy's dense output.  eval, sigma_at
-    and omega_at take a float or an array of x and read it through _read:
-    the solve's series table _series below x0, the dense output from x0
-    on, one call each.  x_grid is _default_grid(x0, x_max); the grid
-    fields are filled from one eval on x_grid and the quartic-relation
-    residual there.
+    and omega_at take a float or an array of x in (0, x_max] and read it
+    through _read: the solve's series table _series below the handover,
+    the dense output from there on, one call each.  x_grid is
+    _default_grid(x0, x_max); the grid fields are filled from one eval on
+    x_grid and the quartic-relation residual there.  handover, steps and
+    nfev say how the pass ran: where it took over from the table, its
+    accepted steps and its right-hand-side evaluations.
     """
 
     params: FHParams
     x0: float
     x_max: float
-    _dense: tuple = field(repr=False)  # stacked DOP853 steps over [x0, x_max]
+    _dense: tuple = field(repr=False)  # _integrate_ray's pass from the handover on
     _series: tuple = field(repr=False)  # the table (c, e)
     x_grid: np.ndarray = field(init=False)
     sigma: np.ndarray = field(init=False)
@@ -410,19 +471,33 @@ class SigmaTrajectory:
             self.params, self.x_grid, self.sigma, self.sigma_x, self.sigma_xx
         )
 
+    @property
+    def handover(self) -> float:
+        """Where the pass starts: x0, or above it where the table still holds."""
+        return float(self._dense[0][0])
+
+    @property
+    def steps(self) -> int:
+        return len(self._dense[0])
+
+    @property
+    def nfev(self) -> int:
+        return self._dense[4]
+
     def _dense_at(self, xs: np.ndarray) -> np.ndarray:
-        """Rows (sigma, sigma_x, sigma_xx, omega, ln U, W) at the points xs.
+        """Rows (sigma, sigma_x, sigma_xx, omega, ln U, W) at the points xs
+        in [handover, x_max].
 
         Each x is read on its step (the first whose end is >= x) from the
         step's degree-7 polynomial, Horner in q and 1 - q alternately for
         q = (x - t_old)/h: scipy's Dop853DenseOutput arithmetic, so every
         value equals its dense output bit for bit."""
-        outside = ~((self.x0 <= xs) & (xs <= self.x_max + 1e-12))
+        outside = ~((self.handover <= xs) & (xs <= self.x_max + 1e-12))
         if outside.any():
             raise ValidationError(
-                f"x = {xs[outside][0]} outside trajectory range [{self.x0}, {self.x_max}]"
+                f"x = {xs[outside][0]} outside the pass [{self.handover}, {self.x_max}]"
             )
-        t_old, h, coeffs, y_old = self._dense
+        t_old, h, coeffs, y_old, _ = self._dense
         xs = np.minimum(xs, self.x_max)
         step = np.maximum(np.searchsorted(t_old, xs) - 1, 0)
         q = ((xs - t_old[step]) / h[step])[:, None]
@@ -434,11 +509,12 @@ class SigmaTrajectory:
 
     def _read(self, x):
         """(sigma, sigma_x, sigma_xx, omega) at x, each of the shape of x:
-        the series table below x0, the dense output from x0 on (at x0 it
-        returns the start data, the series values there)."""
+        the series table below the handover, the dense output from there
+        on (at the handover it returns the start data, the series values
+        there)."""
         xs = np.asarray(x, dtype=float)
         flat = xs.ravel()
-        head = flat < self.x0
+        head = flat < self.handover
         out = np.empty((4, flat.size), dtype=complex)
         if head.any():
             out[:, head] = _series_rows(self._series, flat[head])
@@ -463,7 +539,7 @@ def _integrate_ray(p, x0, x_max, y0, rtol):
     u(x) = sigma(-ix), from the start data y0 at x0, as the pass's steps
     stacked into arrays (t_old, h, F, y_old): each step's start, width,
     seven DOP853 interpolant rows (F's first axis) and start state, the
-    data of scipy's Dop853DenseOutput.
+    data of scipy's Dop853DenseOutput; then the pass's nfev.
 
     u''' is the quadratic form of _equation_constants, the equation that
     _series_lattice expands, and omega' = (u - sigma(0))/x.  U oscillates
@@ -508,6 +584,7 @@ def _integrate_ray(p, x0, x_max, y0, rtol):
         np.array([d.h for d in steps]),
         np.stack([d.F for d in steps], axis=1),
         np.array([d.y_old for d in steps]),
+        int(sol.nfev),
     )
 
 
@@ -522,16 +599,21 @@ def integrate_sigma(
 ) -> SigmaTrajectory:
     """Integrate u(x) = sigma(-ix) forward in x from the start x0 to x_max.
 
-    x0 = _series_start(p, tol), where the series table's start data
-    (sigma, sigma_x, sigma_xx and omega) resolve tau0 to relative accuracy
-    tol: 1e-3 for alpha1 = alpha2 = 0.3, about 0.24 for 0.9 at tol = 1e-8.
-    The table is built on (0, x0], which holds every read of it: the
-    start data, the trajectory's reads below x0, and ln U and W, which
-    start from _lax_start on [1e-10, x0].  The solve is the one
-    solve_ivp pass of _integrate_ray.  The sigma == 0 sets (the
-    degenerate pair alpha = beta = 1/2 and the smooth symbol) have the
-    empty table, start at 1e-3 from zero data, stay at zero and carry
-    U = 1, which keeps the right-hand side finite.  The call raises:
+    x0 = _series_start(p, tol) is where double-precision data resolve
+    tau0 to relative accuracy tol: 1e-3 for alpha1 = alpha2 = 0.3, about
+    0.24 for 0.9 at tol = 1e-8.  It starts the trajectory's grid and
+    read ranges.  The solve itself is the one solve_ivp pass of
+    _integrate_ray from the handover x_h = _handover(p, x0, x_max): up to
+    0.2 (less near alpha1 + alpha2 = 1/2, and where the Lax root pick
+    would lose its margin), or x0 where that is higher or its table would
+    not fit _SERIES_BUDGET.  Below x_h the series holds sigma to
+    rounding, where DOP853's early steps from x0 were most of its error
+    and a third of its steps.  The table holds every read of it: the
+    start data at x_h, the trajectory's reads below x_h, and ln U and W,
+    which come from _lax_head on [1e-10, x_h].  The sigma == 0 sets (the degenerate pair
+    alpha = beta = 1/2 and the smooth symbol) have the empty table, start
+    at x_h = x0 = 1e-3 from zero data, stay at zero and carry U = 1,
+    which keeps the right-hand side finite.  The call raises:
 
     - NondegeneracyError up front, from the series, when 2(alpha1+alpha2)
       is in N u {0}, when 1 - 2(alpha1+alpha2) lies on the exponent
@@ -551,11 +633,13 @@ def integrate_sigma(
     x0 = _series_start(p, tol)
     if not x0 < x_max < math.inf:
         raise ValidationError(f"need x0 < x_max < inf (x0 = {x0:.3g}, x_max = {x_max:.3g})")
-    table = _series_terms(p, x0)
+    x_h, table = _handover(p, x0, x_max)
     rtol = min(1e-10, tol * 1e-2)
-    ln_u0, w0 = (0.0, 0.0) if _sigma_vanishes(p) else _lax_start(p, table, x0)
-    y0 = [*_series_rows(table, x0), ln_u0, w0]
-    dense = _integrate_ray(p, x0, x_max, y0, rtol)
+    y0 = [*_series_rows(table, x_h), 0.0, 0.0]
+    if not _sigma_vanishes(p):
+        _, u_h, w_h = _lax_head(p, table, np.array([x_h]))
+        y0[4:] = cmath.log(u_h[0]), w_h[0]
+    dense = _integrate_ray(p, x_h, x_max, y0, rtol)
     traj = SigmaTrajectory(p, x0, x_max, dense, table)
 
     if p.has_real_fh_factor() and p.seminorm < 1.0 and x_max >= _X_ASYM_MIN:
@@ -696,9 +780,10 @@ def _lax_branches(p: FHParams, x, sig, du, d2u):
 
 
 def _lax_root(p: FHParams, x, sig, du, d2u):
-    """(d ln r/dx, U, x y_x/y) elementwise over x, on the root of the Lax
-    quadratic whose d ln r/dx is nearest -1/x - i/2 + k (the first on a
-    tie), k = i alpha2/(alpha1 + alpha2).
+    """(d ln r/dx, U, x y_x/y, margin) elementwise over x, on the root of
+    the Lax quadratic whose d ln r/dx is nearest -1/x - i/2 + k (the first
+    on a tie), k = i alpha2/(alpha1 + alpha2); margin is how many times
+    nearer it is than the other root's.
 
     As x -> 0 the roots meet at U = -(a + b)/(a - b), a = alpha1 + alpha2,
     b = beta1 + beta2.  The quadratic to second order in x there gives the
@@ -710,20 +795,29 @@ def _lax_root(p: FHParams, x, sig, du, d2u):
     u, y_part, numf, dnumf = _lax_branches(p, x, sig, du, d2u)
     vals = y_part - 1.0 / x + dnumf / numf
     target = -1.0 / x - 0.5j + 1j * p.alpha2 / (p.alpha1 + p.alpha2)
-    pick = np.argmin(np.abs(vals - target), axis=0)[None]
-    return tuple(np.take_along_axis(rows, pick, 0)[0] for rows in (vals, u, y_part * x))
+    dist = np.abs(vals - target)
+    pick = np.argmin(dist, axis=0)[None]
+    near, far = np.sort(dist, axis=0)
+    picked = (np.take_along_axis(rows, pick, 0)[0] for rows in (vals, u, y_part * x))
+    return (*picked, far / np.maximum(near, np.finfo(float).tiny))
 
 
-def _lax_start(p: FHParams, table, x0: float):
-    """(ln U, W) at the sigma start x0 from the series table: U is _lax_root's
-    root at x0, and W = int_{_X_R}^{x0} (x y_x/y) dx/x on that root is one
-    16-point Gauss-Legendre sum in ln x over equal panels of at most a
-    decade."""
-    panels = math.ceil(math.log10(x0 / _X_R))
-    ln_rel, weights = gauss_legendre_panels(np.linspace(0.0, math.log(x0 / _X_R), panels + 1))
-    xs = np.append(_X_R * np.exp(ln_rel), x0)
-    _, u, xy_y = _lax_root(p, xs, *_series_rows(table, xs)[:3])
-    return cmath.log(u[-1]), np.dot(weights, xy_y[:-1])
+def _lax_head(p: FHParams, table, xs: np.ndarray):
+    """(sigma_x, U, W) at the points xs in (_X_R, x_h] from the series
+    table on (0, x_h]: U is _lax_root's root at each x, and
+    W = int_{_X_R}^x (x y_x/y) dx/x on that root is a 16-point
+    Gauss-Legendre sum in ln x over panels of at most a decade, one edge
+    at each x, summed cumulatively.  It gives the solve's start at x_h
+    and r below it."""
+    ln_x = np.log(xs / _X_R)
+    edges = np.union1d(np.arange(0.0, ln_x.max(), math.log(10.0)), ln_x)
+    nodes, weights = gauss_legendre_panels(edges)
+    at = np.concatenate([_X_R * np.exp(nodes), xs])
+    rows = _series_rows(table, at)
+    _, u, xy_y, _ = _lax_root(p, at, *rows[:3])
+    panels = (weights * xy_y[: nodes.size]).reshape(edges.size - 1, -1).sum(1)
+    w = np.concatenate([[0.0], np.cumsum(panels)])[np.searchsorted(edges, ln_x)]
+    return rows[1, nodes.size :], u[nodes.size :], w
 
 
 def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
@@ -731,9 +825,11 @@ def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
 
     The pass carries ln U and W = int_{1e-10} (x y_x/y) dx/x, so
     r = C e^W numf(U, v)/x at any x: the zeros of r are zeros of numf,
-    crossed exactly.  C is matched to r_small_s at x = _X_R = 1e-10, where
-    W = 0; it carries the rounding of the Lax root there, about 1e-8, or
-    where Re(alpha1 + alpha2) < 0 the form's x^(1+2a) term (3e-4 at -0.35).
+    crossed exactly.  Below the handover, where the pass has not started,
+    U and W come from the series table as at its start (_lax_head).  C is
+    matched to r_small_s at x = _X_R = 1e-10, where W = 0; it carries the
+    rounding of the Lax root there, about 1e-8, or where
+    Re(alpha1 + alpha2) < 0 the form's x^(1+2a) term (3e-4 at -0.35).
     The degenerate pair has the closed form degenerate_r; the smooth
     symbol, which has no Lax root, raises DegenerateDenominatorError,
     and a trajectory of other exponents than p's ValidationError.
@@ -748,8 +844,14 @@ def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
     lax_v, _, numf_of, _ = _lax_system(p)
 
     def shape(xs):  # (r / C, numf) at the points xs
-        _, du, _, _, ln_u, w = traj._dense_at(xs)
-        numf = numf_of(np.exp(ln_u), lax_v(du))
+        head = xs < traj.handover
+        du, u, w = np.empty((3, xs.size), dtype=complex)
+        if head.any():
+            du[head], u[head], w[head] = _lax_head(p, traj._series, xs[head])
+        if not head.all():
+            _, du[~head], _, _, ln_u, w[~head] = traj._dense_at(xs[~head])
+            u[~head] = np.exp(ln_u)
+        numf = numf_of(u, lax_v(du))
         return np.exp(w) * numf / xs, numf
 
     unit, numf = shape(traj.x_grid)
@@ -759,13 +861,26 @@ def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
     return RTrajectory(traj.x_grid, c * unit, flagged, lambda xs: c * shape(xs)[0])
 
 
+def _tail_edges(T: float, width: float) -> np.ndarray:
+    """Equal panels of width at most `width` from T to the identity's
+    cutoff max(10 T, 2000)."""
+    end = max(10.0 * T, 2000.0)
+    return np.linspace(T, end, math.ceil((end - T) / width) + 1)
+
+
 def integral_identity_check(p: FHParams, traj: SigmaTrajectory, T: float):
     """Both sides of the global integral identity, evaluated at cutoff T.
 
     The left side is the finite-T combination plus an oscillatory-tail
     correction computed from the connection asymptotics; the right side
-    is the Barnes-G expression.  Returns (lhs, rhs, |lhs - rhs|); raises
-    ValidationError for T < 20, seminorm >= 1 or another set's trajectory.
+    is the Barnes-G expression.  The tail is summed from T to the cutoff
+    max(10 T, 2000) by 16-point Gauss-Legendre on panels of width at most
+    4 pi, within 1e-14 of pi/4 panels.  The cutoff truncates: the
+    integrand falls like y^(-2 + 2 seminorm), to ~1e-7 at the cutoff for
+    equal real parts of the betas, and the oscillatory rest past it is
+    of that size.  Returns (lhs, rhs, |lhs - rhs|);
+    raises ValidationError for T < 20, seminorm >= 1 or another set's
+    trajectory.
     """
     if T < 20.0:
         raise ValidationError("need T >= 20")
@@ -775,10 +890,9 @@ def integral_identity_check(p: FHParams, traj: SigmaTrajectory, T: float):
     lhs += 2.0 * p.log_coupling * math.log(T)
     # the tail vanishes for the degenerate pair, where gamma_ratio(alpha2, -beta2) = 0
     sign = _branch_sign(p)[0]
-    ys = np.arange(T, max(10.0 * T, 2000.0), math.pi / 40.0)
+    ys, weights = gauss_legendre_panels(_tail_edges(T, 4.0 * math.pi))
     gs = _gamma_connection(p, ys)
-    integrand = -sign * 1j * gs / (1.0 + gs)
-    lhs += np.trapezoid(integrand, ys)
+    lhs += np.dot(weights, -sign * 1j * gs / (1.0 + gs))
 
     rhs = 1j * math.pi * p.phase_coupling - log_barnes_g_ratio(p.alpha1 + p.alpha2, p.beta_sum)
     rhs += sum(log_barnes_g_ratio(s.alpha, s.beta) for s in p.pair)

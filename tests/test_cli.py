@@ -147,6 +147,22 @@ def test_sigma_degenerate_zero_column(capsys):
         assert float(line.split(",")[1]) == 0.0
 
 
+def test_sigma_json_meta_records_the_pass(capsys):
+    # where the solver took over from the series and what its pass cost
+    # reach the JSON meta beside x0: the 0.3 pair starts its grid at
+    # x0 = 1e-3 and hands over at 0.2
+    code, out = run_cli(
+        ["sigma", "--alpha1", "0.3", "--alpha2", "0.3", "--x-max", "12", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    traj = painleve.integrate_sigma(FHParams(0.3, 0.3, t=0.3), x_max=12.0)
+    assert meta["x0"] == 1e-3 and abs(meta["handover"] - 0.2) < 1e-12
+    assert (meta["steps"], meta["nfev"]) == (traj.steps, traj.nfev)
+    assert 0 < meta["steps"] < meta["nfev"]
+
+
 def test_fourier_output_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "coeffs.csv"
     code, _ = run_cli(

@@ -645,15 +645,17 @@ def test_lax_root_pick_has_a_margin(p, monkeypatch):
 
 @pytest.mark.parametrize("alpha", [0.3, 0.9])
 def test_start_is_continuous_across_the_read_split(alpha, traj03):
-    # the dense output at x0 returns the series start data and omega bit
-    # for bit, and reads just below x0 (series) and just above it (dense)
-    # agree; alpha = 0.9 starts at x0 = 0.24, above the anchor
+    # the dense output at the handover returns the series start data and
+    # omega bit for bit, and reads just below it (series) and just above
+    # it (dense) agree; alpha = 0.3 hands over at 0.2, above x0 = 1e-3,
+    # and alpha = 0.9 at x0 = 0.24, above the anchor
     traj = traj03 if alpha == 0.3 else integrate_sigma(FHParams(0.9, 0.9, t=0.1), x_max=2.0)
-    x0 = traj.x0
-    start = tuple(_series_rows(traj._series, x0))
-    assert tuple(traj._dense_at(np.array([x0]))[:4, 0]) == start
-    assert traj._read(x0) == start
-    below, above = traj._read(x0 * (1.0 - 1e-12)), traj._read(x0 * (1.0 + 1e-12))
+    x_h = traj.handover
+    assert x_h == (0.2 if alpha == 0.3 else traj.x0)
+    start = tuple(_series_rows(traj._series, x_h))
+    assert tuple(traj._dense_at(np.array([x_h]))[:4, 0]) == start
+    assert traj._read(x_h) == start
+    below, above = traj._read(x_h * (1.0 - 1e-12)), traj._read(x_h * (1.0 + 1e-12))
     for lo, hi in zip(below, above):
         assert abs(lo - hi) <= 1e-12 * max(1.0, abs(lo))
 
@@ -681,8 +683,9 @@ def test_stacked_read_equals_scipy_dense_output(which, monkeypatch):
     traj = integrate_sigma(p, x_max=x_max)
     assert len(sols) == 1 and sols[0].sol.t_max == x_max
     rng = np.random.default_rng(5)
-    xs = np.concatenate([[traj.x0, traj.x_max], traj.x_grid, sols[0].t,
-                         rng.uniform(traj.x0, traj.x_max, 500)])
+    on_pass = traj.x_grid[traj.x_grid >= traj.handover]
+    xs = np.concatenate([[traj.handover, traj.x_max], on_pass, sols[0].t,
+                         rng.uniform(traj.handover, traj.x_max, 500)])
     assert traj._dense_at(xs).tobytes() == sols[0].sol(xs).tobytes()
 
 
@@ -756,6 +759,156 @@ def test_series_table_takes_one_lattice(monkeypatch):
         sizes.clear()
         _series_terms(p, _series_start(p, tol))
         assert len(sizes) == 1, (p, tol, sizes)
+
+
+def _lattice_by_points(p, t0, size_j, size_k, majorant=False):
+    """The series lattice filled one point at a time, k-major: each point
+    is the rest of the equation at x^(e-1) over den.  With majorant, the
+    same sweep on the absolute value of every input, so each entry is the
+    sum of the sizes the recursion adds up there: its rounding scale."""
+    a, _, e3 = painleve._equation_constants(p)
+    size = np.abs if majorant else (lambda v: v)
+    e = np.arange(size_j) + (1.0 + 2.0 * a) * np.arange(size_k)[:, None]
+    den = e * ((e - 1.0) ** 2 - 4.0 * a * a)
+    c = np.zeros((size_k, size_j), dtype=complex)
+    left, right = np.zeros_like(c), np.zeros_like(c)
+    for k in range(size_k):
+        for j in range(size_j):
+            if (k, j) == (0, 0):
+                c[0, 0] = size(sigma_zero(p))
+            elif (k, j) == (1, 0):
+                c[1, 0] = size(t0)
+            else:
+                rest = size(-2j * e3) if (k, j) == (0, 1) else 0.0
+                if j >= 2:
+                    rest += size(3.0 - e[k, j]) * c[k, j - 2]
+                rest += np.sum(left[: k + 1, : j + 1] * right[k::-1, j::-1])
+                c[k, j] = rest / size(den[k, j])
+            left[k, j] = c[k, j] * size(4.0 - 6.0 * e[k, j])
+            right[k, j] = c[k, j] * size(e[k, j])
+    return c
+
+
+@pytest.mark.parametrize("p", SERIES_SETS + [FHParams(-0.2, -0.15, t=0.3),
+                                             FHParams(0.26, 0.245, 0.2j, 0.1j, 0.3)])
+def test_row_fill_equals_the_point_loop(p):
+    # row by row (row 0 pointwise, then one triangular solve per row) the
+    # lattice equals the point-by-point sweep within 1e-13 of each entry's
+    # rounding scale; a plain relative bound fails where an entry cancels
+    # to far below its neighbours (1e-52 beside 1e-25 at (-0.2, -0.15)),
+    # where both fills hold rounding only
+    t0 = tau0(p)
+    for shape in [(1, 1), (2, 1), (1, 3), (9, 5), (20, 10), (20, 61), (49, 26), (26, 49)]:
+        want = _lattice_by_points(p, t0, *shape)
+        scale = _lattice_by_points(p, t0, *shape, majorant=True).real
+        got, e = painleve._series_lattice(p, t0, *shape)
+        assert e.shape == got.shape == shape[::-1]
+        assert np.all(np.abs(got - want) <= 1e-13 * scale), shape
+
+
+def _handover_starts():
+    # near-1/2 starts of test_series_table_takes_one_lattice, a in
+    # [0.35, 1.4] with complex betas (2a kept 0.06 off the integers), and
+    # Re a < 0
+    starts = [(FHParams(0.25, 0.255, t=0.3), 1e-12)]
+    starts += [(FHParams(0.26, 0.245, 0.2j, 0.1j, 0.3), tol) for tol in (1e-6, 1e-8, 1e-10)]
+    starts += [(FHParams(0.24, 0.25, 0.3j, 0.3j, 0.3), tol) for tol in (1e-6, 1e-8, 1e-10)]
+    for a in (0.35, 0.4, 0.45, 0.56, 0.7, 0.85, 0.94, 1.06, 1.2, 1.4):
+        starts.append((FHParams(0.6 * a, 0.4 * a, 0.1 + 0.2j, -0.25j, 0.3), 1e-8))
+    starts += [(FHParams(-0.2, -0.15, t=0.3), 1e-8), (FHParams(-0.2, 0.1, 0.1j, 0.1j, 0.3), 1e-8)]
+    return starts
+
+
+@pytest.mark.parametrize("p, tol", _handover_starts())
+def test_handover_table_takes_one_lattice(p, tol, monkeypatch):
+    # the table on (0, x_h] is built from the first lattice guess, within
+    # the budget, and holds the start data there as a table on twice the
+    # range does
+    sizes = []
+    build = painleve._series_lattice
+
+    def counting(q, t0, size_j, size_k):
+        sizes.append(size_j * size_k)
+        return build(q, t0, size_j, size_k)
+
+    monkeypatch.setattr(painleve, "_series_lattice", counting)
+    x0 = _series_start(p, tol)
+    x_h, table = painleve._handover(p, x0, 42.0)
+    assert len(sizes) == 1 and sizes[0] <= painleve._SERIES_BUDGET
+    assert x0 <= x_h <= 0.2 + 1e-12
+    monkeypatch.undo()
+    got = _series_rows(table, x_h)
+    want = _series_rows(_series_terms(p, 2.0 * x_h), x_h)
+    assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+
+
+def test_handover_stays_at_x0_where_its_table_would_not_fit():
+    # Re a = -0.465: the rows step by x^0.07, so the first lattice at the
+    # cap 0.2 is 20 x 259 points, past the budget; x0's own table fits
+    p = FHParams(-0.2, -0.265, t=0.3)
+    x0 = _series_start(p, 1e-8)
+    assert math.prod(painleve._series_guess(p, 0.2)) > painleve._SERIES_BUDGET
+    assert painleve._handover(p, x0, 42.0)[0] == x0
+    # and where the Lax pick's margin at x0 is small, the handover stays
+    # near x0: (-0.2, -0.15) has margin ~110 at 1e-3 and hands over at 5e-3
+    p = FHParams(-0.2, -0.15, t=0.3)
+    assert painleve._handover(p, _series_start(p, 1e-8), 42.0)[0] < 0.01
+
+
+# bench/draws.sigma_family_sets(1)[1] and [2]
+_FAMILY_SETS = [
+    FHParams(0.4312390314805847, 0.37577280075534086, -0.12904058623630135j,
+             0.051999601676397056j, 0.3),
+    FHParams(0.36214656887944197, 0.3958700848415758, 0.2872017497100611j,
+             -0.030757412881467217j, 0.3),
+]
+
+
+@pytest.mark.parametrize("p", _FAMILY_SETS)
+def test_default_tol_sigma_is_accurate(p):
+    # against an rtol-2.3e-14 pass from x0 (2.5e-3 and 2.1e-3), the
+    # default-tol solve, which hands over to DOP853 at 0.2, is within 5e-8
+    # in sigma and omega; the pass from x0 at the default tol was 5.3e-7 off
+    traj = integrate_sigma(p, x_max=42.0)
+    assert traj.handover > 0.1
+    x0 = traj.x0
+    table = _series_terms(p, x0)
+    _, u0, w0 = painleve._lax_head(p, table, np.array([x0]))
+    y0 = [*_series_rows(table, x0), cmath.log(u0[0]), w0[0]]
+    dense = painleve._integrate_ray(p, x0, 42.0, y0, 2.3e-14)
+    ref = SigmaTrajectory(p, x0, 42.0, dense, table)
+    xs = np.array([0.4, 2.0, 10.0, 40.0])
+    assert np.max(np.abs(traj.sigma_at(xs) - ref.sigma_at(xs))) < 5e-8
+    assert np.max(np.abs(traj.omega_at(xs) - ref.omega_at(xs))) < 5e-8
+
+
+def test_family_solves_take_a_fifth_fewer_steps(monkeypatch):
+    # over the 24 sigma-family sets to x = 42 the passes start at the
+    # handover and take <= 1900 accepted steps (2376 from x0)
+    monkeypatch.syspath_prepend(str(BENCH))
+    import draws
+
+    trajs = [integrate_sigma(FHParams(*s), x_max=42.0) for s in draws.sigma_family_sets(1)]
+    assert sum(t.steps for t in trajs) <= 1900
+    assert all(t.nfev > t.steps > 0 for t in trajs)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        FHParams(0.3, 0.3, t=0.3),
+        FHParams(0.2, 0.25, beta1=0.1j, beta2=-0.15j, t=0.3),
+        FHParams(0.3 + 0.1j, 0.2, 0.25, -0.1j, 0.3),
+    ],
+)
+def test_identity_tail_matches_fine_panels(p, monkeypatch):
+    # the tail on 4 pi panels is within 1e-12 of the same rule on pi/4
+    # panels (the 25 000-point trapezoid it replaced was up to 4e-7 off)
+    traj = integrate_sigma(p, x_max=42.0)
+    got = integral_identity_check(p, traj, 40.0)[0]
+    edges = painleve._tail_edges
+    monkeypatch.setattr(painleve, "_tail_edges", lambda T, width: edges(T, math.pi / 4.0))
+    assert abs(got - integral_identity_check(p, traj, 40.0)[0]) < 1e-12
 
 
 def test_r_at_reads_the_sigma_pass(p03, traj03):
