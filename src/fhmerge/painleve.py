@@ -366,14 +366,14 @@ def _series_rows(table, x):
     of the shape of x; omega = int_0^x (sigma - sigma(0)) dy/y takes
     c_k x^(e_k) / e_k from each term after sigma(0), the table's first.
     A power is a real power times a unit phase, so a real exponent keeps
-    the accuracy of the real power.  Raises ValidationError unless every
-    x > 0."""
+    the accuracy of the real power; real exponents (real alphas) skip the
+    phase.  Raises ValidationError unless every x > 0."""
     xs = np.asarray(x, dtype=float)
     if not np.all(xs > 0.0):
         raise ValidationError(f"x = {xs[~(xs > 0.0)][0]} is not > 0, where sigma is read")
     c, e = table
     xs = xs[..., None]
-    phase = np.exp(1j * e.imag * np.log(xs))
+    phase = np.exp(1j * e.imag * np.log(xs)) if e.imag.any() else 1.0
     weights = (c, c * e, c * e * (e - 1.0))
     # a power whose weight is 0 (sigma(0)'s in both derivatives, x's in
     # sigma_xx) is taken as x^0: x^(e-2) overflows below x ~ 1e-154, and
@@ -802,21 +802,23 @@ def _lax_root(p: FHParams, x, sig, du, d2u):
     return (*picked, far / np.maximum(near, np.finfo(float).tiny))
 
 
-def _lax_head(p: FHParams, table, xs: np.ndarray):
-    """(sigma_x, U, W) at the points xs in (_X_R, x_h] from the series
+def _lax_head(p: FHParams, table, xs: np.ndarray, x_ref: float = _X_R, w_ref: complex = 0.0):
+    """(sigma_x, U, W) at the points xs in [_X_R, x_h] from the series
     table on (0, x_h]: U is _lax_root's root at each x, and
-    W = int_{_X_R}^x (x y_x/y) dx/x on that root is a 16-point
+    W = w_ref + int_{x_ref}^x (x y_x/y) dx/x on that root is a 16-point
     Gauss-Legendre sum in ln x over panels of at most a decade, one edge
-    at each x, summed cumulatively.  It gives the solve's start at x_h
-    and r below it."""
-    ln_x = np.log(xs / _X_R)
-    edges = np.union1d(np.arange(0.0, ln_x.max(), math.log(10.0)), ln_x)
+    at x_ref and at each x, summed cumulatively.  From W = 0 at _X_R it
+    gives the solve's start at x_h; r below x_h sums down from the start."""
+    ln_x = np.log(xs / x_ref)
+    lo, hi = min(ln_x.min(), 0.0), max(ln_x.max(), 0.0)
+    edges = np.union1d(np.append(np.arange(lo, hi, math.log(10.0)), [0.0, hi]), ln_x)
     nodes, weights = gauss_legendre_panels(edges)
-    at = np.concatenate([_X_R * np.exp(nodes), xs])
+    at = np.concatenate([x_ref * np.exp(nodes), xs])
     rows = _series_rows(table, at)
     _, u, xy_y, _ = _lax_root(p, at, *rows[:3])
     panels = (weights * xy_y[: nodes.size]).reshape(edges.size - 1, -1).sum(1)
-    w = np.concatenate([[0.0], np.cumsum(panels)])[np.searchsorted(edges, ln_x)]
+    cum = np.concatenate([[0.0], np.cumsum(panels)])
+    w = w_ref + cum[np.searchsorted(edges, ln_x)] - cum[np.searchsorted(edges, 0.0)]
     return rows[1, nodes.size :], u[nodes.size :], w
 
 
@@ -843,11 +845,14 @@ def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
 
     lax_v, _, numf_of, _ = _lax_system(p)
 
+    x_h = traj.handover
+    w_h = traj._dense[3][0, 5]  # W in the pass's start state y_old[0]
+
     def shape(xs):  # (r / C, numf) at the points xs
-        head = xs < traj.handover
+        head = xs < x_h
         du, u, w = np.empty((3, xs.size), dtype=complex)
         if head.any():
-            du[head], u[head], w[head] = _lax_head(p, traj._series, xs[head])
+            du[head], u[head], w[head] = _lax_head(p, traj._series, xs[head], x_h, w_h)
         if not head.all():
             _, du[~head], _, _, ln_u, w[~head] = traj._dense_at(xs[~head])
             u[~head] = np.exp(ln_u)
