@@ -15,16 +15,19 @@ of that form, so it is enforced by checking the residual at every output
 node.  The same pass carries omega, ln U for the Lax variable U of the
 associated linear problem, and W = int (x y_x/y) dx/x, so the r-function
 of the shifted-beta determinant ratio, r = C e^W numf(U, v)/x, is read
-from the same dense output as sigma, at any x; below the start U is a
-root of a quadratic in sigma's derivatives, so ln U and W start from the
-series table.  That table is built on (0, x0], the only interval read
-from it (the start data at x0, sigma and omega below x0, the Lax start
-and r's anchor at 1e-10), and keeps each term that matters at rounding
-to sigma, sigma_x or sigma_xx there; _series_rows is its one read.  The
-trajectory keeps the dense output as the solver's steps stacked into
-arrays and reads them with scipy's arithmetic, bit for bit equal to
-scipy's dense output.  Everything downstream (the transition formula,
-the integral identity, the ratio) reads from the resulting trajectory.
+from the same dense output as sigma, at any x.  The pass starts at the
+handover x_h (up to 0.2, _handover), above the tau0-resolution point x0
+that starts the grid: below x_h the series table holds sigma to
+rounding, and U is a root of a quadratic in sigma's derivatives, so
+sigma, omega, ln U and W there (the start data included) come from the
+table.  It is built on the range read from it (the start data, the
+reads below x_h, the Lax head and r's anchor at 1e-10), and keeps each
+term that matters at rounding to sigma, sigma_x or sigma_xx there;
+_series_rows is its one read.  The trajectory keeps the dense output as
+the solver's steps stacked into arrays and reads them with scipy's
+arithmetic, bit for bit equal to scipy's dense output.  Everything
+downstream (the transition formula, the integral identity, the ratio)
+reads from the resulting trajectory.
 """
 
 from __future__ import annotations
