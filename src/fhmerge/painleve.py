@@ -184,40 +184,40 @@ def _series_lattice(p: FHParams, t0: complex, size_j: int, size_k: int):
     den = e * ((e - 1.0) ** 2 - 4.0 * a * a)
     # the products 4uu' - 6x u'^2 at x^(e-1) pair c_p (4 - 6 e_p) with c_q e_q;
     # the pair (0, e) holds c_e itself and enters through den
-    left_w, right_w = 4.0 - 6.0 * e, e + 0j
+    left_w = 4.0 - 6.0 * e
     c = np.zeros((size_k, size_j), dtype=complex)
-    row, lw, rw, den0 = [sigma_zero(p)], left_w[0].tolist(), right_w[0].tolist(), den[0].tolist()
+    row, den0 = [sigma_zero(p)], den[0].tolist()  # row 0, where e = j
     for j in range(1, size_j):
         rest = -2j * e3 if j == 1 else 0.0
         if j >= 2:
             rest += (3.0 - j) * row[j - 2]
-        rest += sum(row[m] * lw[m] * row[j - m] * rw[j - m] for m in range(1, j))
+        rest += sum(row[m] * (4.0 - 6.0 * m) * row[j - m] * (j - m) for m in range(1, j))
         row.append(rest / den0[j])
     c[0] = row
-    left, right = c * left_w, c * right_w
-    # lower Toeplitz windows, toe[j, k, m] = right[k, j - m] for m <= j, else 0,
-    # and low[j, m] = left[0, j - m] for m < j
+    left = c * left_w
+    # lower Toeplitz windows, toe[j, k, m] = c_{k, j-m} e_{k, j-m} for m <= j,
+    # else 0, and low[j, m] = left[0, j - m] for m < j
     lag = size_j - 1 + np.arange(size_j)[:, None] - np.arange(size_j)
     pad = np.zeros(2 * size_j - 1, dtype=complex)
     toe = np.zeros((size_j, size_k, size_j), dtype=complex)
     pad[size_j:] = left[0, 1:]
     low = pad[lag]
-    pad[size_j - 1 :] = right[0]
+    pad[size_j - 1 :] = c[0] * e[0]
     toe[:, 0] = pad[lag]
     # row k's coupling to row 0 and to c_{k, j-2}, affine in e = j + k mu
     two_back = np.eye(size_j, k=-2)
-    base = -(low * right_w[0] + toe[:, 0] * left_w[0] + two_back * (3.0 - right_w[0, :, None]))
+    base = -(low * e[0] + toe[:, 0] * left_w[0] + two_back * (3.0 - e[0, :, None]))
     slope = 6.0 * toe[:, 0] - low + two_back
     diag = np.diag_indices(size_j)
     for k in range(1, size_k):
         rhs = toe[:, 1:k].reshape(size_j, -1) @ left[k - 1 : 0 : -1].ravel()
-        m = base + (e[k, 0] * slope)
+        m = base + e[k, 0] * slope
         m[diag] = den[k]
         if k == 1:  # the free tau0
             m[0, 0], rhs[0] = 1.0, t0
         c[k] = ztrtrs(m, rhs, lower=1)[0]
-        left[k], right[k] = c[k] * left_w[k], c[k] * right_w[k]
-        pad[size_j - 1 :] = right[k]
+        left[k] = c[k] * left_w[k]
+        pad[size_j - 1 :] = c[k] * e[k]
         toe[:, k] = pad[lag]
     return c, e
 
@@ -302,7 +302,7 @@ def _handover(p: FHParams, x0: float, x_max: float):
     cap is not in (x0, x_max) or its first lattice would not fit
     _SERIES_BUDGET, and for the sigma == 0 sets, whose table is empty."""
     cap = _HANDOVER * _radius_guess(p)
-    fits = math.prod(_series_guess(p, cap)) <= _SERIES_BUDGET if x0 < cap < x_max else False
+    fits = x0 < cap < x_max and math.prod(_series_guess(p, cap)) <= _SERIES_BUDGET
     if _sigma_vanishes(p) or not fits:
         return x0, _series_terms(p, x0)
     table = _series_terms(p, cap)
