@@ -842,7 +842,7 @@ def test_handover_table_takes_one_lattice(p, tol, monkeypatch):
     assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
 
 
-def test_handover_stays_at_x0_where_its_table_would_not_fit():
+def test_handover_stays_low_where_the_table_or_the_pick_would_not_hold():
     # Re a = -0.465: the rows step by x^0.07, so the first lattice at the
     # cap 0.2 is 20 x 259 points, past the budget; x0's own table fits
     p = FHParams(-0.2, -0.265, t=0.3)
