@@ -23,11 +23,12 @@ sigma, omega, ln U and W there (the start data included) come from the
 table.  It is built on the range read from it (the start data, the
 reads below x_h, the Lax head and r's anchor at 1e-10), and keeps each
 term that matters at rounding to sigma, sigma_x or sigma_xx there;
-_series_rows is its one read.  The trajectory keeps the dense output as
-the solver's steps stacked into arrays and reads them with scipy's
-arithmetic, bit for bit equal to scipy's dense output.  Everything
-downstream (the transition formula, the integral identity, the ratio)
-reads from the resulting trajectory.
+_series_rows is its one read.  The pass records DOP853's accepted steps
+and builds every step's interpolant in one batch after it; the
+trajectory keeps them stacked into arrays and reads them with scipy's
+Dop853DenseOutput arithmetic.  Everything downstream (the transition
+formula, the integral identity, the ratio) reads from the resulting
+trajectory.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg.lapack import ztrtrs
+from scipy.optimize import brentq
 
 from .errors import (
     DegenerateDenominatorError,
@@ -228,39 +230,60 @@ def _series_terms(p: FHParams, x_range: float):
     0 < x <= x_range.
 
     The exponents are j + k(1 + 2a), a = alpha1 + alpha2, j, k >= 0, and
-    the coefficients come from _series_lattice.  A term is kept when it
-    matters at rounding to sigma, sigma_x or sigma_xx at x_range: each
-    derivative weighs c_k x^(e_k) by 1, e_k or e_k (e_k - 1) and is judged
-    against its own largest term (eps times it), so sigma_xx keeps high
-    orders that sigma alone would drop.  The rectangle grows until its
-    last two columns and its last row lie below all three of those bars.
-    sigma(0) is entry 0; the other entries are the kept terms above that.
-    The degenerate pair and the smooth symbol, where sigma == 0 exactly,
-    have the empty table.  Raises
-    NondegeneracyError where tau0 does and where the recursion is
-    resonant (_check_resonance), ValidationError for Re a <= -1/2 (the
-    tau0 term does not vanish at x = 0) and NumericalError when the
-    series has not converged on the range within _SERIES_BUDGET lattice
-    points or a term's size overflows there.
+    the coefficients come from _series_lattice; the table is the lattice
+    of _converged_lattice cut at x_range (_series_cut).  The degenerate
+    pair and the smooth symbol, where sigma == 0 exactly, have the empty
+    table.
     """
     if _sigma_vanishes(p):
         return np.zeros((2, 0), dtype=complex)
+    return _series_cut(_converged_lattice(p, x_range), x_range)
+
+
+def _term_matters(c, e, x: float):
+    """big[d, k, j]: whether lattice term (k, j) matters at rounding at x to
+    sigma, sigma_x or sigma_xx (d = 0, 1, 2), or None where a term's size
+    overflows there.  Each derivative weighs c x^e by 1, e or e (e - 1)
+    and is judged against its own largest term (eps times it), so
+    sigma_xx keeps high orders that sigma alone would drop."""
+    # x^d times each term's size in the d-th derivative at x, d = 0, 1, 2
+    mag = np.abs(c * x**e.real * np.stack([np.ones_like(e), e, e * (e - 1.0)]))
+    if not np.all(np.isfinite(mag)):
+        return None
+    return mag > np.finfo(float).eps * mag.max(axis=(1, 2), keepdims=True)
+
+
+def _series_cut(lattice, x: float):
+    """The table (c, e) of the lattice's terms that matter at x
+    (_term_matters): sigma(0) is entry 0, the other entries are the kept
+    terms above that."""
+    c, e = lattice
+    keep = _term_matters(c, e, x).any(axis=0)
+    keep[0, 0] = True
+    return c[keep], e[keep]
+
+
+def _converged_lattice(p: FHParams, x_range: float):
+    """The lattice (c, e) of _series_lattice that holds sigma to rounding on
+    (0, x_range]: from _series_guess, the rectangle grows until its last
+    two columns and its last row matter to none of sigma, sigma_x and
+    sigma_xx at x_range (_term_matters).  Raises NondegeneracyError where
+    tau0 does and where the recursion is resonant (_check_resonance),
+    ValidationError for Re a <= -1/2 (the tau0 term does not vanish at
+    x = 0) and NumericalError when the series has not converged on the
+    range within _SERIES_BUDGET lattice points or a term's size overflows
+    there."""
     t0 = tau0(p)
     _check_resonance(p)
-    eps = np.finfo(float).eps
     size_j, size_k = _series_guess(p, x_range)
     while size_j * size_k <= _SERIES_BUDGET:
         c, e = _series_lattice(p, t0, size_j, size_k)
-        # x^d times each term's size in the d-th derivative at x_range, d = 0, 1, 2
-        mag = np.abs(c * x_range**e.real * np.stack([np.ones_like(e), e, e * (e - 1.0)]))
-        if not np.all(np.isfinite(mag)):
+        big = _term_matters(c, e, x_range)
+        if big is None:
             break  # a term past the double range: the series diverges at x_range
-        big = mag > eps * mag.max(axis=(1, 2), keepdims=True)
         cols_ok, row_ok = not big[..., -2:].any(), not big[:, -1].any()
         if cols_ok and row_ok:
-            keep = big.any(axis=0)
-            keep[0, 0] = True
-            return c[keep], e[keep]
+            return c, e
         size_j += 0 if cols_ok else size_j // 2
         size_k += 0 if row_ok else (size_k + 1) // 2
     raise NumericalError(f"small-argument series does not converge at x = {x_range:.3g}")
@@ -275,7 +298,7 @@ def _radius_guess(p: FHParams) -> float:
 
 
 def _series_guess(p: FHParams, x_range: float):
-    """The first lattice (size_j, size_k) _series_terms tries on (0, x_range],
+    """The first lattice (size_j, size_k) _converged_lattice tries on (0, x_range],
     meant to pass at once: at _radius_guess, sigma_xx's bar, whose largest
     term sits at x^2 or below, against column j, which weighs about
     (x/radius)^(j-2) j^2 (the last two columns start at j = size_j - 2),
@@ -291,7 +314,13 @@ def _series_guess(p: FHParams, x_range: float):
 
 def _handover(p: FHParams, x0: float, x_max: float):
     """(x_h, table): where the sigma solve leaves the series table, and the
-    table it leaves, built on (0, cap] or (0, x0].
+    table it leaves, built on (0, cap] or (0, x0].  Where x_h lies far
+    below the cap (as at Re a < 0, where the pick's margin at x0 is
+    small), the cap's lattice is cut to the terms that matter at x_h
+    (_series_cut) when that keeps at most half of the cap's terms: 35 of
+    100 at (-0.2, -0.15).  Nearer the cap a cut saves few reads (it keeps
+    58-99% of the terms on the sigma-family sets) and would move the
+    start data by rounding, which the pass amplifies.
 
     The series holds to rounding up to the cap _HANDOVER times
     _radius_guess (0.2 at radius 3, less near alpha1 + alpha2 = 1/2).
@@ -305,9 +334,12 @@ def _handover(p: FHParams, x0: float, x_max: float):
     fits = x0 < cap < x_max and math.prod(_series_guess(p, cap)) <= _SERIES_BUDGET
     if _sigma_vanishes(p) or not fits:
         return x0, _series_terms(p, x0)
-    table = _series_terms(p, cap)
+    lattice = _converged_lattice(p, cap)
+    table = _series_cut(lattice, cap)
     margin = _lax_root(p, x0, *_series_rows(table, x0)[:3])[3]
-    return min(cap, max(x0, x0 * float(margin) / _PICK_MARGIN)), table
+    x_h = min(cap, max(x0, x0 * float(margin) / _PICK_MARGIN))
+    low = _series_cut(lattice, x_h)
+    return x_h, low if 2 * low[0].size <= table[0].size else table
 
 
 def _check_resonance(p: FHParams) -> None:
@@ -446,14 +478,16 @@ class SigmaTrajectory:
     output has the rows (sigma, sigma_x, sigma_xx, omega, ln U, W), omega
     included from its series value at the handover on: _integrate_ray's
     stacked step arrays, which _dense_at reads with scipy's DOP853
-    arithmetic, bit for bit equal to scipy's dense output.  eval, sigma_at
+    arithmetic, within 1e-14 max(1, |y|) of scipy's dense output on the
+    same steps.  eval, sigma_at
     and omega_at take a float or an array of x in (0, x_max] and read it
     through _read: the solve's series table _series below the handover,
     the dense output from there on, one call each.  x_grid is
     _default_grid(x0, x_max); the grid fields are filled from one eval on
     x_grid and the quartic-relation residual there.  handover, steps and
     nfev say how the pass ran: where it took over from the table, its
-    accepted steps and its right-hand-side evaluations.
+    accepted steps and its right-hand-side evaluations, the three batched
+    interpolant stages per step included.
     """
 
     params: FHParams
@@ -493,8 +527,9 @@ class SigmaTrajectory:
 
         Each x is read on its step (the first whose end is >= x) from the
         step's degree-7 polynomial, Horner in q and 1 - q alternately for
-        q = (x - t_old)/h: scipy's Dop853DenseOutput arithmetic, so every
-        value equals its dense output bit for bit."""
+        q = (x - t_old)/h (_step_poly): scipy's Dop853DenseOutput
+        arithmetic on rows that _interpolants builds in one batch, within
+        1e-14 max(1, |y|) of scipy's per-step dense output."""
         outside = ~((self.handover <= xs) & (xs <= self.x_max + 1e-12))
         if outside.any():
             raise ValidationError(
@@ -504,11 +539,7 @@ class SigmaTrajectory:
         xs = np.minimum(xs, self.x_max)
         step = np.maximum(np.searchsorted(t_old, xs) - 1, 0)
         q = ((xs - t_old[step]) / h[step])[:, None]
-        y = np.zeros((xs.size, y_old.shape[1]), dtype=complex)
-        for k, f in enumerate(coeffs[::-1, step]):
-            y += f
-            y *= q if k % 2 == 0 else 1 - q
-        return (y + y_old[step]).T
+        return (_step_poly(coeffs[:, step], q) + y_old[step]).T
 
     def _read(self, x):
         """(sigma, sigma_x, sigma_xx, omega) at x, each of the shape of x:
@@ -537,12 +568,11 @@ class SigmaTrajectory:
         return self._read(x)[3]
 
 
-def _integrate_ray(p, x0, x_max, y0, rtol):
-    """Dense solution of (u, u', u'', omega, ln U, W) over [x0, x_max],
-    u(x) = sigma(-ix), from the start data y0 at x0, as the pass's steps
-    stacked into arrays (t_old, h, F, y_old): each step's start, width,
-    seven DOP853 interpolant rows (F's first axis) and start state, the
-    data of scipy's Dop853DenseOutput; then the pass's nfev.
+def _ray_rhs(p: FHParams):
+    """The pass's right-hand side rhs(x, y, exp) for y = (u, u', u'', omega,
+    ln U, W), u(x) = sigma(-ix): one body on a float x, the six entries of
+    y and exp = cmath.exp inside the pass, and on an array of x, six arrays
+    and exp = np.exp for the interpolant stages after it (_interpolants).
 
     u''' is the quadratic form of _equation_constants, the equation that
     _series_lattice expands, and omega' = (u - sigma(0))/x.  U oscillates
@@ -552,6 +582,93 @@ def _integrate_ray(p, x0, x_max, y0, rtol):
     _, e2, e3 = _equation_constants(p)
     s0c = sigma_zero(p)
     lax_v, lax_rates = _lax_system(p)[:2]
+
+    def rhs(x, y, exp):
+        u, du, d2u, _, ln_u, _ = y
+        d3u = (x * (u - x * du - 6.0 * du * du - d2u) + 4.0 * (u - e2) * du - 2j * e3) / (x * x)
+        u_lax = exp(ln_u)
+        xu_x, xy_y = lax_rates(u_lax, lax_v(du), x)
+        return [du, d2u, d3u, (u - s0c) / x, xu_x / (x * u_lax), xy_y / x]
+
+    return rhs
+
+
+def _interpolants(rhs, t_old, h, y_old, y, k):
+    """F, the seven rows of DOP853's degree-7 interpolant (first axis) for
+    every step at once, from the steps' starts t_old, widths h, start and
+    end states y_old and y, and twelve stages plus the end slope k
+    (steps x 13 x components): scipy's Dop853DenseOutput data, with each
+    of the three extra stages one array call of rhs over all steps."""
+    ks = np.concatenate([k, np.empty((len(h), 3, k.shape[2]), dtype=complex)], axis=1)
+    hs = h[:, None]
+    for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=k.shape[1]):
+        at = (y_old + (a[:s] @ ks[:, :s]) * hs).T
+        ks[:, s] = np.stack(rhs(t_old + c * h, at, np.exp), axis=-1)
+    dy = y - y_old
+    f_old, f_new = k[:, 0], k[:, -1]
+    return np.concatenate([
+        [dy, hs * f_old - dy, 2.0 * dy - hs * (f_new + f_old)],
+        np.einsum("js,nsm->jnm", DOP853.D, ks) * hs,
+    ])
+
+
+def _step_poly(coeffs, q):
+    """The interpolant rows coeffs summed at q = (x - t_old)/h, Horner in q
+    and 1 - q alternately (Dop853DenseOutput's order); y_old not added."""
+    y = np.zeros(coeffs.shape[1:], dtype=complex)
+    for k, f in enumerate(coeffs[::-1]):
+        y += f
+        y *= q if k % 2 == 0 else 1 - q
+    return y
+
+
+class _RecordedDOP853(DOP853):
+    """scipy's DOP853 that appends each accepted step (t_old, t, h, y_old,
+    y, K) to the list `steps`, K its twelve stages and end slope, and
+    builds no interpolant itself.  At a step end where |sigma| reaches
+    _POLE_CAP it raises PoleDetectedError at the crossing, found on that
+    step's interpolant (_interpolants of `rhs`) as solve_ivp finds an
+    event's root."""
+
+    def __init__(self, fun, t0, y0, t_bound, *, steps, rhs, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self.steps, self.rhs = steps, rhs
+
+    def _step_impl(self):
+        t, y = self.t, self.y
+        ok, message = super()._step_impl()
+        if ok:
+            self.steps.append((t, self.t, self.h_previous, y, self.y, self.K.copy()))
+            if abs(self.y[0]) >= _POLE_CAP:
+                raise PoleDetectedError(self._crossing())
+        return ok, message
+
+    def _crossing(self):
+        t_old, t, h, y_old, y, k = self.steps[-1]
+        coeffs = _interpolants(self.rhs, *(np.array([v]) for v in (t_old, h, y_old, y, k)))
+
+        def above(x):
+            sigma = y_old[0] + _step_poly(coeffs[:, 0, 0], (x - t_old) / (t - t_old))
+            return abs(sigma) - _POLE_CAP
+
+        eps = np.finfo(float).eps
+        return brentq(above, t_old, t, xtol=4.0 * eps, rtol=4.0 * eps)
+
+
+def _integrate_ray(p, x0, x_max, y0, rtol):
+    """Dense solution of (u, u', u'', omega, ln U, W) over [x0, x_max],
+    u(x) = sigma(-ix), from the start data y0 at x0, as the pass's steps
+    stacked into arrays (t_old, h, F, y_old): each step's start, width,
+    seven DOP853 interpolant rows (F's first axis) and start state, the
+    data of scipy's Dop853DenseOutput; then the pass's nfev.
+
+    The one solve_ivp pass (_RecordedDOP853) takes DOP853's steps and
+    records them; F is built for all of them after it (_interpolants), so
+    the pass itself spends no right-hand-side call on an interpolant.
+    nfev counts the pass's calls and the three batched stages per step;
+    _RHS_BUDGET bounds the pass's own.
+    """
+    rhs = _ray_rhs(p)
     nfev = 0
 
     def f(x, yv):
@@ -562,33 +679,18 @@ def _integrate_ray(p, x0, x_max, y0, rtol):
                 f"sigma solve stalled at x = {x:.6g} after "
                 f"{_RHS_BUDGET} right-hand-side evaluations"
             )
-        x = float(x)  # numpy-scalar arithmetic would dominate the call
-        u, du, d2u, _, ln_u, _ = yv.tolist()
-        d3u = (x * (u - x * du - 6.0 * du * du - d2u) + 4.0 * (u - e2) * du - 2j * e3) / (x * x)
-        u_lax = cmath.exp(ln_u)
-        xu_x, xy_y = lax_rates(u_lax, lax_v(du), x)
-        return [du, d2u, d3u, (u - s0c) / x, xu_x / (x * u_lax), xy_y / x]
+        # numpy-scalar arithmetic would dominate the call
+        return rhs(float(x), yv.tolist(), cmath.exp)
 
-    def blowup(x, yv):
-        return abs(yv[0]) - _POLE_CAP
-
-    blowup.terminal = True
+    steps = []
     sol = solve_ivp(
-        f, (x0, x_max), np.asarray(y0, dtype=complex), method="DOP853", rtol=rtol, atol=rtol,
-        dense_output=True, events=blowup,
+        f, (x0, x_max), np.asarray(y0, dtype=complex), method=_RecordedDOP853, rtol=rtol,
+        atol=rtol, steps=steps, rhs=rhs,
     )
-    if not sol.success and sol.status != 1:
+    if not sol.success:
         raise NumericalError(f"sigma integration failed: {sol.message}")
-    if sol.status == 1:  # blow-up event fired
-        raise PoleDetectedError(sol.t_events[0][0])
-    steps = sol.sol.interpolants
-    return (
-        np.array([d.t_old for d in steps]),
-        np.array([d.h for d in steps]),
-        np.stack([d.F for d in steps], axis=1),
-        np.array([d.y_old for d in steps]),
-        int(sol.nfev),
-    )
+    t_old, t, h, y_old, y, k = (np.array(v) for v in zip(*steps))
+    return t_old, t - t_old, _interpolants(rhs, t_old, h, y_old, y, k), y_old, nfev + 3 * len(h)
 
 
 def _default_grid(x0: float, x_max: float) -> np.ndarray:
@@ -808,14 +910,19 @@ def _lax_root(p: FHParams, x, sig, du, d2u):
 def _lax_head(p: FHParams, table, xs: np.ndarray, x_ref: float = _X_R, w_ref: complex = 0.0):
     """(sigma_x, U, W) at the points xs in [_X_R, x_h] from the series
     table on (0, x_h]: U is _lax_root's root at each x, and
-    W = w_ref + int_{x_ref}^x (x y_x/y) dx/x on that root is a 16-point
-    Gauss-Legendre sum in ln x over panels of at most a decade, one edge
-    at x_ref and at each x, summed cumulatively.  From W = 0 at _X_R it
-    gives the solve's start at x_h; r below x_h sums down from the start."""
+    W = w_ref + int_{x_ref}^x (x y_x/y) dx/x on that root is a
+    Gauss-Legendre sum in ln x, one edge at x_ref and at each x, summed
+    cumulatively.  Where a gap is wider than a decade every panel is cut
+    at decades from the lowest edge.  The rule has 8 points where every
+    panel is narrower than ln 2 (r below x_h, one panel per grid point;
+    r moves by < 2e-13 from 16), else 16.  From W = 0 at _X_R it gives the
+    solve's start at x_h; r below x_h sums down from the start."""
     ln_x = np.log(xs / x_ref)
-    lo, hi = min(ln_x.min(), 0.0), max(ln_x.max(), 0.0)
-    edges = np.union1d(np.append(np.arange(lo, hi, math.log(10.0)), [0.0, hi]), ln_x)
-    nodes, weights = gauss_legendre_panels(edges)
+    edges = np.union1d(ln_x, 0.0)
+    width = np.diff(edges).max(initial=0.0)
+    if width > math.log(10.0):
+        edges = np.union1d(np.arange(edges[0], edges[-1], math.log(10.0)), edges)
+    nodes, weights = gauss_legendre_panels(edges, 8 if width < math.log(2.0) else 16)
     at = np.concatenate([x_ref * np.exp(nodes), xs])
     rows = _series_rows(table, at)
     _, u, xy_y, _ = _lax_root(p, at, *rows[:3])

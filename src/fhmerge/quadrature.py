@@ -15,7 +15,8 @@ sum of the transformed integrand resolves e^{i max_freq x} well below
 that budget.  Callers choose the refine, each halving the step, and
 estimate the error themselves from the nested every-other-node half
 that ArcRule.coarse marks.  Smooth integrands on panels take
-gauss_legendre_panels' 16-point rule instead.
+gauss_legendre_panels' 16-point rule instead, or its 8-point rule on
+narrow panels.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ _BASE_H = 1.0 / 64.0
 # bulk nodes per period of the fastest oscillation at refine 0 (2 on its
 # nested every-other-node half)
 _NODES_PER_OSC = 4.0
-# the 16-point Gauss-Legendre rule on [-1, 1], built once at import: leggauss
-# solves an eigenproblem, which wakes the BLAS threads on every call
-_GL_RULE = np.polynomial.legendre.leggauss(16)
+# the 16- and 8-point Gauss-Legendre rules on [-1, 1], built once at import:
+# leggauss solves an eigenproblem, which wakes the BLAS threads on every call
+_GL_RULES = {n: np.polynomial.legendre.leggauss(n) for n in (16, 8)}
 
 
 @dataclass(frozen=True)
@@ -106,11 +107,11 @@ def arc_rule(a: float, b: float, max_freq: float = 0.0, refine: int = 0) -> ArcR
     )
 
 
-def gauss_legendre_panels(edges):
-    """16-point Gauss-Legendre nodes and weights on each panel between
-    consecutive entries of edges, flattened panel by panel."""
+def gauss_legendre_panels(edges, points=16):
+    """Gauss-Legendre nodes and weights, 16 or 8 points, on each panel
+    between consecutive entries of edges, flattened panel by panel."""
     edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    nodes, weights = _GL_RULE
+    nodes, weights = _GL_RULES[points]
     return (mid + half * nodes).ravel(), (half * weights).ravel()

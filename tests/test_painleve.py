@@ -662,11 +662,16 @@ def test_start_is_continuous_across_the_read_split(alpha, traj03):
 
 @pytest.mark.parametrize("which", ["family", "alpha065", "degenerate"])
 def test_stacked_read_equals_scipy_dense_output(which, monkeypatch):
-    # the trajectory keeps the pass's steps as arrays and reads them with
-    # scipy's DOP853 arithmetic: every value equals the OdeSolution's bit
-    # for bit, at both ends, on the grid, at the steps' ends and at random
-    # x.  A scipy that renamed the step fields fails here rather than
-    # reading wrong values
+    # the pass records DOP853's steps and builds every interpolant after it,
+    # so it never calls scipy's per-step dense output.  Against a plain
+    # dense_output=True DOP853 pass from the same start, the steps' starts,
+    # widths and start states are equal bit for bit, and reads at both
+    # ends, on the grid, at the steps' ends and at random x agree within
+    # 1e-14 max(1, |y|): the batched stage sums add in another order than
+    # scipy's per-step dot.  A scipy that renamed the step fields fails here
+    # rather than reading wrong values
+    from scipy.integrate import DOP853
+
     if which == "family":
         monkeypatch.syspath_prepend(str(BENCH))
         import draws
@@ -677,16 +682,57 @@ def test_stacked_read_equals_scipy_dense_output(which, monkeypatch):
         p, x_max = FHParams(0.65, 0.65, t=0.1), 80.0
     else:
         p, x_max = painleve._DEGENERATE, 40.0
-    sols = []
+    passes = []
     solve = painleve.solve_ivp
-    monkeypatch.setattr(painleve, "solve_ivp", lambda *a, **k: sols.append(solve(*a, **k)) or sols[-1])
-    traj = integrate_sigma(p, x_max=x_max)
-    assert len(sols) == 1 and sols[0].sol.t_max == x_max
+
+    def spy(fun, span, y0, **options):
+        passes.append((fun, span, y0, options))
+        return solve(fun, span, y0, **options)
+
+    def refuse(self):
+        raise AssertionError("per-step dense output built during the pass")
+
+    with monkeypatch.context() as m:
+        m.setattr(painleve, "solve_ivp", spy)
+        m.setattr(DOP853, "_dense_output_impl", refuse)
+        traj = integrate_sigma(p, x_max=x_max)
+    assert len(passes) == 1
+    fun, span, y0, options = passes[0]
+    ref = solve(fun, span, y0, method="DOP853", rtol=options["rtol"], atol=options["atol"],
+                dense_output=True).sol
+    assert ref.t_max == x_max
+    t_old, h, _, y_old, _ = traj._dense
+    for got, field_name in ((t_old, "t_old"), (h, "h"), (y_old, "y_old")):
+        want = np.array([getattr(d, field_name) for d in ref.interpolants])
+        assert got.tobytes() == want.tobytes(), field_name
     rng = np.random.default_rng(5)
     on_pass = traj.x_grid[traj.x_grid >= traj.handover]
-    xs = np.concatenate([[traj.handover, traj.x_max], on_pass, sols[0].t,
+    xs = np.concatenate([[traj.handover, traj.x_max], on_pass, ref.ts,
                          rng.uniform(traj.handover, traj.x_max, 500)])
-    assert traj._dense_at(xs).tobytes() == sols[0].sol(xs).tobytes()
+    want = ref(xs)
+    assert np.all(np.abs(traj._dense_at(xs) - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
+def test_nfev_counts_every_right_hand_side_evaluation(monkeypatch):
+    # nfev is the pass's calls plus the three interpolant stages per step,
+    # each stage one array call over all steps that counts one evaluation
+    # per step: what a wrapper around the right-hand side counts
+    calls = []
+    make = painleve._ray_rhs
+
+    def counting(q):
+        rhs = make(q)
+
+        def counted(x, y, exp):
+            calls.append(np.size(x))
+            return rhs(x, y, exp)
+
+        return counted
+
+    monkeypatch.setattr(painleve, "_ray_rhs", counting)
+    traj = integrate_sigma(_FAMILY_SETS[0], x_max=42.0)
+    assert traj.nfev == sum(calls)
+    assert [n for n in calls if n > 1] == [traj.steps] * 3
 
 
 def test_reads_after_the_solve_never_call_scipys_dense_output(p03, traj03, monkeypatch):
@@ -850,9 +896,16 @@ def test_handover_stays_low_where_the_table_or_the_pick_would_not_hold():
     assert math.prod(painleve._series_guess(p, 0.2)) > painleve._SERIES_BUDGET
     assert painleve._handover(p, x0, 42.0)[0] == x0
     # and where the Lax pick's margin at x0 is small, the handover stays
-    # near x0: (-0.2, -0.15) has margin ~110 at 1e-3 and hands over at 5e-3
+    # near x0: (-0.2, -0.15) has margin ~110 at 1e-3 and hands over at 5e-3.
+    # Its table is the cap's 20 x 61 lattice cut at x_h: the 35 terms of
+    # x_h's own table, where the cap's cut kept 100
     p = FHParams(-0.2, -0.15, t=0.3)
-    assert painleve._handover(p, _series_start(p, 1e-8), 42.0)[0] < 0.01
+    x_h, table = painleve._handover(p, _series_start(p, 1e-8), 42.0)
+    assert x_h < 0.01
+    own = _series_terms(p, x_h)
+    assert len(table[0]) == len(own[0]) < 40
+    assert np.array_equal(table[1], own[1])
+    assert np.allclose(table[0], own[0], rtol=1e-13, atol=0.0)
 
 
 # bench/draws.sigma_family_sets(1)[1] and [2]
