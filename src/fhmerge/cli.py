@@ -137,6 +137,7 @@ def _cmd_fourier(args):
 
 def _cmd_det(args):
     p = _params_from_args(args)
+    check_size(args.n)  # before either branch builds a table at n - 1
     if args.t_grid is not None:
         grid = np.linspace(*args.t_grid)
         path = toeplitz.det_path(p, args.n, grid, tol=args.tol)

@@ -410,13 +410,13 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
     period at refine 0 and twice as many at each refine up to 4:
     ValidationError before any sums when the dropped mass alone exceeds tol
     (an exponent below about -0.34 at tol = 1e-11), QuadratureError when
-    refine 4 still misses tol.  A tol that is not finite and positive is a
-    ValidationError.
+    refine 4 still misses tol.  A tol that is not finite and positive, or
+    an n_max that is not a nonnegative integer, is a ValidationError.
     The coefficients are float for a real mirror-even symbol, else complex.
     """
     check_tol(tol)
-    if n_max < 0:
-        raise ValidationError("n_max must be nonnegative")
+    if not (math.isfinite(n_max) and n_max >= 0 and n_max == int(n_max)):
+        raise ValidationError(f"n_max must be a nonnegative integer, got {n_max}")
     n_max = int(n_max)
     real, mirror = p.is_real_symbol(), p.is_mirror_even()
     j_values = np.arange(0 if real else -n_max, n_max + 1)

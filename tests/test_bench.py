@@ -55,13 +55,15 @@ def test_bench_workload_passes_its_oracles(workload, failing, monkeypatch):
 
 def test_bench_tracer_reaches_every_layer(monkeypatch):
     # a traced function the library stops binding, or a layer a workload
-    # stops reaching, shows here as a key with no site or a zero metric
-    rep = _run_child("shifted-ratio", "1")
+    # stops reaching, shows here as a key with no site or a zero metric;
+    # bench/run.py --trace 1 refuses a run with a zero metric of EXERCISED
     monkeypatch.syspath_prepend(str(BENCH))
     import run
     from tracing import Tracer
 
     keys = {key for key, *_ in Tracer()._targets()}
-    assert {k for k in keys if rep["trace"]["sites"].get(k, 0) == 0} == set()
-    metrics = rep["trace"]["metrics"]
-    assert [m for m in run.EXERCISED["shifted-ratio"] if metrics[m] == 0] == []
+    for workload in run.WORKLOADS:
+        rep = _run_child(workload, "1")
+        assert {k for k in keys if rep["trace"]["sites"].get(k, 0) == 0} == set()
+        metrics = rep["trace"]["metrics"]
+        assert [m for m in run.EXERCISED[workload] if metrics[m] == 0] == [], workload

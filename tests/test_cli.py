@@ -568,3 +568,12 @@ def test_readme_flags_belong_to_a_subcommand():
         for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line)
     }
     assert named and named <= known, sorted(named - known)
+
+
+@pytest.mark.parametrize("where", [["--t", "0.3"], ["--t-grid", "0.1:0.5:3"]])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_det_refuses_n_below_one(where, n, capsys):
+    # named as the user gave it, not as the table's n_max = n - 1
+    code = main(["det", "--alpha1", "0.3", "--alpha2", "0.3", "--n", n, *where])
+    assert code == 2
+    assert f"n must be at least 1, got {n}" in capsys.readouterr().err

@@ -1,10 +1,11 @@
+import itertools
 import math
 import time
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import gamma, i0, rgamma
+from scipy.special import beta, gamma, i0, rgamma
 
 from fhmerge._blas import single_thread
 from fhmerge import experiments, quadrature, symbol
@@ -69,10 +70,14 @@ def _circle_sums(p, n_max, j_values, refine):
 
 
 def test_tanh_sinh_endpoint_singularity():
-    # int_0^1 x^(-0.4) dx = 1/0.6, the hardest exponent in the battery,
-    # from the refine-0 rule with the stable endpoint distances
-    rule = arc_rule(0.0, 1.0)
-    assert abs(np.sum(rule.w * rule.dist_a ** (-0.4)) - 1.0 / 0.6) < 1e-12
+    # int_0^1 x^lam (1 - x)^mu dx = B(1 + lam, 1 + mu) from the refine-0 rule
+    # with the stable endpoint distances, singular at either end or both, on
+    # the base step and on the step of the Dyson tables' top frequency
+    for lam, mu in itertools.product((-0.4, 0.0, 0.5, 1.0), repeat=2):
+        for max_freq in (0.0, 254.0):
+            rule = arc_rule(0.0, 1.0, max_freq=max_freq)
+            total = np.sum(rule.w * rule.dist_a**lam * rule.dist_b**mu)
+            assert abs(total / beta(1.0 + lam, 1.0 + mu) - 1.0) < 2e-15
 
 
 def test_tanh_sinh_oscillatory():
@@ -488,6 +493,55 @@ def _dyson_exact(t, n):
         half = (mp.sin((j - 1) * t) / (j - 1) + mp.sin((j + 1) * t) / (j + 1)) / 2
         out.append(4 / mp.pi * (half - c * mp.sin(j * t) / j))
     return np.array([float(v) for v in out])
+
+
+def _dyson_coeffs(t, n):
+    """f_j, 0 <= j <= n, of the Dyson symbol 2 |cos theta - cos t| in floats:
+    (2/pi)(s(j+1) + s(j-1) - 2 cos t s(j)) + 2 cos t [j = 0] - [j = 1] with
+    s(m) = sin(m t)/m and s(0) = t."""
+    m = np.arange(-1, n + 2)
+    s = np.full(len(m), t)
+    s[m != 0] = np.sin(m[m != 0] * t) / m[m != 0]
+    f = 2.0 / PI * (s[2:] + s[:-2] - 2.0 * math.cos(t) * s[1:-1])
+    f[0] += 2.0 * math.cos(t)
+    f[1] -= 1.0
+    return f
+
+
+_DYSON_T_NODES = experiments._t_nodes(255, PI / 2.0)[0]
+
+
+def test_dyson_formula_matches_mpmath():
+    with mp.workdps(40):
+        for t in _DYSON_T_NODES[::8]:
+            assert np.max(np.abs(_dyson_coeffs(t, 300) - _dyson_exact(t, 300))) <= 4e-16
+
+
+@pytest.mark.parametrize("n_max", [254, 1023])
+def test_dyson_suite_tables_within_their_estimates_of_the_exact_coefficients(n_max):
+    # every t-node table of dyson_check((64, 128, 256)), and at 4 times its size
+    for t in _DYSON_T_NODES:
+        tab = fourier_coeffs(FHParams(0.5, 0.5, t=float(t)), n_max)
+        err = np.max(np.abs(tab.coeffs[n_max:] - _dyson_coeffs(t, n_max)))
+        assert err <= tab.quad_error_estimate
+
+
+def test_dyson_suite_tables_take_at_most_2000_nodes():
+    # at the map x = tanh(0.6 sinh tau) the Dyson tables at n_max = 254 hold
+    # 1516 to 1760 nodes at refine 0; Takahasi and Mori's pi/2 took 3194 to 3706
+    for t in _DYSON_T_NODES:
+        tab = fourier_coeffs(FHParams(0.5, 0.5, t=float(t)), 254)
+        assert tab.refine == 0
+        assert tab.nodes <= 2000
+
+
+@pytest.mark.parametrize("n_max", [2.7, math.nan, math.inf])
+def test_fourier_coeffs_refuses_a_non_integral_n_max(n_max):
+    p = FHParams(0.5, 0.5, t=0.3)
+    with pytest.raises(ValidationError, match="n_max must be a nonnegative integer"):
+        fourier_coeffs(p, n_max)
+    for n in (np.int64(3), np.int32(3), 3):
+        assert fourier_coeffs(p, n).coeffs.shape == (7,)
 
 
 @pytest.mark.parametrize("t", [1e-3, 0.3, 2.0])
