@@ -19,14 +19,20 @@ nested estimate, the change when that half is dropped, decides whether
 to escalate to refine 1 to 4.  The mass the nodes drop beyond their ends
 (~1e-37 away) does not shrink with refine; it is bounded up front and
 added to the estimate, as is the sums' rounding, which grows with the
-top frequency and which the nested comparison does not see.  The phase
+top frequency, falls only as 2^(-refine/2) and escapes the nested
+comparison; a table whose floor of the two at refine 4 exceeds tol is
+refused after refine 0's rule.  The phase
 e^{-ij phi} of the M requested modes is factored into a coarse step
 e^{-i(j0 + B q) phi} and a fine offset
 e^{-i m phi}, B = ceil(sqrt(M)), both filled by repeated multiplication
 and shared by the two branches, so a table costs one exponential and
 O(sqrt(M)) multiplications per node and branch plus one matrix product
 per nested half-rule.  A real mirror-even f is the same on both branches
-and sums one of them, f_j = 2 Re S_j.  At t = 0 with V = 0 the pair is
+and real, so its table stays in float arithmetic where its result is
+real: f is formed from a float ln f by one float exponential, one branch
+is summed, f_j = 2 Re S_0, and Re S_0 is one float product of the two
+phase factors' interleaved (re, im) views, half the flops of the complex
+product.  At t = 0 with V = 0 the pair is
 one singularity, whose coefficients have a closed form (`_merged_half`)
 and need no quadrature.
 """
@@ -186,6 +192,11 @@ class FHParams:
         v = self.v
         return all(v.get(-k, 0.0) == c.conjugate() for k, c in v.items())
 
+    def has_real_table(self) -> bool:
+        """True when f is real and mirror-even, so every f_j is real and
+        f_-j = f_j: its table is float and its sums run in float arithmetic."""
+        return self.is_real_symbol() and self.is_mirror_even()
+
     # Wiener-Hopf split e^V = b_+ e^{V_0} b_- over the Laurent coefficients
 
     @property
@@ -214,13 +225,23 @@ def _symbol_core(p: FHParams, theta, offsets):
     before z_j, e^{-i pi beta_j} after) times e^{i beta_j (theta - theta_j)}.
     The side comes from the sign of d_j: a node within rounding of z_j has
     an angle that may round onto the other side, its offset does not.
+    A real mirror-even symbol (`FHParams.has_real_table`) is formed in
+    float arithmetic: ln f is the real part of the V sum plus
+    2 alpha_j ln|2 sin(d_j/2)| and -Im beta_j (d_j - pi sgn d_j), and one
+    float exponential returns float values.
     """
+    real = p.has_real_table()
     log_f = 0.0
     for k, c in p.v_coeffs:
         log_f = log_f + c * np.exp(1j * k * theta)
+    if real:
+        log_f = np.real(log_f)
     for s, d in zip(p.pair, offsets):
-        log_f = log_f + 2.0 * s.alpha * np.log(2.0 * np.abs(np.sin(d / 2.0)))
-        log_f = log_f + 1j * s.beta * (d - math.pi * np.sign(d))
+        a, b = 2.0 * s.alpha, 1j * s.beta
+        if real:
+            a, b = a.real, b.real
+        log_f = log_f + a * np.log(2.0 * np.abs(np.sin(d / 2.0)))
+        log_f = log_f + b * (d - math.pi * np.sign(d))
     return np.exp(log_f)
 
 
@@ -298,17 +319,21 @@ class FourierTable:
         return windows[self.n_max :: -1][:n]
 
 
-def _fourier_sums(arcs, j_values: np.ndarray):
+def _fourier_sums(arcs, j_values: np.ndarray, real: bool = False):
     """Fine and coarse (half-rate) quadrature sums of w e^{-ij phi} over the
     (rule, rows) pairs, one sum per weight row w of rows, all rows sharing
-    the phase powers.
+    the phase powers; with real, only the real parts of those sums.
 
     The M contiguous modes are written j = j0 + B q + m with 0 <= m < B and
     B = ceil(sqrt(M)), so the phase factors as e^{-i(j0 + B q) phi} times
     e^{-i m phi}.  On each nested half-rule (coarse nodes, the rest) both
     factors are filled by repeated multiplication with e^{-i phi} and
     e^{-i B phi}: a node costs one exponential and O(sqrt(M)) products per
-    row, and one matrix product per half returns its sums.  The factors of
+    row, and one matrix product per half returns its sums.  At j0 = 0 the
+    outer factor starts from the rows themselves.  With real, the inner
+    factor is filled from e^{+i phi} instead, so Re(outer inner^T) is one
+    float product of the interleaved (re, im) views, outer against
+    conj(inner): half the flops of the complex product.  The factors of
     every half are written into one workspace allocated once per call:
     allocated per half, they came from memory glibc had just returned to
     the system, and a Dyson table at n_max = 254 took ~700 page faults.
@@ -319,17 +344,21 @@ def _fourier_sums(arcs, j_values: np.ndarray):
     n_outer = -(-n_modes // block)
     n_nodes = max(len(rule.x) for rule, _ in arcs) // 2 + 1  # the larger half
     work = np.empty((1 + n_rows, block * n_nodes), dtype=complex)
-    fine, coarse = np.zeros((2, n_rows, n_modes), dtype=complex)
+    fine, coarse = np.zeros((2, n_rows, n_modes), dtype=float if real else complex)
     for rule, rows in arcs:
         sums = []
         for half in (rule.coarse, ~rule.coarse):
             x = rule.x[half]
-            step = np.exp(-1j * x)
+            step = np.exp(1j * x if real else -1j * x)
             inner = _powers(np.ones(len(x)), step, block, work[0])
-            seed = rows[:, half] * np.exp(-1j * j_values[0] * x)
-            outer = _powers(seed, inner[-1] * step, n_outer, work[1:].reshape(-1))
+            outer_step = inner[-1] * step
+            seed = rows[:, half]
+            if j_values[0] != 0:
+                seed = seed * np.exp(-1j * j_values[0] * x)
+            outer = _powers(seed, outer_step.conj() if real else outer_step, n_outer,
+                            work[1:].reshape(-1)).reshape(-1, len(x))
             # entry [q, r, m] belongs to row r, mode j0 + B q + m; the padding beyond M is dropped
-            prod = outer.reshape(-1, len(x)) @ inner.T
+            prod = outer.view(float) @ inner.view(float).T if real else outer @ inner.T
             sums.append(prod.reshape(n_outer, n_rows, block).transpose(1, 0, 2))
         even, odd = (s.reshape(n_rows, -1)[:, :n_modes] for s in sums)
         fine += even + odd
@@ -350,11 +379,12 @@ def _powers(seed, step, count, work):
 def _table_sums(p: FHParams, arcs, j_values: np.ndarray):
     """Fine and coarse sums of f e^{-ij theta}/(2 pi) over the circle from
     the arcs of weighted_rules: S_0 + conj S_1 of the rows w f(e^{i phi})
-    and conj(w f(e^{-i phi})), or 2 Re S_0 of the first row alone for a
-    real mirror-even f."""
-    if p.is_real_symbol() and p.is_mirror_even():
-        sums = _fourier_sums(((rule, plus[None]) for rule, plus, _ in arcs), j_values)
-        return tuple(2.0 * s[0].real for s in sums)
+    and conj(w f(e^{-i phi})), or, for a real mirror-even f, 2 Re S_0 of
+    the first row alone, whose float values give Re S_0 as one float
+    product (`_fourier_sums` with real)."""
+    if p.has_real_table():
+        rows = ((rule, plus[None]) for rule, plus, _ in arcs)
+        return tuple(2.0 * s[0] for s in _fourier_sums(rows, j_values, real=True))
     rows = ((rule, np.stack([plus, minus.conj()])) for rule, plus, minus in arcs)
     return tuple(s[0] + s[1].conj() for s in _fourier_sums(rows, j_values))
 
@@ -374,7 +404,11 @@ _ROUND_EPS = 4.0
 
 def _rounding(arcs, top: float) -> float:
     """Bound on the rounding of the sums over weighted_rules' arcs, uniform in
-    the modes up to the top frequency; it does not shrink with refine."""
+    the modes up to the top frequency.  Sum |w f|^2 is the step times a
+    trapezoid sum of the non-oscillating |f|^2 against the map's squared
+    derivative, already converged at refine 0, so the bound falls as
+    2^(-refine/2): refine 4's is a quarter of refine 0's (within 1e-15 over
+    the README's 165-table grid)."""
     squares = sum(float(np.vdot(wf, wf).real) for _, *rows in arcs for wf in rows)
     return _ROUND_EPS * _EPS * (1.0 + top) * math.sqrt(squares)
 
@@ -407,10 +441,14 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
     beyond their outermost nodes on both branches and the sums' rounding
     (`_rounding`), which the nested comparison does not see.  The rules
     resolve the integrand's top frequency n_max + max |k| of V, with 4 bulk nodes per
-    period at refine 0 and twice as many at each refine up to 4:
-    ValidationError before any sums when the dropped mass alone exceeds tol
-    (an exponent below about -0.34 at tol = 1e-11), QuadratureError when
-    refine 4 still misses tol.  A tol that is not finite and positive, or
+    period at refine 0 and twice as many at each refine up to 4.  The
+    dropped mass is refine 0's at every refine, and the rounding term falls
+    as 2^(-refine/2), so refine 4's estimate is at least the dropped mass
+    plus a quarter of refine 0's rounding term: ValidationError before any
+    sums when the dropped mass alone exceeds tol (an exponent below about
+    -0.34 at tol = 1e-11), QuadratureError before any sums when that floor
+    does (a table refine 4 could not accept either), and QuadratureError
+    when refine 4 still misses tol.  A tol that is not finite and positive, or
     an n_max that is not a nonnegative integer, is a ValidationError.
     The coefficients are float for a real mirror-even symbol, else complex.
     """
@@ -418,7 +456,7 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
     if not (math.isfinite(n_max) and n_max >= 0 and n_max == int(n_max)):
         raise ValidationError(f"n_max must be a nonnegative integer, got {n_max}")
     n_max = int(n_max)
-    real, mirror = p.is_real_symbol(), p.is_mirror_even()
+    real = p.is_real_symbol()
     j_values = np.arange(0 if real else -n_max, n_max + 1)
     refine, nodes = None, 0
     if p.t == 0.0 and not p.v_coeffs:
@@ -435,6 +473,7 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
         top = _top_freq(p, n_max)
         for refine in (0, 1, 2, 3, 4):
             arcs = list(weighted_rules(p, top, refine))
+            rounding = _rounding(arcs, top)
             if refine == 0:
                 dropped = _dropped_mass(p, arcs)
                 if dropped > tol:
@@ -442,8 +481,14 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
                         f"Fourier table drops mass {dropped:.2e} beyond its endpoint nodes, "
                         f"above tol {tol:.2e}: an exponent too close to -1/2"
                     )
+                floor = dropped + rounding / 4.0
+                if floor > tol:
+                    raise QuadratureError(
+                        f"Fourier table error estimate at refine 4 is at least {floor:.2e} "
+                        f"(dropped mass and rounding), above tol {tol:.2e}"
+                    )
             fine, coarse = _table_sums(p, arcs, j_values)
-            err = float(np.max(np.abs(fine - coarse))) + dropped + _rounding(arcs, top)
+            err = float(np.max(np.abs(fine - coarse))) + dropped + rounding
             if err <= tol:
                 break
         else:
@@ -451,7 +496,7 @@ def fourier_coeffs(p: FHParams, n_max: int, tol: float = 1e-11) -> FourierTable:
                 f"Fourier table error estimate {err:.2e} exceeds tol {tol:.2e} at refine 4"
             )
         nodes = sum(len(rule.x) for rule, _, _ in arcs)
-    coeffs = np.zeros(2 * n_max + 1, dtype=float if real and mirror else complex)
+    coeffs = np.zeros(2 * n_max + 1, dtype=float if p.has_real_table() else complex)
     coeffs[n_max + j_values] = fine
     if real:
         coeffs[:n_max] = np.conj(coeffs[:n_max:-1])

@@ -252,20 +252,44 @@ def _direct_sums(p, n_max, j_values, refine):
     return fine, coarse
 
 
+# (alpha1, alpha2, beta1, beta2) of a real symbol, a complex one and a real
+# mirror-even one, whose sums run in float arithmetic
+_DIRECT_SETS = {
+    "real": (0.3, 0.2, 0.4j, -0.05j),
+    "complex": (0.3, 0.2, 0.1 + 0.2j, -0.05j),
+    "real-mirror": (0.3, 0.3, 0.2j, -0.2j),
+}
+
+
 @pytest.mark.parametrize("t", [0.0, 0.05, 0.7])
 @pytest.mark.parametrize("n_max", [0, 1, 2, 15, 16, 17, 255, 1023])
-@pytest.mark.parametrize("beta1", [0.4j, 0.1 + 0.2j], ids=["real", "complex"])
-def test_fourier_sums_match_direct_sum(beta1, n_max, t):
-    p = FHParams(0.3, 0.2, beta1=beta1, beta2=-0.05j, t=t)
+@pytest.mark.parametrize("name", list(_DIRECT_SETS))
+def test_fourier_sums_match_direct_sum(name, n_max, t):
+    p = FHParams(*_DIRECT_SETS[name], t=t)
     lo = 0 if p.is_real_symbol() else -n_max
     j_values = np.arange(lo, n_max + 1)
     fine, coarse = _sums(p, n_max, j_values, refine=1)
+    real = name == "real-mirror"
+    assert p.has_real_table() == real
+    assert (fine.dtype == np.float64) == real and (coarse.dtype == np.float64) == real
     # all modes of the small tables; of the large ones the first and last 64
     # (the padded outer block is the last) and every 29th in between
     pick = np.unique(np.r_[0:64, -64:0, 64 : len(j_values) - 64 : 29] % len(j_values))
     ref_fine, ref_coarse = _direct_sums(p, n_max, j_values[pick], refine=1)
     assert np.max(np.abs(fine[pick] - ref_fine)) < 1e-13
     assert np.max(np.abs(coarse[pick] - ref_coarse)) < 1e-13
+
+
+def _complex_core(p, theta, offsets):
+    """_symbol_core's sum ln f in complex arithmetic throughout: V, then
+    2 alpha_j ln|2 sin(d_j/2)| + i beta_j (d_j - pi sgn d_j), then exp."""
+    log_f = np.zeros(theta.shape, dtype=complex)
+    for k, c in p.v_coeffs:
+        log_f = log_f + c * np.exp(1j * k * theta)
+    for s, d in zip(p.pair, offsets):
+        log_f = log_f + 2.0 * s.alpha * np.log(2.0 * np.abs(np.sin(d / 2.0)))
+        log_f = log_f + 1j * s.beta * (d - PI * np.sign(d))
+    return np.exp(log_f)
 
 
 def test_fourier_sums_parity_split():
@@ -443,6 +467,41 @@ def test_every_table_sums_half_circle_arcs(name, monkeypatch):
     assert all(b <= p.t or a >= p.t for a, b in arcs)
     assert len({arc for arc in arcs if arc[1] <= p.t}) <= 1
     assert len({arc for arc in arcs if arc[0] >= p.t}) == 1
+
+
+@pytest.mark.parametrize("name", ["dyson", "real-mirror", "realV"])
+def test_real_symbol_values_are_float(name):
+    # a real mirror-even symbol is formed in float arithmetic, within an ulp
+    # or two of the complex evaluation, on a grid and down to 1e-12 from t
+    if name in _ARC_SETS:
+        p = _ARC_SETS[name]
+    else:
+        alpha, beta, v = _MIRROR_CLASSES[name]
+        p = FHParams(alpha, alpha, beta, -beta, 0.3, v)
+    near = p.t + np.geomspace(1e-12, 1e-2, 50) * np.array([[-1.0], [1.0]])
+    theta = np.r_[np.linspace(0.01, TWO_PI - 0.01, 997), near.ravel()]
+    offsets = [theta - p.t, theta - (TWO_PI - p.t)]
+    got, ref = _symbol_core(p, theta, offsets), _complex_core(p, theta, offsets)
+    assert p.has_real_table() and got.dtype == np.float64
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 4e-16
+
+
+def test_rounding_floor_refuses_after_refine_0(monkeypatch):
+    # the rounding term falls as 2^(-refine/2) and the estimate keeps refine
+    # 0's dropped mass, so refine 4's estimate is at least the dropped mass
+    # plus a quarter of refine 0's rounding term; here that floor (~1.14e-13)
+    # is above tol, and the table is refused without building refine 1 to 4
+    p = FHParams(-0.3, -0.3, t=1e-3)
+    refines = []
+
+    def recording(a, b, **kwargs):
+        refines.append(kwargs["refine"])
+        return arc_rule(a, b, **kwargs)
+
+    monkeypatch.setattr(symbol, "arc_rule", recording)
+    with pytest.raises(QuadratureError):
+        fourier_coeffs(p, 1023, tol=1e-13)
+    assert refines == [0, 0]
 
 
 def _mp_coeff(p, k):
