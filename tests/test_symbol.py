@@ -280,18 +280,6 @@ def test_fourier_sums_match_direct_sum(name, n_max, t):
     assert np.max(np.abs(coarse[pick] - ref_coarse)) < 1e-13
 
 
-def _complex_core(p, theta, offsets):
-    """_symbol_core's sum ln f in complex arithmetic throughout: V, then
-    2 alpha_j ln|2 sin(d_j/2)| + i beta_j (d_j - pi sgn d_j), then exp."""
-    log_f = np.zeros(theta.shape, dtype=complex)
-    for k, c in p.v_coeffs:
-        log_f = log_f + c * np.exp(1j * k * theta)
-    for s, d in zip(p.pair, offsets):
-        log_f = log_f + 2.0 * s.alpha * np.log(2.0 * np.abs(np.sin(d / 2.0)))
-        log_f = log_f + 1j * s.beta * (d - PI * np.sign(d))
-    return np.exp(log_f)
-
-
 def test_fourier_sums_parity_split():
     # modes far beyond the node density alias differently on the two nested
     # half-rules, so the coarse sums fix which nodes form the coarse half;
@@ -467,6 +455,18 @@ def test_every_table_sums_half_circle_arcs(name, monkeypatch):
     assert all(b <= p.t or a >= p.t for a, b in arcs)
     assert len({arc for arc in arcs if arc[1] <= p.t}) <= 1
     assert len({arc for arc in arcs if arc[0] >= p.t}) == 1
+
+
+def _complex_core(p, theta, offsets):
+    """_symbol_core's sum ln f in complex arithmetic throughout: V, then
+    2 alpha_j ln|2 sin(d_j/2)| + i beta_j (d_j - pi sgn d_j), then exp."""
+    log_f = np.zeros(theta.shape, dtype=complex)
+    for k, c in p.v_coeffs:
+        log_f = log_f + c * np.exp(1j * k * theta)
+    for s, d in zip(p.pair, offsets):
+        log_f = log_f + 2.0 * s.alpha * np.log(2.0 * np.abs(np.sin(d / 2.0)))
+        log_f = log_f + 1j * s.beta * (d - PI * np.sign(d))
+    return np.exp(log_f)
 
 
 @pytest.mark.parametrize("name", ["dyson", "real-mirror", "realV"])
