@@ -18,7 +18,13 @@ from scipy.special import beta as _sp_beta
 from scipy.special import betainc
 
 from .errors import ValidationError, check_size, check_t
-from .painleve import SigmaTrajectory, check_nondegeneracy, check_seminorm, sigma_zero
+from .painleve import (
+    SigmaTrajectory,
+    _check_trajectory,
+    check_nondegeneracy,
+    check_seminorm,
+    sigma_zero,
+)
 from .specfun import DYSON_CD, gamma_ratio, log_barnes_g_ratio
 from .symbol import FHParams
 
@@ -200,8 +206,10 @@ def transition_log(p: FHParams, n: int, traj: SigmaTrajectory) -> AsymptoticPred
 
     The t = 0 part is the merged single-singularity expansion; the rest of
     _transition_terms is the explicit transition correction.  omega(2 n t),
-    the "painleve_integral" term, is read from a trajectory covering x = 2 n t.
+    the "painleve_integral" term, is read from a trajectory covering x = 2 n t
+    of p's exponents (ValidationError otherwise).
     """
+    _check_trajectory(p, traj)
     terms = _transition_terms(p, n)
     x = 2.0 * n * p.t
     terms["painleve_integral"] = traj.omega_at(x)
@@ -279,8 +287,10 @@ def diff_identity_rhs(p: FHParams, n: int, t: float, traj: SigmaTrajectory) -> c
     Assembled from the Laurent data and the sigma trajectory at x = 2nt,
     with one term per singularity j at z_j = e^{+-it} of p.with_t(t):
     eps = d theta_j/dt = +-1, z V'(z) = sum k V_k z^k and
-    h(z) = sum |k| V_k z^k.
+    h(z) = sum |k| V_k z^k.  Raises ValidationError for a trajectory of
+    other exponents than p's.
     """
+    _check_trajectory(p, traj)
     x = 2.0 * n * t
     sig, du, _ = traj.eval(x)
     b = p.beta_sum
@@ -331,8 +341,10 @@ class FKConstants:
 
     def c3(self, traj: SigmaTrajectory) -> float:
         """gfac int_0^inf e^{Re omega(2u)} du, e^omega continued past the
-        trajectory as the power law x^(-2 alpha^2) it decays like."""
+        trajectory as the power law x^(-2 alpha^2) it decays like; traj
+        must be solved for (alpha, alpha, 0, 0)."""
         a = self.alpha
+        _check_trajectory(FHParams(a, a), traj)
         if 2.0 * a * a <= 1.0:
             raise ValidationError("third-regime constant needs 2 alpha^2 > 1")
         u_max = float(traj.x_grid[-1]) / 2.0

@@ -13,17 +13,17 @@ roots, hence no branch flips), the same equation whose small-x series
 _series_lattice builds; the quartic relation itself is a first integral
 of that form, so it is enforced by checking the residual at every output
 node.  The same pass carries omega, ln U for the Lax variable U of the
-associated linear problem, and W = int (x y_x/y) dx/x, so the r-function
-of the shifted-beta determinant ratio, r = C e^W numf(U, v)/x, is read
-from the same dense output as sigma, at any x.  The pass starts at the
-handover x_h (up to 0.2, _handover), above the tau0-resolution point x0
-that starts the grid: below x_h the series table holds sigma to
-rounding, and U is a root of a quadratic in sigma's derivatives, so
-sigma, omega, ln U and W there (the start data included) come from the
-table.  It is built on the range read from it (the start data, the
-reads below x_h, the Lax head and r's anchor at 1e-10), and keeps each
-term that matters at rounding to sigma, sigma_x or sigma_xx there;
-_series_rows is its one read.  The pass records DOP853's accepted steps
+associated linear problem, and W = int_0^x (x y_x/y) dx/x, so the
+r-function of the shifted-beta determinant ratio, r = C e^W numf(U, v)/x,
+is read from the same dense output as sigma, at any x.  The pass starts
+at the handover x_h (up to 0.2, _handover and _lax_tables), above the
+tau0-resolution point x0 that starts the grid: below x_h two series
+tables hold the solution to rounding, sigma's (_series_lattice) and
+U's and x y_x/y's (_lax_lattice, from U's Riccati equation on the
+lattice of sigma_x's exponents), so sigma, omega, U and W there, the
+start data included, are sums of powers read by _series_rows.  Each
+table keeps the terms that matter at rounding on (0, x_h], and C is
+their x -> 0 limit in closed form.  The pass records DOP853's accepted steps
 and builds every step's interpolant in one batch after it; the
 trajectory keeps them stacked into arrays and reads them with scipy's
 Dop853DenseOutput arithmetic.  Everything downstream (the transition
@@ -43,6 +43,7 @@ from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg.lapack import ztrtrs
 from scipy.optimize import brentq
 
+from ._blas import single_thread
 from .errors import (
     DegenerateDenominatorError,
     NondegeneracyError,
@@ -74,15 +75,14 @@ _X_ASYM_MIN = 10.0
 _DEFAULT_TOL = 1e-8
 # the lowest start of a sigma solve
 _X_ANCHOR = 1e-3
-# where r is matched to r_small_s, whose relative error k x is ~1e-10 here;
-# deeper, the Lax roots meet to rounding (at 1e-20 r was off by its size)
-_X_R = 1e-10
 # lattice points (j, k) a series table may take before it gives up
 _SERIES_BUDGET = 4000
+# lattice points of U's series: past this the handover moves down instead
+# (2 to 12 ms a table on the sigma-family sets)
+_LAX_BUDGET = 2400
 # the handover from the series table to the solver, as a fraction of the
-# series' radius guess, and the Lax root pick's margin it keeps
+# series' radius guess
 _HANDOVER = 1.0 / 15.0
-_PICK_MARGIN = 20.0
 # right-hand-side evaluations allowed per sigma solve; passing runs use a
 # few thousand, a run heading for a blow-up millions
 _RHS_BUDGET = 100_000
@@ -140,8 +140,11 @@ def _sigma_vanishes(p: FHParams) -> bool:
 
 
 def _check_trajectory(p: FHParams, traj: SigmaTrajectory) -> None:
-    """Refuse a trajectory of other exponents than p's; t and V may differ."""
-    if _exponents(p) != _exponents(traj.params):
+    """Refuse a trajectory of other exponents than p's; t and V may differ,
+    and the sigma == 0 sets share their one solution."""
+    if _exponents(p) != _exponents(traj.params) and not (
+        _sigma_vanishes(p) and _sigma_vanishes(traj.params)
+    ):
         raise ValidationError(f"trajectory solved for {_exponents(traj.params)}, not this set")
 
 
@@ -313,33 +316,19 @@ def _series_guess(p: FHParams, x_range: float):
 
 
 def _handover(p: FHParams, x0: float, x_max: float):
-    """(x_h, table): where the sigma solve leaves the series table, and the
-    table it leaves, built on (0, cap] or (0, x0].  Where x_h lies far
-    below the cap (as at Re a < 0, where the pick's margin at x0 is
-    small), the cap's lattice is cut to the terms that matter at x_h
-    (_series_cut) when that keeps at most half of the cap's terms: 35 of
-    100 at (-0.2, -0.15).  Nearer the cap a cut saves few reads (it keeps
-    58-99% of the terms on the sigma-family sets) and would move the
-    start data by rounding, which the pass amplifies.
+    """(x_h, lattice): the highest point sigma's series may hand over to
+    the solver, and sigma's lattice (_converged_lattice) on (0, x_h].
 
     The series holds to rounding up to the cap _HANDOVER times
     _radius_guess (0.2 at radius 3, less near alpha1 + alpha2 = 1/2).
-    Below x_h, U is also read off the Lax quadratic (_lax_head), which
-    needs _lax_root's pick to stay clear: its margin falls about like 1/x
-    (m x -> 8 (alpha1 + alpha2) at beta = 0), so x_h is at most where the
-    margin measured at x0 would fall to _PICK_MARGIN.  x_h = x0 when the
-    cap is not in (x0, x_max) or its first lattice would not fit
-    _SERIES_BUDGET, and for the sigma == 0 sets, whose table is empty."""
+    x_h is the cap, or x0 when the cap is not in (x0, x_max) or its first
+    lattice would not fit _SERIES_BUDGET.  _lax_tables may lower it where
+    U's series does not hold there.  Not for the sigma == 0 sets, which
+    have no lattice."""
     cap = _HANDOVER * _radius_guess(p)
     fits = x0 < cap < x_max and math.prod(_series_guess(p, cap)) <= _SERIES_BUDGET
-    if _sigma_vanishes(p) or not fits:
-        return x0, _series_terms(p, x0)
-    lattice = _converged_lattice(p, cap)
-    table = _series_cut(lattice, cap)
-    margin = _lax_root(p, x0, *_series_rows(table, x0)[:3])[3]
-    x_h = min(cap, max(x0, x0 * float(margin) / _PICK_MARGIN))
-    low = _series_cut(lattice, x_h)
-    return x_h, low if 2 * low[0].size <= table[0].size else table
+    x_h = cap if fits else x0
+    return x_h, _converged_lattice(p, x_h)
 
 
 def _check_resonance(p: FHParams) -> None:
@@ -420,6 +409,202 @@ def _series_rows(table, x):
     return np.stack([t.sum(-1) for t in terms])
 
 
+def _lax_grid(p: FHParams):
+    """(s, step_r, step_c, c1): the lattice of U's small-x series.
+
+    With A = alpha1 - alpha2 + 2i sigma_x and K = 2 (alpha1 - alpha2), the
+    U-equation of _lax_system is the Riccati equation
+    x U' = -ixU + A (U - 1)^2 + K (U - 1).  Put U - 1 = x^g Y:
+
+        x Y' = c1 Y - ixY - i x^(1-g) + B Y^2,  B = x^g A,  c1 = K - g.
+
+    For Re a > 0, a = alpha1 + alpha2, g = 0 and U -> U0 = (a + b)/(b - a),
+    b = beta1 + beta2.  Otherwise A grows like x^(2a), g = -2a and U -> 1.
+    B and Y live on sigma_x's exponents r step_r + c step_c, r, c >= 0:
+    steps (2a, 1), or (-2a, 1 + 2a), where x^g is one row (s = 1; else 0).
+    """
+    a = p.alpha1 + p.alpha2
+    s = int(a.real <= 0.0)
+    step_r, step_c = (-2.0 * a, 1.0 + 2.0 * a) if s else (2.0 * a, 1.0)
+    return s, step_r, step_c, 2.0 * (p.alpha1 - p.alpha2) + 2.0 * a * s
+
+
+def _check_lax_resonance(p: FHParams) -> None:
+    """Refuse the sets whose U-series _lax_lattice cannot build.
+
+    Past Y's first point, (e + c1) Y_e is the rest of the equation at x^e
+    (_lax_grid), so Y_e is free where e = -c1 lies on the lattice:
+    e = 2 (alpha2 - alpha1) for Re a > 0, e = -4 alpha1 otherwise, where
+    e = 0 also counts (Y's first point, -c1/B0, is then 0).  That needs
+    Re alpha1 <= 0 or Re(alpha2 - alpha1) >= 1/2; (-0.2, 0.1) is resonant
+    for every beta.  Raises NondegeneracyError when such an e is on the
+    lattice to rounding, and DegenerateDenominatorError where U0 is
+    infinite or 0 (a = b, a + b = 0) for Re a > 0.
+    """
+    s, step_r, step_c, c1 = _lax_grid(p)
+    a, b = p.alpha1 + p.alpha2, p.beta_sum
+    if not s and (a == b or a + b == 0.0):
+        raise DegenerateDenominatorError(f"U's limit (a + b)/(b - a) is {'0' if a == -b else 'inf'}")
+    # rows r whose step leaves room for a column c >= 0 to reach -c1
+    rows = np.arange(_SERIES_BUDGET if step_r.real <= 0.0 else min(
+        _SERIES_BUDGET, 1 + math.floor(max(-c1.real, 0.0) / step_r.real)))
+    col = (-c1 - rows * step_r) / step_c
+    near = np.round(col.real)
+    hit = (near >= 0.0) & (np.abs(col - near) <= 64.0 * np.finfo(float).eps * np.maximum(near, 1.0))
+    hit[0] &= bool(s) or near[0] != 0.0
+    if hit.any():
+        raise NondegeneracyError(
+            f"U's small-argument recursion is resonant at x^({-c1:.6g}) "
+            f"(alpha1 = {p.alpha1:.6g}, alpha2 = {p.alpha2:.6g})"
+        )
+
+
+def _window(row, lag, pad):
+    """The lower Toeplitz matrix of row, w[m, n] = row[m - n] for n <= m,
+    with lag and pad as _series_lattice builds them."""
+    pad[row.size - 1 :] = row
+    return pad[lag]
+
+
+def _lax_lattice(p: FHParams, lattice, x: float, size_c: int, max_rows: int):
+    """(u, q, e): the coefficients of U and of x y_x/y (_lax_system) at
+    x^e on the lattice of _lax_grid, c < size_c, from sigma's lattice
+    (c, e) of _series_lattice; rows until one matters at x to neither U
+    nor W = int_0^x (x y_x/y) dx/x (_lax_matters), or max_rows rows.
+
+    B takes sigma's point (k, j) at r = k (s = 0) or j (s = 1),
+    c = j + k - 1, and sigma's points past its lattice as 0.  Y's first
+    point is U0 - 1 (s = 0) or -c1/B0, and past it (e + c1) Y_e is the
+    rest at x^e, whose part in Y_e is 2 B0 Y0 = -2 c1.  Row 0 pairs only
+    its own points and is filled one point at a time; row r >= 1 is one
+    lower-triangular solve, its right-hand side products of the finished
+    rows with their Toeplitz windows, as in _series_lattice.  With
+    P = B Y: B Y^2 at row r is 2 P0 Y_r + (B Y - B0 Y_r)_r Y0 +
+    sum_{0<r'<r} P_r' Y_(r-r').
+
+    x y_x/y = (U - 1) (v (U - 1) - 2 alpha1)/U + ix/2 vanishes at x = 0,
+    v (U - 1) = H Y with H = x^g v = (x^g (b - a) - B)/2, so
+    q = T + ix/2 with U T = (U - 1) G, G = H Y - 2 alpha1: one more
+    triangular solve a row.
+    """
+    c_sig, e_sig = lattice
+    s, step_r, step_c, c1 = _lax_grid(p)
+    a, b = p.alpha1 + p.alpha2, p.beta_sum
+    e = step_c * np.arange(size_c) + step_r * np.arange(max_rows)[:, None]
+    k, j = np.indices(c_sig.shape)
+    r, c = (j if s else k), j + k - 1
+    on = (c >= 0) & (c < size_c)
+    bb = np.zeros((max(r.max(), s) + 1, size_c), dtype=complex)
+    bb[r[on], c[on]] = 2j * c_sig[on] * e_sig[on]
+    bb[s, 0] += p.alpha1 - p.alpha2
+    hh = -0.5 * bb
+    hh[s, 0] += 0.5 * (b - a)
+    y = np.zeros((max_rows, size_c), dtype=complex)
+    row, b0 = [0j] * size_c, bb[0].tolist()
+    row[0] = -c1 / b0[0] if s else 2.0 * a / (b - a)
+    prow = [b0[0] * row[0]] + [0j] * (size_c - 1)
+    den = e + c1
+    den0 = den[0].tolist()
+    for m in range(1, size_c):
+        prow[m] = sum(b0[n] * row[m - n] for n in range(1, m + 1))
+        rest = sum(prow[n] * row[m - n] for n in range(m)) + prow[m] * row[0]
+        rest -= 1j * (row[m - 1] * (1 - s) + (m == 1))
+        row[m] = rest / den0[m]
+        prow[m] += b0[0] * row[m]
+    y[0] = row
+    pb = np.zeros_like(y)
+    pb[0] = prow
+    lag = size_c - 1 + np.arange(size_c)[:, None] - np.arange(size_c)
+    pad = np.zeros(2 * size_c - 1, dtype=complex)
+    # toe[:, s + r] is Y_r's window, so toe[:, r] is (U - 1)_r's
+    toe = np.zeros((size_c, max_rows + s, size_c), dtype=complex)
+    toe_y = toe[:, s:]
+    toe_y[:, 0] = _window(y[0], lag, pad)
+    toe_b0 = _window(bb[0], lag, pad)
+    base = -2.0 * _window(pb[0], lag, pad) + (1j - 1j * s) * np.eye(size_c, k=-1)
+    u0 = toe[:, 0] + np.eye(size_c)
+    diag = np.diag_indices(size_c)
+    g, t = np.zeros_like(y), np.zeros_like(y)
+    half_x = 0.5j * (np.arange(size_c) == 1)  # ix/2 on row s
+    tops = [abs(1.0 + row[0] * (1 - s)), 0.0]
+    for i in range(max_rows):
+        lb = min(i, len(bb) - 1)
+        if i:
+            rest = toe_y[:, i - lb : i].reshape(size_c, -1) @ bb[lb:0:-1].ravel()
+            rhs = toe_y[:, 0] @ rest + toe_y[:, 1:i].reshape(size_c, -1) @ pb[i - 1 : 0 : -1].ravel()
+            if s:
+                rhs[1:] -= 1j * y[i - 1, :-1]
+            m = base.copy()
+            m[diag] = den[i]
+            y[i] = ztrtrs(m, rhs, lower=1)[0]
+            pb[i] = toe_b0 @ y[i] + rest
+            toe_y[:, i] = _window(y[i], lag, pad)
+        g[i] = toe_y[:, i - lb : i + 1].reshape(size_c, -1) @ hh[lb::-1].ravel()
+        if i == 0:
+            g[0, 0] -= 2.0 * p.alpha1
+        rhs = toe[:, 0] @ g[i] + toe[:, 1 : i + 1].reshape(size_c, -1) @ (g[:i] - t[:i])[::-1].ravel()
+        t[i] = ztrtrs(u0, rhs, lower=1)[0]
+        big = _lax_matters(y[i - s] if i >= s else 0.0, t[i] + half_x * (i == s), e[i], x, tops)
+        if i and not big.any():
+            break
+    u = np.concatenate([np.zeros_like(y[:s]), y[: i + 1 - s]])
+    u[0, 0] += 1.0
+    t[s, 1] += 0.5j
+    t[0, 0] = 0.0  # its rounding: x y_x/y vanishes at x = 0
+    return u, t[: i + 1], e[: i + 1]
+
+
+def _lax_matters(u, q, e, x, tops):
+    """Whether each term of U (coefficients u) and of W (q x^e / e) at x
+    matters at rounding against the largest of its kind, tops = [U's, W's]
+    (in: so far; out: with these terms).  U's constant is in tops[0] and
+    is never judged; neither is q at e = 0, which is 0."""
+    xe = np.abs(x**e)
+    sizes = np.abs(u) * xe, np.abs(q) * xe / np.maximum(np.abs(e), np.finfo(float).tiny)
+    big = False
+    for n, size in enumerate(sizes):
+        size = np.where(e == 0.0, 0.0, size)
+        tops[n] = max(tops[n], float(size.max()))
+        big = big | (size > np.finfo(float).eps * tops[n])
+    return big
+
+
+def _lax_tables(p: FHParams, lattice, x0: float, x_h: float):
+    """(x_h, (U's table, x y_x/y's table)): the handover, at most x_h, and
+    the tables _series_rows reads U (row 0) and W (row 3) from on (0, x_h].
+
+    _lax_lattice fills twice as many columns as sigma's lattice has, and
+    rows up to _LAX_BUDGET lattice points.  Where that lattice does not
+    hold U and W to rounding at x_h (its last row or last two columns
+    matter, _lax_matters), the handover moves down a quarter octave at a
+    time: U's series converges much more slowly than sigma's where U's
+    singularities come near, e.g. on 3 of the 24 sigma-family sets.  Each table
+    keeps the terms that matter at the handover.  Raises what
+    _check_lax_resonance raises, and NumericalError when even x0 is out
+    of reach.
+    """
+    _check_lax_resonance(p)
+    size_c = 2 * lattice[0].shape[1]
+    u, q, e = _lax_lattice(p, lattice, x_h, size_c, max(2, _LAX_BUDGET // size_c))
+    steps = math.ceil(4.0 * math.log2(x_h / x0)) if x_h > x0 else 0
+    for x in [*(x_h * 2.0 ** (-np.arange(steps) / 4.0)), x0]:
+        tops = [abs(u[0, 0]), 0.0]
+        big = _lax_matters(u, q, e, x, tops)
+        if not (big[-1].any() or big[:, -2:].any()):
+            big[0, 0] = True
+            return float(x), ((u[big], e[big]), (q[big], e[big]))
+    raise NumericalError(f"U's small-argument series does not converge at x = {x0:.3g}")
+
+
+# U == 1 and W == 0, for the sigma == 0 sets
+_UNIT_LAX = ((np.ones(1, dtype=complex), np.zeros(1)), (np.zeros(1, dtype=complex), np.zeros(1)))
+
+
+def _lax_rows(tables, x):
+    """(U, W) at x from _lax_tables' tables."""
+    return _series_rows(tables[0], x)[0], _series_rows(tables[1], x)[3]
+
+
 def _branch_sign(p: FHParams):
     """(sign, kept, other): sign = +1 when Re(beta1 - beta2) >= 0, else -1,
     the sign of the oscillating term that the large-argument expansion
@@ -474,7 +659,8 @@ class SigmaTrajectory:
     """sigma and derivatives on a grid of x = |s| along the ray s = -ix.
 
     Built from the parameters, the range [x0, x_max], the solver pass
-    and the series table.  The pass starts at the handover and its dense
+    and the series tables, sigma's and U's (_lax_tables, which r_trajectory
+    reads below the handover).  The pass starts at the handover and its dense
     output has the rows (sigma, sigma_x, sigma_xx, omega, ln U, W), omega
     included from its series value at the handover on: _integrate_ray's
     stacked step arrays, which _dense_at reads with scipy's DOP853
@@ -495,6 +681,7 @@ class SigmaTrajectory:
     x_max: float
     _dense: tuple = field(repr=False)  # _integrate_ray's pass from the handover on
     _series: tuple = field(repr=False)  # the table (c, e)
+    _lax: tuple = field(repr=False)  # U's and x y_x/y's tables
     x_grid: np.ndarray = field(init=False)
     sigma: np.ndarray = field(init=False)
     sigma_x: np.ndarray = field(init=False)
@@ -581,7 +768,7 @@ def _ray_rhs(p: FHParams):
     """
     _, e2, e3 = _equation_constants(p)
     s0c = sigma_zero(p)
-    lax_v, lax_rates = _lax_system(p)[:2]
+    lax_v, lax_rates, _ = _lax_system(p)
 
     def rhs(x, y, exp):
         u, du, d2u, _, ln_u, _ = y
@@ -699,6 +886,7 @@ def _default_grid(x0: float, x_max: float) -> np.ndarray:
     return np.unique(np.concatenate([head, tail, [x_max]]))
 
 
+@single_thread
 def integrate_sigma(
     p: FHParams, x_max: float = 40.0, tol: float = _DEFAULT_TOL
 ) -> SigmaTrajectory:
@@ -708,22 +896,26 @@ def integrate_sigma(
     tau0 to relative accuracy tol: 1e-3 for alpha1 = alpha2 = 0.3, about
     0.24 for 0.9 at tol = 1e-8.  It starts the trajectory's grid and
     read ranges.  The solve itself is the one solve_ivp pass of
-    _integrate_ray from the handover x_h = _handover(p, x0, x_max): up to
-    0.2 (less near alpha1 + alpha2 = 1/2, and where the Lax root pick
-    would lose its margin), or x0 where that is higher or its table would
-    not fit _SERIES_BUDGET.  Below x_h the series holds sigma to
-    rounding, where DOP853's early steps from x0 were most of its error
-    and a third of its steps.  The table holds every read of it: the
-    start data at x_h, the trajectory's reads below x_h, and ln U and W,
-    which come from _lax_head on [1e-10, x_h].  The sigma == 0 sets (the degenerate pair
-    alpha = beta = 1/2 and the smooth symbol) have the empty table, start
-    at x_h = x0 = 1e-3 from zero data, stay at zero and carry U = 1,
-    which keeps the right-hand side finite.  The call raises:
+    _integrate_ray from the handover x_h: the cap of _handover, up to 0.2
+    (less near alpha1 + alpha2 = 1/2), or x0 where that is higher or its
+    table would not fit _SERIES_BUDGET, moved down by _lax_tables where
+    U's series does not hold there.  Below x_h the series tables hold
+    sigma, U and W to rounding, where DOP853's early steps from x0 were
+    most of its error and a third of its steps.  They hold every read
+    below x_h: the start data (sigma, its derivatives, omega, ln U and W
+    at x_h) and the trajectory's and r_trajectory's reads.  The sigma == 0
+    sets (the degenerate pair alpha = beta = 1/2 and the smooth symbol)
+    have the empty table, start at x_h = x0 = 1e-3 from zero data, stay
+    at zero and carry U = 1, which keeps the right-hand side finite.  The
+    call raises:
 
     - NondegeneracyError up front, from the series, when 2(alpha1+alpha2)
       is in N u {0}, when 1 - 2(alpha1+alpha2) lies on the exponent
-      lattice (alpha1 + alpha2 = -1/6, -1/4, -3/10, -1/3, ...), or when a
-      parameter combination hits a negative integer;
+      lattice (alpha1 + alpha2 = -1/6, -1/4, -3/10, -1/3, ...), where
+      U's series is resonant (_check_lax_resonance), or when a parameter
+      combination hits a negative integer;
+    - DegenerateDenominatorError up front where U's limit at x = 0 is 0
+      or infinite (alpha1 + alpha2 = +-(beta1 + beta2), Re > 0);
     - ValidationError up front for a tol that is not finite and positive,
       and unless x0 < x_max < inf;
     - PoleDetectedError when |sigma| reaches the blow-up cap (a pole, or a
@@ -731,21 +923,24 @@ def integrate_sigma(
     - NumericalError when the pass stalls (more than _RHS_BUDGET
       right-hand-side evaluations), when it left the connecting solution
       (real alphas, imaginary betas, x_max >= 10: sigma(x_max) misses the
-      connection asymptotics by O(1)), or when the quartic-relation
-      residual at a grid node exceeds 10*tol.
+      connection asymptotics by O(1)), when the quartic-relation
+      residual at a grid node exceeds 10*tol, or when U's series does not
+      converge at x0.
     """
     check_tol(tol)
     x0 = _series_start(p, tol)
     if not x0 < x_max < math.inf:
         raise ValidationError(f"need x0 < x_max < inf (x0 = {x0:.3g}, x_max = {x_max:.3g})")
-    x_h, table = _handover(p, x0, x_max)
-    rtol = min(1e-10, tol * 1e-2)
-    y0 = [*_series_rows(table, x_h), 0.0, 0.0]
-    if not _sigma_vanishes(p):
-        _, u_h, w_h = _lax_head(p, table, np.array([x_h]))
-        y0[4:] = cmath.log(u_h[0]), w_h[0]
-    dense = _integrate_ray(p, x_h, x_max, y0, rtol)
-    traj = SigmaTrajectory(p, x0, x_max, dense, table)
+    if _sigma_vanishes(p):
+        x_h, table, lax = x0, _series_terms(p, x0), _UNIT_LAX
+    else:
+        x_h, lattice = _handover(p, x0, x_max)
+        x_h, lax = _lax_tables(p, lattice, x0, x_h)
+        table = _series_cut(lattice, x_h)
+    u_h, w_h = _lax_rows(lax, x_h)
+    y0 = [*_series_rows(table, x_h), cmath.log(u_h), w_h]
+    dense = _integrate_ray(p, x_h, x_max, y0, min(1e-10, tol * 1e-2))
+    traj = SigmaTrajectory(p, x0, x_max, dense, table, lax)
 
     if p.has_real_fh_factor() and p.seminorm < 1.0 and x_max >= _X_ASYM_MIN:
         # a forward pass that quietly left the connecting solution shows
@@ -801,14 +996,19 @@ class RTrajectory:
         return complex(self._r_of(np.array([x], dtype=float))[0])
 
 
-def r_small_s(p: FHParams, x: float) -> complex:
-    """Leading small-argument form of r at s = -ix."""
+def _r_limit(p: FHParams) -> complex:
+    """x r(-ix) at x = 0."""
     a = p.alpha1 + p.alpha2
     b = p.beta_sum
     if is_nonpositive_integer(2.0 + a - b):  # 1 + a - b in {-1, -2, ...}
         raise NondegeneracyError("r small-argument form degenerate")
     phase = cmath.exp(1j * cmath.pi * (p.alpha1 - p.alpha2 - 3.0 * p.beta1 - p.beta2))
-    return -2.0 / x * cmath.exp(-1j * x / 2.0) * phase * gamma_ratio(a, b)
+    return -2.0 * phase * gamma_ratio(a, b)
+
+
+def r_small_s(p: FHParams, x: float) -> complex:
+    """Leading small-argument form of r at s = -ix."""
+    return cmath.exp(-1j * x / 2.0) * _r_limit(p) / x
 
 
 def r_large_s(p: FHParams, x: float) -> complex:
@@ -829,9 +1029,8 @@ def _lax_system(p: FHParams):
     """The compatibility-system forms with the constants of p bound, each
     on floats or arrays and read in x at s = -ix: v from sigma_x;
     lax_rates, the pair (x dU/dx, x y_x/y) = (s dU/ds, s y_s/y) on (U, v, x)
-    (the U-equation, and the rates of ln U and W times x); the r-numerator
-    numf on (U, v), whose zeros are the zeros of r; and d numf/dx on
-    (U, v, x, sigma_xx)."""
+    (the U-equation, and the rates of ln U and W times x); and the
+    r-numerator numf on (U, v), whose zeros are the zeros of r."""
     a1, b = p.alpha1, p.beta_sum
     v_shift, a_minus = b / 2.0 - a1, a1 - p.alpha2 - b
     c_u, d_u = b - a1 - p.alpha2, 3.0 * a1 - p.alpha2 - b
@@ -845,124 +1044,41 @@ def _lax_system(p: FHParams):
     def lax_v(sig_x):  # v_shift - sigma_s, sigma_s = i sigma_x
         return v_shift - 1j * sig_x
 
-    def numf_x(u, v, x, sig_xx):  # dv/dx = -i sigma_xx
-        return -1j * sig_xx * (1.0 - u) - v * lax_rates(u, v, x)[0] / x
-
-    return lax_v, lax_rates, (lambda u, v: v * (1.0 - u) + a_minus), numf_x
-
-
-def _lax_branches(p: FHParams, x, sig, du, d2u):
-    """The Lax variable U on both roots of its quadratic at x, from sigma
-    and its x-derivatives there (floats, or arrays of one shape), with
-    the pieces of d ln r/dx on each.
-
-    v is fixed by sigma_x; U solves the quadratic the sigma-equation
-    forces on the residue variables.  Returns (u, y_part, numf, dnumf),
-    each stacked over the two roots along the first axis; where the
-    leading coefficient vanishes both rows hold the linear root.
-    """
-    x = np.asarray(x, dtype=float)
-    lax_v, lax_rates, numf_of, numf_x = _lax_system(p)
-    v = lax_v(du)
-    # sigma - x sigma_x + sum_j alpha_j^2 - (beta1 + beta2)^2 / 2, added left to right
-    w_cap = sum((j.alpha**2 for j in p.pair), sig - x * du) - p.beta_sum**2 / 2.0
-    a_minus = p.alpha1 - p.alpha2 - p.beta_sum
-    a_plus = p.alpha1 + p.alpha2 - p.beta_sum
-    qa = v * (v + a_plus)
-    qb = -(w_cap + (v + a_minus) * (v + a_plus) + v * (v + 2.0 * p.alpha1))
-    qc = (v + a_minus) * (v + 2.0 * p.alpha1)
-    linear = np.abs(qa) < 1e-14 * (1.0 + np.abs(qb) + np.abs(qc))
-    if np.any(linear & (np.abs(qb) < 1e-14 * (1.0 + np.abs(qc)))):
-        raise DegenerateDenominatorError("Lax quadratic degenerates; use degenerate_r")
-    disc = np.sqrt(qb * qb - 4.0 * qa * qc)
-    two_qa = np.where(linear, 1.0, 2.0 * qa)
-    lin = -qc / np.where(linear, qb, 1.0)
-    u = np.stack(
-        [np.where(linear, lin, (-qb + disc) / two_qa), np.where(linear, lin, (-qb - disc) / two_qa)]
-    )
-    # d ln r/dx = y_x/y - 1/x + numf_x/numf = y_part - 1/x + dnumf/numf
-    return u, lax_rates(u, v, x)[1] / x, numf_of(u, v), numf_x(u, v, x, d2u)
-
-
-def _lax_root(p: FHParams, x, sig, du, d2u):
-    """(d ln r/dx, U, x y_x/y, margin) elementwise over x, on the root of
-    the Lax quadratic whose d ln r/dx is nearest -1/x - i/2 + k (the first
-    on a tie), k = i alpha2/(alpha1 + alpha2); margin is how many times
-    nearer it is than the other root's.
-
-    As x -> 0 the roots meet at U = -(a + b)/(a - b), a = alpha1 + alpha2,
-    b = beta1 + beta2.  The quadratic to second order in x there gives the
-    slopes of the two roots, and on them d ln r/dx + 1/x + i/2 tends to k
-    on the root the U-flow keeps, and to another constant (-2.23i at
-    alpha1 = alpha2 = 0.3) or like x^(2a-1) on the other.  Below about 1e-7
-    the roots agree to the rounding of the discriminant; either serves.
-    """
-    u, y_part, numf, dnumf = _lax_branches(p, x, sig, du, d2u)
-    vals = y_part - 1.0 / x + dnumf / numf
-    target = -1.0 / x - 0.5j + 1j * p.alpha2 / (p.alpha1 + p.alpha2)
-    dist = np.abs(vals - target)
-    pick = np.argmin(dist, axis=0)[None]
-    near, far = np.sort(dist, axis=0)
-    picked = (np.take_along_axis(rows, pick, 0)[0] for rows in (vals, u, y_part * x))
-    return (*picked, far / np.maximum(near, np.finfo(float).tiny))
-
-
-def _lax_head(p: FHParams, table, xs: np.ndarray, x_ref: float = _X_R, w_ref: complex = 0.0):
-    """(sigma_x, U, W) at the points xs in [_X_R, x_h] from the series
-    table on (0, x_h]: U is _lax_root's root at each x, and
-    W = w_ref + int_{x_ref}^x (x y_x/y) dx/x on that root is a
-    Gauss-Legendre sum in ln x, one edge at x_ref and at each x, summed
-    cumulatively.  Where a gap is wider than a decade every panel is cut
-    at decades from the lowest edge.  The rule has 8 points where every
-    panel is narrower than ln 2 (r below x_h, one panel per grid point;
-    r moves by < 2e-13 from 16), else 16.  From W = 0 at _X_R it gives the
-    solve's start at x_h; r below x_h sums down from the start."""
-    ln_x = np.log(xs / x_ref)
-    edges = np.union1d(ln_x, 0.0)
-    width = np.diff(edges).max(initial=0.0)
-    if width > math.log(10.0):
-        edges = np.union1d(np.arange(edges[0], edges[-1], math.log(10.0)), edges)
-    nodes, weights = gauss_legendre_panels(edges, 8 if width < math.log(2.0) else 16)
-    at = np.concatenate([x_ref * np.exp(nodes), xs])
-    rows = _series_rows(table, at)
-    _, u, xy_y, _ = _lax_root(p, at, *rows[:3])
-    panels = (weights * xy_y[: nodes.size]).reshape(edges.size - 1, -1).sum(1)
-    cum = np.concatenate([[0.0], np.cumsum(panels)])
-    w = w_ref + cum[np.searchsorted(edges, ln_x)] - cum[np.searchsorted(edges, 0.0)]
-    return rows[1, nodes.size :], u[nodes.size :], w
+    return lax_v, lax_rates, (lambda u, v: v * (1.0 - u) + a_minus)
 
 
 def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
     """r(s) on the trajectory, read from the sigma pass.
 
-    The pass carries ln U and W = int_{1e-10} (x y_x/y) dx/x, so
+    The pass carries ln U and W = int_0^x (x y_x/y) dx/x, so
     r = C e^W numf(U, v)/x at any x: the zeros of r are zeros of numf,
     crossed exactly.  Below the handover, where the pass has not started,
-    U and W come from the series table as at its start (_lax_head).  C is
-    matched to r_small_s at x = _X_R = 1e-10, where W = 0; it carries the
-    rounding of the Lax root there, about 1e-8, or where
-    Re(alpha1 + alpha2) < 0 the form's x^(1+2a) term (3e-4 at -0.35).
-    The degenerate pair has the closed form degenerate_r; the smooth
-    symbol, which has no Lax root, raises DegenerateDenominatorError,
-    and a trajectory of other exponents than p's ValidationError.
+    U and W are read off the trajectory's series tables as at its start
+    (_lax_rows).  C matches r to r_small_s in the limit x -> 0, where
+    W -> 0 and numf -> -(a + b), a = alpha1 + alpha2, b = beta1 + beta2,
+    on either side of Re a = 0: C = -_r_limit(p)/(a + b) in closed form.
+    The degenerate pair has the closed form degenerate_r.  The smooth
+    symbol, which has no Lax variable, and a + b = 0 raise
+    DegenerateDenominatorError, and a trajectory of other exponents than
+    p's ValidationError.
     """
     _check_trajectory(p, traj)
     if is_degenerate(p):
         r_of = np.vectorize(degenerate_r, otypes=[complex])
         return RTrajectory(traj.x_grid, r_of(traj.x_grid), np.zeros(len(traj.x_grid), bool), r_of)
-    if _sigma_vanishes(p):
-        raise DegenerateDenominatorError("Lax quadratic degenerates where sigma == 0")
+    numf_0 = -(p.alpha1 + p.alpha2 + p.beta_sum)
+    if _sigma_vanishes(p) or numf_0 == 0.0:
+        raise DegenerateDenominatorError("r's numerator vanishes at x = 0, or sigma == 0")
 
-    lax_v, _, numf_of, _ = _lax_system(p)
-
+    lax_v, _, numf_of = _lax_system(p)
     x_h = traj.handover
-    w_h = traj._dense[3][0, 5]  # W in the pass's start state y_old[0]
 
     def shape(xs):  # (r / C, numf) at the points xs
         head = xs < x_h
         du, u, w = np.empty((3, xs.size), dtype=complex)
         if head.any():
-            du[head], u[head], w[head] = _lax_head(p, traj._series, xs[head], x_h, w_h)
+            du[head] = _series_rows(traj._series, xs[head])[1]
+            u[head], w[head] = _lax_rows(traj._lax, xs[head])
         if not head.all():
             _, du[~head], _, _, ln_u, w[~head] = traj._dense_at(xs[~head])
             u[~head] = np.exp(ln_u)
@@ -970,8 +1086,7 @@ def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
         return np.exp(w) * numf / xs, numf
 
     unit, numf = shape(traj.x_grid)
-    at_r = traj.eval(_X_R)
-    c = r_small_s(p, _X_R) * _X_R / numf_of(_lax_root(p, _X_R, *at_r)[1], lax_v(at_r[1]))
+    c = _r_limit(p) / numf_0
     flagged = np.abs(numf) < 1e-6 * (1.0 + np.max(np.abs(numf)))
     return RTrajectory(traj.x_grid, c * unit, flagged, lambda xs: c * shape(xs)[0])
 

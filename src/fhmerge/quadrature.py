@@ -22,8 +22,7 @@ as at pi/2.  At c = 0.5 some Dyson tables at n_max = 254 no longer meet
 tol at refine 0.  Callers choose the refine, each halving the step, and
 estimate the error themselves from the nested every-other-node half
 that ArcRule.coarse marks.  Smooth integrands on panels take
-gauss_legendre_panels' 16-point rule instead, or its 8-point rule on
-narrow panels.
+gauss_legendre_panels' 16-point rule instead.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ _BASE_H = math.pi / (128.0 * _C)
 _NODES_PER_OSC = 4.0
 # the 16- and 8-point Gauss-Legendre rules on [-1, 1], built once at import:
 # leggauss solves an eigenproblem, which wakes the BLAS threads on every call
-_GL_RULES = {n: np.polynomial.legendre.leggauss(n) for n in (16, 8)}
+_GL_RULE = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
@@ -118,11 +117,11 @@ def arc_rule(a: float, b: float, max_freq: float = 0.0, refine: int = 0) -> ArcR
     )
 
 
-def gauss_legendre_panels(edges, points=16):
-    """Gauss-Legendre nodes and weights, 16 or 8 points, on each panel
+def gauss_legendre_panels(edges):
+    """Gauss-Legendre nodes and weights, 16 points, on each panel
     between consecutive entries of edges, flattened panel by panel."""
     edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    nodes, weights = _GL_RULES[points]
+    nodes, weights = _GL_RULE
     return (mid + half * nodes).ravel(), (half * weights).ravel()
