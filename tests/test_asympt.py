@@ -276,6 +276,7 @@ class _PowerLawOmega:
 
     def __init__(self, alpha, x_max):
         self.alpha = alpha
+        self.params = FHParams(alpha, alpha)
         self.x_grid = np.array([0.0, x_max])
 
     def omega_at(self, x):
@@ -411,6 +412,8 @@ class _RecordedSigma:
     -0.15j, 0.3, _V), x_max=80) at x = 6.4 and 64, so the golden pins
     diff_identity_rhs's formula and not the solver's rounding."""
 
+    params = FHParams(0.3, 0.25, 0.1j, -0.15j, 0.3)
+
     _AT = {
         6.4: (
             -0.7779973061947039 + 1.311011782351735e-13j,
@@ -436,3 +439,19 @@ def test_diff_identity_rhs_golden():
         (128, 0.25, -0.016624670523641503 + 0.6434927023701489j),
     ]:
         assert _close(diff_identity_rhs(p, n, t, traj), ref)
+
+
+def test_predictors_refuse_a_trajectory_of_other_exponents():
+    # a (0.3, 0.3) trajectory read for (0.4, 0.2) silently gave
+    # transition_log 1.589; each predictor now refuses it
+    from fhmerge.asympt import FKConstants, diff_identity_rhs, transition_log
+    from fhmerge.painleve import integrate_sigma
+
+    traj = integrate_sigma(FHParams(0.3, 0.3, t=0.3), x_max=5.0)
+    other = FHParams(0.4, 0.2, t=0.01)
+    with pytest.raises(ValidationError, match="trajectory solved for"):
+        transition_log(other, 64, traj)
+    with pytest.raises(ValidationError, match="trajectory solved for"):
+        diff_identity_rhs(other, 64, 0.01, traj)
+    with pytest.raises(ValidationError, match="trajectory solved for"):
+        FKConstants(0.9).c3(traj)

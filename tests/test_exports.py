@@ -63,6 +63,7 @@ def test_benchmark_trace_targets_resolve():
 PRIVATE_CROSSINGS = {
     ("experiments", "asympt", "_transition_terms"),
     ("cli", "experiments", "_csv_text"),
+    ("asympt", "painleve", "_check_trajectory"),
 }
 
 

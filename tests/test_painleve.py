@@ -8,6 +8,7 @@ import pytest
 
 from fhmerge import painleve
 from fhmerge.errors import (
+    DegenerateDenominatorError,
     NondegeneracyError,
     NumericalError,
     PoleDetectedError,
@@ -513,46 +514,82 @@ def test_r_trajectory_matches_large_form(p03, traj03):
     assert late < early
 
 
-def test_r_log_derivative_identity(p03, traj03):
-    # d ln r/dx of the output matches the identity away from r-zeros
-    from fhmerge.painleve import _lax_root
-
-    rt = r_trajectory(p03, traj03)
-    val = _lax_root(p03, 2.0, *traj03.eval(2.0))[0]
-    h = 0.02
-    fd = (np.log(rt.r_at(2.0 + h)) - np.log(rt.r_at(2.0 - h))) / (2.0 * h)
-    assert abs(val - fd) < 5e-3
+# U's and W's series on (0, x_h]: the sets of both regimes, Re a > 0 and < 0
+_LAX_SETS = [
+    FHParams(0.3, 0.3, t=0.3),
+    FHParams(0.3, 0.25, 0.1 + 0.2j, -0.1j, 0.3),
+    FHParams(0.2, 0.15, 0.1j, -0.2j, 0.3),
+    FHParams(-0.2, -0.15, t=0.3),
+]
 
 
-def test_r_trajectory_matches_stepwise_reference(p03, traj03):
-    # reference: a node walk 1e-3 apart that tracks the root of the Lax
-    # quadratic nearest the U-equation predictor and sums d ln r/dx by
-    # the trapezoid rule; r_trajectory reads the one sigma pass instead.
-    # The walk starts from r_trajectory's own r at x0, so this checks the
-    # shape of r; its level is checked against the exact ratio below
-    from fhmerge.painleve import _lax_branches, _lax_root, _lax_system
+def _lax_head(p):
+    """(x, sigma rows, U's rows, x y_x/y's rows) at 40 points of (0, x_h]."""
+    traj = integrate_sigma(p, x_max=2.0)
+    xs = np.geomspace(1e-9, traj.handover, 40)
+    return xs, _series_rows(traj._series, xs), *(_series_rows(t, xs) for t in traj._lax)
 
-    x0, x_max = traj03.x0, float(traj03.x_grid[-1])
-    xs = np.union1d(np.arange(x0, x_max, 1e-3), traj03.x_grid)
-    sig, du, d2u = traj03.eval(xs)
-    u, y_part, numf, _ = _lax_branches(p03, xs, sig, du, d2u)
-    lax_v, lax_rates = _lax_system(p03)[:2]
-    du_dx = lax_rates(u, lax_v(du), xs)[0] / xs
-    u_prev, slope, pick = _lax_root(p03, x0, *traj03.eval(x0))[1], 0.0, []
-    for i, h in enumerate(np.diff(xs, prepend=x0)):
-        pred = u_prev + slope * h
-        k = int(abs(u[1, i] - pred) < abs(u[0, i] - pred))
-        u_prev, slope = u[k, i], du_dx[k, i]
-        pick.append(k)
-    root = np.array(pick), np.arange(len(xs))
-    y_part, numf = y_part[root], numf[root]
-    integral = np.concatenate([[0.0], np.cumsum(0.5 * (y_part[1:] + y_part[:-1]) * np.diff(xs))])
-    rt = r_trajectory(p03, traj03)
-    ref = rt.r_at(x0) * (x0 / xs) * (numf / numf[0]) * np.exp(integral)
-    at = np.searchsorted(xs, traj03.x_grid)
-    ok = ~rt.flagged
-    assert ok.sum() > 200
-    np.testing.assert_allclose(rt.r[ok], ref[at][ok], rtol=1e-4)
+
+@pytest.mark.parametrize("p", _LAX_SETS)
+def test_lax_series_solves_its_riccati_equation(p):
+    # x U' from the series' own derivative equals the U-equation's right
+    # side at U and sigma_x to rounding, in both regimes
+    xs, sig, u, _ = _lax_head(p)
+    lax_v, lax_rates, _ = painleve._lax_system(p)
+    want = lax_rates(u[0], lax_v(sig[1]), xs)[0]
+    scale = 1.0 + np.abs(u[0]) ** 2 * (1.0 + np.abs(sig[1]))
+    assert np.max(np.abs(xs * u[1] - want) / scale) < 1e-12
+
+
+def _lax_quadratic(p, x, sig, du, u):
+    """The quadratic in U that the sigma-equation forces on the residue
+    variables, at U, with the size of its terms."""
+    v = painleve._lax_system(p)[0](du)
+    w_cap = sum((j.alpha**2 for j in p.pair), sig - x * du) - p.beta_sum**2 / 2.0
+    a_minus = p.alpha1 - p.alpha2 - p.beta_sum
+    a_plus = p.alpha1 + p.alpha2 - p.beta_sum
+    terms = (
+        v * (v + a_plus) * u * u,
+        -(w_cap + (v + a_minus) * (v + a_plus) + v * (v + 2.0 * p.alpha1)) * u,
+        (v + a_minus) * (v + 2.0 * p.alpha1),
+    )
+    return sum(terms), sum(np.abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("p", _LAX_SETS)
+def test_lax_series_is_a_root_of_the_lax_quadratic(p):
+    xs, sig, u, _ = _lax_head(p)
+    value, size = _lax_quadratic(p, xs, sig[0], sig[1], u[0])
+    assert np.max(np.abs(value) / size) < 1e-12
+
+
+@pytest.mark.parametrize("p", _LAX_SETS)
+def test_w_series_derivative_is_the_log_derivative_of_y(p):
+    # x W' (row 0 of x y_x/y's table, W being row 3) equals x y_x/y at U
+    # and sigma_x to the rounding of its terms (v grows like x^(2a) where
+    # Re a < 0); W itself vanishes like x at 0
+    xs, sig, u, q = _lax_head(p)
+    lax_v, lax_rates, _ = painleve._lax_system(p)
+    v = lax_v(sig[1])
+    want = lax_rates(u[0], v, xs)[1]
+    size = np.abs(v + 2.0 * p.alpha1) / np.abs(u[0]) + 2.0 * np.abs(v + p.alpha1) + np.abs(u[0] * v)
+    assert np.max(np.abs(q[0] - want) / size) < 64.0 * np.finfo(float).eps
+    assert abs(q[3][0]) < 1e-7
+
+
+def test_lax_resonance_is_refused_up_front():
+    # (-0.2, 0.1) is resonant at x^0.8 for every beta
+    start = time.perf_counter()
+    with pytest.raises(NondegeneracyError):
+        integrate_sigma(FHParams(-0.2, 0.1, t=0.3), x_max=5.0)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("betas", [(0.3, 0.3), (-0.3, -0.3)])
+def test_lax_limit_zero_or_infinite_is_refused(betas):
+    # U's limit (a + b)/(b - a) is infinite at a = b and 0 at a = -b
+    with pytest.raises(DegenerateDenominatorError):
+        integrate_sigma(FHParams(0.3, 0.3, *betas, 0.3), x_max=5.0)
 
 
 # two seeded pole-free sets on which a root tracker started at x0 leaves
@@ -595,6 +632,18 @@ _RATIO_SETS = [
 ]
 
 
+def test_r_constant_where_re_a_is_negative():
+    # C in closed form: at (-0.2, -0.15) r is within 2e-7 of the exact
+    # ratio's n -> inf limit (the 1e-3 band above dates from C's match at
+    # 1e-10, where the x^(1+2a) term of r's small form was 3e-4)
+    p = FHParams(-0.2, -0.15, t=0.3)
+    rt = r_trajectory(p, integrate_sigma(p, x_max=5.0))
+    for x in (0.5, 2.0, 4.0):
+        r256, r512, r1024 = (_exact_r(p, x, n) for n in (256, 512, 1024))
+        limit = (4.0 * (2.0 * r1024 - r512) - (2.0 * r512 - r256)) / 3.0
+        assert abs(limit / rt.r_at(x) - 1.0) <= 2e-7
+
+
 def _exact_r(p, x, n):
     """r(-ix) read off the exact ratio D_(n-1)(f_(beta2-1)) / D_n(f) at t = x/2n."""
     t = x / (2.0 * n)
@@ -607,40 +656,14 @@ def _exact_r(p, x, n):
 @pytest.mark.parametrize("p, bound", _RATIO_SETS)
 def test_r_trajectory_matches_exact_ratio_in_the_limit(p, bound):
     # the exact ratio at n = 256, 512, 1024 taken to n = inf by two
-    # Richardson steps in 1/n: r's level, set by matching C at 1e-10,
-    # is right to the bound
+    # Richardson steps in 1/n: r's level, set by C's closed form, is right
+    # to the bound.  At alpha = 0.9 the bound limits the extrapolation,
+    # not r: its corrections hold a non-integer power of 1/n
     rt = r_trajectory(p, integrate_sigma(p, x_max=5.0))
     for x in (0.5, 2.0, 4.0):
         r256, r512, r1024 = (_exact_r(p, x, n) for n in (256, 512, 1024))
         limit = (4.0 * (2.0 * r1024 - r512) - (2.0 * r512 - r256)) / 3.0
         assert abs(limit / rt.r_at(x) - 1.0) <= bound
-
-
-@pytest.mark.parametrize("p", [p for p, _ in _RATIO_SETS])
-def test_lax_root_pick_has_a_margin(p, monkeypatch):
-    # at every Gauss node of the W sum, at the start and at the match
-    # point, the picked root's d ln r/dx is at least 10 times nearer the
-    # target than the other root's, or (below 1e-6) the two roots agree
-    # to the rounding of the quadratic's discriminant and either serves
-    seen = []
-    branches = painleve._lax_branches
-
-    def record(q, x, *rest):
-        out = branches(q, x, *rest)
-        seen.append((np.atleast_1d(x), out))
-        return out
-
-    monkeypatch.setattr(painleve, "_lax_branches", record)
-    r_trajectory(p, integrate_sigma(p, x_max=5.0))
-    k = 1j * p.alpha2 / (p.alpha1 + p.alpha2)
-    xs = np.concatenate([x for x, _ in seen])
-    assert len(xs) > 100 and xs.min() == 1e-10
-    for x, (u, y_part, numf, dnumf) in seen:
-        near, far = np.sort(np.abs(y_part + dnumf / numf + 0.5j - k).reshape(2, -1), axis=0)
-        u = u.reshape(2, -1)
-        gap = np.abs(u[0] - u[1]) / np.abs(u).max(axis=0)
-        clear = far >= 10.0 * near
-        assert np.all(clear | ((gap <= 2e-7) & (x <= 1e-6)))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.9])
@@ -879,7 +902,8 @@ def test_handover_table_takes_one_lattice(p, tol, monkeypatch):
 
     monkeypatch.setattr(painleve, "_series_lattice", counting)
     x0 = _series_start(p, tol)
-    x_h, table = painleve._handover(p, x0, 42.0)
+    x_h, lattice = painleve._handover(p, x0, 42.0)
+    table = painleve._series_cut(lattice, x_h)
     assert len(sizes) == 1 and sizes[0] <= painleve._SERIES_BUDGET
     assert x0 <= x_h <= 0.2 + 1e-12
     monkeypatch.undo()
@@ -895,17 +919,14 @@ def test_handover_stays_low_where_the_table_or_the_pick_would_not_hold():
     x0 = _series_start(p, 1e-8)
     assert math.prod(painleve._series_guess(p, 0.2)) > painleve._SERIES_BUDGET
     assert painleve._handover(p, x0, 42.0)[0] == x0
-    # and where the Lax pick's margin at x0 is small, the handover stays
-    # near x0: (-0.2, -0.15) has margin ~110 at 1e-3 and hands over at 5e-3.
-    # Its table is the cap's 20 x 61 lattice cut at x_h: the 35 terms of
-    # x_h's own table, where the cap's cut kept 100
+    # and where U's series does not hold at the cap (-0.2, -0.15: U's rows
+    # step by x^0.3), the handover moves down to where it does
     p = FHParams(-0.2, -0.15, t=0.3)
-    x_h, table = painleve._handover(p, _series_start(p, 1e-8), 42.0)
-    assert x_h < 0.01
-    own = _series_terms(p, x_h)
-    assert len(table[0]) == len(own[0]) < 40
-    assert np.array_equal(table[1], own[1])
-    assert np.allclose(table[0], own[0], rtol=1e-13, atol=0.0)
+    x0 = _series_start(p, 1e-8)
+    x_h, lattice = painleve._handover(p, x0, 42.0)
+    low, _ = painleve._lax_tables(p, lattice, x0, x_h)
+    assert x_h == 0.2 and x0 < low < 0.05
+    assert integrate_sigma(p, x_max=5.0).handover == low
 
 
 # bench/draws.sigma_family_sets(1)[1] and [2]
@@ -926,10 +947,11 @@ def test_default_tol_sigma_is_accurate(p):
     assert traj.handover > 0.1
     x0 = traj.x0
     table = _series_terms(p, x0)
-    _, u0, w0 = painleve._lax_head(p, table, np.array([x0]))
-    y0 = [*_series_rows(table, x0), cmath.log(u0[0]), w0[0]]
+    lax = painleve._lax_tables(p, painleve._converged_lattice(p, x0), x0, x0)[1]
+    u0, w0 = painleve._lax_rows(lax, x0)
+    y0 = [*_series_rows(table, x0), cmath.log(u0), w0]
     dense = painleve._integrate_ray(p, x0, 42.0, y0, 2.3e-14)
-    ref = SigmaTrajectory(p, x0, 42.0, dense, table)
+    ref = SigmaTrajectory(p, x0, 42.0, dense, table, lax)
     xs = np.array([0.4, 2.0, 10.0, 40.0])
     assert np.max(np.abs(traj.sigma_at(xs) - ref.sigma_at(xs))) < 5e-8
     assert np.max(np.abs(traj.omega_at(xs) - ref.omega_at(xs))) < 5e-8
@@ -969,7 +991,7 @@ def test_r_at_reads_the_sigma_pass(p03, traj03):
     # same solve whose grid ends at that x: no interpolation between nodes
     rt = r_trajectory(p03, traj03)
     for x in (0.0123, 2.1234, 17.77):
-        short = SigmaTrajectory(p03, traj03.x0, x, traj03._dense, traj03._series)
+        short = SigmaTrajectory(p03, traj03.x0, x, traj03._dense, traj03._series, traj03._lax)
         assert x not in traj03.x_grid and short.x_grid[-1] == x
         r_end = r_trajectory(p03, short).r[-1]
         assert abs(rt.r_at(x) - r_end) <= 1e-12 * abs(r_end)
