@@ -409,78 +409,33 @@ def _series_rows(table, x):
     return np.stack([t.sum(-1) for t in terms])
 
 
-def _lax_grid(p: FHParams):
-    """(s, step_r, step_c, c1): the lattice of U's small-x series.
-
-    With A = alpha1 - alpha2 + 2i sigma_x and K = 2 (alpha1 - alpha2), the
-    U-equation of _lax_system is the Riccati equation
-    x U' = -ixU + A (U - 1)^2 + K (U - 1).  Put U - 1 = x^g Y:
-
-        x Y' = c1 Y - ixY - i x^(1-g) + B Y^2,  B = x^g A,  c1 = K - g.
-
-    For Re a > 0, a = alpha1 + alpha2, g = 0 and U -> U0 = (a + b)/(b - a),
-    b = beta1 + beta2.  Otherwise A grows like x^(2a), g = -2a and U -> 1.
-    B and Y live on sigma_x's exponents r step_r + c step_c, r, c >= 0:
-    steps (2a, 1), or (-2a, 1 + 2a), where x^g is one row (s = 1; else 0).
-    """
-    a = p.alpha1 + p.alpha2
-    s = int(a.real <= 0.0)
-    step_r, step_c = (-2.0 * a, 1.0 + 2.0 * a) if s else (2.0 * a, 1.0)
-    return s, step_r, step_c, 2.0 * (p.alpha1 - p.alpha2) + 2.0 * a * s
-
-
-def _check_lax_resonance(p: FHParams) -> None:
-    """Refuse the sets whose U-series _lax_lattice cannot build.
-
-    Past Y's first point, (e + c1) Y_e is the rest of the equation at x^e
-    (_lax_grid), so Y_e is free where e = -c1 lies on the lattice:
-    e = 2 (alpha2 - alpha1) for Re a > 0, e = -4 alpha1 otherwise, where
-    e = 0 also counts (Y's first point, -c1/B0, is then 0).  That needs
-    Re alpha1 <= 0 or Re(alpha2 - alpha1) >= 1/2; (-0.2, 0.1) is resonant
-    for every beta.  Raises NondegeneracyError when such an e is on the
-    lattice to rounding, and DegenerateDenominatorError where U0 is
-    infinite or 0 (a = b, a + b = 0) for Re a > 0.
-    """
-    s, step_r, step_c, c1 = _lax_grid(p)
-    a, b = p.alpha1 + p.alpha2, p.beta_sum
-    if not s and (a == b or a + b == 0.0):
-        raise DegenerateDenominatorError(f"U's limit (a + b)/(b - a) is {'0' if a == -b else 'inf'}")
-    # rows r whose step leaves room for a column c >= 0 to reach -c1
-    rows = np.arange(_SERIES_BUDGET if step_r.real <= 0.0 else min(
-        _SERIES_BUDGET, 1 + math.floor(max(-c1.real, 0.0) / step_r.real)))
-    col = (-c1 - rows * step_r) / step_c
-    near = np.round(col.real)
-    hit = (near >= 0.0) & (np.abs(col - near) <= 64.0 * np.finfo(float).eps * np.maximum(near, 1.0))
-    hit[0] &= bool(s) or near[0] != 0.0
-    if hit.any():
-        raise NondegeneracyError(
-            f"U's small-argument recursion is resonant at x^({-c1:.6g}) "
-            f"(alpha1 = {p.alpha1:.6g}, alpha2 = {p.alpha2:.6g})"
-        )
-
-
-def _window(row, lag, pad):
-    """The lower Toeplitz matrix of row, w[m, n] = row[m - n] for n <= m,
-    with lag and pad as _series_lattice builds them."""
-    pad[row.size - 1 :] = row
-    return pad[lag]
-
-
 def _lax_lattice(p: FHParams, lattice, x: float, size_c: int, max_rows: int):
     """(u, q, e): the coefficients of U and of x y_x/y (_lax_system) at
-    x^e on the lattice of _lax_grid, c < size_c, from sigma's lattice
-    (c, e) of _series_lattice; rows until one matters at x to neither U
-    nor W = int_0^x (x y_x/y) dx/x (_lax_matters), or max_rows rows.
+    x^e, from sigma's lattice (c, e) of _series_lattice; rows until one
+    matters at x to neither U nor W = int_0^x (x y_x/y) dx/x (_lax_matters),
+    or max_rows rows of size_c columns.
 
-    B takes sigma's point (k, j) at r = k (s = 0) or j (s = 1),
-    c = j + k - 1, and sigma's points past its lattice as 0.  Y's first
-    point is U0 - 1 (s = 0) or -c1/B0, and past it (e + c1) Y_e is the
-    rest at x^e, whose part in Y_e is 2 B0 Y0 = -2 c1.  Row 0 pairs only
-    its own points and is filled one point at a time; row r >= 1 is one
-    lower-triangular solve, its right-hand side products of the finished
-    rows with their Toeplitz windows, as in _series_lattice.  With
-    P = B Y: B Y^2 at row r is 2 P0 Y_r + (B Y - B0 Y_r)_r Y0 +
-    sum_{0<r'<r} P_r' Y_(r-r').
+    With A = alpha1 - alpha2 + 2i sigma_x and K = 2 (alpha1 - alpha2), the
+    U-equation is the Riccati equation x U' = -ixU + A (U - 1)^2 + K (U - 1).
+    For Re a > 0, a = alpha1 + alpha2, U -> U0 = (a + b)/(b - a),
+    b = beta1 + beta2 (s = 0, g = 0); otherwise A grows like x^(2a) and
+    U -> 1 (s = 1, g = -2a).  With U - 1 = x^g Y, B = x^g A, c1 = K - g:
+
+        x Y' = c1 Y - ixY - i x^(1-g) + B Y^2.
+
+    B and Y live on sigma_x's exponents e = r step_r + c step_c, steps
+    (2a, 1) or (-2a, 1 + 2a), where x^g is row 1; B takes sigma's point
+    (k, j) at r = k (s = 0) or j (s = 1), c = j + k - 1, and sigma's points
+    past its lattice as 0.  Y's first point is U0 - 1 or -c1/B0, and past
+    it (e + c1) Y_e is the rest at x^e, whose part in Y_e is
+    2 B0 Y0 = -2 c1.  So an e = -c1 on the lattice leaves Y_e free: that
+    needs Re alpha1 <= 0 or Re(alpha2 - alpha1) >= 1/2 ((-0.2, 0.1) at
+    every beta) and raises NondegeneracyError, as U0 = 0 or infinity
+    (a = -b, a = b for s = 0) raises DegenerateDenominatorError.  Row 0 is
+    filled one point at a time; row r >= 1 is one lower-triangular solve,
+    its right-hand side products of the finished rows with their Toeplitz
+    windows, as in _series_lattice.  With P = B Y: B Y^2 at row r is
+    2 P0 Y_r + (B Y - B0 Y_r)_r Y0 + sum_{0<r'<r} P_r' Y_(r-r').
 
     x y_x/y = (U - 1) (v (U - 1) - 2 alpha1)/U + ix/2 vanishes at x = 0,
     v (U - 1) = H Y with H = x^g v = (x^g (b - a) - B)/2, so
@@ -488,9 +443,18 @@ def _lax_lattice(p: FHParams, lattice, x: float, size_c: int, max_rows: int):
     triangular solve a row.
     """
     c_sig, e_sig = lattice
-    s, step_r, step_c, c1 = _lax_grid(p)
     a, b = p.alpha1 + p.alpha2, p.beta_sum
+    s = int(a.real <= 0.0)
+    if not s and (a == b or a == -b):
+        raise DegenerateDenominatorError(f"U's limit (a + b)/(b - a) is {'0' if a == -b else 'inf'}")
+    step_r, step_c = (-2.0 * a, 1.0 + 2.0 * a) if s else (2.0 * a, 1.0)
+    c1 = 2.0 * (p.alpha1 - p.alpha2) + 2.0 * a * s
     e = step_c * np.arange(size_c) + step_r * np.arange(max_rows)[:, None]
+    den = e + c1
+    free = np.abs(den) <= 64.0 * np.finfo(float).eps * np.maximum(np.abs(e), 1.0)
+    free[0, 0] &= bool(s)
+    if free.any():
+        raise NondegeneracyError(f"U's small-argument recursion is resonant at x^({-c1:.6g})")
     k, j = np.indices(c_sig.shape)
     r, c = (j if s else k), j + k - 1
     on = (c >= 0) & (c < size_c)
@@ -503,7 +467,6 @@ def _lax_lattice(p: FHParams, lattice, x: float, size_c: int, max_rows: int):
     row, b0 = [0j] * size_c, bb[0].tolist()
     row[0] = -c1 / b0[0] if s else 2.0 * a / (b - a)
     prow = [b0[0] * row[0]] + [0j] * (size_c - 1)
-    den = e + c1
     den0 = den[0].tolist()
     for m in range(1, size_c):
         prow[m] = sum(b0[n] * row[m - n] for n in range(1, m + 1))
@@ -515,13 +478,16 @@ def _lax_lattice(p: FHParams, lattice, x: float, size_c: int, max_rows: int):
     pb = np.zeros_like(y)
     pb[0] = prow
     lag = size_c - 1 + np.arange(size_c)[:, None] - np.arange(size_c)
-    pad = np.zeros(2 * size_c - 1, dtype=complex)
+
+    def window(v):  # the lower Toeplitz matrix w[m, n] = v[m - n]
+        return np.concatenate([np.zeros(size_c - 1, dtype=complex), v])[lag]
+
     # toe[:, s + r] is Y_r's window, so toe[:, r] is (U - 1)_r's
     toe = np.zeros((size_c, max_rows + s, size_c), dtype=complex)
     toe_y = toe[:, s:]
-    toe_y[:, 0] = _window(y[0], lag, pad)
-    toe_b0 = _window(bb[0], lag, pad)
-    base = -2.0 * _window(pb[0], lag, pad) + (1j - 1j * s) * np.eye(size_c, k=-1)
+    toe_y[:, 0] = window(y[0])
+    toe_b0 = window(bb[0])
+    base = -2.0 * window(pb[0]) + (1j - 1j * s) * np.eye(size_c, k=-1)
     u0 = toe[:, 0] + np.eye(size_c)
     diag = np.diag_indices(size_c)
     g, t = np.zeros_like(y), np.zeros_like(y)
@@ -538,7 +504,7 @@ def _lax_lattice(p: FHParams, lattice, x: float, size_c: int, max_rows: int):
             m[diag] = den[i]
             y[i] = ztrtrs(m, rhs, lower=1)[0]
             pb[i] = toe_b0 @ y[i] + rest
-            toe_y[:, i] = _window(y[i], lag, pad)
+            toe_y[:, i] = window(y[i])
         g[i] = toe_y[:, i - lb : i + 1].reshape(size_c, -1) @ hh[lb::-1].ravel()
         if i == 0:
             g[0, 0] -= 2.0 * p.alpha1
@@ -580,10 +546,8 @@ def _lax_tables(p: FHParams, lattice, x0: float, x_h: float):
     time: U's series converges much more slowly than sigma's where U's
     singularities come near, e.g. on 3 of the 24 sigma-family sets.  Each table
     keeps the terms that matter at the handover.  Raises what
-    _check_lax_resonance raises, and NumericalError when even x0 is out
-    of reach.
+    _lax_lattice raises, and NumericalError when even x0 is out of reach.
     """
-    _check_lax_resonance(p)
     size_c = 2 * lattice[0].shape[1]
     u, q, e = _lax_lattice(p, lattice, x_h, size_c, max(2, _LAX_BUDGET // size_c))
     steps = math.ceil(4.0 * math.log2(x_h / x0)) if x_h > x0 else 0
@@ -912,7 +876,7 @@ def integrate_sigma(
     - NondegeneracyError up front, from the series, when 2(alpha1+alpha2)
       is in N u {0}, when 1 - 2(alpha1+alpha2) lies on the exponent
       lattice (alpha1 + alpha2 = -1/6, -1/4, -3/10, -1/3, ...), where
-      U's series is resonant (_check_lax_resonance), or when a parameter
+      U's series is resonant (_lax_lattice), or when a parameter
       combination hits a negative integer;
     - DegenerateDenominatorError up front where U's limit at x = 0 is 0
       or infinite (alpha1 + alpha2 = +-(beta1 + beta2), Re > 0);
