@@ -16,14 +16,15 @@ node.  The same pass carries omega, ln U for the Lax variable U of the
 associated linear problem, and W = int_0^x (x y_x/y) dx/x, so the
 r-function of the shifted-beta determinant ratio, r = C e^W numf(U, v)/x,
 is read from the same dense output as sigma, at any x.  The pass starts
-at the handover x_h (up to 0.2, _handover and _lax_tables), above the
-tau0-resolution point x0 that starts the grid: below x_h two series
-tables hold the solution to rounding, sigma's (_series_lattice) and
-U's and x y_x/y's (_lax_lattice, from U's Riccati equation on the
-lattice of sigma_x's exponents), so sigma, omega, U and W there, the
-start data included, are sums of powers read by _series_rows.  Each
-table keeps the terms that matter at rounding on (0, x_h], and C is
-their x -> 0 limit in closed form.  The pass records DOP853's accepted steps
+at the handover x_h (up to 0.2, _handover), above the tau0-resolution
+point x0 that starts the grid: below x_h three series tables hold the
+solution to rounding, sigma's (_series_lattice), U's and x y_x/y's
+(_lax_lattice, from U's Riccati equation on the lattice of sigma_x's
+exponents), so sigma, omega, U and W there, the start data included,
+are sums of powers read by _series_rows.  One rule sizes the terms of
+all three (_term_sizes); by it a lattice holds or grows (_grown) and a
+table keeps the terms that matter at rounding on (0, x_h] (_series_cut).
+C is their x -> 0 limit in closed form.  The pass records DOP853's accepted steps
 and builds every step's interpolant in one batch after it; the
 trajectory keeps them stacked into arrays and reads them with scipy's
 Dop853DenseOutput arithmetic.  Everything downstream (the transition
@@ -34,6 +35,7 @@ trajectory.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -200,15 +202,11 @@ def _series_lattice(p: FHParams, t0: complex, size_j: int, size_k: int):
         row.append(rest / den0[j])
     c[0] = row
     left = c * left_w
-    # lower Toeplitz windows, toe[j, k, m] = c_{k, j-m} e_{k, j-m} for m <= j,
-    # else 0, and low[j, m] = left[0, j - m] for m < j
-    lag = size_j - 1 + np.arange(size_j)[:, None] - np.arange(size_j)
-    pad = np.zeros(2 * size_j - 1, dtype=complex)
+    # Toeplitz windows (_window): toe[j, k, m] = c_{k, j-m} e_{k, j-m} and
+    # low[j, m] = left[0, j - m], whose diagonal is never read
     toe = np.zeros((size_j, size_k, size_j), dtype=complex)
-    pad[size_j:] = left[0, 1:]
-    low = pad[lag]
-    pad[size_j - 1 :] = c[0] * e[0]
-    toe[:, 0] = pad[lag]
+    low = _window(left[0])
+    toe[:, 0] = _window(c[0] * e[0])
     # row k's coupling to row 0 and to c_{k, j-2}, affine in e = j + k mu
     two_back = np.eye(size_j, k=-2)
     base = -(low * e[0] + toe[:, 0] * left_w[0] + two_back * (3.0 - e[0, :, None]))
@@ -222,9 +220,18 @@ def _series_lattice(p: FHParams, t0: complex, size_j: int, size_k: int):
             m[0, 0], rhs[0] = 1.0, t0
         c[k] = ztrtrs(m, rhs, lower=1)[0]
         left[k] = c[k] * left_w[k]
-        pad[size_j - 1 :] = c[k] * e[k]
-        toe[:, k] = pad[lag]
+        toe[:, k] = _window(c[k] * e[k])
     return c, e
+
+
+# _window's index n - 1 + m - k into its zero-padded vector, by length n
+_lags = functools.cache(lambda n: n - 1 + np.arange(n)[:, None] - np.arange(n))
+
+
+def _window(v):
+    """The lower Toeplitz matrix w[m, n] = v[m - n], 0 above the diagonal,
+    of a vector v: the series lattices' row products."""
+    return np.concatenate([np.zeros(len(v) - 1, dtype=complex), v])[_lags(len(v))]
 
 
 def _series_terms(p: FHParams, x_range: float):
@@ -234,44 +241,70 @@ def _series_terms(p: FHParams, x_range: float):
 
     The exponents are j + k(1 + 2a), a = alpha1 + alpha2, j, k >= 0, and
     the coefficients come from _series_lattice; the table is the lattice
-    of _converged_lattice cut at x_range (_series_cut).  The degenerate
-    pair and the smooth symbol, where sigma == 0 exactly, have the empty
-    table.
+    of _converged_lattice cut at x_range (_series_cut).
     """
-    if _sigma_vanishes(p):
-        return np.zeros((2, 0), dtype=complex)
-    return _series_cut(_converged_lattice(p, x_range), x_range)
+    c, e = _converged_lattice(p, x_range)
+    return _series_cut(x_range, e, (c, (0, 1, 2)))[0]
 
 
-def _term_matters(c, e, x: float):
-    """big[d, k, j]: whether lattice term (k, j) matters at rounding at x to
-    sigma, sigma_x or sigma_xx (d = 0, 1, 2), or None where a term's size
-    overflows there.  Each derivative weighs c x^e by 1, e or e (e - 1)
-    and is judged against its own largest term (eps times it), so
-    sigma_xx keeps high orders that sigma alone would drop."""
-    # x^d times each term's size in the d-th derivative at x, d = 0, 1, 2
-    mag = np.abs(c * x**e.real * np.stack([np.ones_like(e), e, e * (e - 1.0)]))
+# the rows of _series_rows (sigma, sigma_x, sigma_xx, omega) as pairs
+# (w, d): a term c x^e adds w(c, e) x^(e - d) to the row, so w is x^d
+# times its size in the d-th derivative, and c/e (0 at e = 0) in omega
+_ROWS = (
+    (lambda c, e: c, 0),
+    (lambda c, e: c * e, 1),
+    (lambda c, e: c * e * (e - 1.0), 2),
+    (lambda c, e: np.divide(c, e, out=np.zeros_like(c), where=e != 0.0), 0),
+)
+
+
+def _term_sizes(x: float, e, *parts):
+    """The size at x of each term c x^e in each row of _series_rows that a
+    part (c, rows) names, stacked on a first axis: |w(c, e) x^e| for the
+    row's weight w (_ROWS).  sigma is judged by rows 0-2, U by 0, W by 3."""
+    return np.abs(np.stack([_ROWS[m][0](c, e) for c, rows in parts for m in rows]) * x**e.real)
+
+
+def _term_matters(x: float, e, *parts):
+    """big[n, k, j]: whether lattice term (k, j) matters at rounding at x
+    to the n-th row judged (_term_sizes), against eps times that row's
+    largest term (sigma_xx keeps orders that sigma alone would drop); or
+    None where a term's size overflows there."""
+    mag = _term_sizes(x, e, *parts)
     if not np.all(np.isfinite(mag)):
         return None
     return mag > np.finfo(float).eps * mag.max(axis=(1, 2), keepdims=True)
 
 
-def _series_cut(lattice, x: float):
-    """The table (c, e) of the lattice's terms that matter at x
-    (_term_matters): sigma(0) is entry 0, the other entries are the kept
-    terms above that."""
-    c, e = lattice
-    keep = _term_matters(c, e, x).any(axis=0)
-    keep[0, 0] = True
-    return c[keep], e[keep]
+def _grown(big):
+    """The shape (rows, columns) a series lattice grows to from its terms
+    big (_term_matters): half again as many rows where its last row
+    matters to a row judged, half again as many columns where its last two
+    columns do; None where neither does (the lattice holds), and
+    (inf, inf), past every budget, where a size overflowed (big None)."""
+    if big is None:
+        return math.inf, math.inf
+    size_k, size_j = big.shape[1:]
+    row, cols = bool(big[:, -1].any()), bool(big[..., -2:].any())
+    if not (row or cols):
+        return None
+    return size_k + row * ((size_k + 1) // 2), size_j + cols * (size_j // 2)
+
+
+def _series_cut(x: float, e, *parts):
+    """One table (c, e) per part (c, rows) of a lattice on the exponents e:
+    the terms that matter at x to any of its rows (_term_matters), with
+    the constant, at the lattice's origin e = 0, as entry 0."""
+    keeps = [_term_matters(x, e, part).any(axis=0) | (e == 0.0) for part in parts]
+    return [(c[keep], e[keep]) for (c, _), keep in zip(parts, keeps)]
 
 
 def _converged_lattice(p: FHParams, x_range: float):
     """The lattice (c, e) of _series_lattice that holds sigma to rounding on
-    (0, x_range]: from _series_guess, the rectangle grows until its last
-    two columns and its last row matter to none of sigma, sigma_x and
-    sigma_xx at x_range (_term_matters).  Raises NondegeneracyError where
-    tau0 does and where the recursion is resonant (_check_resonance),
+    (0, x_range]: from _series_guess, the rectangle grows (_grown) until
+    its last two columns and its last row matter to none of sigma, sigma_x
+    and sigma_xx at x_range.  Raises NondegeneracyError where tau0 does
+    and where the recursion is resonant (_check_resonance),
     ValidationError for Re a <= -1/2 (the tau0 term does not vanish at
     x = 0) and NumericalError when the series has not converged on the
     range within _SERIES_BUDGET lattice points or a term's size overflows
@@ -281,14 +314,10 @@ def _converged_lattice(p: FHParams, x_range: float):
     size_j, size_k = _series_guess(p, x_range)
     while size_j * size_k <= _SERIES_BUDGET:
         c, e = _series_lattice(p, t0, size_j, size_k)
-        big = _term_matters(c, e, x_range)
-        if big is None:
-            break  # a term past the double range: the series diverges at x_range
-        cols_ok, row_ok = not big[..., -2:].any(), not big[:, -1].any()
-        if cols_ok and row_ok:
+        grown = _grown(_term_matters(x_range, e, (c, (0, 1, 2))))
+        if grown is None:
             return c, e
-        size_j += 0 if cols_ok else size_j // 2
-        size_k += 0 if row_ok else (size_k + 1) // 2
+        size_k, size_j = grown
     raise NumericalError(f"small-argument series does not converge at x = {x_range:.3g}")
 
 
@@ -316,19 +345,41 @@ def _series_guess(p: FHParams, x_range: float):
 
 
 def _handover(p: FHParams, x0: float, x_max: float):
-    """(x_h, lattice): the highest point sigma's series may hand over to
-    the solver, and sigma's lattice (_converged_lattice) on (0, x_h].
+    """(x_h, sigma's table, (U's table, W's table)): the highest point the
+    series may hand over to the solver, and the tables _series_rows reads
+    sigma (rows 0-3), U (row 0) and W (row 3) from on (0, x_h].
 
-    The series holds to rounding up to the cap _HANDOVER times
-    _radius_guess (0.2 at radius 3, less near alpha1 + alpha2 = 1/2).
-    x_h is the cap, or x0 when the cap is not in (x0, x_max) or its first
-    lattice would not fit _SERIES_BUDGET.  _lax_tables may lower it where
-    U's series does not hold there.  Not for the sigma == 0 sets, which
-    have no lattice."""
+    x_h starts at the cap _HANDOVER times _radius_guess (0.2 at radius 3,
+    less near alpha1 + alpha2 = 1/2), or at x0 when the cap is not in
+    (x0, x_max) or its first lattice would not fit _SERIES_BUDGET.  There
+    sigma's lattice is _converged_lattice's, and U's and W's one
+    _lax_lattice of twice its columns; where that does not hold (_grown),
+    x_h moves down a quarter octave at a time (U's singularities come near
+    on 3 of the 24 sigma-family sets).  At x0 U's lattice grows as sigma's
+    does while only its columns fail, within _LAX_BUDGET: for Re a <= 0
+    they step by x^(1+2a).  Each table keeps its own terms (_series_cut).
+    The sigma == 0 sets have the empty table, U == 1 and W == 0, at
+    x_h = x0.  Raises what _converged_lattice and _lax_lattice raise, and
+    NumericalError when U's series does not hold even at x0.
+    """
+    if _sigma_vanishes(p):
+        return x0, np.zeros((2, 0), dtype=complex), _UNIT_LAX
     cap = _HANDOVER * _radius_guess(p)
     fits = x0 < cap < x_max and math.prod(_series_guess(p, cap)) <= _SERIES_BUDGET
     x_h = cap if fits else x0
-    return x_h, _converged_lattice(p, x_h)
+    sigma = _converged_lattice(p, x_h)
+    u, q, e = _lax_lattice(p, sigma, x_h, 2 * sigma[0].shape[1])
+    steps = math.ceil(4.0 * math.log2(x_h / x0)) if x_h > x0 else 0
+    for x in [*(x_h * 2.0 ** (-np.arange(steps) / 4.0)), x0]:
+        grown = _grown(_term_matters(x, e, (u, (0,)), (q, (3,))))
+        while x == x0 and grown and grown[0] == len(u) and math.prod(grown) <= _LAX_BUDGET:
+            u, q, e = _lax_lattice(p, sigma, x0, grown[1])
+            grown = _grown(_term_matters(x, e, (u, (0,)), (q, (3,))))
+        if grown is None:
+            x = float(x)
+            table = _series_cut(x, sigma[1], (sigma[0], (0, 1, 2)))[0]
+            return x, table, tuple(_series_cut(x, e, (u, (0,)), (q, (3,))))
+    raise NumericalError(f"U's small-argument series does not converge at x = {x0:.3g}")
 
 
 def _check_resonance(p: FHParams) -> None:
@@ -373,7 +424,7 @@ def _series_start(p: FHParams, tol: float) -> float:
     smallest x with R >= 1/tol.  Where sigma(0) = 0 (the sigma == 0 sets
     included) R is infinite.  Raises NondegeneracyError where tau0 does
     and NumericalError where tau0 = 0 but sigma(0) != 0.  The start also
-    ends the series range: integrate_sigma builds the table on (0, x0].
+    bounds the handover from below (_handover).
     """
     s0 = abs(sigma_zero(p))
     if s0 == 0.0:
@@ -385,35 +436,35 @@ def _series_start(p: FHParams, tol: float) -> float:
     return max(_X_ANCHOR, need ** (1.0 / _tau0_power(p)))
 
 
-def _series_rows(table, x):
-    """Rows (sigma, sigma_x, sigma_xx, omega) from the table at x > 0, each
-    of the shape of x; omega = int_0^x (sigma - sigma(0)) dy/y takes
-    c_k x^(e_k) / e_k from each term after sigma(0), the table's first.
-    A power is a real power times a unit phase, so a real exponent keeps
-    the accuracy of the real power; real exponents (real alphas) skip the
-    phase.  Raises ValidationError unless every x > 0."""
+def _series_rows(table, x, rows=(0, 1, 2, 3)):
+    """The rows `rows` (_ROWS) of the table (c, e) at x > 0, stacked, each
+    of the shape of x: (sigma, sigma_x, sigma_xx, omega) of sigma's
+    table, U (row 0) of U's and W (row 3) of x y_x/y's.  A power is a
+    real power times a unit phase, so a real exponent keeps the accuracy
+    of the real power; real exponents (real alphas) skip the phase.
+    Raises ValidationError unless every x > 0."""
     xs = np.asarray(x, dtype=float)
     if not np.all(xs > 0.0):
         raise ValidationError(f"x = {xs[~(xs > 0.0)][0]} is not > 0, where sigma is read")
     c, e = table
     xs = xs[..., None]
     phase = np.exp(1j * e.imag * np.log(xs)) if e.imag.any() else 1.0
-    weights = (c, c * e, c * e * (e - 1.0))
-    # a power whose weight is 0 (sigma(0)'s in both derivatives, x's in
-    # sigma_xx) is taken as x^0: x^(e-2) overflows below x ~ 1e-154, and
-    # inf * 0 is nan
-    xe, xe1, xe2 = (
-        xs ** np.where(w == 0.0, 0.0, e.real - m) * phase for m, w in enumerate(weights)
-    )
-    terms = (xe * c, xe1 * weights[1], xe2 * weights[2], xe[..., 1:] * (c[1:] / e[1:]))
-    return np.stack([t.sum(-1) for t in terms])
+    out = []
+    for weight, d in (_ROWS[m] for m in rows):
+        w = weight(c, e)
+        # a power of weight 0 (the constant's past row 0, x's in sigma_xx) is
+        # taken as x^0: x^(e-2) overflows below x ~ 1e-154, and inf * 0 is nan
+        out.append((xs ** np.where(w == 0.0, 0.0, e.real - d) * phase * w).sum(-1))
+    return np.stack(out)
 
 
-def _lax_lattice(p: FHParams, lattice, x: float, size_c: int, max_rows: int):
+def _lax_lattice(p: FHParams, lattice, x: float, size_c: int):
     """(u, q, e): the coefficients of U and of x y_x/y (_lax_system) at
-    x^e, from sigma's lattice (c, e) of _series_lattice; rows until one
-    matters at x to neither U nor W = int_0^x (x y_x/y) dx/x (_lax_matters),
-    or max_rows rows of size_c columns.
+    x^e, from sigma's lattice (c, e) of _series_lattice: rows of size_c
+    columns until one matters at x to neither U nor W = int_0^x (x y_x/y)
+    dx/x (_term_sizes, against each one's largest term so far), within
+    _LAX_BUDGET lattice points (two rows at least).  The fill stops
+    before its first row that is not finite.
 
     With A = alpha1 - alpha2 + 2i sigma_x and K = 2 (alpha1 - alpha2), the
     U-equation is the Riccati equation x U' = -ixU + A (U - 1)^2 + K (U - 1).
@@ -442,6 +493,7 @@ def _lax_lattice(p: FHParams, lattice, x: float, size_c: int, max_rows: int):
     q = T + ix/2 with U T = (U - 1) G, G = H Y - 2 alpha1: one more
     triangular solve a row.
     """
+    max_rows = max(2, _LAX_BUDGET // size_c)
     c_sig, e_sig = lattice
     a, b = p.alpha1 + p.alpha2, p.beta_sum
     s = int(a.real <= 0.0)
@@ -463,7 +515,9 @@ def _lax_lattice(p: FHParams, lattice, x: float, size_c: int, max_rows: int):
     bb[s, 0] += p.alpha1 - p.alpha2
     hh = -0.5 * bb
     hh[s, 0] += 0.5 * (b - a)
-    y = np.zeros((max_rows, size_c), dtype=complex)
+    # U's rows, r at x^(e_r); U - 1 = x^g Y puts Y's row r at row s + r
+    u = np.zeros((max_rows + s, size_c), dtype=complex)
+    y = u[s:]
     row, b0 = [0j] * size_c, bb[0].tolist()
     row[0] = -c1 / b0[0] if s else 2.0 * a / (b - a)
     prow = [b0[0] * row[0]] + [0j] * (size_c - 1)
@@ -477,96 +531,51 @@ def _lax_lattice(p: FHParams, lattice, x: float, size_c: int, max_rows: int):
     y[0] = row
     pb = np.zeros_like(y)
     pb[0] = prow
-    lag = size_c - 1 + np.arange(size_c)[:, None] - np.arange(size_c)
-
-    def window(v):  # the lower Toeplitz matrix w[m, n] = v[m - n]
-        return np.concatenate([np.zeros(size_c - 1, dtype=complex), v])[lag]
-
     # toe[:, s + r] is Y_r's window, so toe[:, r] is (U - 1)_r's
     toe = np.zeros((size_c, max_rows + s, size_c), dtype=complex)
     toe_y = toe[:, s:]
-    toe_y[:, 0] = window(y[0])
-    toe_b0 = window(bb[0])
-    base = -2.0 * window(pb[0]) + (1j - 1j * s) * np.eye(size_c, k=-1)
+    toe_y[:, 0] = _window(y[0])
+    toe_b0 = _window(bb[0])
+    base = -2.0 * _window(pb[0]) + (1j - 1j * s) * np.eye(size_c, k=-1)
     u0 = toe[:, 0] + np.eye(size_c)
+    u[0, 0] += 1.0  # U's constant; y[0] is read through its window from here on
     diag = np.diag_indices(size_c)
     g, t = np.zeros_like(y), np.zeros_like(y)
     half_x = 0.5j * (np.arange(size_c) == 1)  # ix/2 on row s
-    tops = [abs(1.0 + row[0] * (1 - s)), 0.0]
-    for i in range(max_rows):
-        lb = min(i, len(bb) - 1)
-        if i:
-            rest = toe_y[:, i - lb : i].reshape(size_c, -1) @ bb[lb:0:-1].ravel()
-            rhs = toe_y[:, 0] @ rest + toe_y[:, 1:i].reshape(size_c, -1) @ pb[i - 1 : 0 : -1].ravel()
-            if s:
-                rhs[1:] -= 1j * y[i - 1, :-1]
-            m = base.copy()
-            m[diag] = den[i]
-            y[i] = ztrtrs(m, rhs, lower=1)[0]
-            pb[i] = toe_b0 @ y[i] + rest
-            toe_y[:, i] = window(y[i])
-        g[i] = toe_y[:, i - lb : i + 1].reshape(size_c, -1) @ hh[lb::-1].ravel()
-        if i == 0:
-            g[0, 0] -= 2.0 * p.alpha1
-        rhs = toe[:, 0] @ g[i] + toe[:, 1 : i + 1].reshape(size_c, -1) @ (g[:i] - t[:i])[::-1].ravel()
-        t[i] = ztrtrs(u0, rhs, lower=1)[0]
-        big = _lax_matters(y[i - s] if i >= s else 0.0, t[i] + half_x * (i == s), e[i], x, tops)
-        if i and not big.any():
-            break
-    u = np.concatenate([np.zeros_like(y[:s]), y[: i + 1 - s]])
-    u[0, 0] += 1.0
+    tops, rows = np.zeros(2), max_rows
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row ends the fill
+        for i in range(max_rows):
+            lb = min(i, len(bb) - 1)
+            if i:
+                rest = toe_y[:, i - lb : i].reshape(size_c, -1) @ bb[lb:0:-1].ravel()
+                rhs = toe_y[:, 0] @ rest + toe_y[:, 1:i].reshape(size_c, -1) @ pb[i - 1 : 0 : -1].ravel()
+                if s:
+                    rhs[1:] -= 1j * y[i - 1, :-1]
+                m = base.copy()
+                m[diag] = den[i]
+                y[i] = ztrtrs(m, rhs, lower=1)[0]
+                pb[i] = toe_b0 @ y[i] + rest
+                toe_y[:, i] = _window(y[i])
+            g[i] = toe_y[:, i - lb : i + 1].reshape(size_c, -1) @ hh[lb::-1].ravel()
+            if i == 0:
+                g[0, 0] -= 2.0 * p.alpha1
+            rhs = toe[:, 0] @ g[i] + toe[:, 1 : i + 1].reshape(size_c, -1) @ (g[:i] - t[:i])[::-1].ravel()
+            t[i] = ztrtrs(u0, rhs, lower=1)[0]
+            size = _term_sizes(x, e[i], (u[i], (0,)), (t[i] + half_x * (i == s), (3,)))
+            if not np.all(np.isfinite(size)):
+                rows = max(i, 1)
+                break
+            tops = np.maximum(tops, size.max(axis=1))
+            if i and not np.any(size > np.finfo(float).eps * tops[:, None]):
+                rows = i + 1
+                break
     t[s, 1] += 0.5j
     t[0, 0] = 0.0  # its rounding: x y_x/y vanishes at x = 0
-    return u, t[: i + 1], e[: i + 1]
-
-
-def _lax_matters(u, q, e, x, tops):
-    """Whether each term of U (coefficients u) and of W (q x^e / e) at x
-    matters at rounding against the largest of its kind, tops = [U's, W's]
-    (in: so far; out: with these terms).  U's constant is in tops[0] and
-    is never judged; neither is q at e = 0, which is 0."""
-    xe = np.abs(x**e)
-    sizes = np.abs(u) * xe, np.abs(q) * xe / np.maximum(np.abs(e), np.finfo(float).tiny)
-    big = False
-    for n, size in enumerate(sizes):
-        size = np.where(e == 0.0, 0.0, size)
-        tops[n] = max(tops[n], float(size.max()))
-        big = big | (size > np.finfo(float).eps * tops[n])
-    return big
-
-
-def _lax_tables(p: FHParams, lattice, x0: float, x_h: float):
-    """(x_h, (U's table, x y_x/y's table)): the handover, at most x_h, and
-    the tables _series_rows reads U (row 0) and W (row 3) from on (0, x_h].
-
-    _lax_lattice fills twice as many columns as sigma's lattice has, and
-    rows up to _LAX_BUDGET lattice points.  Where that lattice does not
-    hold U and W to rounding at x_h (its last row or last two columns
-    matter, _lax_matters), the handover moves down a quarter octave at a
-    time: U's series converges much more slowly than sigma's where U's
-    singularities come near, e.g. on 3 of the 24 sigma-family sets.  Each table
-    keeps the terms that matter at the handover.  Raises what
-    _lax_lattice raises, and NumericalError when even x0 is out of reach.
-    """
-    size_c = 2 * lattice[0].shape[1]
-    u, q, e = _lax_lattice(p, lattice, x_h, size_c, max(2, _LAX_BUDGET // size_c))
-    steps = math.ceil(4.0 * math.log2(x_h / x0)) if x_h > x0 else 0
-    for x in [*(x_h * 2.0 ** (-np.arange(steps) / 4.0)), x0]:
-        tops = [abs(u[0, 0]), 0.0]
-        big = _lax_matters(u, q, e, x, tops)
-        if not (big[-1].any() or big[:, -2:].any()):
-            big[0, 0] = True
-            return float(x), ((u[big], e[big]), (q[big], e[big]))
-    raise NumericalError(f"U's small-argument series does not converge at x = {x0:.3g}")
+    return u[:rows], t[:rows], e[:rows]
 
 
 # U == 1 and W == 0, for the sigma == 0 sets
 _UNIT_LAX = ((np.ones(1, dtype=complex), np.zeros(1)), (np.zeros(1, dtype=complex), np.zeros(1)))
-
-
-def _lax_rows(tables, x):
-    """(U, W) at x from _lax_tables' tables."""
-    return _series_rows(tables[0], x)[0], _series_rows(tables[1], x)[3]
 
 
 def _branch_sign(p: FHParams):
@@ -623,16 +632,16 @@ class SigmaTrajectory:
     """sigma and derivatives on a grid of x = |s| along the ray s = -ix.
 
     Built from the parameters, the range [x0, x_max], the solver pass
-    and the series tables, sigma's and U's (_lax_tables, which r_trajectory
-    reads below the handover).  The pass starts at the handover and its dense
-    output has the rows (sigma, sigma_x, sigma_xx, omega, ln U, W), omega
-    included from its series value at the handover on: _integrate_ray's
-    stacked step arrays, which _dense_at reads with scipy's DOP853
-    arithmetic, within 1e-14 max(1, |y|) of scipy's dense output on the
-    same steps.  eval, sigma_at
-    and omega_at take a float or an array of x in (0, x_max] and read it
-    through _read: the solve's series table _series below the handover,
-    the dense output from there on, one call each.  x_grid is
+    and the series tables of _handover, sigma's and U's and W's.  The
+    pass starts at the handover and its dense output has the rows (sigma,
+    sigma_x, sigma_xx, omega, ln U, W), omega included from its series
+    value at the handover on: _integrate_ray's stacked step arrays, which
+    _dense_at reads with scipy's DOP853 arithmetic, within
+    1e-14 max(1, |y|) of scipy's dense output on the same steps.  _read
+    returns any of the rows (sigma, sigma_x, sigma_xx, omega, U, W) at a
+    float or an array of x in (0, x_max]: the tables below the handover,
+    the dense output from there on, one call each.  eval, sigma_at and
+    omega_at read sigma's rows, and r_trajectory sigma_x, U and W.  x_grid is
     _default_grid(x0, x_max); the grid fields are filled from one eval on
     x_grid and the quartic-relation residual there.  handover, steps and
     nfev say how the pass ran: where it took over from the table, its
@@ -692,20 +701,23 @@ class SigmaTrajectory:
         q = ((xs - t_old[step]) / h[step])[:, None]
         return (_step_poly(coeffs[:, step], q) + y_old[step]).T
 
-    def _read(self, x):
-        """(sigma, sigma_x, sigma_xx, omega) at x, each of the shape of x:
-        the series table below the handover, the dense output from there
-        on (at the handover it returns the start data, the series values
-        there)."""
+    def _read(self, x, rows=(0, 1, 2, 3)):
+        """The rows `rows` of (sigma, sigma_x, sigma_xx, omega, U, W) at x,
+        each of the shape of x: the series tables below the handover (U's
+        and W's only where a row asks for them), the dense output from
+        there on, which returns the start data at the handover."""
         xs = np.asarray(x, dtype=float)
         flat = xs.ravel()
         head = flat < self.handover
-        out = np.empty((4, flat.size), dtype=complex)
+        out = np.empty((6, flat.size), dtype=complex)
         if head.any():
-            out[:, head] = _series_rows(self._series, flat[head])
+            out[:4, head] = _series_rows(self._series, flat[head])
+            if max(rows) > 3:
+                out[4:, head] = [_series_rows(t, flat[head], (m,))[0] for t, m in zip(self._lax, (0, 3))]
         if not head.all():
-            out[:, ~head] = self._dense_at(flat[~head])[:4]
-        return tuple(o.reshape(xs.shape)[()] for o in out)
+            out[:, ~head] = self._dense_at(flat[~head])
+            out[4, ~head] = np.exp(out[4, ~head])
+        return tuple(out[r].reshape(xs.shape)[()] for r in rows)
 
     def eval(self, x):
         """(sigma, sigma_x, sigma_xx) at x, each of the shape of x."""
@@ -860,14 +872,13 @@ def integrate_sigma(
     tau0 to relative accuracy tol: 1e-3 for alpha1 = alpha2 = 0.3, about
     0.24 for 0.9 at tol = 1e-8.  It starts the trajectory's grid and
     read ranges.  The solve itself is the one solve_ivp pass of
-    _integrate_ray from the handover x_h: the cap of _handover, up to 0.2
+    _integrate_ray from the handover x_h of _handover: its cap, up to 0.2
     (less near alpha1 + alpha2 = 1/2), or x0 where that is higher or its
-    table would not fit _SERIES_BUDGET, moved down by _lax_tables where
-    U's series does not hold there.  Below x_h the series tables hold
-    sigma, U and W to rounding, where DOP853's early steps from x0 were
-    most of its error and a third of its steps.  They hold every read
-    below x_h: the start data (sigma, its derivatives, omega, ln U and W
-    at x_h) and the trajectory's and r_trajectory's reads.  The sigma == 0
+    table would not fit _SERIES_BUDGET, moved down where U's series does
+    not hold there.  Below x_h the series tables hold sigma, U and W to
+    rounding, where DOP853's early steps from x0 were most of its error
+    and a third of its steps; they give the start data at x_h and every
+    read below it.  The sigma == 0
     sets (the degenerate pair alpha = beta = 1/2 and the smooth symbol)
     have the empty table, start at x_h = x0 = 1e-3 from zero data, stay
     at zero and carry U = 1, which keeps the right-hand side finite.  The
@@ -895,13 +906,8 @@ def integrate_sigma(
     x0 = _series_start(p, tol)
     if not x0 < x_max < math.inf:
         raise ValidationError(f"need x0 < x_max < inf (x0 = {x0:.3g}, x_max = {x_max:.3g})")
-    if _sigma_vanishes(p):
-        x_h, table, lax = x0, _series_terms(p, x0), _UNIT_LAX
-    else:
-        x_h, lattice = _handover(p, x0, x_max)
-        x_h, lax = _lax_tables(p, lattice, x0, x_h)
-        table = _series_cut(lattice, x_h)
-    u_h, w_h = _lax_rows(lax, x_h)
+    x_h, table, lax = _handover(p, x0, x_max)
+    u_h, w_h = (_series_rows(t, x_h, (m,))[0] for t, m in zip(lax, (0, 3)))
     y0 = [*_series_rows(table, x_h), cmath.log(u_h), w_h]
     dense = _integrate_ray(p, x_h, x_max, y0, min(1e-10, tol * 1e-2))
     traj = SigmaTrajectory(p, x0, x_max, dense, table, lax)
@@ -1016,9 +1022,9 @@ def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
 
     The pass carries ln U and W = int_0^x (x y_x/y) dx/x, so
     r = C e^W numf(U, v)/x at any x: the zeros of r are zeros of numf,
-    crossed exactly.  Below the handover, where the pass has not started,
-    U and W are read off the trajectory's series tables as at its start
-    (_lax_rows).  C matches r to r_small_s in the limit x -> 0, where
+    crossed exactly.  The trajectory reads sigma_x, U and W (_read): off
+    its series tables below the handover, where the pass has not started,
+    and off the pass from there on.  C matches r to r_small_s in the limit x -> 0, where
     W -> 0 and numf -> -(a + b), a = alpha1 + alpha2, b = beta1 + beta2,
     on either side of Re a = 0: C = -_r_limit(p)/(a + b) in closed form.
     The degenerate pair has the closed form degenerate_r.  The smooth
@@ -1035,17 +1041,9 @@ def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
         raise DegenerateDenominatorError("r's numerator vanishes at x = 0, or sigma == 0")
 
     lax_v, _, numf_of = _lax_system(p)
-    x_h = traj.handover
 
     def shape(xs):  # (r / C, numf) at the points xs
-        head = xs < x_h
-        du, u, w = np.empty((3, xs.size), dtype=complex)
-        if head.any():
-            du[head] = _series_rows(traj._series, xs[head])[1]
-            u[head], w[head] = _lax_rows(traj._lax, xs[head])
-        if not head.all():
-            _, du[~head], _, _, ln_u, w[~head] = traj._dense_at(xs[~head])
-            u[~head] = np.exp(ln_u)
+        du, u, w = traj._read(xs, (1, 4, 5))
         numf = numf_of(u, lax_v(du))
         return np.exp(w) * numf / xs, numf
 
