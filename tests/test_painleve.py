@@ -577,6 +577,40 @@ def test_w_series_derivative_is_the_log_derivative_of_y(p):
     assert abs(q[3][0]) < 1e-7
 
 
+def test_u_fill_overflow_is_refused_without_warnings():
+    # at (-0.3, -0.185) U's fill overflows: it stops before its first
+    # non-finite row, and the handover refuses the set, warning nothing
+    import warnings
+
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError, match="U's small-argument series does not converge"):
+            integrate_sigma(FHParams(-0.3, -0.185, t=0.3), x_max=5.0)
+    assert time.perf_counter() - start < 0.5
+    assert not caught
+
+
+def test_sigma_reads_leave_u_and_w_tables_unread(p03, traj03, monkeypatch):
+    # below the handover, eval, sigma_at and omega_at read sigma's table
+    # only; r_trajectory reads U's and W's as well
+    tables = []
+    rows = painleve._series_rows
+
+    def spy(table, x, *args):
+        tables.append(id(table))
+        return rows(table, x, *args)
+
+    monkeypatch.setattr(painleve, "_series_rows", spy)
+    xs = np.geomspace(traj03.x0, 0.5 * traj03.handover, 5)
+    for read in (traj03.eval, traj03.sigma_at, traj03.omega_at):
+        read(xs)
+    assert set(tables) == {id(traj03._series)}
+    tables.clear()
+    r_trajectory(p03, traj03).r_at(float(xs[0]))
+    assert set(tables) == {id(traj03._series), *map(id, traj03._lax)}
+
+
 def test_lax_resonance_is_refused_up_front():
     # (-0.2, 0.1) is resonant at x^0.8 for every beta
     start = time.perf_counter()
@@ -635,13 +669,14 @@ _RATIO_SETS = [
 def test_r_constant_where_re_a_is_negative():
     # C in closed form: at (-0.2, -0.15) r is within 2e-7 of the exact
     # ratio's n -> inf limit (the 1e-3 band above dates from C's match at
-    # 1e-10, where the x^(1+2a) term of r's small form was 3e-4)
-    p = FHParams(-0.2, -0.15, t=0.3)
-    rt = r_trajectory(p, integrate_sigma(p, x_max=5.0))
-    for x in (0.5, 2.0, 4.0):
-        r256, r512, r1024 = (_exact_r(p, x, n) for n in (256, 512, 1024))
-        limit = (4.0 * (2.0 * r1024 - r512) - (2.0 * r512 - r256)) / 3.0
-        assert abs(limit / rt.r_at(x) - 1.0) <= 2e-7
+    # 1e-10, where the x^(1+2a) term of r's small form was 3e-4); so is it
+    # at (-0.2, -0.265), where U's columns step by x^0.07
+    for p in (FHParams(-0.2, -0.15, t=0.3), FHParams(-0.2, -0.265, t=0.3)):
+        rt = r_trajectory(p, integrate_sigma(p, x_max=5.0))
+        for x in (0.5, 2.0, 4.0):
+            r256, r512, r1024 = (_exact_r(p, x, n) for n in (256, 512, 1024))
+            limit = (4.0 * (2.0 * r1024 - r512) - (2.0 * r512 - r256)) / 3.0
+            assert abs(limit / rt.r_at(x) - 1.0) <= 2e-7, p
 
 
 def _exact_r(p, x, n):
@@ -890,9 +925,10 @@ def _handover_starts():
 
 @pytest.mark.parametrize("p, tol", _handover_starts())
 def test_handover_table_takes_one_lattice(p, tol, monkeypatch):
-    # the table on (0, x_h] is built from the first lattice guess, within
-    # the budget, and holds the start data there as a table on twice the
-    # range does
+    # sigma's table on (0, x_h] is built from the first lattice guess,
+    # within the budget, and holds the start data there as a table on
+    # twice the range does.  (-0.2, 0.1) is U-resonant, so the handover
+    # refuses it; its sigma table is checked on the lattice at the cap
     sizes = []
     build = painleve._series_lattice
 
@@ -902,8 +938,15 @@ def test_handover_table_takes_one_lattice(p, tol, monkeypatch):
 
     monkeypatch.setattr(painleve, "_series_lattice", counting)
     x0 = _series_start(p, tol)
-    x_h, lattice = painleve._handover(p, x0, 42.0)
-    table = painleve._series_cut(lattice, x_h)
+    if (p.alpha1, p.alpha2) == (-0.2, 0.1):
+        with pytest.raises(NondegeneracyError, match="U's small-argument recursion is resonant"):
+            painleve._handover(p, x0, 42.0)
+        sizes.clear()
+        x_h = painleve._HANDOVER * painleve._radius_guess(p)
+        c, e = painleve._converged_lattice(p, x_h)
+        table = painleve._series_cut(x_h, e, (c, (0, 1, 2)))[0]
+    else:
+        x_h, table, _ = painleve._handover(p, x0, 42.0)
     assert len(sizes) == 1 and sizes[0] <= painleve._SERIES_BUDGET
     assert x0 <= x_h <= 0.2 + 1e-12
     monkeypatch.undo()
@@ -912,21 +955,42 @@ def test_handover_table_takes_one_lattice(p, tol, monkeypatch):
     assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
 
 
-def test_handover_stays_low_where_the_table_or_the_pick_would_not_hold():
+def test_handover_stays_low_where_a_table_would_not_hold():
     # Re a = -0.465: the rows step by x^0.07, so the first lattice at the
     # cap 0.2 is 20 x 259 points, past the budget; x0's own table fits
     p = FHParams(-0.2, -0.265, t=0.3)
     x0 = _series_start(p, 1e-8)
     assert math.prod(painleve._series_guess(p, 0.2)) > painleve._SERIES_BUDGET
     assert painleve._handover(p, x0, 42.0)[0] == x0
-    # and where U's series does not hold at the cap (-0.2, -0.15: U's rows
-    # step by x^0.3), the handover moves down to where it does
+    # and where U's series does not hold at the cap 0.2 (-0.2, -0.15: U's
+    # rows step by x^0.3), the handover moves down to where it does
     p = FHParams(-0.2, -0.15, t=0.3)
     x0 = _series_start(p, 1e-8)
-    x_h, lattice = painleve._handover(p, x0, 42.0)
-    low, _ = painleve._lax_tables(p, lattice, x0, x_h)
-    assert x_h == 0.2 and x0 < low < 0.05
+    assert painleve._HANDOVER * painleve._radius_guess(p) == 0.2
+    assert math.prod(painleve._series_guess(p, 0.2)) <= painleve._SERIES_BUDGET
+    low = painleve._handover(p, x0, 42.0)[0]
+    assert x0 < low < 0.05
     assert integrate_sigma(p, x_max=5.0).handover == low
+
+
+def test_u_columns_grow_at_x0_where_only_they_fail(monkeypatch):
+    # Re a = -0.465: U's columns step by x^0.07, so twice sigma's j-count
+    # of them does not hold U at x0; they grow by sigma's rule, within
+    # _LAX_BUDGET, until they do
+    p = FHParams(-0.2, -0.265, t=0.3)
+    x0 = _series_start(p, 1e-8)
+    widths = []
+    fill = painleve._lax_lattice
+
+    def counting(q, lattice, x, size_c):
+        widths.append(size_c)
+        return fill(q, lattice, x, size_c)
+
+    monkeypatch.setattr(painleve, "_lax_lattice", counting)
+    x_h, _, (u_table, _) = painleve._handover(p, x0, 42.0)
+    assert x_h == x0 and len(widths) > 1
+    assert all(b == a + a // 2 for a, b in zip(widths, widths[1:]))
+    assert len(u_table[0]) > widths[0]
 
 
 # bench/draws.sigma_family_sets(1)[1] and [2]
@@ -946,9 +1010,9 @@ def test_default_tol_sigma_is_accurate(p):
     traj = integrate_sigma(p, x_max=42.0)
     assert traj.handover > 0.1
     x0 = traj.x0
-    table = _series_terms(p, x0)
-    lax = painleve._lax_tables(p, painleve._converged_lattice(p, x0), x0, x0)[1]
-    u0, w0 = painleve._lax_rows(lax, x0)
+    x_h, table, lax = painleve._handover(p, x0, x0)
+    assert x_h == x0
+    u0, w0 = (_series_rows(t, x0, (m,))[0] for t, m in zip(lax, (0, 3)))
     y0 = [*_series_rows(table, x0), cmath.log(u0), w0]
     dense = painleve._integrate_ray(p, x0, 42.0, y0, 2.3e-14)
     ref = SigmaTrajectory(p, x0, 42.0, dense, table, lax)
