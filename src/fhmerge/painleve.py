@@ -563,7 +563,7 @@ def _lax_lattice(p: FHParams, lattice, x: float, size_c: int):
             t[i] = ztrtrs(u0, rhs, lower=1)[0]
             size = _term_sizes(x, e[i], (u[i], (0,)), (t[i] + half_x * (i == s), (3,)))
             if not np.all(np.isfinite(size)):
-                rows = max(i, 1)
+                rows = i
                 break
             tops = np.maximum(tops, size.max(axis=1))
             if i and not np.any(size > np.finfo(float).eps * tops[:, None]):
