@@ -479,9 +479,10 @@ def _lax_lattice(p: FHParams, lattice, x: float, size_c: int):
     (k, j) at r = k (s = 0) or j (s = 1), c = j + k - 1, and sigma's points
     past its lattice as 0.  Y's first point is U0 - 1 or -c1/B0, and past
     it (e + c1) Y_e is the rest at x^e, whose part in Y_e is
-    2 B0 Y0 = -2 c1.  So an e = -c1 on the lattice leaves Y_e free: that
-    needs Re alpha1 <= 0 or Re(alpha2 - alpha1) >= 1/2 ((-0.2, 0.1) at
-    every beta) and raises NondegeneracyError, as U0 = 0 or infinity
+    2 B0 Y0 = -2 c1.  So an e = -c1 on the lattice leaves Y_e free (it
+    needs Re alpha1 <= 0 or Re(alpha2 - alpha1) >= 1/2: (-0.2, 0.1) at
+    every beta, and row 1's first point at every alpha1 = alpha2 < 0)
+    and raises NondegeneracyError, as U0 = 0 or infinity
     (a = -b, a = b for s = 0) raises DegenerateDenominatorError.  Row 0 is
     filled one point at a time; row r >= 1 is one lower-triangular solve,
     its right-hand side products of the finished rows with their Toeplitz
@@ -878,11 +879,10 @@ def integrate_sigma(
     not hold there.  Below x_h the series tables hold sigma, U and W to
     rounding, where DOP853's early steps from x0 were most of its error
     and a third of its steps; they give the start data at x_h and every
-    read below it.  The sigma == 0
-    sets (the degenerate pair alpha = beta = 1/2 and the smooth symbol)
-    have the empty table, start at x_h = x0 = 1e-3 from zero data, stay
-    at zero and carry U = 1, which keeps the right-hand side finite.  The
-    call raises:
+    read below it.  The sigma == 0 sets (the degenerate pair
+    alpha = beta = 1/2 and the smooth symbol) have the empty table, start
+    at x_h = x0 = 1e-3 from zero data, stay at zero and carry U = 1,
+    which keeps the right-hand side finite.  The call raises:
 
     - NondegeneracyError up front, from the series, when 2(alpha1+alpha2)
       is in N u {0}, when 1 - 2(alpha1+alpha2) lies on the exponent
@@ -1024,9 +1024,10 @@ def r_trajectory(p: FHParams, traj: SigmaTrajectory) -> RTrajectory:
     r = C e^W numf(U, v)/x at any x: the zeros of r are zeros of numf,
     crossed exactly.  The trajectory reads sigma_x, U and W (_read): off
     its series tables below the handover, where the pass has not started,
-    and off the pass from there on.  C matches r to r_small_s in the limit x -> 0, where
-    W -> 0 and numf -> -(a + b), a = alpha1 + alpha2, b = beta1 + beta2,
-    on either side of Re a = 0: C = -_r_limit(p)/(a + b) in closed form.
+    and off the pass from there on.  C matches r to r_small_s in the limit
+    x -> 0, where W -> 0 and numf -> -(a + b), a = alpha1 + alpha2,
+    b = beta1 + beta2, on either side of Re a = 0: C = -_r_limit(p)/(a + b)
+    in closed form.
     The degenerate pair has the closed form degenerate_r.  The smooth
     symbol, which has no Lax variable, and a + b = 0 raise
     DegenerateDenominatorError, and a trajectory of other exponents than
